@@ -69,23 +69,21 @@ from .star_algebra import (
 from .so_twist import (
     Bicharacter,
     CheckReport,
-    GradedMonomial,
     SignedPermMatrix,
-    TwistedElement,
     abelian_points,
     all_signed_perm_matrices,
     bicharacter,
     chain_sign,
+    chain_signs,
     classical_point_action,
     lemma_P_check,
     lemma_SO_bruteforce,
+    lemma_SO_mismatches,
     lemma_SO_sides,
     lemma_sumzero_check,
     sample_orthogonal_reflection,
     sample_special_orthogonal,
     scalar_relations_defect,
-    twisted_chain,
-    twisted_product,
     twisted_relation_check,
 )
 

@@ -16,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from math import factorial
+from math import factorial, isnan
 from pathlib import Path
 
 from . import fixtures
@@ -27,7 +27,7 @@ from .so_twist import (
     abelian_points,
     classical_point_action,
     lemma_P_check,
-    lemma_SO_bruteforce,
+    lemma_SO_mismatches,
     lemma_sumzero_check,
     twisted_relation_check,
 )
@@ -52,6 +52,14 @@ def _resolve_seed(args) -> int:
     return 42
 
 
+def _resolve_tol(args, default: float) -> float:
+    if args.tol is None:
+        return default
+    if isnan(args.tol) or args.tol < 0:
+        raise UsageError(f"--tol must be a non-negative number, got {args.tol}")
+    return args.tol
+
+
 def _load_subject(args) -> Graph:
     """Graph from --graph (path or bundled fixture name) xor --n."""
     has_n = getattr(args, "n", None) is not None
@@ -72,7 +80,9 @@ def _load_subject(args) -> Graph:
 def _run_spectra(args) -> tuple[dict, bool]:
     if args.n is None:
         raise UsageError("spectra needs --n")
-    tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES.residual
+    if args.n < 3:
+        raise UsageError(f"spectra needs n >= 3 (the closed-form spectrum assumes it), got {args.n}")
+    tol = _resolve_tol(args, DEFAULT_TOLERANCES.residual)
     report = verify_spectrum(args.n, tol=tol)
     return report.to_json(), report.passed
 
@@ -107,7 +117,7 @@ def _run_disjoint(args) -> tuple[dict, bool]:
 def _run_witness(args) -> tuple[dict, bool]:
     g = _load_subject(args)
     seed = _resolve_seed(args)
-    tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES.projector
+    tol = _resolve_tol(args, DEFAULT_TOLERANCES.projector)
     pair = find_disjoint_pair(g)
     if pair is None:
         raise UsageError("graph has no pair of non-trivial disjoint automorphisms")
@@ -162,15 +172,15 @@ def _run_so_check(args) -> tuple[dict, bool]:
     if n % 2 == 0:
         raise UsageError("so-check needs odd n")
     seed = _resolve_seed(args)
-    tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES.residual
+    tol = _resolve_tol(args, DEFAULT_TOLERANCES.residual)
     checks = []
-    so_ok = lemma_SO_bruteforce(n)
+    mismatches = lemma_SO_mismatches(n)
     checks.append(
         {
             "relation": "lemma_SO",
-            "max_defect": 0.0 if so_ok else 1.0,
+            "max_defect": float(mismatches),
             "tol": tol,
-            "pass": so_ok,
+            "pass": mismatches == 0,
             "n": n,
             "matrices": 2 ** n * factorial(n),
         }
@@ -188,7 +198,7 @@ def _run_so_check(args) -> tuple[dict, bool]:
 
 def _run_twist_check(args) -> tuple[dict, bool]:
     seed = _resolve_seed(args)
-    tol = args.tol if args.tol is not None else DEFAULT_TOLERANCES.residual
+    tol = _resolve_tol(args, DEFAULT_TOLERANCES.residual)
     reports = twisted_relation_check(args.m, n_samples=args.samples, seed=seed, tol=tol)
     ok = all(r.passed for r in reports)
     return {

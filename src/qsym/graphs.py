@@ -32,6 +32,11 @@ __all__ = [
 AUTOMORPHISM_VERTEX_BOUND = 32
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: int but not bool (JSON true/false load as bool)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Graph:
     """Undirected simple graph (no loops, no multiple edges)."""
 
@@ -56,7 +61,7 @@ class Graph:
         Duplicate unordered pairs, loops and out-of-range endpoints are
         rejected; isolated vertices are fine.
         """
-        if not isinstance(n, int) or n <= 0:
+        if not _is_int(n) or n <= 0:
             raise GraphFormatError(f"vertex count must be a positive integer, got {n!r}")
         a = np.zeros((n, n), dtype=np.uint8)
         seen = set()
@@ -65,7 +70,7 @@ class Graph:
                 i, j = e
             except (TypeError, ValueError):
                 raise GraphFormatError(f"edge {e!r} is not a pair") from None
-            if not (isinstance(i, int) and isinstance(j, int)):
+            if not (_is_int(i) and _is_int(j)):
                 raise GraphFormatError(f"edge {e!r} has non-integer endpoints")
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphFormatError(f"edge {e!r} out of range for n={n}")
@@ -91,6 +96,8 @@ class Graph:
             obj = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"{path}: invalid JSON ({exc})") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphFormatError(f"{path}: cannot read a graph file ({exc})") from None
         return cls.from_json(obj)
 
     @property

@@ -26,46 +26,53 @@ gives SO_n^{-1}.  Two concrete models are certified here:
 
   and every relation becomes a polynomial identity in the entries of a
   special orthogonal matrix once each monomial carries its accumulated
-  twist sign.  Those identities are verified pointwise on seeded random
-  special orthogonal samples, with exact integer sign bookkeeping.
+  twist sign.  Because sigma is a bicharacter, the sign of a chain
+  [u_{i_1 j_1}] * ... * [u_{i_l j_l}] is the closed form
+
+      prod_{b < a} sigma(t_{i_b}, t_{i_a}) sigma(t_{j_b}, t_{j_a}),
+
+  read straight off the generator table (``chain_signs``).  The identities
+  are verified pointwise on seeded random special orthogonal samples.
+
+Both models share one array primitive: per-sample signed sums of entry
+products over index tuples (``_signed_product_sums``).  The abelian checks
+run it over the stack of all 2^n n! signed permutation matrices, which
+stand in for the samples (their sums are small integers, exact in
+float64); the twisted checks run it over the sampled matrices.
 
 Finally, every abelian point acts on the folded n-cube: the generators
 tau_i of Z_2^{n-1} are sent to sign * tau_{perm(i)}, which (precisely
 because d = 1) extends to an algebra map whose point-basis matrix is a
-vertex permutation -- a classical graph automorphism preserving all
-eigenspaces (``classical_point_action``).
+vertex permutation (``classical_point_action``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import permutations, product
 from typing import Iterable
 
 import numpy as np
 
-from .boolean_group import GroupWord, folded_cube, tau_generators, walsh_matrix
+from .boolean_group import tau_generators, walsh_matrix
 from .config import DEFAULT_TOLERANCES
 from .errors import CapacityError, DimensionError, UsageError
-from .graphs import Permutation, is_automorphism
-from .spectral import preserves_eigenspaces
+from .graphs import Permutation
 
 __all__ = [
     "SignedPermMatrix",
     "Bicharacter",
-    "GradedMonomial",
-    "TwistedElement",
     "CheckReport",
     "all_signed_perm_matrices",
     "abelian_points",
     "scalar_relations_defect",
     "lemma_SO_sides",
+    "lemma_SO_mismatches",
     "lemma_SO_bruteforce",
     "lemma_sumzero_check",
     "bicharacter",
-    "twisted_product",
-    "twisted_chain",
+    "chain_signs",
     "chain_sign",
     "sample_special_orthogonal",
     "sample_orthogonal_reflection",
@@ -79,6 +86,70 @@ __all__ = [
 #: enumeration caps: 2^n n! signed permutation matrices
 SIGNED_PERM_BOUND = 6
 SO_BRUTEFORCE_BOUND = 5
+
+#: elements per temporary array in the batched checks (128 KB of float64);
+#: the checks work through their index tuples in blocks of this size
+_BLOCK = 1 << 14
+
+
+def _blocks(count: int, width: int) -> list[slice]:
+    """Consecutive slices of range(count), each covering about _BLOCK
+    elements when one item spans ``width`` elements."""
+    step = max(1, _BLOCK // max(1, width))
+    return [slice(a, a + step) for a in range(0, count, step)]
+
+
+@lru_cache(maxsize=None)
+def _permutations(n: int, l: int | None = None) -> np.ndarray:
+    """All injective l-tuples of 0..n-1 (all permutations for l = None),
+    in itertools order, as a read-only (count, l) array."""
+    out = np.array(list(permutations(range(n), l)), dtype=np.intp)
+    out.setflags(write=False)
+    return out
+
+
+def _signed_product_sums(
+    values: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    signs: np.ndarray,
+    buckets: np.ndarray,
+    size: int,
+) -> np.ndarray:
+    """Per-sample signed sums of entry products, grouped into buckets.
+
+    ``values`` is a matrix stack with the sample axis last, shape (n, n, S).
+    Returns the (size, S) array whose row b is the sum, over the tuples p
+    with ``buckets[p] == b``, of
+
+        signs[p] * values[rows[p, 0], cols[0]] * ... * values[rows[p, l-1], cols[l-1]].
+
+    Factors are multiplied left to right (a leading sign +-1 only flips
+    the sign bit, so it commutes with the rounding) and each bucket is
+    summed in the order of p by a cumulative sum, so the float result is
+    that of a plain loop over p.  The work is split into blocks of
+    samples, which leaves every per-sample operation as it is.
+    """
+    order = np.argsort(buckets, kind="stable")
+    rows, signs = rows[order], signs[order, None].astype(np.float64)
+    bounds = np.searchsorted(buckets[order], np.arange(size + 1))
+    out = np.zeros((size, values.shape[-1]))
+    for blk in _blocks(values.shape[-1], len(rows)):
+        block = values[..., blk]
+        terms = np.repeat(signs, block.shape[-1], axis=1)
+        for a, c in enumerate(cols):
+            terms *= block[rows[:, a], c]
+        for b in range(size):
+            if bounds[b] < bounds[b + 1]:
+                out[b, blk] = np.cumsum(terms[bounds[b] : bounds[b + 1]], axis=0)[-1]
+    return out
+
+
+def _sample_major(stack: np.ndarray) -> np.ndarray:
+    """(S, n, n) stack -> contiguous (n, n, S), the layout of
+    ``_signed_product_sums``; the dtype is kept (int8 for the signed
+    permutation stack: the sums are formed in float64 all the same)."""
+    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +224,64 @@ class SignedPermMatrix:
         return cls(p, tuple(obj["signs"]))
 
 
+@dataclass(frozen=True)
+class _SignedPermStack:
+    """All 2^n n! signed permutation matrices as arrays; matrix index
+    p * 2^n + s pairs permutation ``perms[p]`` with sign vector ``signs[s]``
+    (itertools order: permutations outer, sign vectors from all +1 inner)."""
+
+    perms: np.ndarray  # (n!, n) images
+    signs: np.ndarray  # (2^n, n) +-1
+    matrices: np.ndarray  # (2^n n!, n, n) int8
+    determinants: np.ndarray  # (2^n n!,) quantum determinants
+
+
+@lru_cache(maxsize=SIGNED_PERM_BOUND)
+def _signed_perm_stack(n: int) -> _SignedPermStack:
+    if n < 1:
+        raise UsageError("n must be positive")
+    perms = _permutations(n)
+    signs = np.array(list(product((1, -1), repeat=n)), dtype=np.int8)
+    count = len(perms) * len(signs)
+    index = np.arange(count)
+    matrices = np.zeros((count, n, n), dtype=np.int8)
+    matrices[index[:, None], perms[index // len(signs)], np.arange(n)] = signs[index % len(signs)]
+    determinants = np.tile(signs.prod(axis=1, dtype=np.int8), len(perms))
+    for arr in (signs, matrices, determinants):
+        arr.setflags(write=False)
+    return _SignedPermStack(perms, signs, matrices, determinants)
+
+
+def _stack_points(stack: _SignedPermStack, keep: np.ndarray) -> list[SignedPermMatrix]:
+    """The selected matrices of the stack as SignedPermMatrix objects, in order."""
+    perms = [Permutation(p) for p in stack.perms.tolist()]
+    signs = stack.signs.tolist()
+    width = len(signs)
+    return [SignedPermMatrix(perms[i // width], signs[i % width]) for i in np.flatnonzero(keep).tolist()]
+
+
 def all_signed_perm_matrices(n: int, max_n: int = SIGNED_PERM_BOUND) -> list[SignedPermMatrix]:
     """All 2^n n! signed permutation matrices, in a deterministic order."""
     if n > max_n:
         raise CapacityError(f"n={n} exceeds the signed-permutation bound {max_n}")
-    if n < 1:
-        raise UsageError("n must be positive")
-    out = []
-    for images in permutations(range(n)):
-        perm = Permutation(images)
-        for signs in product((1, -1), repeat=n):
-            out.append(SignedPermMatrix(perm, signs))
+    stack = _signed_perm_stack(n)
+    return _stack_points(stack, np.ones(len(stack.matrices), dtype=bool))
+
+
+def _scalar_relations_defects(mats: np.ndarray) -> np.ndarray:
+    """``scalar_relations_defect`` of every matrix in an (N, n, n) stack."""
+    n = mats.shape[-1]
+    eye = np.eye(n, dtype=np.int64)
+    off_diagonal = 1 - eye
+    out = np.empty(len(mats), dtype=np.int64)
+    for blk in _blocks(len(mats), n**3):
+        m = np.asarray(mats[blk], dtype=np.int64)
+        mt = m.swapaxes(1, 2)
+        parts = [np.abs(m @ mt - eye), np.abs(mt @ m - eye)]
+        # products of two entries within a row (m) or within a column (mt)
+        for v in (m, mt):
+            parts.append(np.abs(v[:, :, :, None] * v[:, :, None, :]) * off_diagonal)
+        out[blk] = np.max([p.reshape(len(m), -1).max(axis=1) for p in parts], axis=0)
     return out
 
 
@@ -174,16 +292,7 @@ def scalar_relations_defect(m: np.ndarray) -> int:
     degenerates to vanishing products within a row or column, and (7.4) is
     automatic for scalars.  Integer arithmetic, so 0 means exact.
     """
-    m = np.asarray(m, dtype=np.int64)
-    n = m.shape[0]
-    eye = np.eye(n, dtype=np.int64)
-    defect = int(max(np.abs(m @ m.T - eye).max(), np.abs(m.T @ m - eye).max()))
-    for i in range(n):
-        for vec in (m[i, :], m[:, i]):
-            outer = np.abs(vec[:, None] * vec[None, :])
-            np.fill_diagonal(outer, 0)
-            defect = max(defect, int(outer.max()))
-    return defect
+    return int(_scalar_relations_defects(np.asarray(m)[None])[0])
 
 
 def abelian_points(
@@ -195,12 +304,13 @@ def abelian_points(
     quantum determinant condition.  With ``verify`` each survivor is also
     checked against (7.1)-(7.4) literally.
     """
-    points = [sp for sp in all_signed_perm_matrices(n, max_n) if sp.quantum_determinant == 1]
-    if verify:
-        for sp in points:
-            if scalar_relations_defect(sp.matrix()) != 0:  # pragma: no cover
-                raise RuntimeError(f"abelian point violates the scalar relations: {sp}")
-    return points
+    if n > max_n:
+        raise CapacityError(f"n={n} exceeds the signed-permutation bound {max_n}")
+    stack = _signed_perm_stack(n)
+    keep = stack.determinants == 1
+    if verify and _scalar_relations_defects(stack.matrices[keep]).any():  # pragma: no cover
+        raise RuntimeError(f"an abelian point of size {n} violates the scalar relations")
+    return _stack_points(stack, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -208,38 +318,43 @@ def abelian_points(
 # ---------------------------------------------------------------------------
 
 
-def _column_tuples(n: int, avoid: int) -> np.ndarray:
-    """All injective assignments of rows {0..n-1}\\{avoid} to columns 0..n-2."""
-    rest = [r for r in range(n) if r != avoid]
-    return np.array(list(permutations(rest)), dtype=np.intp)
+def _column_expansions(values: np.ndarray) -> np.ndarray:
+    """For each j and each matrix of the sample-major stack ``values``: the
+    sum over injective tuples of rows {0..n-1}\\{j} of the column products
+    u_{i_1 1} ... u_{i_{n-1} n-1}; shape (n, S)."""
+    n = values.shape[0]
+    tuples = _permutations(n, n - 1)
+    # the row a tuple avoids: each tuple misses exactly one of 0..n-1
+    avoided = n * (n - 1) // 2 - tuples.sum(axis=1)
+    ones = np.ones(len(tuples), dtype=np.int8)
+    return _signed_product_sums(values, tuples, np.arange(n - 1), ones, avoided, n)
 
 
 def lemma_SO_sides(sp: SignedPermMatrix) -> list[tuple[int, int]]:
     """For each j: (u_jn, sum over injective tuples avoiding j of the
     column products u_{i_1 1} ... u_{i_{n-1} n-1}), exact integers."""
-    n = sp.n
     m = sp.matrix()
-    cols = np.arange(n - 1)
-    out = []
-    for j in range(n):
-        tuples = _column_tuples(n, j)
-        rhs = int(m[tuples, cols[None, :]].prod(axis=1).sum())
-        out.append((int(m[j, n - 1]), rhs))
-    return out
+    rhs = _column_expansions(_sample_major(m[None]))[:, 0]
+    return [(int(m[j, sp.n - 1]), int(rhs[j])) for j in range(sp.n)]
+
+
+def lemma_SO_mismatches(n: int, max_n: int = SO_BRUTEFORCE_BOUND) -> int:
+    """Number of signed permutation matrices for which "quantum determinant
+    one" and "every column-n entry equals its injective-product expansion"
+    (the two formulations of (7.5)) disagree; 0 confirms the equivalence."""
+    if n > max_n:
+        raise CapacityError(f"n={n} exceeds the brute-force bound {max_n}")
+    stack = _signed_perm_stack(n)
+    values = _sample_major(stack.matrices)
+    expansion = (values[:, n - 1, :] == _column_expansions(values)).all(axis=0)
+    return int(np.count_nonzero((stack.determinants == 1) != expansion))
 
 
 def lemma_SO_bruteforce(n: int, max_n: int = SO_BRUTEFORCE_BOUND) -> bool:
     """Exhaustively confirm, over all signed permutation matrices, that the
     quantum determinant equals one iff every column-n entry equals its
     injective-product expansion (the two formulations of (7.5))."""
-    if n > max_n:
-        raise CapacityError(f"n={n} exceeds the brute-force bound {max_n}")
-    for sp in all_signed_perm_matrices(n, max_n=max(n, SIGNED_PERM_BOUND)):
-        det_one = sp.quantum_determinant == 1
-        expansion = all(lhs == rhs for lhs, rhs in lemma_SO_sides(sp))
-        if det_one != expansion:
-            return False
-    return True
+    return lemma_SO_mismatches(n, max_n) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +382,7 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# the bicharacter and the twisted product
+# the bicharacter and the twist signs
 # ---------------------------------------------------------------------------
 
 
@@ -358,162 +473,33 @@ def bicharacter(m: int) -> Bicharacter:
     return bc
 
 
-@dataclass(frozen=True)
-class GradedMonomial:
-    """Class [u_{i_1 j_1} ... u_{i_d j_d}] of a commutative monomial.
+def chain_signs(I, J, bc: Bicharacter) -> np.ndarray:
+    """Accumulated twist signs of the chains [u_{i_1 j_1}] * ... * [u_{i_l j_l}].
 
-    Factors are kept sorted (the underlying function algebra is
-    commutative, so the sorted tuple is a canonical key); the bidegree over
-    Z_2^{2m} is the product of the factor degrees (t_i, t_j).
+    ``I`` and ``J`` hold 0-based generator indices (index i is t_{i+1}) in
+    arrays broadcastable to a common shape (..., l); the result has shape
+    (...,).  Each sign is prod_{b < a} T[i_b, i_a] T[j_b, j_a] with T the
+    generator table ``bc.table``: moving [u_{i_a j_a}] past the product of
+    the earlier factors costs sigma(t_{i_1}...t_{i_{a-1}}, t_{i_a}) times
+    the same on the right, and sigma is multiplicative in each argument.
     """
-
-    factors: tuple[tuple[int, int], ...]
-    width: int
-
-    @classmethod
-    def of(cls, factors: Iterable[tuple[int, int]], width: int) -> "GradedMonomial":
-        return cls(tuple(sorted(tuple(f) for f in factors)), width)
-
-    @property
-    def left_bits(self) -> int:
-        bits = 0
-        for i, _ in self.factors:
-            bits ^= _generator_bits(i, self.width)
-        return bits
-
-    @property
-    def right_bits(self) -> int:
-        bits = 0
-        for _, j in self.factors:
-            bits ^= _generator_bits(j, self.width)
-        return bits
-
-    @property
-    def left_degree(self) -> GroupWord:
-        return GroupWord(self.left_bits, self.width)
-
-    @property
-    def right_degree(self) -> GroupWord:
-        return GroupWord(self.right_bits, self.width)
-
-    def evaluate(self, u: np.ndarray):
-        out = 1.0
-        for i, j in self.factors:
-            out = out * u[..., i - 1, j - 1]
-        return out
-
-
-class TwistedElement:
-    """Finite combination sum c_M [M] of graded monomials, exact coefficients."""
-
-    __slots__ = ("width", "terms")
-
-    def __init__(self, width: int, terms=None):
-        self.width = width
-        self.terms: dict[GradedMonomial, complex] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for mono, coeff in items:
-                self._add(mono, coeff)
-
-    def _add(self, mono: GradedMonomial, coeff):
-        if mono.width != self.width:
-            raise DimensionError("monomial width differs from element width")
-        new = self.terms.get(mono, 0) + coeff
-        if new == 0:
-            self.terms.pop(mono, None)
-        else:
-            self.terms[mono] = new
-
-    @classmethod
-    def one(cls, m: int) -> "TwistedElement":
-        width = 2 * m
-        return cls(width, {GradedMonomial.of((), width): 1})
-
-    @classmethod
-    def generator(cls, i: int, j: int, m: int) -> "TwistedElement":
-        """The class [u_ij] for n = 2m+1."""
-        n = 2 * m + 1
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise UsageError(f"generator indices ({i},{j}) out of range 1..{n}")
-        width = 2 * m
-        return cls(width, {GradedMonomial.of(((i, j),), width): 1})
-
-    def __add__(self, other: "TwistedElement") -> "TwistedElement":
-        if self.width != other.width:
-            raise DimensionError("widths differ")
-        out = TwistedElement(self.width, dict(self.terms))
-        for mono, coeff in other.terms.items():
-            out._add(mono, coeff)
-        return out
-
-    def __neg__(self) -> "TwistedElement":
-        return TwistedElement(self.width, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "TwistedElement") -> "TwistedElement":
-        return self + (-other)
-
-    def __rmul__(self, scalar) -> "TwistedElement":
-        return TwistedElement(self.width, {m: scalar * c for m, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TwistedElement)
-            and self.width == other.width
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def evaluate(self, u: np.ndarray):
-        """Pointwise value at a matrix (or stack of matrices) u."""
-        total = 0.0
-        for mono, coeff in self.terms.items():
-            total = total + coeff * mono.evaluate(u)
-        return total
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "TwistedElement(0)"
-        bits = []
-        for mono, coeff in sorted(self.terms.items(), key=lambda t: t[0].factors):
-            word = "".join(f"u{i}{j}" for i, j in mono.factors) or "1"
-            bits.append(f"{coeff:+}[{word}]")
-        return f"TwistedElement({' '.join(bits)})"
-
-
-def twisted_product(f: TwistedElement, h: TwistedElement, bc: Bicharacter) -> TwistedElement:
-    """Bilinear extension of [x][y] = sigma(deg_L x, deg_L y) sigma(deg_R x, deg_R y) [xy]."""
-    if f.width != h.width or f.width != bc.width:
-        raise DimensionError("element widths do not match the bicharacter")
-    out = TwistedElement(f.width)
-    for mf, cf in f.terms.items():
-        for mh, ch in h.terms.items():
-            sign = bc.word_sign(mf.left_bits, mh.left_bits) * bc.word_sign(
-                mf.right_bits, mh.right_bits
-            )
-            out._add(GradedMonomial.of(mf.factors + mh.factors, f.width), cf * ch * sign)
+    table = np.array(bc.table, dtype=np.int8)
+    I, J = np.broadcast_arrays(np.asarray(I, dtype=np.intp), np.asarray(J, dtype=np.intp))
+    if I.ndim == 0:
+        raise DimensionError("index arrays need a chain axis")
+    if I.size and (min(I.min(), J.min()) < 0 or max(I.max(), J.max()) >= bc.n):
+        raise UsageError(f"generator index out of range for n={bc.n}")
+    out = np.ones(I.shape[:-1], dtype=np.int8)
+    for a in range(1, I.shape[-1]):
+        for b in range(a):
+            out *= table[I[..., b], I[..., a]] * table[J[..., b], J[..., a]]
     return out
 
 
-def twisted_chain(pairs: Iterable[tuple[int, int]], bc: Bicharacter) -> TwistedElement:
-    """Twisted product [u_{i_1 j_1}] * ... * [u_{i_d j_d}], left to right."""
-    gens = [TwistedElement.generator(i, j, bc.m) for i, j in pairs]
-    return reduce(lambda a, b: twisted_product(a, b, bc), gens, TwistedElement.one(bc.m))
-
-
 def chain_sign(pairs: Iterable[tuple[int, int]], bc: Bicharacter) -> int:
-    """Accumulated twist sign of a generator chain (fast path of twisted_chain)."""
-    sign = 1
-    gl = gr = 0
-    for i, j in pairs:
-        wi = _generator_bits(i, bc.width)
-        wj = _generator_bits(j, bc.width)
-        sign *= bc.word_sign(gl, wi) * bc.word_sign(gr, wj)
-        gl ^= wi
-        gr ^= wj
-    return sign
+    """Accumulated twist sign of one chain of 1-based pairs (i, j)."""
+    idx = np.array(list(pairs), dtype=np.intp).reshape(-1, 2) - 1
+    return int(chain_signs(idx[:, 0], idx[:, 1], bc))
 
 
 # ---------------------------------------------------------------------------
@@ -521,29 +507,27 @@ def chain_sign(pairs: Iterable[tuple[int, int]], bc: Bicharacter) -> int:
 # ---------------------------------------------------------------------------
 
 
-def sample_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded random orthogonal matrix with determinant +1 (QR of a
-    Gaussian, R-diagonal signs absorbed, last column flipped if needed)."""
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)[None, :]
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
+def _stack_samples(n: int, count: int, rng: np.random.Generator, negative: bool) -> np.ndarray:
+    """``count`` seeded random orthogonal matrices of determinant -1 if
+    ``negative`` else +1: QR of Gaussians, R-diagonal signs absorbed, last
+    column flipped where the determinant has the wrong sign."""
+    if count < 1:
+        raise UsageError("need at least one sample")
+    q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
+    q *= np.where(np.diagonal(r, axis1=1, axis2=2) >= 0, 1.0, -1.0)[:, None, :]
+    flip = (np.linalg.det(q) < 0) != negative
+    q[flip, :, -1] = -q[flip, :, -1]
     return q
+
+
+def sample_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded random orthogonal matrix with determinant +1."""
+    return _stack_samples(n, 1, rng, negative=False)[0]
 
 
 def sample_orthogonal_reflection(n: int, rng: np.random.Generator) -> np.ndarray:
     """Seeded random orthogonal matrix with determinant -1."""
-    q = sample_special_orthogonal(n, rng)
-    q[:, -1] = -q[:, -1]
-    return q
-
-
-def _stack_samples(n: int, count: int, rng: np.random.Generator, negative: bool) -> np.ndarray:
-    maker = sample_orthogonal_reflection if negative else sample_special_orthogonal
-    if count < 1:
-        raise UsageError("need at least one sample")
-    return np.stack([maker(n, rng) for _ in range(count)])
+    return _stack_samples(n, 1, rng, negative=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,56 +562,51 @@ def twisted_relation_check(
     d71 = float(np.abs(so.imag).max()) if np.iscomplexobj(so) else 0.0
     reports.append(CheckReport("7.1", d71, tol, d71 <= tol, dict(base)))
 
+    idx = np.arange(n)
+    pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1)  # pairs[i, j] = (i, j)
+    # the column relations are the row relations of the transposed samples
+    columns = so.transpose(0, 2, 1)
+    # sums over k, per (sample, i, j), of u_ik u_jk and of u_ki u_kj; both
+    # chains carry the sign T[i, j] T[k, k]
     d72 = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            target = 1.0 if i == j else 0.0
-            row = np.zeros(n_samples)
-            col = np.zeros(n_samples)
-            for k in range(1, n + 1):
-                row += chain_sign(((i, k), (j, k)), bc) * so[:, i - 1, k - 1] * so[:, j - 1, k - 1]
-                col += chain_sign(((k, i), (k, j)), bc) * so[:, k - 1, i - 1] * so[:, k - 1, j - 1]
-            d72 = max(d72, float(np.abs(row - target).max()), float(np.abs(col - target).max()))
+    for u in (so, columns):
+        total = np.zeros((n_samples, n, n))
+        for k in range(n):
+            total += chain_signs(pairs, [k, k], bc) * u[:, :, None, k] * u[:, None, :, k]
+        total -= np.eye(n)
+        d72 = max(d72, float(np.abs(total).max()))
     reports.append(CheckReport("7.2", d72, tol, d72 <= tol, dict(base)))
 
+    # Sign arrays below are zeroed where two indices coincide (j = k in
+    # 7.3, j = l in 7.4), which leaves those products out of the maximum.
+    same = np.eye(n, dtype=bool)
+    # per leading i, over (sample, j, k): the anticommutators of u_ij, u_ik
+    # (row) and of u_ji, u_ki (column)
     d73 = 0.0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                if j == k:
-                    continue
-                anti_row = (
-                    chain_sign(((i, j), (i, k)), bc) + chain_sign(((i, k), (i, j)), bc)
-                ) * so[:, i - 1, j - 1] * so[:, i - 1, k - 1]
-                anti_col = (
-                    chain_sign(((j, i), (k, i)), bc) + chain_sign(((k, i), (j, i)), bc)
-                ) * so[:, j - 1, i - 1] * so[:, k - 1, i - 1]
-                d73 = max(d73, float(np.abs(anti_row).max()), float(np.abs(anti_col).max()))
+    for i in range(n):
+        anti = chain_signs([i, i], pairs, bc) + chain_signs([i, i], pairs[:, :, ::-1], bc)
+        anti[same] = 0
+        for u in (so, columns):
+            d73 = max(d73, float(np.abs(anti * u[:, i, :, None] * u[:, i, None, :]).max()))
     reports.append(CheckReport("7.3", d73, tol, d73 <= tol, dict(base)))
 
+    # per leading (i, k) with i != k, over (sample, j, l): the commutator
+    # of u_ij and u_kl
     d74 = 0.0
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
+    for i in range(n):
+        for k in range(n):
             if i == k:
                 continue
-            for j in range(1, n + 1):
-                for l in range(1, n + 1):
-                    if j == l:
-                        continue
-                    comm = (
-                        chain_sign(((i, j), (k, l)), bc) - chain_sign(((k, l), (i, j)), bc)
-                    ) * so[:, i - 1, j - 1] * so[:, k - 1, l - 1]
-                    d74 = max(d74, float(np.abs(comm).max()))
+            comm = chain_signs([i, k], pairs, bc) - chain_signs([k, i], pairs[:, :, ::-1], bc)
+            comm[same] = 0
+            d74 = max(d74, float(np.abs(comm * so[:, i, :, None] * so[:, k, None, :]).max()))
     reports.append(CheckReport("7.4", d74, tol, d74 <= tol, dict(base)))
 
-    cols = np.arange(n)
-    total = np.zeros(n_samples)
-    total_refl = np.zeros(n_samples)
-    for sigma in permutations(range(1, n + 1)):
-        sign = chain_sign(tuple((sigma[a], a + 1) for a in range(n)), bc)
-        rows = np.array(sigma) - 1
-        total += sign * np.prod(so[:, rows, cols], axis=1)
-        total_refl += sign * np.prod(refl[:, rows, cols], axis=1)
+    perms = _permutations(n)
+    signs = chain_signs(perms, idx, bc)
+    at_zero = np.zeros(len(perms), dtype=np.intp)
+    total = _signed_product_sums(_sample_major(so), perms, idx, signs, at_zero, 1)[0]
+    total_refl = _signed_product_sums(_sample_major(refl), perms, idx, signs, at_zero, 1)[0]
     d75 = float(np.abs(total - 1.0).max())
     control = float(np.abs(total_refl + 1.0).max())
     details = dict(base)
@@ -655,62 +634,37 @@ def lemma_sumzero_check(
     if model == "abelian":
         if n > SO_BRUTEFORCE_BOUND:
             raise CapacityError(f"n={n} exceeds the abelian bound {SO_BRUTEFORCE_BOUND}")
-        perms = np.array(list(permutations(range(n))), dtype=np.intp)
-        first_cols = np.arange(n - 1)
-        max_defect = 0
-        control = 0
-        mats = all_signed_perm_matrices(n, max_n=max(n, SIGNED_PERM_BOUND))
-        for sp in mats:
-            mat = sp.matrix()
-            heads = mat[perms[:, :-1], first_cols[None, :]].prod(axis=1)
-            for k in range(n):
-                total = int((heads * mat[perms[:, -1], k]).sum())
-                if k == n - 1:
-                    control = max(control, abs(total - sp.quantum_determinant))
-                else:
-                    max_defect = max(max_defect, abs(total))
-        details = {
-            "model": "abelian",
-            "n": n,
-            "matrices": len(mats),
-            "control_defect": float(control),
-        }
-        passed = max_defect <= tol and control <= tol
-        return CheckReport("lemma_sumzero", float(max_defect), tol, passed, details)
-
-    if model == "twisted":
+        stack = _signed_perm_stack(n)
+        values = _sample_major(stack.matrices)
+        target = stack.determinants
+        details = {"model": "abelian", "n": n, "matrices": len(stack.matrices)}
+    elif model == "twisted":
         if n % 2 == 0 or n < 3:
             raise UsageError("twisted model needs odd n >= 3")
         if n > SO_BRUTEFORCE_BOUND:
             raise CapacityError(f"n={n} exceeds the twisted bound {SO_BRUTEFORCE_BOUND}")
         bc = bicharacter((n - 1) // 2)
-        rng = np.random.default_rng(seed)
-        so = _stack_samples(n, samples, rng, negative=False)
-        max_defect = 0.0
-        control = 0.0
-        for k in range(1, n + 1):
-            cols = list(range(1, n)) + [k]
-            col_idx = np.array(cols) - 1
-            total = np.zeros(samples)
-            for sigma in permutations(range(1, n + 1)):
-                sign = chain_sign(tuple(zip(sigma, cols)), bc)
-                rows = np.array(sigma) - 1
-                total += sign * np.prod(so[:, rows, col_idx], axis=1)
-            if k == n:
-                control = float(np.abs(total - 1.0).max())
-            else:
-                max_defect = max(max_defect, float(np.abs(total).max()))
-        details = {
-            "model": "twisted",
-            "n": n,
-            "samples": samples,
-            "seed": seed,
-            "control_defect": control,
-        }
-        passed = max_defect <= tol and control <= tol
-        return CheckReport("lemma_sumzero", max_defect, tol, passed, details)
+        values = _sample_major(_stack_samples(n, samples, np.random.default_rng(seed), negative=False))
+        target = 1.0
+        details = {"model": "twisted", "n": n, "samples": samples, "seed": seed}
+    else:
+        raise UsageError(f'model must be "abelian" or "twisted", got {model!r}')
 
-    raise UsageError(f'model must be "abelian" or "twisted", got {model!r}')
+    perms = _permutations(n)
+    at_zero = np.zeros(len(perms), dtype=np.intp)
+    max_defect = 0.0
+    control = 0.0
+    for k in range(n):
+        cols = np.r_[np.arange(n - 1), k]
+        signs = chain_signs(perms, cols, bc) if model == "twisted" else np.ones(len(perms), dtype=np.int8)
+        total = _signed_product_sums(values, perms, cols, signs, at_zero, 1)[0]
+        if k == n - 1:
+            control = float(np.abs(total - target).max())
+        else:
+            max_defect = max(max_defect, float(np.abs(total).max()))
+    details["control_defect"] = control
+    passed = max_defect <= tol and control <= tol
+    return CheckReport("lemma_sumzero", max_defect, tol, passed, details)
 
 
 def lemma_P_check(
@@ -728,7 +682,9 @@ def lemma_P_check(
     equal its restriction to pairwise-distinct row tuples.  Both sides are
     accumulated as coefficient vectors over Z_2^{n-1} (the tau products)
     and compared: exactly in the abelian model, within tol on seeded
-    special orthogonal samples in the twisted model.
+    special orthogonal samples in the twisted model.  The abelian sums are
+    exact integers, so there the difference of the two sides is summed
+    directly, over the row tuples with a repeated index.
     """
     if n % 2 == 0 or n < 3:
         raise UsageError("lemma_P needs odd n >= 3 (tau generators)")
@@ -736,71 +692,41 @@ def lemma_P_check(
         raise CapacityError(f"n={n} exceeds the bound {SO_BRUTEFORCE_BOUND}")
     if not 1 <= l <= n:
         raise UsageError(f"l must lie in 1..{n}, got {l}")
-    taus = tau_generators(n)
-    tau_bits = [t.bits for t in taus]
-    size = 1 << (n - 1)
-    i_tuples = list(permutations(range(1, n + 1), l))
-    j_tuples = list(product(range(1, n + 1), repeat=l))
-    j_info = []
-    for jt in j_tuples:
-        bits = 0
-        for j in jt:
-            bits ^= tau_bits[j - 1]
-        j_info.append((jt, bits, len(set(jt)) == l))
-
     if model == "abelian":
-        mats = all_signed_perm_matrices(n, max_n=max(n, SIGNED_PERM_BOUND))
-        max_defect = 0
-        for sp in mats:
-            mat = sp.matrix()
-            for it in i_tuples:
-                lhs = np.zeros(size, dtype=np.int64)
-                rhs = np.zeros(size, dtype=np.int64)
-                for jt, bits, distinct in j_info:
-                    coeff = 1
-                    for a in range(l):
-                        coeff *= int(mat[jt[a] - 1, it[a] - 1])
-                        if coeff == 0:
-                            break
-                    if coeff == 0:
-                        continue
-                    lhs[bits] += coeff
-                    if distinct:
-                        rhs[bits] += coeff
-                max_defect = max(max_defect, int(np.abs(lhs - rhs).max()))
-        details = {"model": "abelian", "n": n, "l": l, "matrices": len(mats)}
-        return CheckReport("lemma_P", float(max_defect), tol, max_defect <= tol, details)
-
-    if model == "twisted":
+        matrices = _signed_perm_stack(n).matrices
+        values = _sample_major(matrices)
+        details = {"model": "abelian", "n": n, "l": l, "matrices": len(matrices)}
+    elif model == "twisted":
         bc = bicharacter((n - 1) // 2)
-        rng = np.random.default_rng(seed)
-        so = _stack_samples(n, samples, rng, negative=False)
-        max_defect = 0.0
-        for it in i_tuples:
-            it_idx = np.array(it) - 1
-            lhs = np.zeros((size, samples))
-            rhs = np.zeros((size, samples))
-            for jt, bits, distinct in j_info:
-                sign = chain_sign(tuple(zip(jt, it)), bc)
-                vals = sign * np.prod(so[:, np.array(jt) - 1, it_idx], axis=1)
-                lhs[bits] += vals
-                if distinct:
-                    rhs[bits] += vals
-            max_defect = max(max_defect, float(np.abs(lhs - rhs).max()))
+        values = _sample_major(_stack_samples(n, samples, np.random.default_rng(seed), negative=False))
         details = {"model": "twisted", "n": n, "l": l, "samples": samples, "seed": seed}
-        return CheckReport("lemma_P", max_defect, tol, max_defect <= tol, details)
+    else:
+        raise UsageError(f'model must be "abelian" or "twisted", got {model!r}')
 
-    raise UsageError(f'model must be "abelian" or "twisted", got {model!r}')
+    tau_bits = np.array([t.bits for t in tau_generators(n)], dtype=np.intp)
+    size = 1 << (n - 1)
+    j_tuples = np.array(list(product(range(n), repeat=l)), dtype=np.intp)
+    bits = np.bitwise_xor.reduce(tau_bits[j_tuples], axis=1)
+    ordered = np.sort(j_tuples, axis=1)
+    distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
+    repeated = j_tuples[~distinct]
+    ones = np.ones(len(repeated), dtype=np.int8)
+    max_defect = 0.0
+    for it in _permutations(n, l):
+        if model == "abelian":
+            diff = _signed_product_sums(values, repeated, it, ones, bits[~distinct], size)
+        else:
+            signs = chain_signs(j_tuples, it, bc)
+            lhs = _signed_product_sums(values, j_tuples, it, signs, bits, size)
+            rhs = _signed_product_sums(values, j_tuples[distinct], it, signs[distinct], bits[distinct], size)
+            diff = lhs - rhs
+        max_defect = max(max_defect, float(np.abs(diff).max()))
+    return CheckReport("lemma_P", max_defect, tol, max_defect <= tol, details)
 
 
 # ---------------------------------------------------------------------------
 # classical points acting on the folded cube
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _folded_cube_cached(n: int):
-    return folded_cube(n)
 
 
 def classical_point_action(point: SignedPermMatrix) -> Permutation:
@@ -810,8 +736,9 @@ def classical_point_action(point: SignedPermMatrix) -> Permutation:
     determinant is one this respects tau_n = tau_1...tau_{n-1} and extends
     to an algebra map of the group algebra of Z_2^{n-1}.  Conjugating by
     the Fourier transform must produce a permutation matrix on the point
-    basis; the permutation is returned after being checked to be a graph
-    automorphism that preserves every eigenspace.
+    basis, which is returned.  That it is a graph automorphism preserving
+    every eigenspace is the caller's to check (``is_automorphism``,
+    ``preserves_eigenspaces``); ``qsym so-points`` reports both.
     """
     n = point.n
     if n % 2 == 0 or n < 3:
@@ -854,13 +781,7 @@ def classical_point_action(point: SignedPermMatrix) -> Permutation:
         row = int(np.argmax(v[:, col]))
         onehot = np.zeros(size)
         onehot[row] = 1.0
-        if np.max(np.abs(v[:, col] - onehot)) > 1e-9:
+        if np.max(np.abs(v[:, col] - onehot)) > DEFAULT_TOLERANCES.residual:
             raise UsageError("point does not induce a vertex permutation")
         images.append(row)
-    perm = Permutation(tuple(images))
-    cube = _folded_cube_cached(n)
-    if not is_automorphism(cube, perm):  # pragma: no cover - theory guarantees it
-        raise RuntimeError("induced permutation is not a graph automorphism")
-    if not preserves_eigenspaces(n, perm):  # pragma: no cover
-        raise RuntimeError("induced permutation moves an eigenspace")
-    return perm
+    return Permutation(tuple(images))

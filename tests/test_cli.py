@@ -134,6 +134,49 @@ def test_exit_2_on_usage_errors(capsys, argv):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectra", "--n", "2"),  # below the closed form's range
+        ("spectra", "--n", "5", "--tol", "nan"),
+        ("spectra", "--n", "5", "--tol", "-1"),
+    ],
+)
+def test_exit_2_on_bad_values(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "content", ['{"n": true, "edges": []}', '{"n": 3, "edges": [[0, true]]}']
+)
+def test_exit_2_on_bool_integers_in_graph_file(capsys, tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    code, _, err = run(capsys, "autos", "--graph", str(bad))
+    assert code == 2
+    assert "error:" in err
+
+
+def test_exit_2_on_directory_as_graph(capsys, tmp_path):
+    code, _, err = run(capsys, "autos", "--graph", str(tmp_path))
+    assert code == 2
+    assert "error:" in err
+
+
+def test_so_check_reports_the_lemma_SO_mismatch_count(capsys, monkeypatch):
+    from qsym import so_twist
+
+    real = so_twist._column_expansions
+    monkeypatch.setattr(so_twist, "_column_expansions", lambda values: -real(values))
+    code, report, _ = run_json(capsys, "so-check", "--n", "3", "--samples", "5")
+    assert code == 1
+    lemma_so = report["checks"][0]
+    assert lemma_so["relation"] == "lemma_SO"
+    assert lemma_so["max_defect"] == 48.0 and lemma_so["pass"] is False
+
+
 def test_exit_2_on_malformed_graph_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"n": 3, "edges": [[0, 0]]}')

@@ -1,6 +1,11 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import twist_oracle as oracle
 from qsym import (
     CapacityError,
     DimensionError,
@@ -12,10 +17,12 @@ from qsym import (
     automorphisms,
     bicharacter,
     chain_sign,
+    chain_signs,
     classical_point_action,
     folded_cube,
     lemma_P_check,
     lemma_SO_bruteforce,
+    lemma_SO_mismatches,
     lemma_SO_sides,
     lemma_sumzero_check,
     preserves_eigenspaces,
@@ -23,11 +30,10 @@ from qsym import (
     sample_orthogonal_reflection,
     sample_special_orthogonal,
     scalar_relations_defect,
-    twisted_chain,
-    twisted_product,
     twisted_relation_check,
 )
-from qsym.so_twist import GradedMonomial, TwistedElement
+from qsym import so_twist
+from twist_oracle import GradedMonomial, TwistedElement, twisted_chain, twisted_product
 
 
 def diag_point(*signs):
@@ -326,6 +332,48 @@ def test_chain_sign_collapses_to_permutation_parity():
             assert chain_sign(pairs, bc) == parity(sigma)
 
 
+@st.composite
+def chains(draw):
+    """(m, pairs): a random generator chain of length 0..6 for m = 1, 2, 3."""
+    m = draw(st.integers(1, 3))
+    index = st.integers(1, 2 * m + 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=6))
+    return m, tuple(pairs)
+
+
+@given(chains())
+def test_chain_signs_matches_loop_sign_and_symbolic_chain(chain):
+    m, pairs = chain
+    bc = bicharacter(m)
+    idx = np.array(pairs, dtype=np.intp).reshape(-1, 2) - 1
+    sign = int(chain_signs(idx[:, 0], idx[:, 1], bc))
+    assert sign == chain_sign(pairs, bc) == oracle.loop_chain_sign(pairs, bc)
+    ((mono, coeff),) = twisted_chain(pairs, bc).terms.items()
+    assert coeff == sign
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_chain_signs_batched_over_chains_of_length_3(m):
+    # one batched call against the bit-loop sign of each chain: all of
+    # them for m = 1, 2 and every 7th of the 7^6 for m = 3
+    bc = bicharacter(m)
+    n = 2 * m + 1
+    idx = np.array(list(product(range(n), repeat=6)), dtype=np.intp)[:: 7 if m == 3 else 1]
+    signs = chain_signs(idx[:, :3], idx[:, 3:], bc)
+    assert signs.shape == (len(idx),)
+    for (i1, i2, i3, j1, j2, j3), s in zip(idx.tolist(), signs.tolist()):
+        pairs = ((i1 + 1, j1 + 1), (i2 + 1, j2 + 1), (i3 + 1, j3 + 1))
+        assert s == oracle.loop_chain_sign(pairs, bc)
+
+
+def test_chain_signs_rejects_out_of_range_indices():
+    bc = bicharacter(1)
+    with pytest.raises(UsageError):
+        chain_signs([0, 3], [0, 0], bc)
+    with pytest.raises(UsageError):
+        chain_sign(((0, 1),), bc)
+
+
 def test_graded_monomial_degrees():
     mono = GradedMonomial.of(((1, 3), (2, 3)), 2)
     assert mono.left_degree.bits == 0b11  # t1 t2
@@ -369,6 +417,17 @@ def test_sampling_deterministic_given_seed():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("negative", [False, True])
+def test_batched_samples_are_byte_identical_to_one_at_a_time(n, negative):
+    batched = so_twist._stack_samples(n, 2000, np.random.default_rng(9), negative)
+    maker = sample_orthogonal_reflection if negative else sample_special_orthogonal
+    rng = np.random.default_rng(9)
+    one_by_one = np.stack([maker(n, rng) for _ in range(2000)])
+    reference = oracle.loop_stack_samples(n, 2000, np.random.default_rng(9), negative)
+    assert batched.tobytes() == one_by_one.tobytes() == reference.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # relation certification
 # ---------------------------------------------------------------------------
@@ -383,6 +442,11 @@ def test_twisted_relations_hold(m):
         assert r.max_defect <= 1e-9
     control = reports[-1].details["control_det_negative_defect"]
     assert control <= 1e-9  # the determinant-(-1) control lands on -1
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_twisted_relations_equal_the_per_tuple_loops(m):
+    assert twisted_relation_check(m, n_samples=200, seed=5) == oracle.loop_twisted_relation_check(m, 200, seed=5)
 
 
 def test_twisted_relations_reject_large_m():
@@ -473,6 +537,51 @@ def test_lemma_P_twisted_n3(l):
 def test_lemma_P_twisted_n5(l):
     rep = lemma_P_check(5, l, "twisted", samples=5, seed=42)
     assert rep.passed and rep.max_defect <= 1e-9
+
+
+@pytest.mark.parametrize("model", ["abelian", "twisted"])
+def test_sumzero_equals_the_per_tuple_loops(model):
+    assert lemma_sumzero_check(3, model) == oracle.loop_lemma_sumzero_check(3, model)
+
+
+@pytest.mark.parametrize("model", ["abelian", "twisted"])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_lemma_P_equals_the_per_tuple_loops(model, l):
+    assert lemma_P_check(3, l, model, samples=30, seed=8) == oracle.loop_lemma_P_check(
+        3, l, model, samples=30, seed=8
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lemma_SO_mismatches_equal_the_per_tuple_loops(n):
+    assert lemma_SO_mismatches(n) == oracle.loop_lemma_SO_mismatches(n) == 0
+
+
+def test_lemma_SO_mismatches_counts_every_disagreement(monkeypatch):
+    # negated expansions agree with u_jn exactly on the d = -1 matrices, so
+    # all 48 matrices of n = 3 disagree with the determinant test
+    real = so_twist._column_expansions
+    monkeypatch.setattr(so_twist, "_column_expansions", lambda values: -real(values))
+    assert lemma_SO_mismatches(3) == 48
+    assert lemma_SO_bruteforce(3) is False
+
+
+def test_lemma_P_twisted_n5_l5():
+    rep = lemma_P_check(5, 5, "twisted", samples=20, seed=42)
+    assert rep.passed and rep.max_defect <= 1e-9
+
+
+def test_lemma_P_abelian_exact_n5_l3():
+    rep = lemma_P_check(5, 3, "abelian")
+    assert rep.passed and rep.max_defect == 0.0
+    assert rep.details["matrices"] == 3840
+
+
+def test_abelian_points_keep_the_enumeration_order():
+    points = abelian_points(4)
+    expected = [sp for sp in oracle.loop_signed_perm_matrices(4) if sp.quantum_determinant == 1]
+    assert points == expected
+    assert all_signed_perm_matrices(3) == oracle.loop_signed_perm_matrices(3)
 
 
 def test_lemma_P_repeated_adjacent_subsum_vanishes():

@@ -1,0 +1,383 @@
+"""Reference implementations for the tests of ``qsym.so_twist``.
+
+* The symbolic twist layer: graded monomials, exact linear combinations
+  of them and the bilinear twisted product built on
+  ``Bicharacter.word_sign``.  It derives twist signs independently of the
+  closed form behind ``chain_signs``.
+* The per-tuple loops that ``so_twist`` used before its checks were
+  batched: one Python call per index tuple, one QR per sample, and the
+  bit-loop chain sign.  The batched checks must reproduce their reports.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import reduce
+from itertools import permutations, product
+from typing import Iterable
+
+import numpy as np
+
+from qsym import Permutation, SignedPermMatrix, tau_generators
+from qsym.boolean_group import GroupWord
+from qsym.errors import DimensionError, UsageError
+from qsym.so_twist import Bicharacter, CheckReport, _generator_bits, bicharacter
+
+# ---------------------------------------------------------------------------
+# the symbolic twist layer
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GradedMonomial:
+    """Class [u_{i_1 j_1} ... u_{i_d j_d}] of a commutative monomial.
+
+    Factors are kept sorted (the underlying function algebra is
+    commutative, so the sorted tuple is a canonical key); the bidegree over
+    Z_2^{2m} is the product of the factor degrees (t_i, t_j).
+    """
+
+    factors: tuple[tuple[int, int], ...]
+    width: int
+
+    @classmethod
+    def of(cls, factors: Iterable[tuple[int, int]], width: int) -> "GradedMonomial":
+        return cls(tuple(sorted(tuple(f) for f in factors)), width)
+
+    @property
+    def left_bits(self) -> int:
+        bits = 0
+        for i, _ in self.factors:
+            bits ^= _generator_bits(i, self.width)
+        return bits
+
+    @property
+    def right_bits(self) -> int:
+        bits = 0
+        for _, j in self.factors:
+            bits ^= _generator_bits(j, self.width)
+        return bits
+
+    @property
+    def left_degree(self) -> GroupWord:
+        return GroupWord(self.left_bits, self.width)
+
+    @property
+    def right_degree(self) -> GroupWord:
+        return GroupWord(self.right_bits, self.width)
+
+    def evaluate(self, u: np.ndarray):
+        out = 1.0
+        for i, j in self.factors:
+            out = out * u[..., i - 1, j - 1]
+        return out
+
+
+class TwistedElement:
+    """Finite combination sum c_M [M] of graded monomials, exact coefficients."""
+
+    __slots__ = ("width", "terms")
+
+    def __init__(self, width: int, terms=None):
+        self.width = width
+        self.terms: dict[GradedMonomial, complex] = {}
+        if terms:
+            items = terms.items() if isinstance(terms, dict) else terms
+            for mono, coeff in items:
+                self._add(mono, coeff)
+
+    def _add(self, mono: GradedMonomial, coeff):
+        if mono.width != self.width:
+            raise DimensionError("monomial width differs from element width")
+        new = self.terms.get(mono, 0) + coeff
+        if new == 0:
+            self.terms.pop(mono, None)
+        else:
+            self.terms[mono] = new
+
+    @classmethod
+    def one(cls, m: int) -> "TwistedElement":
+        width = 2 * m
+        return cls(width, {GradedMonomial.of((), width): 1})
+
+    @classmethod
+    def generator(cls, i: int, j: int, m: int) -> "TwistedElement":
+        """The class [u_ij] for n = 2m+1."""
+        n = 2 * m + 1
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise UsageError(f"generator indices ({i},{j}) out of range 1..{n}")
+        width = 2 * m
+        return cls(width, {GradedMonomial.of(((i, j),), width): 1})
+
+    def __add__(self, other: "TwistedElement") -> "TwistedElement":
+        if self.width != other.width:
+            raise DimensionError("widths differ")
+        out = TwistedElement(self.width, dict(self.terms))
+        for mono, coeff in other.terms.items():
+            out._add(mono, coeff)
+        return out
+
+    def __neg__(self) -> "TwistedElement":
+        return TwistedElement(self.width, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: "TwistedElement") -> "TwistedElement":
+        return self + (-other)
+
+    def __rmul__(self, scalar) -> "TwistedElement":
+        return TwistedElement(self.width, {m: scalar * c for m, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TwistedElement)
+            and self.width == other.width
+            and self.terms == other.terms
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def evaluate(self, u: np.ndarray):
+        """Pointwise value at a matrix (or stack of matrices) u."""
+        total = 0.0
+        for mono, coeff in self.terms.items():
+            total = total + coeff * mono.evaluate(u)
+        return total
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "TwistedElement(0)"
+        bits = []
+        for mono, coeff in sorted(self.terms.items(), key=lambda t: t[0].factors):
+            word = "".join(f"u{i}{j}" for i, j in mono.factors) or "1"
+            bits.append(f"{coeff:+}[{word}]")
+        return f"TwistedElement({' '.join(bits)})"
+
+
+def twisted_product(f: TwistedElement, h: TwistedElement, bc: Bicharacter) -> TwistedElement:
+    """Bilinear extension of [x][y] = sigma(deg_L x, deg_L y) sigma(deg_R x, deg_R y) [xy]."""
+    if f.width != h.width or f.width != bc.width:
+        raise DimensionError("element widths do not match the bicharacter")
+    out = TwistedElement(f.width)
+    for mf, cf in f.terms.items():
+        for mh, ch in h.terms.items():
+            sign = bc.word_sign(mf.left_bits, mh.left_bits) * bc.word_sign(
+                mf.right_bits, mh.right_bits
+            )
+            out._add(GradedMonomial.of(mf.factors + mh.factors, f.width), cf * ch * sign)
+    return out
+
+
+def twisted_chain(pairs: Iterable[tuple[int, int]], bc: Bicharacter) -> TwistedElement:
+    """Twisted product [u_{i_1 j_1}] * ... * [u_{i_d j_d}], left to right."""
+    gens = [TwistedElement.generator(i, j, bc.m) for i, j in pairs]
+    return reduce(lambda a, b: twisted_product(a, b, bc), gens, TwistedElement.one(bc.m))
+
+
+# ---------------------------------------------------------------------------
+# per-tuple reference loops
+# ---------------------------------------------------------------------------
+
+
+def loop_chain_sign(pairs: Iterable[tuple[int, int]], bc: Bicharacter) -> int:
+    """Twist sign of a chain accumulated word by word with the bit loops
+    of ``Bicharacter.word_sign``."""
+    sign = 1
+    gl = gr = 0
+    for i, j in pairs:
+        wi = _generator_bits(i, bc.width)
+        wj = _generator_bits(j, bc.width)
+        sign *= bc.word_sign(gl, wi) * bc.word_sign(gr, wj)
+        gl ^= wi
+        gr ^= wj
+    return sign
+
+
+def loop_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)[None, :]
+    if np.linalg.det(q) < 0:
+        q[:, -1] = -q[:, -1]
+    return q
+
+
+def loop_orthogonal_reflection(n: int, rng: np.random.Generator) -> np.ndarray:
+    q = loop_special_orthogonal(n, rng)
+    q[:, -1] = -q[:, -1]
+    return q
+
+
+def loop_stack_samples(n: int, count: int, rng: np.random.Generator, negative: bool) -> np.ndarray:
+    maker = loop_orthogonal_reflection if negative else loop_special_orthogonal
+    return np.stack([maker(n, rng) for _ in range(count)])
+
+
+def loop_signed_perm_matrices(n: int) -> list[SignedPermMatrix]:
+    return [
+        SignedPermMatrix(Permutation(images), signs)
+        for images in permutations(range(n))
+        for signs in product((1, -1), repeat=n)
+    ]
+
+
+def loop_lemma_SO_mismatches(n: int) -> int:
+    count = 0
+    for sp in loop_signed_perm_matrices(n):
+        m = sp.matrix()
+        expansion = True
+        for j in range(n):
+            rhs = 0
+            for rows in permutations([r for r in range(n) if r != j]):
+                term = 1
+                for col, row in enumerate(rows):
+                    term *= int(m[row, col])
+                rhs += term
+            expansion = expansion and int(m[j, n - 1]) == rhs
+        count += (sp.quantum_determinant == 1) != expansion
+    return count
+
+
+def loop_lemma_sumzero_check(n, model, samples=50, seed=42, tol=1e-9) -> CheckReport:
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    if model == "abelian":
+        first_cols = np.arange(n - 1)
+        max_defect = 0
+        control = 0
+        mats = loop_signed_perm_matrices(n)
+        for sp in mats:
+            mat = sp.matrix()
+            heads = mat[perms[:, :-1], first_cols[None, :]].prod(axis=1)
+            for k in range(n):
+                total = int((heads * mat[perms[:, -1], k]).sum())
+                if k == n - 1:
+                    control = max(control, abs(total - sp.quantum_determinant))
+                else:
+                    max_defect = max(max_defect, abs(total))
+        details = {"model": "abelian", "n": n, "matrices": len(mats), "control_defect": float(control)}
+        passed = max_defect <= tol and control <= tol
+        return CheckReport("lemma_sumzero", float(max_defect), tol, passed, details)
+    bc = bicharacter((n - 1) // 2)
+    so = loop_stack_samples(n, samples, np.random.default_rng(seed), negative=False)
+    max_defect = 0.0
+    control = 0.0
+    for k in range(1, n + 1):
+        cols = list(range(1, n)) + [k]
+        col_idx = np.array(cols) - 1
+        total = np.zeros(samples)
+        for sigma in permutations(range(1, n + 1)):
+            sign = loop_chain_sign(tuple(zip(sigma, cols)), bc)
+            rows = np.array(sigma) - 1
+            total += sign * np.prod(so[:, rows, col_idx], axis=1)
+        if k == n:
+            control = float(np.abs(total - 1.0).max())
+        else:
+            max_defect = max(max_defect, float(np.abs(total).max()))
+    details = {"model": "twisted", "n": n, "samples": samples, "seed": seed, "control_defect": control}
+    passed = max_defect <= tol and control <= tol
+    return CheckReport("lemma_sumzero", max_defect, tol, passed, details)
+
+
+def loop_lemma_P_check(n, l, model, samples=20, seed=42, tol=1e-9) -> CheckReport:
+    tau_bits = [t.bits for t in tau_generators(n)]
+    size = 1 << (n - 1)
+    i_tuples = list(permutations(range(1, n + 1), l))
+    j_info = []
+    for jt in product(range(1, n + 1), repeat=l):
+        bits = 0
+        for j in jt:
+            bits ^= tau_bits[j - 1]
+        j_info.append((jt, bits, len(set(jt)) == l))
+    if model == "abelian":
+        mats = loop_signed_perm_matrices(n)
+        max_defect = 0
+        for sp in mats:
+            mat = sp.matrix()
+            for it in i_tuples:
+                lhs = np.zeros(size, dtype=np.int64)
+                rhs = np.zeros(size, dtype=np.int64)
+                for jt, bits, distinct in j_info:
+                    coeff = 1
+                    for a in range(l):
+                        coeff *= int(mat[jt[a] - 1, it[a] - 1])
+                    lhs[bits] += coeff
+                    if distinct:
+                        rhs[bits] += coeff
+                max_defect = max(max_defect, int(np.abs(lhs - rhs).max()))
+        details = {"model": "abelian", "n": n, "l": l, "matrices": len(mats)}
+        return CheckReport("lemma_P", float(max_defect), tol, max_defect <= tol, details)
+    bc = bicharacter((n - 1) // 2)
+    so = loop_stack_samples(n, samples, np.random.default_rng(seed), negative=False)
+    max_defect = 0.0
+    for it in i_tuples:
+        it_idx = np.array(it) - 1
+        lhs = np.zeros((size, samples))
+        rhs = np.zeros((size, samples))
+        for jt, bits, distinct in j_info:
+            sign = loop_chain_sign(tuple(zip(jt, it)), bc)
+            vals = sign * np.prod(so[:, np.array(jt) - 1, it_idx], axis=1)
+            lhs[bits] += vals
+            if distinct:
+                rhs[bits] += vals
+        max_defect = max(max_defect, float(np.abs(lhs - rhs).max()))
+    details = {"model": "twisted", "n": n, "l": l, "samples": samples, "seed": seed}
+    return CheckReport("lemma_P", max_defect, tol, max_defect <= tol, details)
+
+
+def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[CheckReport]:
+    n = 2 * m + 1
+    bc = bicharacter(m)
+    rng = np.random.default_rng(seed)
+    so = loop_stack_samples(n, n_samples, rng, negative=False)
+    refl = loop_stack_samples(n, n_samples, rng, negative=True)
+    base = {"m": m, "n": n, "samples": n_samples, "seed": seed}
+    cs = loop_chain_sign
+    reports = [CheckReport("7.1", 0.0, tol, True, dict(base))]
+
+    d72 = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            target = 1.0 if i == j else 0.0
+            row = np.zeros(n_samples)
+            col = np.zeros(n_samples)
+            for k in range(1, n + 1):
+                row += cs(((i, k), (j, k)), bc) * so[:, i - 1, k - 1] * so[:, j - 1, k - 1]
+                col += cs(((k, i), (k, j)), bc) * so[:, k - 1, i - 1] * so[:, k - 1, j - 1]
+            d72 = max(d72, float(np.abs(row - target).max()), float(np.abs(col - target).max()))
+    reports.append(CheckReport("7.2", d72, tol, d72 <= tol, dict(base)))
+
+    d73 = 0.0
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                if j == k:
+                    continue
+                anti_row = (cs(((i, j), (i, k)), bc) + cs(((i, k), (i, j)), bc)) * so[:, i - 1, j - 1] * so[:, i - 1, k - 1]
+                anti_col = (cs(((j, i), (k, i)), bc) + cs(((k, i), (j, i)), bc)) * so[:, j - 1, i - 1] * so[:, k - 1, i - 1]
+                d73 = max(d73, float(np.abs(anti_row).max()), float(np.abs(anti_col).max()))
+    reports.append(CheckReport("7.3", d73, tol, d73 <= tol, dict(base)))
+
+    d74 = 0.0
+    for i in range(1, n + 1):
+        for k in range(1, n + 1):
+            for j in range(1, n + 1):
+                for l in range(1, n + 1):
+                    if i == k or j == l:
+                        continue
+                    comm = (cs(((i, j), (k, l)), bc) - cs(((k, l), (i, j)), bc)) * so[:, i - 1, j - 1] * so[:, k - 1, l - 1]
+                    d74 = max(d74, float(np.abs(comm).max()))
+    reports.append(CheckReport("7.4", d74, tol, d74 <= tol, dict(base)))
+
+    cols = np.arange(n)
+    total = np.zeros(n_samples)
+    total_refl = np.zeros(n_samples)
+    for sigma in permutations(range(1, n + 1)):
+        sign = cs(tuple((sigma[a], a + 1) for a in range(n)), bc)
+        rows = np.array(sigma) - 1
+        total += sign * np.prod(so[:, rows, cols], axis=1)
+        total_refl += sign * np.prod(refl[:, rows, cols], axis=1)
+    d75 = float(np.abs(total - 1.0).max())
+    control = float(np.abs(total_refl + 1.0).max())
+    details = dict(base)
+    details["control_det_negative_defect"] = control
+    reports.append(CheckReport("7.5", d75, tol, d75 <= tol and control <= tol, details))
+    return reports
