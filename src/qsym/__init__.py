@@ -33,7 +33,6 @@ from .boolean_group import (
     GROUP_BASIS,
     GroupWord,
     POINT_BASIS,
-    cayley_folded_cube,
     folded_cube,
     fourier,
     inverse_fourier,

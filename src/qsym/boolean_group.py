@@ -21,9 +21,9 @@ them mutually inverse.
 
 The folded n-cube graph lives on the 2^{n-1} words of width n-1: two words
 are adjacent when they differ in exactly one exponent or are complementary.
-Equivalently it is the Cayley graph for the connecting set
-{t_1, ..., t_{n-1}, t_n} with t_n = t_1 ... t_{n-1}; both constructions are
-implemented and must agree entrywise.
+It is built as the Cayley graph for the connecting set
+{t_1, ..., t_{n-1}, t_n} with t_n = t_1 ... t_{n-1}, one XOR shift per
+connecting word; the distance definition is the test oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "POINT_BASIS",
     "GROUP_BASIS",
     "folded_cube",
-    "cayley_folded_cube",
     "fourier",
     "inverse_fourier",
     "walsh_transform",
@@ -51,7 +50,7 @@ __all__ = [
     "FOLDED_CUBE_VERTEX_BOUND",
 ]
 
-#: default cap on 2^{n-1}, the folded cube vertex count
+#: cap on 2^{n-1}, the folded cube vertex count
 FOLDED_CUBE_VERTEX_BOUND = 4096
 
 POINT_BASIS = "point"
@@ -206,45 +205,23 @@ def inverse_fourier(v: FunctionVector) -> FunctionVector:
     return FunctionVector(walsh_transform(v.coefficients), POINT_BASIS, v.width)
 
 
-def _check_cube_bounds(n: int, max_vertices: int) -> int:
+def folded_cube(n: int) -> Graph:
+    """Folded n-cube graph on the 2^{n-1} bit words of width n-1.
+
+    The Cayley graph of Z_2^{n-1} for {t_1, ..., t_{n-1}, t_n =
+    t_1...t_{n-1}}: the n-1 generators flip single bits, t_n complements.
+    For n >= 3 the graph is n-regular; for n = 2 the two kinds of shift
+    coincide and the graph is a single edge.
+    """
     if not isinstance(n, int) or n < 2:
         raise UsageError(f"folded cube needs an integer n >= 2, got {n!r}")
     size = 1 << (n - 1)
-    if size > max_vertices:
-        raise CapacityError(f"folded {n}-cube has {size} > {max_vertices} vertices")
-    return size
-
-
-def folded_cube(n: int, max_vertices: int = FOLDED_CUBE_VERTEX_BOUND) -> Graph:
-    """Folded n-cube graph on the 2^{n-1} bit words of width n-1.
-
-    Words are adjacent iff they differ in exactly one position or are
-    complementary.  For n >= 3 the graph is n-regular; for n = 2 the two
-    conditions coincide and the graph is a single edge.
-    """
-    size = _check_cube_bounds(n, max_vertices)
-    width = n - 1
-    table = np.array([x.bit_count() for x in range(size)], dtype=np.int64)
+    if size > FOLDED_CUBE_VERTEX_BOUND:
+        raise CapacityError(f"folded {n}-cube has {size} > {FOLDED_CUBE_VERTEX_BOUND} vertices")
     ii = np.arange(size)
-    dist = table[ii[:, None] ^ ii[None, :]]
-    adjacency = ((dist == 1) | (dist == width)).astype(np.uint8)
-    return Graph(adjacency)
-
-
-def cayley_folded_cube(n: int, max_vertices: int = FOLDED_CUBE_VERTEX_BOUND) -> Graph:
-    """Cayley graph of Z_2^{n-1} for {t_1, ..., t_{n-1}, t_n = t_1...t_{n-1}}.
-
-    Must coincide with :func:`folded_cube` entry for entry: the n-1
-    generators give the single-bit flips, t_n the complement edge.
-    """
-    size = _check_cube_bounds(n, max_vertices)
-    width = n - 1
-    connecting = [GroupWord.generator(k, width) for k in range(1, width + 1)]
-    connecting.append(GroupWord.all_ones(width))
     adjacency = np.zeros((size, size), dtype=np.uint8)
-    ii = np.arange(size)
-    for s in connecting:
-        adjacency[ii, ii ^ s.bits] = 1
+    for s in [1 << k for k in range(n - 1)] + [size - 1]:
+        adjacency[ii, ii ^ s] = 1
     return Graph(adjacency)
 
 

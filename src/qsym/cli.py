@@ -7,7 +7,8 @@ byte-identical); a one-line human summary goes to stderr.  Exit codes:
 * 1 -- a check ran and failed (the report says which)
 * 2 -- usage or input error (bad flags, malformed graph, exceeded bounds)
 
-The seed defaults to the ``QSYM_SEED`` environment variable, then 42.
+The seed, a non-negative integer, defaults to the ``QSYM_SEED`` environment
+variable, then 42.
 """
 
 from __future__ import annotations
@@ -41,15 +42,16 @@ EXIT_USAGE = 2
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QSYM_SEED")
-    if env is not None:
+    seed, source = args.seed, "--seed"
+    if seed is None:
+        env, source = os.environ.get("QSYM_SEED", "42"), "QSYM_SEED"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise UsageError(f"QSYM_SEED={env!r} is not an integer") from None
-    return 42
+    if seed < 0:
+        raise UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _resolve_tol(args, default: float) -> float:

@@ -6,7 +6,7 @@ projections), so the thresholds below leave many orders of magnitude of
 headroom over float64 round-off.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -21,9 +21,6 @@ class Tolerances:
     #: smallest commutator norm reported as a positive noncommutativity
     #: certificate; below this the witness counts as commutative
     certificate_floor: float = 1e-2
-
-    def with_residual(self, tol: float) -> "Tolerances":
-        return replace(self, residual=tol)
 
 
 DEFAULT_TOLERANCES = Tolerances()

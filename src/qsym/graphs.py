@@ -28,7 +28,7 @@ __all__ = [
     "AUTOMORPHISM_VERTEX_BOUND",
 ]
 
-#: default cap for exhaustive automorphism enumeration
+#: cap for exhaustive automorphism enumeration
 AUTOMORPHISM_VERTEX_BOUND = 32
 
 
@@ -88,6 +88,8 @@ class Graph:
         """Parse the ``{"n": int, "edges": [[i, j], ...]}`` format."""
         if not isinstance(obj, dict) or set(obj) != {"n", "edges"}:
             raise GraphFormatError('graph JSON must have exactly the keys "n" and "edges"')
+        if not isinstance(obj["edges"], list):
+            raise GraphFormatError(f'"edges" must be an array of pairs, got {json.dumps(obj["edges"])}')
         return cls.from_edges(obj["n"], obj["edges"])
 
     @classmethod
@@ -226,7 +228,7 @@ def is_automorphism(g: Graph, p: Permutation) -> bool:
     return np.array_equal(g.adjacency[np.ix_(idx, idx)], g.adjacency)
 
 
-def automorphisms(g: Graph, max_vertices: int = AUTOMORPHISM_VERTEX_BOUND) -> list[Permutation]:
+def automorphisms(g: Graph) -> list[Permutation]:
     """Enumerate the full automorphism group by backtracking.
 
     Vertices are processed in the static order sorted by (degree,
@@ -236,8 +238,8 @@ def automorphisms(g: Graph, max_vertices: int = AUTOMORPHISM_VERTEX_BOUND) -> li
     image tuple, so the output order is deterministic.
     """
     n = g.n_vertices
-    if n > max_vertices:
-        raise CapacityError(f"graph has {n} > {max_vertices} vertices")
+    if n > AUTOMORPHISM_VERTEX_BOUND:
+        raise CapacityError(f"graph has {n} > {AUTOMORPHISM_VERTEX_BOUND} vertices")
     a = g.adjacency
     rows = [sum(1 << u for u in range(n) if a[v, u]) for v in range(n)]
     deg = [r.bit_count() for r in rows]
@@ -280,15 +282,13 @@ def are_disjoint(p: Permutation, q: Permutation) -> bool:
     return not (p.support() & q.support())
 
 
-def find_disjoint_pair(
-    g: Graph, max_vertices: int = AUTOMORPHISM_VERTEX_BOUND
-) -> Optional[tuple[Permutation, Permutation]]:
+def find_disjoint_pair(g: Graph) -> Optional[tuple[Permutation, Permutation]]:
     """First pair of non-trivial disjoint automorphisms, or None.
 
     "First" means lexicographically smallest (i, j), i < j, over the sorted
     automorphism list, so the result is deterministic.
     """
-    autos = [p for p in automorphisms(g, max_vertices) if not p.is_identity()]
+    autos = [p for p in automorphisms(g) if not p.is_identity()]
     masks = [sum(1 << v for v in p.support()) for p in autos]
     for i, p in enumerate(autos):
         for j in range(i + 1, len(autos)):

@@ -42,8 +42,11 @@ float64); the twisted checks run it over the sampled matrices.
 
 Finally, every abelian point acts on the folded n-cube: the generators
 tau_i of Z_2^{n-1} are sent to sign * tau_{perm(i)}, which (precisely
-because d = 1) extends to an algebra map whose point-basis matrix is a
-vertex permutation (``classical_point_action``).
+because d = 1) extends to an algebra map of the group algebra.  That map
+is affine on exponent vectors, t_k -> s_k s_n tau_{perm(k)} tau_{perm(n)},
+so its point-basis matrix is the vertex permutation inverse to
+y -> c + Phi^T y, read off by XOR arithmetic on the vertex indices
+(``classical_point_action``).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .boolean_group import tau_generators, walsh_matrix
+from .boolean_group import tau_generators
 from .config import DEFAULT_TOLERANCES
 from .errors import CapacityError, DimensionError, UsageError
 from .graphs import Permutation
@@ -260,10 +263,10 @@ def _stack_points(stack: _SignedPermStack, keep: np.ndarray) -> list[SignedPermM
     return [SignedPermMatrix(perms[i // width], signs[i % width]) for i in np.flatnonzero(keep).tolist()]
 
 
-def all_signed_perm_matrices(n: int, max_n: int = SIGNED_PERM_BOUND) -> list[SignedPermMatrix]:
+def all_signed_perm_matrices(n: int) -> list[SignedPermMatrix]:
     """All 2^n n! signed permutation matrices, in a deterministic order."""
-    if n > max_n:
-        raise CapacityError(f"n={n} exceeds the signed-permutation bound {max_n}")
+    if n > SIGNED_PERM_BOUND:
+        raise CapacityError(f"n={n} exceeds the signed-permutation bound {SIGNED_PERM_BOUND}")
     stack = _signed_perm_stack(n)
     return _stack_points(stack, np.ones(len(stack.matrices), dtype=bool))
 
@@ -295,20 +298,18 @@ def scalar_relations_defect(m: np.ndarray) -> int:
     return int(_scalar_relations_defects(np.asarray(m)[None])[0])
 
 
-def abelian_points(
-    n: int, max_n: int = SIGNED_PERM_BOUND, verify: bool = True
-) -> list[SignedPermMatrix]:
+def abelian_points(n: int) -> list[SignedPermMatrix]:
     """Commutative solutions of (7.1)-(7.5): signed permutations with d = +1.
 
     Exactly half of the 2^n n! signed permutation matrices survive the
-    quantum determinant condition.  With ``verify`` each survivor is also
-    checked against (7.1)-(7.4) literally.
+    quantum determinant condition.  Each survivor is also checked against
+    (7.1)-(7.4) literally.
     """
-    if n > max_n:
-        raise CapacityError(f"n={n} exceeds the signed-permutation bound {max_n}")
+    if n > SIGNED_PERM_BOUND:
+        raise CapacityError(f"n={n} exceeds the signed-permutation bound {SIGNED_PERM_BOUND}")
     stack = _signed_perm_stack(n)
     keep = stack.determinants == 1
-    if verify and _scalar_relations_defects(stack.matrices[keep]).any():  # pragma: no cover
+    if _scalar_relations_defects(stack.matrices[keep]).any():  # pragma: no cover
         raise RuntimeError(f"an abelian point of size {n} violates the scalar relations")
     return _stack_points(stack, keep)
 
@@ -338,23 +339,23 @@ def lemma_SO_sides(sp: SignedPermMatrix) -> list[tuple[int, int]]:
     return [(int(m[j, sp.n - 1]), int(rhs[j])) for j in range(sp.n)]
 
 
-def lemma_SO_mismatches(n: int, max_n: int = SO_BRUTEFORCE_BOUND) -> int:
+def lemma_SO_mismatches(n: int) -> int:
     """Number of signed permutation matrices for which "quantum determinant
     one" and "every column-n entry equals its injective-product expansion"
     (the two formulations of (7.5)) disagree; 0 confirms the equivalence."""
-    if n > max_n:
-        raise CapacityError(f"n={n} exceeds the brute-force bound {max_n}")
+    if n > SO_BRUTEFORCE_BOUND:
+        raise CapacityError(f"n={n} exceeds the brute-force bound {SO_BRUTEFORCE_BOUND}")
     stack = _signed_perm_stack(n)
     values = _sample_major(stack.matrices)
     expansion = (values[:, n - 1, :] == _column_expansions(values)).all(axis=0)
     return int(np.count_nonzero((stack.determinants == 1) != expansion))
 
 
-def lemma_SO_bruteforce(n: int, max_n: int = SO_BRUTEFORCE_BOUND) -> bool:
+def lemma_SO_bruteforce(n: int) -> bool:
     """Exhaustively confirm, over all signed permutation matrices, that the
     quantum determinant equals one iff every column-n entry equals its
     injective-product expansion (the two formulations of (7.5))."""
-    return lemma_SO_mismatches(n, max_n) == 0
+    return lemma_SO_mismatches(n) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -734,11 +735,20 @@ def classical_point_action(point: SignedPermMatrix) -> Permutation:
 
     The point sends tau_i to signs[i] tau_{perm(i)}; because its quantum
     determinant is one this respects tau_n = tau_1...tau_{n-1} and extends
-    to an algebra map of the group algebra of Z_2^{n-1}.  Conjugating by
-    the Fourier transform must produce a permutation matrix on the point
-    basis, which is returned.  That it is a graph automorphism preserving
-    every eigenspace is the caller's to check (``is_automorphism``,
-    ``preserves_eigenspaces``); ``qsym so-points`` reports both.
+    to an algebra map of the group algebra of Z_2^{n-1}.  On the generators
+    t_k = tau_k tau_n (k < n) the map reads
+
+        t_k  ->  s_k s_n tau_{pi(k)} tau_{pi(n)},
+
+    which is affine in the exponents: T_g -> (-1)^{c.g} T_{Phi g}, where
+    column k of Phi is the word tau_{pi(k)} tau_{pi(n)} and bit k of c is
+    set when s_k s_n = -1.  The Fourier pair turns this into the point
+    permutation sending e_x to e_y where x = c + Phi^T y, the inverse of
+    y -> c + Phi^T y.  As tau_a tau_b = t_a t_b once t_n is read as the
+    identity, bit k of Phi^T y is y_{pi(k)} + y_{pi(n)} with y_n = 0.
+    That the result is a graph automorphism preserving every eigenspace is
+    the caller's to check (``is_automorphism``, ``preserves_eigenspaces``);
+    ``qsym so-points`` reports both.
     """
     n = point.n
     if n % 2 == 0 or n < 3:
@@ -749,39 +759,12 @@ def classical_point_action(point: SignedPermMatrix) -> Permutation:
             "tau_n = tau_1...tau_{n-1}, so no vertex action exists"
         )
     width = n - 1
-    size = 1 << width
-    full = size - 1
-    pi = point.perm
-    signs = point.signs
-
-    m = np.zeros((size, size))
-    for g in range(size):
-        # tau-exponent vector of the word g: the t-exponent bits plus a
-        # tau_n exponent equal to the bit parity
-        exps = [(g >> s) & 1 for s in range(width)] + [g.bit_count() & 1]
-        sign = 1
-        img = [0] * n
-        for i, e in enumerate(exps):
-            if e:
-                sign *= signs[i]
-                img[pi(i)] = 1
-        # back to a t-word: tau_j = t_j tau_n for j < n, tau_n the full word
-        bits = 0
-        for j in range(width):
-            if img[j]:
-                bits |= 1 << j
-        if (sum(img[:width]) + img[width]) & 1:
-            bits ^= full
-        m[bits, g] = sign
-
-    h = walsh_matrix(width)
-    v = h @ m @ h / size
-    images = []
-    for col in range(size):
-        row = int(np.argmax(v[:, col]))
-        onehot = np.zeros(size)
-        onehot[row] = 1.0
-        if np.max(np.abs(v[:, col] - onehot)) > DEFAULT_TOLERANCES.residual:
-            raise UsageError("point does not induce a vertex permutation")
-        images.append(row)
-    return Permutation(tuple(images))
+    words = np.arange(1 << width)
+    # exponent y_{pi(k)} of every word y, k = 1..n; y_n is 0
+    moved = (words[:, None] >> np.array(point.perm.images)) & 1
+    signs = np.array(point.signs)
+    flips = signs[:-1] != signs[-1]
+    sources = ((moved[:, :-1] ^ moved[:, -1:] ^ flips) << np.arange(width)).sum(axis=1)
+    images = np.empty_like(words)
+    images[sources] = words
+    return Permutation(tuple(images.tolist()))

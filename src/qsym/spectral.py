@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolean_group import GroupWord, folded_cube, walsh_matrix
+from .boolean_group import FOLDED_CUBE_VERTEX_BOUND, GroupWord, folded_cube, walsh_matrix
 from .config import DEFAULT_TOLERANCES
 from .errors import CapacityError, DimensionError, UsageError
 from .graphs import Permutation
@@ -76,7 +76,7 @@ class EigenData:
         return {lvl.eigenvalue: lvl.multiplicity for lvl in self.levels}
 
 
-def eigen_data(n: int, max_vertices: int = 4096) -> EigenData:
+def eigen_data(n: int) -> EigenData:
     """Group the 2^{n-1} eigenvector words of the folded n-cube by level.
 
     Level k (k even, 0 <= k <= n) collects the words of length k or k-1 and
@@ -85,8 +85,8 @@ def eigen_data(n: int, max_vertices: int = 4096) -> EigenData:
     """
     if not isinstance(n, int) or n < 3 or n % 2 == 0:
         raise UsageError(f"eigen_data needs an odd n >= 3, got {n!r}")
-    if 1 << (n - 1) > max_vertices:
-        raise CapacityError(f"folded {n}-cube has {1 << (n - 1)} > {max_vertices} vertices")
+    if 1 << (n - 1) > FOLDED_CUBE_VERTEX_BOUND:
+        raise CapacityError(f"folded {n}-cube has {1 << (n - 1)} > {FOLDED_CUBE_VERTEX_BOUND} vertices")
     width = n - 1
     buckets: dict[int, list[GroupWord]] = {}
     for w in GroupWord.all_words(width):

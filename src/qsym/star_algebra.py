@@ -24,7 +24,7 @@ the operator (spectral) norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -123,7 +123,6 @@ class MagicUnitary:
 
     entries: np.ndarray  # shape (r, r, dim, dim), complex
     seed: Optional[int] = None
-    report: Optional["WitnessReport"] = field(default=None, repr=False)
 
     def __post_init__(self):
         e = np.asarray(self.entries, dtype=complex)
@@ -252,11 +251,12 @@ class WitnessReport:
         }
 
 
-def _distinct_entries(u: MagicUnitary, decimals: int = 9) -> list[np.ndarray]:
+def _distinct_entries(u: MagicUnitary) -> list[np.ndarray]:
+    """The entries of u up to equality after rounding to 9 decimals."""
     out: dict[bytes, np.ndarray] = {}
     for i in range(u.r):
         for j in range(u.r):
-            key = np.round(u.entries[i, j], decimals).tobytes()
+            key = np.round(u.entries[i, j], 9).tobytes()
             out.setdefault(key, u.entries[i, j])
     return list(out.values())
 
@@ -265,7 +265,6 @@ def certify_witness(
     g: Graph,
     u: MagicUnitary,
     tol: float = DEFAULT_TOLERANCES.projector,
-    certificate_floor: float = DEFAULT_TOLERANCES.certificate_floor,
 ) -> WitnessReport:
     """Measure all magic-unitary defects of u against the graph g.
 
@@ -273,8 +272,9 @@ def certify_witness(
     column sum defect against the identity, the commutation defect with
     (adjacency (x) 1), and the noncommutativity certificate
     c = max ||[u_ab, u_cd]|| over entry pairs.  PASS requires the first
-    three at most tol; c is reported either way (c > certificate_floor is
-    the positive quantum-symmetry signal, c = 0 the commutative case).
+    three at most tol; c is reported either way (c above
+    ``DEFAULT_TOLERANCES.certificate_floor`` is the positive
+    quantum-symmetry signal, c = 0 the commutative case).
     """
     if u.r != g.n_vertices:
         raise DimensionError(f"witness on {u.r} vertices vs graph on {g.n_vertices}")
@@ -304,7 +304,7 @@ def certify_witness(
             certificate = max(certificate, op_norm(x @ y - y @ x))
 
     passed = max(projection_defect, rowsum_defect, colsum_defect, commutation_defect) <= tol
-    report = WitnessReport(
+    return WitnessReport(
         projection_defect=projection_defect,
         rowsum_defect=rowsum_defect,
         colsum_defect=colsum_defect,
@@ -312,11 +312,9 @@ def certify_witness(
         noncomm_certificate=certificate,
         seed=u.seed,
         tol=tol,
-        certificate_floor=certificate_floor,
+        certificate_floor=DEFAULT_TOLERANCES.certificate_floor,
         passed=passed,
     )
-    u.report = report
-    return report
 
 
 @dataclass(frozen=True)

@@ -140,6 +140,9 @@ def test_exit_2_on_usage_errors(capsys, argv):
         ("spectra", "--n", "2"),  # below the closed form's range
         ("spectra", "--n", "5", "--tol", "nan"),
         ("spectra", "--n", "5", "--tol", "-1"),
+        ("witness", "--n", "3", "--seed", "-1"),
+        ("twist-check", "--m", "1", "--seed", "-1"),
+        ("so-check", "--n", "3", "--seed", "-1"),
     ],
 )
 def test_exit_2_on_bad_values(capsys, argv):
@@ -157,6 +160,15 @@ def test_exit_2_on_bool_integers_in_graph_file(capsys, tmp_path, content):
     code, _, err = run(capsys, "autos", "--graph", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("content", ['{"n": 3, "edges": 5}', '{"n": 3, "edges": null}'])
+def test_exit_2_on_edges_that_are_not_an_array(capsys, tmp_path, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    code, out, err = run(capsys, "autos", "--graph", str(bad))
+    assert code == 2
+    assert "error:" in err and '"edges"' in err and out == ""
 
 
 def test_exit_2_on_directory_as_graph(capsys, tmp_path):
@@ -228,6 +240,13 @@ def test_seed_env_fallback(capsys, monkeypatch):
     # explicit flag wins over the environment
     _, report, _ = run_json(capsys, "witness", "--graph", "k4.json", "--seed", "3")
     assert report["seed"] == 3
+
+
+def test_exit_2_on_negative_seed_env(capsys, monkeypatch):
+    monkeypatch.setenv("QSYM_SEED", "-5")
+    code, out, err = run(capsys, "twist-check", "--m", "1")
+    assert code == 2
+    assert "QSYM_SEED" in err and out == ""
 
 
 def test_bad_seed_env(capsys, monkeypatch):

@@ -649,3 +649,24 @@ def test_n5_sample_points_act_on_clebsch():
         perm = classical_point_action(sp)
         assert is_automorphism(folded_cube(5), perm)
         assert preserves_eigenspaces(5, perm)
+
+
+@pytest.mark.parametrize("n, count", [(3, 24), (5, 1920)])
+def test_point_action_matches_the_fourier_oracle_on_every_point(n, count):
+    pts = abelian_points(n)
+    assert len(pts) == count
+    for sp in pts:
+        assert classical_point_action(sp) == oracle.fourier_point_action(sp)
+
+
+def test_point_action_matches_the_fourier_oracle_on_seeded_n7_points():
+    rng = np.random.default_rng(7)
+    cube = folded_cube(7)
+    for _ in range(200):
+        signs = rng.choice((-1, 1), size=7)
+        signs[-1] = signs[:-1].prod()  # quantum determinant one
+        sp = SignedPermMatrix(Permutation(tuple(rng.permutation(7).tolist())), tuple(signs.tolist()))
+        action = classical_point_action(sp)
+        assert action == oracle.fourier_point_action(sp)
+        assert is_automorphism(cube, action)
+        assert preserves_eigenspaces(7, action)

@@ -174,7 +174,6 @@ def test_certify_clebsch_witness(clebsch):
     assert rep.commutation_defect <= 1e-10
     assert rep.noncomm_certificate > 0.01
     assert rep.seed == 42
-    assert u.report is rep
     js = rep.to_json()
     assert set(js) == {
         "projection_defect", "rowsum_defect", "colsum_defect",

@@ -7,6 +7,9 @@
 * The per-tuple loops that ``so_twist`` used before its checks were
   batched: one Python call per index tuple, one QR per sample, and the
   bit-loop chain sign.  The batched checks must reproduce their reports.
+* The classical point action by Fourier conjugation: the group-basis
+  matrix of the algebra map, built word by word, conjugated by the Walsh
+  matrix.  The closed-form XOR rule must return the same permutation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from qsym import Permutation, SignedPermMatrix, tau_generators
-from qsym.boolean_group import GroupWord
+from qsym.boolean_group import GroupWord, walsh_matrix
 from qsym.errors import DimensionError, UsageError
 from qsym.so_twist import Bicharacter, CheckReport, _generator_bits, bicharacter
 
@@ -381,3 +384,56 @@ def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[Chec
     details["control_det_negative_defect"] = control
     reports.append(CheckReport("7.5", d75, tol, d75 <= tol and control <= tol, details))
     return reports
+
+
+# ---------------------------------------------------------------------------
+# the classical point action by Fourier conjugation
+# ---------------------------------------------------------------------------
+
+
+def fourier_point_action(point: SignedPermMatrix) -> Permutation:
+    """Vertex permutation of FQ_n induced by an abelian point with d = +1.
+
+    The point sends tau_i to signs[i] tau_{perm(i)}.  Its group-basis
+    matrix is filled word by word from the tau-exponents of each word and
+    conjugated by the Fourier transform; the point-basis result must be a
+    permutation matrix, which is returned.
+    """
+    n = point.n
+    width = n - 1
+    size = 1 << width
+    full = size - 1
+    pi = point.perm
+    signs = point.signs
+
+    m = np.zeros((size, size))
+    for g in range(size):
+        # tau-exponent vector of the word g: the t-exponent bits plus a
+        # tau_n exponent equal to the bit parity
+        exps = [(g >> s) & 1 for s in range(width)] + [g.bit_count() & 1]
+        sign = 1
+        img = [0] * n
+        for i, e in enumerate(exps):
+            if e:
+                sign *= signs[i]
+                img[pi(i)] = 1
+        # back to a t-word: tau_j = t_j tau_n for j < n, tau_n the full word
+        bits = 0
+        for j in range(width):
+            if img[j]:
+                bits |= 1 << j
+        if (sum(img[:width]) + img[width]) & 1:
+            bits ^= full
+        m[bits, g] = sign
+
+    h = walsh_matrix(width)
+    v = h @ m @ h / size
+    images = []
+    for col in range(size):
+        row = int(np.argmax(v[:, col]))
+        onehot = np.zeros(size)
+        onehot[row] = 1.0
+        if np.max(np.abs(v[:, col] - onehot)) > 1e-9:
+            raise UsageError("point does not induce a vertex permutation")
+        images.append(row)
+    return Permutation(tuple(images))
