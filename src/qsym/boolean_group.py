@@ -182,9 +182,13 @@ def walsh_transform(values: np.ndarray) -> np.ndarray:
 
 
 def walsh_matrix(width: int) -> np.ndarray:
-    """The 2^width Walsh matrix H[g, h] = (-1)^{g.h} as float64."""
-    h = np.array([[1.0]])
-    block = np.array([[1.0, 1.0], [1.0, -1.0]])
+    """The 2^width Walsh matrix H[g, h] = (-1)^{g.h} as int8.
+
+    int8 keeps the 4096 x 4096 table at 16 MB; cast it before a matrix
+    product, whose int8 sums would wrap.
+    """
+    h = np.ones((1, 1), dtype=np.int8)
+    block = np.array([[1, 1], [1, -1]], dtype=np.int8)
     for _ in range(width):
         h = np.kron(block, h)
     return h

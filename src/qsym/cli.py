@@ -82,8 +82,6 @@ def _load_subject(args) -> Graph:
 def _run_spectra(args) -> tuple[dict, bool]:
     if args.n is None:
         raise UsageError("spectra needs --n")
-    if args.n < 3:
-        raise UsageError(f"spectra needs n >= 3 (the closed-form spectrum assumes it), got {args.n}")
     tol = _resolve_tol(args, DEFAULT_TOLERANCES.residual)
     report = verify_spectrum(args.n, tol=tol)
     return report.to_json(), report.passed

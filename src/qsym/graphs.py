@@ -31,10 +31,24 @@ __all__ = [
 #: cap for exhaustive automorphism enumeration
 AUTOMORPHISM_VERTEX_BOUND = 32
 
+#: block side for Graph's validation passes: at 4096 vertices whole-matrix
+#: temporaries and a strided a.T are several times slower than 256 x 256 tiles
+_TILE = 256
+
 
 def _is_int(x) -> bool:
     """A JSON integer: int but not bool (JSON true/false load as bool)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_symmetric(a: np.ndarray) -> bool:
+    """a == a.T, each tile above the diagonal against its mirror tile."""
+    size, t = a.shape[0], _TILE
+    for r in range(0, size, t):
+        for c in range(r, size, t):
+            if not np.array_equal(a[r : r + t, c : c + t], a[c : c + t, r : r + t].T):
+                return False
+    return True
 
 
 class Graph:
@@ -44,10 +58,11 @@ class Graph:
         a = np.asarray(adjacency)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise GraphFormatError("adjacency matrix must be square and non-empty")
-        if not np.all((a == 0) | (a == 1)):
+        stripes = (a[r : r + _TILE] for r in range(0, a.shape[0], _TILE))
+        if not all(np.all((s == 0) | (s == 1)) for s in stripes):
             raise GraphFormatError("adjacency entries must be 0 or 1")
         a = a.astype(np.uint8)
-        if not np.array_equal(a, a.T):
+        if not _is_symmetric(a):
             raise GraphFormatError("adjacency matrix must be symmetric")
         if np.any(np.diag(a) != 0):
             raise GraphFormatError("loops are not allowed")

@@ -126,21 +126,47 @@ class SpectrumReport:
         }
 
 
+def _max_residuals(adjacency: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Per word w, max_v |(A H)[v, w] - lams[w] H[v, w]|, exact in int16.
+
+    H is the Walsh matrix (column w = psi(T_w) in the point basis).  Row v
+    of A H is the sum of the Walsh rows of v's neighbours, read from the
+    0/1 adjacency itself, so a corrupted graph shows up as a non-zero
+    residual.  Rows are processed in order of falling degree, so the
+    vertices with a j-th neighbour always form a prefix and each neighbour
+    slot j is one gather-add; no regularity is assumed.  int16 holds every
+    entry: |entry| <= deg(v) + |lambda| <= 4095 + 13 within the vertex bound.
+    """
+    size = adjacency.shape[0]
+    h = walsh_matrix(size.bit_length() - 1)
+    # the uint8 adjacency read as bool: nonzero then needs no compare pass
+    rows, cols = np.divmod(np.flatnonzero(adjacency.view(bool)), size)
+    degree = np.bincount(rows, minlength=size)
+    first = np.cumsum(degree) - degree  # offset of each vertex's neighbours in cols
+    order = np.argsort(-degree, kind="stable")
+    residual = h[order] * -lams.astype(np.int16)
+    for j in range(int(degree.max())):
+        count = int(np.count_nonzero(degree > j))
+        residual[:count] += h[cols[first[order[:count]] + j]]
+    return np.maximum(residual.max(axis=0), -residual.min(axis=0))
+
+
 def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> SpectrumReport:
     """Check every closed-form eigenpair of the folded n-cube numerically.
 
     For each word w the residual ||A psi(T_w) - lambda(w) psi(T_w)||_inf is
-    computed (A the adjacency matrix), and the closed-form eigenvalue
-    multiset is compared with a dense symmetric eigensolver.  Works for any
-    n in bounds; levels are grouped by eigenvalue.
+    computed exactly in integers (A the adjacency matrix, see
+    ``_max_residuals``), and the closed-form eigenvalue multiset is compared
+    with a dense symmetric eigensolver, the one O(N^3) step.  Needs n >= 3,
+    where the closed form holds; levels are grouped by eigenvalue.
     """
+    if not isinstance(n, int) or n < 3:
+        raise UsageError(f"verify_spectrum needs an integer n >= 3 (the closed form assumes it), got {n!r}")
     g = folded_cube(n)
     width = n - 1
-    a = g.adjacency.astype(float)
-    h = walsh_matrix(width)  # column w = psi(T_w) in the point basis
     lams = np.array([eigenvalue_of_bits(w, n) for w in GroupWord.all_words(width)])
-    residual_matrix = a @ h - h * lams[None, :]
-    per_word = np.abs(residual_matrix).max(axis=0)
+    per_word = _max_residuals(g.adjacency, lams)
+    a = g.adjacency.astype(float)
     numeric = np.sort(np.linalg.eigvalsh(a))
     closed = np.sort(lams.astype(float))
     numeric_match = bool(np.max(np.abs(numeric - closed)) <= tol)
@@ -176,7 +202,7 @@ def eigenprojections(n: int) -> tuple[tuple[int, np.ndarray], ...]:
     h = walsh_matrix(n - 1)
     out = []
     for lvl in data.levels:
-        cols = h[:, [w.bits for w in lvl.basis]]
+        cols = h[:, [w.bits for w in lvl.basis]].astype(float)
         p = cols @ cols.T / (1 << (n - 1))
         p.setflags(write=False)
         out.append((lvl.k, p))

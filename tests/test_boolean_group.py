@@ -15,6 +15,7 @@ from qsym import (
     fourier,
     inverse_fourier,
     tau_generators,
+    walsh_matrix,
     walsh_transform,
 )
 
@@ -220,6 +221,15 @@ def test_basis_tags_enforced():
 def test_walsh_transform_requires_power_of_two():
     with pytest.raises(DimensionError):
         walsh_transform(np.ones(3))
+
+
+@pytest.mark.parametrize("width", [0, 1, 4, 6])
+def test_walsh_matrix_is_the_int8_character_table(width):
+    h = walsh_matrix(width)
+    assert h.dtype == np.int8
+    for g in GroupWord.all_words(width):
+        for k in GroupWord.all_words(width):
+            assert h[g.bits, k.bits] == (-1) ** g.dot(k)
 
 
 def test_function_vector_json_round_trip():

@@ -71,6 +71,31 @@ def test_adjacency_validation():
         Graph(np.array([[0, 2], [2, 0]]))  # non 0/1
 
 
+@pytest.mark.parametrize(
+    "size, entry",
+    [
+        (300, (299, 3)),  # the last, partial row of tiles
+        (300, (3, 299)),
+        (4096, (0, 4095)),  # the top-right tile
+        (4096, (300, 20)),  # an off-diagonal tile below the diagonal
+    ],
+)
+def test_asymmetry_found_in_any_tile(size, entry):
+    a = np.zeros((size, size), dtype=np.uint8)
+    a[entry] = 1
+    with pytest.raises(GraphFormatError, match="must be symmetric"):
+        Graph(a)
+    a[entry[::-1]] = 1
+    assert Graph(a).n_vertices == size
+
+
+def test_non_binary_entry_found_in_last_stripe():
+    a = np.zeros((300, 300))
+    a[299, 3] = a[3, 299] = 0.5
+    with pytest.raises(GraphFormatError, match="0 or 1"):
+        Graph(a)
+
+
 # ---------------------------------------------------------------------------
 # Permutations
 # ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@ from math import comb
 import numpy as np
 import pytest
 
+import qsym.spectral
 from qsym import (
     DimensionError,
+    Graph,
     GroupWord,
     Permutation,
     UsageError,
@@ -19,6 +21,7 @@ from qsym import (
     verify_spectrum,
 )
 from qsym.boolean_group import FunctionVector, GROUP_BASIS
+from qsym.cli import main
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +124,96 @@ def test_verify_spectrum_n9_fast():
 def test_verify_spectrum_even_n_still_matches_numerics():
     rep = verify_spectrum(4)
     assert rep.numeric_match and rep.max_residual <= 1e-9
+
+
+def dense_spectrum_report(n, g, tol=1e-9):
+    """Reference report for graph g in place of FQ_n: float64 dense residual
+    A H - H diag(lambda) and eigvalsh."""
+    width = n - 1
+    a = g.adjacency.astype(float)
+    h = np.array([[1.0]])
+    for _ in range(width):
+        h = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]), h)
+    lams = np.array([eigenvalue_of_bits(w, n) for w in GroupWord.all_words(width)])
+    per_word = np.abs(a @ h - h * lams[None, :]).max(axis=0)
+    numeric = np.sort(np.linalg.eigvalsh(a))
+    numeric_match = bool(np.max(np.abs(numeric - np.sort(lams.astype(float)))) <= tol)
+    levels = []
+    for lam in sorted(set(lams.tolist()), reverse=True):
+        mask = lams == lam
+        levels.append(
+            {
+                "k": (n - lam) // 2,
+                "lambda": int(lam),
+                "multiplicity": int(mask.sum()),
+                "max_residual": float(per_word[mask].max()),
+            }
+        )
+    max_residual = float(per_word.max())
+    return {
+        "n": n,
+        "levels": levels,
+        "numeric_match": numeric_match,
+        "max_residual": max_residual,
+        "tol": tol,
+        "pass": numeric_match and max_residual <= tol,
+    }
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 9, 11])
+def test_verify_spectrum_matches_dense_oracle(n):
+    got = verify_spectrum(n).to_json()
+    want = dense_spectrum_report(n, folded_cube(n))
+    assert got["levels"] == want["levels"]
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_verify_spectrum_rejects_n_below_3(n):
+    with pytest.raises(UsageError, match="n >= 3"):
+        verify_spectrum(n)
+
+
+def _fq7_edge_removed():
+    a = np.array(folded_cube(7).adjacency)
+    a[0, 1] = a[1, 0] = 0
+    return Graph(a)
+
+
+def _fq7_edges_swapped():
+    """FQ_7 with edges {0, u}, {x, y} replaced by {0, y}, {x, u}: still 7-regular."""
+    a = np.array(folded_cube(7).adjacency)
+    u = 1
+    for x, y in zip(*np.nonzero(a)):
+        if len({0, u, x, y}) == 4 and not a[0, y] and not a[x, u]:
+            break
+    a[0, u] = a[u, 0] = a[x, y] = a[y, x] = 0
+    a[0, y] = a[y, 0] = a[x, u] = a[u, x] = 1
+    return Graph(a)
+
+
+@pytest.mark.parametrize(
+    "corrupt, regular", [(_fq7_edge_removed, False), (_fq7_edges_swapped, True)]
+)
+def test_corrupted_adjacency_fails(monkeypatch, capsys, corrupt, regular):
+    bad = corrupt()
+    assert (len(set(bad.degrees().tolist())) == 1) == regular
+    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: bad)
+    rep = verify_spectrum(7)
+    assert not rep.passed
+    assert rep.max_residual >= 1
+    assert rep.to_json() == dense_spectrum_report(7, bad)
+    assert main(["spectra", "--n", "7"]) == 1
+    assert '"pass": false' in capsys.readouterr().out
+
+
+def test_residual_exact_at_high_degree(monkeypatch):
+    """K_1024 in place of FQ_11: the constant character psi(T_e) has residual 1023 - 11."""
+    complete = Graph(1 - np.eye(1024, dtype=np.uint8))
+    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: complete)
+    rep = verify_spectrum(11)
+    assert rep.to_json() == dense_spectrum_report(11, complete)
+    assert rep.max_residual == 1023 - 11
 
 
 def test_spectrum_report_json_shape():
