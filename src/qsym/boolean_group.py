@@ -34,7 +34,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapacityError, DimensionError, UsageError
-from .graphs import Graph
+from .graphs import GRAPH_VERTEX_BOUND, Graph
 
 __all__ = [
     "GroupWord",
@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: cap on 2^{n-1}, the folded cube vertex count
-FOLDED_CUBE_VERTEX_BOUND = 4096
+FOLDED_CUBE_VERTEX_BOUND = GRAPH_VERTEX_BOUND
 
 POINT_BASIS = "point"
 GROUP_BASIS = "group"

@@ -6,6 +6,7 @@ byte-identical); a one-line human summary goes to stderr.  Exit codes:
 * 0 -- every mathematical check in the run passed
 * 1 -- a check ran and failed (the report says which)
 * 2 -- usage or input error (bad flags, malformed graph, exceeded bounds)
+* 3 -- internal error: an unexpected exception, its traceback on stderr
 
 The seed, a non-negative integer, defaults to the ``QSYM_SEED`` environment
 variable, then 42.
@@ -17,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from math import factorial, isnan
 from pathlib import Path
 
@@ -39,6 +41,7 @@ from .boolean_group import folded_cube
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _resolve_seed(args) -> int:
@@ -249,6 +252,11 @@ def main(argv=None) -> int:
     except QsymError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a defect in qsym, not in the input: no report, and never exit 1
+        traceback.print_exc()
+        print(f"qsym {args.command}: internal error", file=sys.stderr)
+        return EXIT_INTERNAL
     report["command"] = args.command
     print(json.dumps(report, indent=2, sort_keys=True))
     status = "PASS" if passed else "FAIL"

@@ -26,7 +26,12 @@ __all__ = [
     "are_disjoint",
     "find_disjoint_pair",
     "AUTOMORPHISM_VERTEX_BOUND",
+    "GRAPH_VERTEX_BOUND",
 ]
+
+#: cap on the vertex count of a graph built from an edge list: the dense
+#: N x N adjacency and the dense spectral checks are sized for it
+GRAPH_VERTEX_BOUND = 4096
 
 #: cap for exhaustive automorphism enumeration
 AUTOMORPHISM_VERTEX_BOUND = 32
@@ -74,10 +79,14 @@ class Graph:
         """Build a graph from an edge list with 0-based endpoints.
 
         Duplicate unordered pairs, loops and out-of-range endpoints are
-        rejected; isolated vertices are fine.
+        rejected; isolated vertices are fine.  More than
+        ``GRAPH_VERTEX_BOUND`` vertices is a ``CapacityError``, raised before
+        the adjacency is allocated.
         """
         if not _is_int(n) or n <= 0:
             raise GraphFormatError(f"vertex count must be a positive integer, got {n!r}")
+        if n > GRAPH_VERTEX_BOUND:
+            raise CapacityError(f"graph has {n} > {GRAPH_VERTEX_BOUND} vertices")
         a = np.zeros((n, n), dtype=np.uint8)
         seen = set()
         for e in edges:

@@ -171,6 +171,28 @@ def test_exit_2_on_edges_that_are_not_an_array(capsys, tmp_path, content):
     assert "error:" in err and '"edges"' in err and out == ""
 
 
+@pytest.mark.parametrize("n", [4097, 100000])
+def test_exit_2_on_graph_file_over_the_vertex_bound(capsys, tmp_path, n):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": n, "edges": []}))
+    code, out, err = run(capsys, "autos", "--graph", str(big))
+    assert code == 2
+    assert f"graph has {n} > 4096 vertices" in err and out == ""
+
+
+def test_exit_3_on_an_unexpected_exception(capsys, monkeypatch):
+    from qsym import cli
+
+    def broken(args):
+        raise RuntimeError("planted defect")
+
+    monkeypatch.setattr(cli, "_run_spectra", broken)
+    code, out, err = run(capsys, "spectra", "--n", "3")
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert "Traceback" in err and "RuntimeError: planted defect" in err
+
+
 def test_exit_2_on_directory_as_graph(capsys, tmp_path):
     code, _, err = run(capsys, "autos", "--graph", str(tmp_path))
     assert code == 2

@@ -216,6 +216,71 @@ def test_residual_exact_at_high_degree(monkeypatch):
     assert rep.max_residual == 1023 - 11
 
 
+# ---------------------------------------------------------------------------
+# the XOR-translation block split behind the eigensolver cross-check
+# ---------------------------------------------------------------------------
+
+
+def _record_eigvalsh_shapes(monkeypatch):
+    shapes = []
+    real = np.linalg.eigvalsh
+
+    def recording(a):
+        shapes.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+@pytest.mark.parametrize("n, shape", [(9, (1, 256, 256)), (11, (4, 256, 256)), (13, (16, 256, 256))])
+def test_eigensolver_gets_256_row_blocks(monkeypatch, n, shape):
+    shapes = _record_eigvalsh_shapes(monkeypatch)
+    assert verify_spectrum(n).passed
+    assert shapes == [shape]
+
+
+def _fq11_without_edge(u, v):
+    a = np.array(folded_cube(11).adjacency)
+    assert a[u, v]
+    a[u, v] = a[v, u] = 0
+    return Graph(a)
+
+
+def test_graph_that_decouples_once_gets_two_dense_blocks(monkeypatch):
+    """Two disjoint copies of FQ_11 minus an edge: x -> x ^ 1024 is a symmetry,
+    x -> x ^ 512 is not, so eigvalsh gets two full 1024-row blocks."""
+    b = _fq11_without_edge(0, 1).adjacency
+    twice = Graph(np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]]))
+    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: twice)
+    shapes = _record_eigvalsh_shapes(monkeypatch)
+    rep = verify_spectrum(12)
+    assert shapes == [(2, 1024, 1024)]
+    assert not rep.passed
+    assert rep.to_json() == dense_spectrum_report(12, twice)
+
+
+_BLOCK_SPLIT_CASES = [
+    *(pytest.param(lambda n=n: folded_cube(n), 1 << max(0, n - 9), id=f"FQ_{n}") for n in range(3, 12)),
+    pytest.param(lambda: Graph(1 - np.eye(1024, dtype=np.uint8)), 4, id="K_1024"),
+    # B11 != B22 at the first level: no split
+    pytest.param(lambda: _fq11_without_edge(0, 1), 1, id="FQ_11-edge_0_1"),
+    # B11 == B22 but B12 != B21, since the edge {512, 511} stays: no split
+    pytest.param(lambda: _fq11_without_edge(0, 1023), 1, id="FQ_11-edge_0_1023"),
+]
+
+
+@pytest.mark.parametrize("make, count", _BLOCK_SPLIT_CASES)
+def test_block_eigenvalues_equal_the_full_spectrum(make, count):
+    a = make().adjacency
+    blocks = qsym.spectral._decoupled_blocks(a)
+    rows = a.shape[0] // count
+    assert blocks.dtype == np.int16 and blocks.shape == (count, rows, rows)
+    got = np.sort(np.linalg.eigvalsh(blocks.astype(float)), axis=None)
+    want = np.linalg.eigvalsh(a.astype(float))
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_spectrum_report_json_shape():
     js = verify_spectrum(5).to_json()
     assert set(js) >= {"n", "levels", "numeric_match", "max_residual", "pass"}
