@@ -1,9 +1,15 @@
 """Finite simple graphs, permutations, and automorphism-group search.
 
 Graphs are stored as dense 0/1 adjacency matrices; everything here targets
-the classical symmetry side of the toolkit: exhaustive backtracking
-enumeration of the automorphism group and the search for a pair of
-non-trivial automorphisms with disjoint supports.
+the classical symmetry side of the toolkit: exhaustive enumeration of the
+automorphism group and the search for a pair of non-trivial automorphisms
+with disjoint supports.
+
+The enumeration places vertices in a connectivity order (next comes the
+unplaced vertex with the most placed neighbours, ties broken by label) and
+extends a frontier of partial maps, held as one numpy array, a depth at a
+time.  Both ``automorphisms`` and ``find_disjoint_pair`` read the one
+(|Aut|, n) image array it returns.
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ GRAPH_VERTEX_BOUND = 4096
 
 #: cap for exhaustive automorphism enumeration
 AUTOMORPHISM_VERTEX_BOUND = 32
+
+#: partial maps the automorphism search expands together; at the 32-vertex
+#: bound a block grows into at most 2^14 * 32 maps of at most 32 bytes (16 MB)
+_SEARCH_BLOCK = 1 << 14
 
 #: block side for Graph's validation passes: at 4096 vertices whole-matrix
 #: temporaries and a strided a.T are several times slower than 256 x 256 tiles
@@ -161,7 +171,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        imgs = tuple(int(i) for i in self.images)
+        imgs = tuple(map(int, self.images))
         object.__setattr__(self, "images", imgs)
         if sorted(imgs) != list(range(len(imgs))):
             raise UsageError(f"{imgs!r} is not a bijection on 0..{len(imgs) - 1}")
@@ -252,51 +262,79 @@ def is_automorphism(g: Graph, p: Permutation) -> bool:
     return np.array_equal(g.adjacency[np.ix_(idx, idx)], g.adjacency)
 
 
-def automorphisms(g: Graph) -> list[Permutation]:
-    """Enumerate the full automorphism group by backtracking.
+def _search_order(a: np.ndarray) -> list[int]:
+    """Vertices in search order: next is the unplaced vertex with the most
+    placed neighbours, ties broken by label.
 
-    Vertices are processed in the static order sorted by (degree,
-    neighborhood degree multiset); at each depth the candidate images are
-    exactly those whose adjacency to all previously assigned images matches
-    the source pattern, tracked with bit masks.  The result is sorted by
-    image tuple, so the output order is deterministic.
+    The order follows connectivity, not labels, so a relabeled graph is
+    searched along the same structure.
+    """
+    placed_neighbours = np.zeros(a.shape[0], dtype=np.int64)
+    order: list[int] = []
+    for _ in range(a.shape[0]):
+        score = placed_neighbours.copy()
+        score[order] = -1
+        v = int(np.argmax(score))
+        order.append(v)
+        placed_neighbours += a[v]
+    return order
+
+
+def _automorphism_images(g: Graph) -> np.ndarray:
+    """The automorphism group as an (|Aut|, n) int8 array of image rows,
+    sorted by image tuple.
+
+    A frontier holds partial maps as a (k, d) array: row i sends
+    ``order[j]`` to ``maps[i, j]``.  Neighbourhoods are n-bit words, so at
+    depth d the images allowed for ``v = order[d]`` come for all k maps from
+    one comparison of the words ``rows[maps]`` (k, d) with the pattern
+    ``adjacency[v, order[:d]]``: an image must be adjacent to ``maps[i, j]``
+    exactly where v is adjacent to ``order[j]``.  They are then masked by
+    degree and by the images already used.  Frontiers are expanded
+    depth-first in blocks of at most ``_SEARCH_BLOCK`` maps.
     """
     n = g.n_vertices
     if n > AUTOMORPHISM_VERTEX_BOUND:
         raise CapacityError(f"graph has {n} > {AUTOMORPHISM_VERTEX_BOUND} vertices")
     a = g.adjacency
-    rows = [sum(1 << u for u in range(n) if a[v, u]) for v in range(n)]
-    deg = [r.bit_count() for r in rows]
-    sig = [
-        (deg[v], tuple(sorted(deg[u] for u in range(n) if a[v, u])))
-        for v in range(n)
-    ]
-    order = sorted(range(n), key=lambda v: (sig[v], v))
-    cands = [[w for w in range(n) if sig[w] == sig[v]] for v in range(n)]
-
-    img = [-1] * n
-    found: list[Permutation] = []
-
-    def extend(depth: int, used: int):
+    shifts = np.arange(n, dtype=np.uint64)
+    bits = np.uint64(1) << shifts
+    rows = a.astype(np.uint64) @ bits
+    degree = a.sum(axis=1)
+    same_degree = (degree[:, None] == degree).astype(np.uint64) @ bits
+    order = _search_order(a)
+    full = []
+    stack = [np.zeros((1, 0), dtype=np.int8)]
+    while stack:
+        maps = stack.pop()
+        depth = maps.shape[1]
         if depth == n:
-            found.append(Permutation(tuple(img)))
-            return
+            full.append(maps)
+            continue
         v = order[depth]
-        need = 0
-        for u in order[:depth]:
-            if a[v, u]:
-                need |= 1 << img[u]
-        for w in cands[v]:
-            bit = 1 << w
-            if used & bit or (rows[w] & used) != need:
-                continue
-            img[v] = w
-            extend(depth + 1, used | bit)
-        img[v] = -1
+        words = np.where(a[v, order[:depth]] == 1, rows[maps], ~rows[maps])
+        allowed = np.bitwise_and.reduce(words, axis=1) & same_degree[v]
+        allowed &= ~np.bitwise_or.reduce(bits[maps], axis=1)
+        parent, image = np.nonzero((allowed[:, None] >> shifts) & np.uint64(1))
+        grown = np.concatenate([maps[parent], image[:, None].astype(np.int8)], axis=1)
+        blocks = np.split(grown, range(_SEARCH_BLOCK, len(grown), _SEARCH_BLOCK))
+        stack.extend(reversed(blocks))
+    maps = np.concatenate(full)
+    images = np.empty_like(maps)
+    images[:, order] = maps
+    return images[np.lexsort(images.T[::-1])]
 
-    extend(0, 0)
-    found.sort(key=lambda p: p.images)
-    return found
+
+def automorphisms(g: Graph) -> list[Permutation]:
+    """Enumerate the full automorphism group, sorted by image tuple.
+
+    The search places vertices in a connectivity order (the next vertex is
+    the unplaced one with the most placed neighbours) and extends a whole
+    frontier of partial maps at once with numpy; see
+    ``_automorphism_images``.  More than ``AUTOMORPHISM_VERTEX_BOUND``
+    vertices is a ``CapacityError``.
+    """
+    return [Permutation(row) for row in _automorphism_images(g).tolist()]
 
 
 def are_disjoint(p: Permutation, q: Permutation) -> bool:
@@ -310,12 +348,19 @@ def find_disjoint_pair(g: Graph) -> Optional[tuple[Permutation, Permutation]]:
     """First pair of non-trivial disjoint automorphisms, or None.
 
     "First" means lexicographically smallest (i, j), i < j, over the sorted
-    automorphism list, so the result is deterministic.
+    list of non-trivial automorphisms, so the result is deterministic.  Each
+    support is packed into one int64 bit mask, and row i is tested against
+    all later rows at once.
     """
-    autos = [p for p in automorphisms(g) if not p.is_identity()]
-    masks = [sum(1 << v for v in p.support()) for p in autos]
-    for i, p in enumerate(autos):
-        for j in range(i + 1, len(autos)):
-            if masks[i] & masks[j] == 0:
-                return p, autos[j]
+    images = _automorphism_images(g)
+    n = g.n_vertices
+    moved = images != np.arange(n)
+    masks = moved.astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))
+    nontrivial = masks != 0
+    images, masks = images[nontrivial], masks[nontrivial]
+    for i in range(len(masks)):
+        later = np.flatnonzero((masks[i + 1 :] & masks[i]) == 0)
+        if later.size:
+            j = i + 1 + int(later[0])
+            return Permutation(images[i].tolist()), Permutation(images[j].tolist())
     return None

@@ -50,12 +50,13 @@ __all__ = [
 
 
 def op_norm(x: np.ndarray) -> float:
-    """Operator (spectral) norm."""
-    return float(np.linalg.norm(x, 2))
+    """Operator (spectral) norm; of a stack (..., d, d), the largest one."""
+    return float(np.linalg.norm(x, 2, axis=(-2, -1)).max())
 
 
 def adjoint(x: np.ndarray) -> np.ndarray:
-    return x.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return x.conj().swapaxes(-1, -2)
 
 
 def is_projection(x: np.ndarray, tol: float = DEFAULT_TOLERANCES.projector) -> bool:
@@ -278,19 +279,11 @@ def certify_witness(
     """
     if u.r != g.n_vertices:
         raise DimensionError(f"witness on {u.r} vertices vs graph on {g.n_vertices}")
-    r, d = u.r, u.dim
-    eye = np.eye(d)
-
-    projection_defect = 0.0
-    for i in range(r):
-        for j in range(r):
-            e = u.entries[i, j]
-            projection_defect = max(
-                projection_defect, op_norm(e - adjoint(e)), op_norm(e - e @ e)
-            )
-
-    rowsum_defect = max(op_norm(u.entries[i].sum(axis=0) - eye) for i in range(r))
-    colsum_defect = max(op_norm(u.entries[:, j].sum(axis=0) - eye) for j in range(r))
+    e = u.entries
+    eye = np.eye(u.dim)
+    projection_defect = max(op_norm(e - adjoint(e)), op_norm(e - e @ e))
+    rowsum_defect = op_norm(e.sum(axis=1) - eye)
+    colsum_defect = op_norm(e.sum(axis=0) - eye)
 
     flat = u.flat()
     eps_big = np.kron(g.adjacency.astype(float), eye)

@@ -1,0 +1,78 @@
+"""Reference automorphism search for the tests of ``qsym.graphs``.
+
+This is the static-order backtracking search that ``qsym.graphs`` used
+before its search was vectorized, kept unchanged.  It orders vertices by
+(degree, neighbour degree multiset), tracks images with Python bit masks
+and builds one ``Permutation`` per automorphism.  ``automorphisms`` and
+``find_disjoint_pair`` in the library must return exactly what these
+return.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+from qsym import CapacityError, Graph, Permutation
+from qsym.graphs import AUTOMORPHISM_VERTEX_BOUND
+
+
+def automorphisms(g: Graph) -> list[Permutation]:
+    """Enumerate the full automorphism group by backtracking.
+
+    Vertices are processed in the static order sorted by (degree,
+    neighborhood degree multiset); at each depth the candidate images are
+    exactly those whose adjacency to all previously assigned images matches
+    the source pattern, tracked with bit masks.  The result is sorted by
+    image tuple, so the output order is deterministic.
+    """
+    n = g.n_vertices
+    if n > AUTOMORPHISM_VERTEX_BOUND:
+        raise CapacityError(f"graph has {n} > {AUTOMORPHISM_VERTEX_BOUND} vertices")
+    a = g.adjacency
+    rows = [sum(1 << u for u in range(n) if a[v, u]) for v in range(n)]
+    deg = [r.bit_count() for r in rows]
+    sig = [
+        (deg[v], tuple(sorted(deg[u] for u in range(n) if a[v, u])))
+        for v in range(n)
+    ]
+    order = sorted(range(n), key=lambda v: (sig[v], v))
+    cands = [[w for w in range(n) if sig[w] == sig[v]] for v in range(n)]
+
+    img = [-1] * n
+    found: list[Permutation] = []
+
+    def extend(depth: int, used: int):
+        if depth == n:
+            found.append(Permutation(tuple(img)))
+            return
+        v = order[depth]
+        need = 0
+        for u in order[:depth]:
+            if a[v, u]:
+                need |= 1 << img[u]
+        for w in cands[v]:
+            bit = 1 << w
+            if used & bit or (rows[w] & used) != need:
+                continue
+            img[v] = w
+            extend(depth + 1, used | bit)
+        img[v] = -1
+
+    extend(0, 0)
+    found.sort(key=lambda p: p.images)
+    return found
+
+
+def find_disjoint_pair(g: Graph) -> Optional[tuple[Permutation, Permutation]]:
+    """First pair of non-trivial disjoint automorphisms, or None.
+
+    "First" means lexicographically smallest (i, j), i < j, over the sorted
+    automorphism list, so the result is deterministic.
+    """
+    autos = [p for p in automorphisms(g) if not p.is_identity()]
+    masks = [sum(1 << v for v in p.support()) for p in autos]
+    for i, p in enumerate(autos):
+        for j in range(i + 1, len(autos)):
+            if masks[i] & masks[j] == 0:
+                return p, autos[j]
+    return None

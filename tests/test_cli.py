@@ -231,6 +231,14 @@ def test_capacity_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["autos", "disjoint", "witness"])
+def test_search_commands_exit_2_over_the_search_bound(capsys, command):
+    code, out, err = run(capsys, command, "--n", "7")  # 64 vertices > 32
+    assert code == 2
+    assert out == ""
+    assert "64 > 32 vertices" in err
+
+
 # ---------------------------------------------------------------------------
 # determinism and seeds
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
+from itertools import permutations
+from math import factorial, prod
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import graph_oracle as oracle
+from qsym import graphs
 from qsym import (
     CapacityError,
     DimensionError,
@@ -292,3 +299,112 @@ def test_find_disjoint_pair_deterministic(clebsch):
     second = find_disjoint_pair(clebsch)
     assert first[0].images == second[0].images
     assert first[1].images == second[1].images
+
+
+# ---------------------------------------------------------------------------
+# the search against the old backtracking oracle, and metamorphic relations
+# ---------------------------------------------------------------------------
+
+#: random graphs whose degree classes allow more than this many
+#: automorphisms are skipped: the oracle enumerates them one by one
+ORACLE_GROUP_BOUND = factorial(7)
+
+
+def relabel(g: Graph, perm) -> Graph:
+    """The graph with vertex v renamed perm[v]."""
+    return Graph.from_edges(g.n_vertices, [[int(perm[i]), int(perm[j])] for i, j in g.edges()])
+
+
+def conjugated(autos, perm) -> list[tuple[int, ...]]:
+    """perm p perm^-1 for each p, as sorted image tuples."""
+    images = np.array([p.images for p in autos])
+    out = np.empty_like(images)
+    out[:, perm] = perm[images]
+    return sorted(map(tuple, out.tolist()))
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [[i, j] for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    _, sizes = np.unique(g.degrees(), return_counts=True)
+    assume(prod(factorial(int(s)) for s in sizes) <= ORACLE_GROUP_BOUND)
+    return g
+
+
+@settings(max_examples=300)
+@given(small_graphs())
+def test_automorphisms_equal_the_oracle_on_random_graphs(g):
+    assert automorphisms(g) == oracle.automorphisms(g)
+
+
+@settings(max_examples=300)
+@given(small_graphs())
+def test_disjoint_pair_equals_the_oracle_on_random_graphs(g):
+    assert find_disjoint_pair(g) == oracle.find_disjoint_pair(g)
+
+
+@given(small_graphs(), st.randoms(use_true_random=False))
+def test_relabeling_conjugates_the_group(g, rnd):
+    perm = np.array(rnd.sample(range(g.n_vertices), g.n_vertices))
+    h = relabel(g, perm)
+    autos = automorphisms(g)
+    assert [p.images for p in automorphisms(h)] == conjugated(autos, perm)
+    assert (find_disjoint_pair(h) is None) == (find_disjoint_pair(g) is None)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ["clebsch", "fq5"])
+def test_relabeled_clebsch_and_fq5_keep_group_and_pair(name, seed, clebsch):
+    g = clebsch if name == "clebsch" else folded_cube(5)
+    autos = automorphisms(g)
+    perm = np.random.default_rng(seed).permutation(g.n_vertices)
+    h = relabel(g, perm)
+    relabeled = automorphisms(h)
+    assert len(relabeled) == len(autos) == 1920
+    assert [p.images for p in relabeled] == conjugated(autos, perm)
+    sigma, tau = find_disjoint_pair(h)
+    assert is_automorphism(h, sigma) and is_automorphism(h, tau) and are_disjoint(sigma, tau)
+
+
+def test_edgeless_graph_gives_every_permutation_in_order():
+    # 8! = 40320 maps outgrow one block of the frontier
+    g = Graph.from_edges(8, [])
+    autos = automorphisms(g)
+    assert len(autos) > graphs._SEARCH_BLOCK
+    assert [p.images for p in autos] == list(permutations(range(8)))
+    sigma, tau = find_disjoint_pair(g)
+    # the first non-trivial permutation swaps 6 and 7; the first later one
+    # that fixes both swaps 4 and 5
+    assert sigma.images == (0, 1, 2, 3, 4, 5, 7, 6)
+    assert tau.images == (0, 1, 2, 3, 5, 4, 6, 7)
+
+
+#: C4 on 0..3, an edge 4-5, isolated 6 and 7, a path 8-9-10
+DISCONNECTED_EDGES = [[0, 1], [1, 2], [2, 3], [3, 0], [4, 5], [8, 9], [9, 10]]
+
+
+def test_disconnected_graph_with_isolated_vertices_matches_the_oracle():
+    g = Graph.from_edges(11, DISCONNECTED_EDGES)
+    autos = automorphisms(g)
+    assert len(autos) == 8 * 2 * 2 * 2
+    assert autos == oracle.automorphisms(g)
+    assert find_disjoint_pair(g) == oracle.find_disjoint_pair(g)
+
+
+def test_small_blocks_give_the_same_group(monkeypatch, clebsch, clebsch_autos):
+    monkeypatch.setattr(graphs, "_SEARCH_BLOCK", 3)
+    assert automorphisms(clebsch) == clebsch_autos
+    g = Graph.from_edges(11, DISCONNECTED_EDGES)
+    assert automorphisms(g) == oracle.automorphisms(g)
+
+
+def test_search_bound_is_32_vertices():
+    assert graphs.AUTOMORPHISM_VERTEX_BOUND == 32
+    g = Graph.from_edges(33, [])
+    with pytest.raises(CapacityError, match="33 > 32"):
+        automorphisms(g)
+    with pytest.raises(CapacityError, match="33 > 32"):
+        find_disjoint_pair(g)

@@ -182,6 +182,50 @@ def test_certify_clebsch_witness(clebsch):
     }
 
 
+def test_witness_with_orders_5_and_2_certifies_end_to_end():
+    # C5 + K2 + an isolated vertex: a 5-cycle and a transposition, so the
+    # p_k are spectral projections of a unitary with complex eigenvalues
+    g = Graph.from_edges(8, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [5, 6]])
+    sigma = Permutation.from_cycles(8, [(0, 1, 2, 3, 4)])
+    tau = Permutation.from_cycles(8, [(5, 6)])
+    p, q = rep_free_product(5, 2, seed=1)
+    u = build_witness(g, sigma, tau, p, q, seed=1)
+    rep = certify_witness(g, u)
+    assert rep.passed
+    assert max(rep.projection_defect, rep.rowsum_defect, rep.colsum_defect) <= 1e-10
+    assert rep.commutation_defect <= 1e-10
+    assert rep.noncomm_certificate > rep.certificate_floor == 0.01
+    assert abs(rep.noncomm_certificate - 0.499) <= 1e-3
+    recovered = recovery_products(u, sigma, tau, p, q)
+    assert recovered.passed and recovered.max_residual <= 1e-10
+    assert recovered.sigma_representatives == (0,) and recovered.tau_representatives == (5,)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+@pytest.mark.parametrize("cells", [((3, 1), (3, 2)), ((1, 3), (2, 3)), ((0, 0), (0, 1))])
+def test_stacked_defects_equal_the_per_entry_loops(k4, cells, hermitian):
+    # +h in one cell and -h in another of the same row (or column) leaves
+    # that row (column) sum alone and moves two column (row) sums
+    sigma = Permutation.from_cycles(4, [(0, 1)])
+    tau = Permutation.from_cycles(4, [(2, 3)])
+    p, q = rep_free_product(2, 2, seed=42)
+    u = build_witness(k4, sigma, tau, p, q)
+    h = 0.1 * np.triu(np.ones((4, 4)), 1)
+    h = h + h.T if hermitian else h
+    u.entries[cells[0]] += h
+    u.entries[cells[1]] -= h
+    eye = np.eye(4)
+    projection = max(
+        max(op_norm(e - e.conj().T), op_norm(e - e @ e)) for row in u.entries for e in row
+    )
+    rowsum = max(op_norm(u.entries[i].sum(axis=0) - eye) for i in range(4))
+    colsum = max(op_norm(u.entries[:, j].sum(axis=0) - eye) for j in range(4))
+    rep = certify_witness(k4, u)
+    assert (rep.projection_defect, rep.rowsum_defect, rep.colsum_defect) == (projection, rowsum, colsum)
+    assert projection > 0.01 and max(rowsum, colsum) > 0.01 and min(rowsum, colsum) < 1e-12
+    assert not rep.passed
+
+
 def test_classical_witness_passes_with_zero_certificate(k4):
     perm = Permutation.from_cycles(4, [(0, 1, 2, 3)])
     u = classical_witness(k4, perm)
