@@ -25,7 +25,7 @@ from pathlib import Path
 from . import fixtures
 from .config import DEFAULT_TOLERANCES
 from .errors import QsymError, UsageError
-from .graphs import Graph, automorphisms, find_disjoint_pair, is_automorphism
+from .graphs import Graph, _automorphism_images, automorphisms, find_disjoint_pair, is_automorphism
 from .so_twist import (
     abelian_points,
     classical_point_action,
@@ -150,7 +150,7 @@ def _run_so_points(args) -> tuple[dict, bool]:
     actions = [classical_point_action(sp) for sp in points]
     cube = folded_cube(n)
     distinct = {a.images for a in actions}
-    auto_set = {a.images for a in automorphisms(cube)}
+    auto_set = set(map(tuple, _automorphism_images(cube).tolist()))
     all_autos = all(is_automorphism(cube, a) for a in actions)
     preserved = all(preserves_eigenspaces(n, a) for a in actions)
     report = {

@@ -10,13 +10,16 @@ For odd n the eigenvalues are exactly lambda_k = n - 2k over even k in
 [0, n], the eigenspace of lambda_k being spanned by the words of length k
 or k-1, so its dimension is C(n-1, k) + C(n-1, k-1) = C(n, k).  Everything
 here is cross-validated numerically against a dense symmetric eigensolver.
+The residuals A psi(T_w) - lambda(w) psi(T_w) are computed exactly, 128
+vertex rows at a time in an int8 accumulator (int16 when the degree and
+eigenvalue bound exceeds 127), from the graph's own adjacency.
 
 That eigensolver runs on blocks, not on the whole adjacency: FQ_n is a
 Cayley graph of Z_2^(n-1), so each XOR translation x -> x ^ h is an
 automorphism, and A is block diagonalized by the orthogonal splits
-(1/sqrt 2)[[I, I], [I, -I]] in integers down to 256-row blocks.  Each split
-is taken only after the symmetry it uses is checked on the matrix itself,
-so the block eigenvalues are those of A for every input graph.
+(1/sqrt 2)[[I, I], [I, -I]], exact in int8, down to 256-row blocks.  Each
+split is taken only after the symmetry it uses is checked on the matrix
+itself, so the block eigenvalues are those of A for every input graph.
 
 Since each projection onto an eigenspace is a polynomial in the adjacency
 matrix, a vertex permutation is an automorphism exactly when its matrix
@@ -133,16 +136,23 @@ class SpectrumReport:
         }
 
 
+#: rows of the residual accumulator; a (128, N) block stays in cache while
+#: every neighbour slot is gathered into it
+_RESIDUAL_ROWS = 128
+
+
 def _max_residuals(adjacency: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Per word w, max_v |(A H)[v, w] - lams[w] H[v, w]|, exact in int16.
+    """Per word w, max_v |(A H)[v, w] - lams[w] H[v, w]|, exact in integers.
 
     H is the Walsh matrix (column w = psi(T_w) in the point basis).  Row v
     of A H is the sum of the Walsh rows of v's neighbours, read from the
     0/1 adjacency itself, so a corrupted graph shows up as a non-zero
-    residual.  Rows are processed in order of falling degree, so the
-    vertices with a j-th neighbour always form a prefix and each neighbour
-    slot j is one gather-add; no regularity is assumed.  int16 holds every
-    entry: |entry| <= deg(v) + |lambda| <= 4095 + 13 within the vertex bound.
+    residual.  Rows are taken in order of falling degree, ``_RESIDUAL_ROWS``
+    at a time: within a block the vertices with a j-th neighbour form a
+    prefix, so each neighbour slot j is one gather-add and no regularity is
+    assumed.  Every partial sum is bounded by deg(v) + |lambda|, so the
+    accumulator is int8 when that bound is at most 127 (FQ_n: 2n) and
+    int16 otherwise (<= 4095 + 13 within the vertex bound).
     """
     size = adjacency.shape[0]
     h = walsh_matrix(size.bit_length() - 1)
@@ -151,11 +161,21 @@ def _max_residuals(adjacency: np.ndarray, lams: np.ndarray) -> np.ndarray:
     degree = np.bincount(rows, minlength=size)
     first = np.cumsum(degree) - degree  # offset of each vertex's neighbours in cols
     order = np.argsort(-degree, kind="stable")
-    residual = h[order] * -lams.astype(np.int16)
-    for j in range(int(degree.max())):
-        count = int(np.count_nonzero(degree > j))
-        residual[:count] += h[cols[first[order[:count]] + j]]
-    return np.maximum(residual.max(axis=0), -residual.min(axis=0))
+    bound = int(degree.max()) + int(np.abs(lams).max())
+    dtype = np.int8 if bound <= np.iinfo(np.int8).max else np.int16
+    neg_lams = -lams.astype(dtype)
+    block_residual = np.empty((min(_RESIDUAL_ROWS, size), size), dtype=dtype)
+    peak = np.zeros(size, dtype=dtype)
+    for start in range(0, size, _RESIDUAL_ROWS):
+        block = order[start : start + _RESIDUAL_ROWS]
+        residual = block_residual[: len(block)]
+        np.multiply(h[block], neg_lams, out=residual)
+        block_degree = degree[block]
+        for j in range(int(block_degree[0])):
+            count = int(np.count_nonzero(block_degree > j))
+            residual[:count] += h[cols[first[block[:count]] + j]]
+        np.maximum(peak, np.abs(residual, out=residual).max(axis=0), out=peak)
+    return peak
 
 
 #: rows at which the XOR-translation splits stop (FQ_9's size); each block
@@ -164,7 +184,7 @@ _BLOCK_ROWS = 256
 
 
 def _decoupled_blocks(adjacency: np.ndarray) -> np.ndarray:
-    """Stack of int16 blocks whose joint spectrum is that of ``adjacency``.
+    """Stack of int8 blocks whose joint spectrum is that of ``adjacency``.
 
     Starting from the (1, N, N) stack, a level with M = 2h rows splits when
     every block B = [[B11, B12], [B21, B22]] has B11 == B22 and B12 == B21,
@@ -172,10 +192,11 @@ def _decoupled_blocks(adjacency: np.ndarray) -> np.ndarray:
     similar to diag(B11 + B12, B11 - B12).  The splits stop at the first
     level that fails this test (an odd M always does: the diagonal blocks
     differ in shape), or once blocks have at most ``_BLOCK_ROWS`` rows.
-    Entries at most double per level, so int16 is exact within the vertex
-    bound.
+    The 0/1 uint8 adjacency is read as int8 without a copy.  Entries at
+    most double per level, and at most four levels split within the vertex
+    bound (4096 rows down to 256), so |entry| <= 16 and int8 is exact.
     """
-    b = adjacency.astype(np.int16)[None]
+    b = adjacency.view(np.int8)[None]
     while b.shape[1] > _BLOCK_ROWS:
         h = b.shape[1] // 2
         b11, b12 = b[:, :h, :h], b[:, :h, h:]

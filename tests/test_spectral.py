@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -217,6 +218,108 @@ def test_residual_exact_at_high_degree(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the residual's row blocks and accumulator dtype
+# ---------------------------------------------------------------------------
+
+
+def _fq11_thinned(*cuts):
+    """FQ_11 without the edges {x, x ^ s} for each cut (s, lo, hi) and
+    lo <= x < hi; each range is closed under x -> x ^ s."""
+    a = np.array(folded_cube(11).adjacency)
+    for s, lo, hi in cuts:
+        x = np.arange(lo, hi)
+        assert a[x, x ^ s].all() and set((x ^ s).tolist()) == set(x.tolist())
+        a[x, x ^ s] = 0
+    return Graph(a)
+
+
+# (degree, vertices) classes in falling degree; the residual takes rows in
+# that order, 128 at a time, so FQ_11 is 8 row blocks
+_ROW_BLOCK_CASES = [
+    # labels [924, 1024) keep degree 11, [0, 52) drop to 9: the order is not
+    # the labels, and degrees differ inside the first and the last block
+    pytest.param(
+        lambda: _fq11_thinned((1, 0, 924), (2, 0, 52)),
+        [(11, 100), (10, 872), (9, 52)],
+        id="first-and-last-block-mixed",
+    ),
+    # the degree-10 class takes rows 120..135, across the boundary at 128
+    pytest.param(
+        lambda: _fq11_thinned((1, 120, 1024), (2, 136, 1024)),
+        [(11, 120), (10, 16), (9, 888)],
+        id="class-straddles-row-128",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, classes", _ROW_BLOCK_CASES)
+def test_residual_row_blocks_match_dense_oracle(monkeypatch, make, classes):
+    g = make()
+    degrees, counts = np.unique(g.degrees(), return_counts=True)
+    assert list(zip(degrees[::-1].tolist(), counts[::-1].tolist())) == classes
+    assert g.n_vertices == 8 * qsym.spectral._RESIDUAL_ROWS
+    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: g)
+    rep = verify_spectrum(11)
+    assert not rep.passed
+    assert rep.to_json() == dense_spectrum_report(11, g)
+
+
+def _rewired_to_even_words(n, degree):
+    """FQ_n with vertex 0 joined to the first ``degree`` non-zero vertices of
+    even popcount instead.  The all-ones word w has psi_w(u) = (-1)^|u| and
+    lambda_w = -n (n even) or -(n - 2) (n odd), so the residual at (0, w) is
+    degree + |lambda_w|, the largest entry of the whole residual."""
+    a = np.array(folded_cube(n).adjacency)
+    a[0, :] = a[:, 0] = 0
+    even = [u for u in range(1, len(a)) if bin(u).count("1") % 2 == 0][:degree]
+    a[0, even] = a[even, 0] = 1
+    return Graph(a)
+
+
+# (n, degree of vertex 0, largest residual, accumulator dtype): int8 holds
+# the accumulator exactly when max degree + max |lambda| <= 127; at 1024
+# vertices max |lambda| = 11 comes only from the all-zero word, whose
+# residual is degree - 11, so 127 itself is reached at 512 vertices
+_DTYPE_BOUNDARY_CASES = [
+    pytest.param(10, 117, 117 + 10, np.int8, id="512-residual-127-int8"),
+    pytest.param(11, 116, 116 + 9, np.int8, id="1024-bound-127-int8"),
+    pytest.param(11, 119, 119 + 9, np.int16, id="1024-residual-128-int16"),
+]
+
+
+@pytest.mark.parametrize("n, degree, residual, dtype", _DTYPE_BOUNDARY_CASES)
+def test_residual_exact_at_the_int8_boundary(monkeypatch, n, degree, residual, dtype):
+    g = _rewired_to_even_words(n, degree)
+    lams = np.array([eigenvalue_of_bits(w, n) for w in GroupWord.all_words(n - 1)])
+    assert qsym.spectral._max_residuals(g.adjacency, lams).dtype == dtype
+    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: g)
+    rep = verify_spectrum(n)
+    assert rep.max_residual == residual
+    assert rep.to_json() == dense_spectrum_report(n, g)
+
+
+_WALSH_13_MIB = (1 << 12) ** 2 / 2**20  # the int8 Walsh table of FQ_13: 16 MiB
+
+
+def _traced_peak_mib(f, *args):
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_check_memory_at_n13():
+    """The residual holds the Walsh table plus row blocks and edge lists;
+    verify_spectrum adds the uint8 adjacency, the same size as the table."""
+    g = folded_cube(13)
+    lams = np.array([eigenvalue_of_bits(w, 13) for w in GroupWord.all_words(12)])
+    assert _traced_peak_mib(qsym.spectral._max_residuals, g.adjacency, lams) <= 1.5 * _WALSH_13_MIB
+    assert _traced_peak_mib(verify_spectrum, 13) <= 2.5 * _WALSH_13_MIB
+
+
+# ---------------------------------------------------------------------------
 # the XOR-translation block split behind the eigensolver cross-check
 # ---------------------------------------------------------------------------
 
@@ -275,10 +378,39 @@ def test_block_eigenvalues_equal_the_full_spectrum(make, count):
     a = make().adjacency
     blocks = qsym.spectral._decoupled_blocks(a)
     rows = a.shape[0] // count
-    assert blocks.dtype == np.int16 and blocks.shape == (count, rows, rows)
+    assert blocks.dtype == np.int8 and blocks.shape == (count, rows, rows)
     got = np.sort(np.linalg.eigvalsh(blocks.astype(float)), axis=None)
     want = np.linalg.eigvalsh(a.astype(float))
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _int16_blocks(adjacency):
+    """The split on an int16 copy of the adjacency: the oracle for the int8 stack."""
+    b = adjacency.astype(np.int16)[None]
+    while b.shape[1] > qsym.spectral._BLOCK_ROWS:
+        h = b.shape[1] // 2
+        b11, b12 = b[:, :h, :h], b[:, :h, h:]
+        if not (np.array_equal(b11, b[:, h:, h:]) and np.array_equal(b12, b[:, h:, :h])):
+            break
+        b = np.concatenate((b11 + b12, b11 - b12))
+    return b
+
+
+@pytest.mark.parametrize(
+    "make, largest",
+    [
+        pytest.param(lambda: folded_cube(13), 4, id="FQ_13"),
+        # entries double at each of the four levels: 16, the most within the bound
+        pytest.param(lambda: Graph(1 - np.eye(4096, dtype=np.uint8)), 16, id="K_4096"),
+    ],
+)
+def test_int8_split_equals_the_int16_split(make, largest):
+    a = make().adjacency
+    got = qsym.spectral._decoupled_blocks(a)
+    want = _int16_blocks(a)
+    assert got.dtype == np.int8 and got.shape == want.shape == (16, 256, 256)
+    assert np.array_equal(got, want)
+    assert int(np.abs(want).max()) == largest
 
 
 def test_spectrum_report_json_shape():
