@@ -226,7 +226,8 @@ def folded_cube(n: int) -> Graph:
     adjacency = np.zeros((size, size), dtype=np.uint8)
     for s in [1 << k for k in range(n - 1)] + [size - 1]:
         adjacency[ii, ii ^ s] = 1
-    return Graph(adjacency)
+    # the fresh array is handed over: validated, but not copied again
+    return Graph._from_owned(adjacency)
 
 
 def tau_generators(n: int) -> list[GroupWord]:

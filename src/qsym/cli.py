@@ -19,22 +19,22 @@ import json
 import os
 import sys
 import traceback
-from math import factorial, isnan
+from math import factorial
 from pathlib import Path
 
 from . import fixtures
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, check_tolerance
 from .errors import QsymError, UsageError
-from .graphs import Graph, _automorphism_images, automorphisms, find_disjoint_pair, is_automorphism
+from .graphs import Graph, _adjacency_defects, _automorphism_images, automorphisms, find_disjoint_pair
 from .so_twist import (
+    _point_action_images,
     abelian_points,
-    classical_point_action,
     lemma_P_check,
     lemma_SO_mismatches,
     lemma_sumzero_check,
     twisted_relation_check,
 )
-from .spectral import preserves_eigenspaces, verify_spectrum
+from .spectral import _eigenspace_defects, verify_spectrum
 from .star_algebra import build_witness, certify_witness, recovery_products, rep_free_product
 from .boolean_group import folded_cube
 
@@ -58,11 +58,7 @@ def _resolve_seed(args) -> int:
 
 
 def _resolve_tol(args, default: float) -> float:
-    if args.tol is None:
-        return default
-    if isnan(args.tol) or args.tol < 0:
-        raise UsageError(f"--tol must be a non-negative number, got {args.tol}")
-    return args.tol
+    return default if args.tol is None else check_tolerance(args.tol, "--tol")
 
 
 def _load_subject(args) -> Graph:
@@ -146,13 +142,15 @@ def _run_so_points(args) -> tuple[dict, bool]:
         raise UsageError("so-points needs --n")
     if n % 2 == 0:
         raise UsageError("so-points needs odd n (tau generators)")
+    tol = _resolve_tol(args, DEFAULT_TOLERANCES.projector)
     points = abelian_points(n)
-    actions = [classical_point_action(sp) for sp in points]
+    # every action checked in one gather each: adjacency and eigenprojections
+    actions = _point_action_images(points)
     cube = folded_cube(n)
-    distinct = {a.images for a in actions}
+    distinct = set(map(tuple, actions.tolist()))
     auto_set = set(map(tuple, _automorphism_images(cube).tolist()))
-    all_autos = all(is_automorphism(cube, a) for a in actions)
-    preserved = all(preserves_eigenspaces(n, a) for a in actions)
+    all_autos = bool((_adjacency_defects(cube, actions) == 0).all())
+    preserved = bool((_eigenspace_defects(n, actions) <= tol).all())
     report = {
         "n": n,
         "count": len(points),
@@ -219,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, *, graph=False, n=False, m=False, samples=False):
+    def add(name, fn, help_text, *, graph=False, n=False, m=False, samples=False, tol=False):
         p = sub.add_parser(name, help=help_text)
         if n:
             p.add_argument("--n", type=int, default=None, help="folded cube parameter")
@@ -230,17 +228,20 @@ def build_parser() -> argparse.ArgumentParser:
         if samples:
             p.add_argument("--samples", type=int, default=50, help="sample count for the twisted checks")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default: QSYM_SEED or 42)")
-        p.add_argument("--tol", type=float, default=None, help="override the pass/fail threshold")
+        if tol:
+            p.add_argument("--tol", type=float, default=None, help="override the pass/fail threshold")
         p.set_defaults(runner=fn)
         return p
 
-    add("spectra", _run_spectra, "closed-form vs numeric folded cube spectrum", n=True)
+    # autos and disjoint search exactly: they have no threshold, so no --tol
+    add("spectra", _run_spectra, "closed-form vs numeric folded cube spectrum", n=True, tol=True)
     add("autos", _run_autos, "enumerate the automorphism group", graph=True, n=True)
     add("disjoint", _run_disjoint, "find a non-trivial disjoint automorphism pair", graph=True, n=True)
-    add("witness", _run_witness, "build and certify a magic-unitary witness", graph=True, n=True)
-    add("so-points", _run_so_points, "abelian points and their folded-cube action", n=True)
-    add("so-check", _run_so_check, "vanishing-lemma checks, abelian and twisted", n=True, samples=True)
-    add("twist-check", _run_twist_check, "certify relations 7.1-7.5 in the twisted model", m=True, samples=True)
+    add("witness", _run_witness, "build and certify a magic-unitary witness", graph=True, n=True, tol=True)
+    add("so-points", _run_so_points, "abelian points and their folded-cube action", n=True, tol=True)
+    add("so-check", _run_so_check, "vanishing-lemma checks, abelian and twisted", n=True, samples=True, tol=True)
+    add("twist-check", _run_twist_check, "certify relations 7.1-7.5 in the twisted model", m=True, samples=True,
+        tol=True)
     return parser
 
 

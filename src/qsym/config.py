@@ -7,6 +7,10 @@ headroom over float64 round-off.
 """
 
 from dataclasses import dataclass
+from math import isnan
+from numbers import Real
+
+from .errors import UsageError
 
 
 @dataclass(frozen=True)
@@ -24,3 +28,15 @@ class Tolerances:
 
 
 DEFAULT_TOLERANCES = Tolerances()
+
+
+def check_tolerance(tol, name: str = "tol"):
+    """Return tol unchanged if it is a usable pass/fail threshold.
+
+    A NaN threshold would pass every ``defect <= tol`` test as False and a
+    negative one would fail exact results, so both are usage errors, as are
+    bools and non-numbers.
+    """
+    if isinstance(tol, bool) or not isinstance(tol, Real) or isnan(tol) or tol < 0:
+        raise UsageError(f"{name} must be a non-negative number, got {tol!r}")
+    return tol

@@ -10,6 +10,11 @@ unplaced vertex with the most placed neighbours, ties broken by label) and
 extends a frontier of partial maps, held as one numpy array, a depth at a
 time.  Both ``automorphisms`` and ``find_disjoint_pair`` read the one
 (|Aut|, n) image array it returns.
+
+Whether permutations preserve a table (the adjacency here, the
+eigenprojections in ``spectral``) is asked of a whole (P, n) image array at
+once by index gathers (``_permutation_defects``); no permutation matrix is
+built.
 """
 
 from __future__ import annotations
@@ -43,8 +48,13 @@ GRAPH_VERTEX_BOUND = 4096
 AUTOMORPHISM_VERTEX_BOUND = 32
 
 #: partial maps the automorphism search expands together; at the 32-vertex
-#: bound a block grows into at most 2^14 * 32 maps of at most 32 bytes (16 MB)
-_SEARCH_BLOCK = 1 << 14
+#: bound a block grows into at most 2^11 * 32 maps of at most 32 intp images
+#: (16 MB)
+_SEARCH_BLOCK = 1 << 11
+
+#: gathered table entries per block of ``_permutation_defects`` (8 MB of
+#: float64) unless one permutation's gather alone is larger
+_GATHER_BLOCK = 1 << 20
 
 #: block side for Graph's validation passes: at 4096 vertices whole-matrix
 #: temporaries and a strided a.T are several times slower than 256 x 256 tiles
@@ -66,17 +76,34 @@ def _is_symmetric(a: np.ndarray) -> bool:
     return True
 
 
+def _check_entries(a: np.ndarray) -> None:
+    """A square, non-empty matrix of zeros and ones, read in row stripes."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise GraphFormatError("adjacency matrix must be square and non-empty")
+    stripes = (a[r : r + _TILE] for r in range(0, a.shape[0], _TILE))
+    if not all(np.all((s == 0) | (s == 1)) for s in stripes):
+        raise GraphFormatError("adjacency entries must be 0 or 1")
+
+
 class Graph:
     """Undirected simple graph (no loops, no multiple edges)."""
 
     def __init__(self, adjacency):
         a = np.asarray(adjacency)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-            raise GraphFormatError("adjacency matrix must be square and non-empty")
-        stripes = (a[r : r + _TILE] for r in range(0, a.shape[0], _TILE))
-        if not all(np.all((s == 0) | (s == 1)) for s in stripes):
-            raise GraphFormatError("adjacency entries must be 0 or 1")
-        a = a.astype(np.uint8)
+        _check_entries(a)
+        # a fresh copy: the graph never aliases or freezes the caller's array
+        self._adopt(a.astype(np.uint8))
+
+    @classmethod
+    def _from_owned(cls, a: np.ndarray) -> "Graph":
+        """Graph on a fresh uint8 adjacency that the caller hands over and
+        no longer touches: validated like any input, frozen, not copied."""
+        _check_entries(a)
+        g = cls.__new__(cls)
+        g._adopt(a)
+        return g
+
+    def _adopt(self, a: np.ndarray) -> None:
         if not _is_symmetric(a):
             raise GraphFormatError("adjacency matrix must be symmetric")
         if np.any(np.diag(a) != 0):
@@ -115,7 +142,7 @@ class Graph:
                 raise GraphFormatError(f"duplicate edge {key}")
             seen.add(key)
             a[i, j] = a[j, i] = 1
-        return cls(a)
+        return cls._from_owned(a)
 
     @classmethod
     def from_json(cls, obj) -> "Graph":
@@ -252,14 +279,74 @@ class Permutation:
         return cls(tuple(obj))
 
 
+def _bijections(images: np.ndarray) -> np.ndarray:
+    """The (P, n) image array, after one sort-compare that every row is a
+    bijection on 0..n-1."""
+    if np.count_nonzero(np.sort(images, axis=1) != np.arange(images.shape[1])):
+        bad = next(row for row in images.tolist() if sorted(row) != list(range(len(row))))
+        raise UsageError(f"{tuple(bad)!r} is not a bijection on 0..{len(bad) - 1}")
+    return images
+
+
+def _without_checks(cls, **fields):
+    """An instance of the frozen dataclass cls with these fields, skipping
+    ``__post_init__``: for rows of an array already checked as a whole."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _permutation_rows(images: np.ndarray) -> list[Permutation]:
+    """The rows of a (P, n) image array as Permutations, with no check per
+    row: the array must be checked once by ``_bijections`` or consist of
+    bijections by construction."""
+    return [_without_checks(Permutation, images=tuple(row)) for row in images.tolist()]
+
+
+def _permutation_defects(images: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Per row p of the (P, N) image array, max |T[l, p(x), p(y)] - T[l, x, y]|
+    over every level l and pair (x, y) of the (L, N, N) table stack.
+
+    For the permutation matrix P (P e_x = e_{p(x)}) these are exactly the
+    entries of P T_l - T_l P, since (P T_l - T_l P)[p(x), y] = T_l[x, y] -
+    T_l[p(x), p(y)] and a permutation-matrix product only copies entries;
+    so a defect is 0 exactly when p commutes with every table, and float
+    defects are bit-identical to those of the dense products.  Tables of
+    0/1 entries must come in a signed dtype (the uint8 adjacency as int8).
+    A single permutation is gathered by two axis takes, T[:, p][:, :, p].
+    A stack of them reads the flattened tables at p(x) N + p(y), as many
+    permutations at a time as fit in ``_GATHER_BLOCK`` entries.
+    """
+    if len(images) == 1:
+        p = images[0]
+        gathered = tables.take(p, axis=1).take(p, axis=2)[:, None]
+    else:
+        step = max(1, _GATHER_BLOCK // tables.size)
+        if len(images) > step:
+            blocks = range(0, len(images), step)
+            return np.concatenate([_permutation_defects(images[s : s + step], tables) for s in blocks])
+        levels, size = len(tables), images.shape[1]
+        index = images[:, :, None] * size + images[:, None, :]
+        gathered = tables.reshape(levels, size * size).take(index, axis=1)
+    gathered -= tables[:, None]
+    return np.abs(gathered, out=gathered).max(axis=(0, 2, 3))
+
+
+def _adjacency_defects(g: Graph, images: np.ndarray) -> np.ndarray:
+    """Per row of a (P, n) image array, 0 iff it is an automorphism of g."""
+    return _permutation_defects(images, g.adjacency.view(np.int8)[None])
+
+
 def is_automorphism(g: Graph, p: Permutation) -> bool:
-    """True iff p preserves adjacency, i.e. P A = A P for its matrix P."""
+    """True iff p preserves adjacency, i.e. A[p(x), p(y)] = A[x, y] for all
+    x, y: one index gather of the adjacency (``_permutation_defects``),
+    equivalent to P A = A P for p's matrix P."""
     if p.size != g.n_vertices:
         raise DimensionError(
             f"permutation on {p.size} points vs graph on {g.n_vertices} vertices"
         )
-    idx = np.asarray(p.images)
-    return np.array_equal(g.adjacency[np.ix_(idx, idx)], g.adjacency)
+    return bool(_adjacency_defects(g, np.array([p.images]))[0] == 0)
 
 
 def _search_order(a: np.ndarray) -> list[int]:
@@ -280,8 +367,25 @@ def _search_order(a: np.ndarray) -> list[int]:
     return order
 
 
+def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, bit) for every set bit of a uint64 array, row-major within each
+    round: each round peels the lowest set bit, low = x & (~x + 1), off every
+    word still non-zero and reads its position as log2(low)."""
+    rows = np.flatnonzero(words)
+    words = words[rows]
+    parents, images = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    while rows.size:
+        low = words & (~words + np.uint64(1))
+        parents.append(rows)
+        images.append(np.log2(low).astype(np.intp))
+        words = words ^ low
+        live = words != 0
+        rows, words = rows[live], words[live]
+    return np.concatenate(parents), np.concatenate(images)
+
+
 def _automorphism_images(g: Graph) -> np.ndarray:
-    """The automorphism group as an (|Aut|, n) int8 array of image rows,
+    """The automorphism group as an (|Aut|, n) intp array of image rows,
     sorted by image tuple.
 
     A frontier holds partial maps as a (k, d) array: row i sends
@@ -290,21 +394,21 @@ def _automorphism_images(g: Graph) -> np.ndarray:
     one comparison of the words ``rows[maps]`` (k, d) with the pattern
     ``adjacency[v, order[:d]]``: an image must be adjacent to ``maps[i, j]``
     exactly where v is adjacent to ``order[j]``.  They are then masked by
-    degree and by the images already used.  Frontiers are expanded
-    depth-first in blocks of at most ``_SEARCH_BLOCK`` maps.
+    degree and by the images already used, and each allowed image extends
+    its map (``_set_bits``).  Frontiers are expanded depth-first in blocks
+    of at most ``_SEARCH_BLOCK`` maps.
     """
     n = g.n_vertices
     if n > AUTOMORPHISM_VERTEX_BOUND:
         raise CapacityError(f"graph has {n} > {AUTOMORPHISM_VERTEX_BOUND} vertices")
     a = g.adjacency
-    shifts = np.arange(n, dtype=np.uint64)
-    bits = np.uint64(1) << shifts
+    bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
     rows = a.astype(np.uint64) @ bits
     degree = a.sum(axis=1)
     same_degree = (degree[:, None] == degree).astype(np.uint64) @ bits
     order = _search_order(a)
     full = []
-    stack = [np.zeros((1, 0), dtype=np.int8)]
+    stack = [np.zeros((1, 0), dtype=np.intp)]
     while stack:
         maps = stack.pop()
         depth = maps.shape[1]
@@ -312,11 +416,12 @@ def _automorphism_images(g: Graph) -> np.ndarray:
             full.append(maps)
             continue
         v = order[depth]
-        words = np.where(a[v, order[:depth]] == 1, rows[maps], ~rows[maps])
+        neighbours = rows[maps]
+        words = np.where(a[v, order[:depth]] == 1, neighbours, ~neighbours)
         allowed = np.bitwise_and.reduce(words, axis=1) & same_degree[v]
         allowed &= ~np.bitwise_or.reduce(bits[maps], axis=1)
-        parent, image = np.nonzero((allowed[:, None] >> shifts) & np.uint64(1))
-        grown = np.concatenate([maps[parent], image[:, None].astype(np.int8)], axis=1)
+        parent, image = _set_bits(allowed)
+        grown = np.concatenate([maps[parent], image[:, None]], axis=1)
         blocks = np.split(grown, range(_SEARCH_BLOCK, len(grown), _SEARCH_BLOCK))
         stack.extend(reversed(blocks))
     maps = np.concatenate(full)
@@ -334,7 +439,7 @@ def automorphisms(g: Graph) -> list[Permutation]:
     ``_automorphism_images``.  More than ``AUTOMORPHISM_VERTEX_BOUND``
     vertices is a ``CapacityError``.
     """
-    return [Permutation(row) for row in _automorphism_images(g).tolist()]
+    return _permutation_rows(_bijections(_automorphism_images(g)))
 
 
 def are_disjoint(p: Permutation, q: Permutation) -> bool:

@@ -46,7 +46,8 @@ because d = 1) extends to an algebra map of the group algebra.  That map
 is affine on exponent vectors, t_k -> s_k s_n tau_{perm(k)} tau_{perm(n)},
 so its point-basis matrix is the vertex permutation inverse to
 y -> c + Phi^T y, read off by XOR arithmetic on the vertex indices
-(``classical_point_action``).
+(``classical_point_action``; ``_point_action_images`` does a whole list of
+points as one (points, 2^(n-1)) image array).
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ from typing import Iterable
 import numpy as np
 
 from .boolean_group import tau_generators
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, check_tolerance
 from .errors import CapacityError, DimensionError, UsageError
-from .graphs import Permutation
+from .graphs import Permutation, _bijections, _permutation_rows, _without_checks
 
 __all__ = [
     "SignedPermMatrix",
@@ -256,11 +257,16 @@ def _signed_perm_stack(n: int) -> _SignedPermStack:
 
 
 def _stack_points(stack: _SignedPermStack, keep: np.ndarray) -> list[SignedPermMatrix]:
-    """The selected matrices of the stack as SignedPermMatrix objects, in order."""
-    perms = [Permutation(p) for p in stack.perms.tolist()]
-    signs = stack.signs.tolist()
+    """The selected matrices of the stack as SignedPermMatrix objects, in
+    order.  The permutations are checked once per array; the sign vectors
+    are +-1 by construction.  Neither is checked again per matrix."""
+    perms = _permutation_rows(_bijections(stack.perms))
+    signs = [tuple(s) for s in stack.signs.tolist()]
     width = len(signs)
-    return [SignedPermMatrix(perms[i // width], signs[i % width]) for i in np.flatnonzero(keep).tolist()]
+    return [
+        _without_checks(SignedPermMatrix, perm=perms[i // width], signs=signs[i % width])
+        for i in np.flatnonzero(keep).tolist()
+    ]
 
 
 def all_signed_perm_matrices(n: int) -> list[SignedPermMatrix]:
@@ -552,6 +558,7 @@ def twisted_relation_check(
     """
     if m not in (1, 2):
         raise UsageError(f"twisted relation check supports m in {{1, 2}}, got {m}")
+    check_tolerance(tol)
     n = 2 * m + 1
     bc = bicharacter(m)
     rng = np.random.default_rng(seed)
@@ -632,6 +639,7 @@ def lemma_sumzero_check(
     vanishes for every k != n, plus the k = n control (the quantum
     determinant itself: d per matrix in the abelian model, 1 on special
     orthogonal samples in the twisted model)."""
+    check_tolerance(tol)
     if model == "abelian":
         if n > SO_BRUTEFORCE_BOUND:
             raise CapacityError(f"n={n} exceeds the abelian bound {SO_BRUTEFORCE_BOUND}")
@@ -693,6 +701,7 @@ def lemma_P_check(
         raise CapacityError(f"n={n} exceeds the bound {SO_BRUTEFORCE_BOUND}")
     if not 1 <= l <= n:
         raise UsageError(f"l must lie in 1..{n}, got {l}")
+    check_tolerance(tol)
     if model == "abelian":
         matrices = _signed_perm_stack(n).matrices
         values = _sample_major(matrices)
@@ -730,6 +739,46 @@ def lemma_P_check(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _word_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables for the folded n-cube's 2^(n-1) words y: their
+    (n, N) bits, row k holding bit k of every word (row n-1, y_n, is
+    zero), and the weights 2^k, k < n-1, that pack bits back into words."""
+    width = n - 1
+    bits = (np.arange(1 << width) >> np.arange(n)[:, None]) & 1
+    weights = 1 << np.arange(width)
+    for arr in (bits, weights):
+        arr.setflags(write=False)
+    return bits, weights
+
+
+def _point_action_images(points: list[SignedPermMatrix]) -> np.ndarray:
+    """The vertex permutations of ``classical_point_action`` for a list of
+    abelian points of one size n, as a (points, 2^(n-1)) image array.
+
+    Row i is the inverse of y -> c + Phi^T y for point i, where bit k of
+    Phi^T y is y_{pi(k)} + y_{pi(n)} and bit k of c is set when s_k s_n =
+    -1: read for every point and word at once from the cached bit table.
+    The maps y -> c + Phi^T y are checked once, as one array, to be
+    bijections; their inverses are then their argsorts.
+    """
+    n = points[0].n
+    if n % 2 == 0 or n < 3:
+        raise UsageError("classical point action needs odd n >= 3")
+    if any(p.quantum_determinant != 1 for p in points):
+        raise UsageError(
+            "quantum determinant is -1: the sign pattern does not respect "
+            "tau_n = tau_1...tau_{n-1}, so no vertex action exists"
+        )
+    bits, weights = _word_bits(n)
+    # exponent y_{pi(k)} of every word y, k = 1..n: (points, n, words)
+    moved = bits.take([p.perm.images for p in points], axis=0)
+    shifts = [sum(1 << k for k, s in enumerate(p.signs[:-1]) if s != p.signs[-1]) for p in points]
+    sources = weights @ (moved[:, :-1] ^ moved[:, -1:])
+    sources ^= np.array(shifts)[:, None]
+    return np.argsort(_bijections(sources), axis=1)
+
+
 def classical_point_action(point: SignedPermMatrix) -> Permutation:
     """Vertex permutation of FQ_n induced by an abelian point.
 
@@ -745,26 +794,10 @@ def classical_point_action(point: SignedPermMatrix) -> Permutation:
     set when s_k s_n = -1.  The Fourier pair turns this into the point
     permutation sending e_x to e_y where x = c + Phi^T y, the inverse of
     y -> c + Phi^T y.  As tau_a tau_b = t_a t_b once t_n is read as the
-    identity, bit k of Phi^T y is y_{pi(k)} + y_{pi(n)} with y_n = 0.
-    That the result is a graph automorphism preserving every eigenspace is
-    the caller's to check (``is_automorphism``, ``preserves_eigenspaces``);
-    ``qsym so-points`` reports both.
+    identity, bit k of Phi^T y is y_{pi(k)} + y_{pi(n)} with y_n = 0
+    (``_point_action_images``).  That the result is a graph automorphism
+    preserving every eigenspace is the caller's to check
+    (``is_automorphism``, ``preserves_eigenspaces``); ``qsym so-points``
+    reports both.
     """
-    n = point.n
-    if n % 2 == 0 or n < 3:
-        raise UsageError("classical point action needs odd n >= 3")
-    if point.quantum_determinant != 1:
-        raise UsageError(
-            "quantum determinant is -1: the sign pattern does not respect "
-            "tau_n = tau_1...tau_{n-1}, so no vertex action exists"
-        )
-    width = n - 1
-    words = np.arange(1 << width)
-    # exponent y_{pi(k)} of every word y, k = 1..n; y_n is 0
-    moved = (words[:, None] >> np.array(point.perm.images)) & 1
-    signs = np.array(point.signs)
-    flips = signs[:-1] != signs[-1]
-    sources = ((moved[:, :-1] ^ moved[:, -1:] ^ flips) << np.arange(width)).sum(axis=1)
-    images = np.empty_like(words)
-    images[sources] = words
-    return Permutation(tuple(images.tolist()))
+    return _permutation_rows(_point_action_images([point]))[0]

@@ -23,8 +23,10 @@ itself, so the block eigenvalues are those of A for every input graph.
 
 Since each projection onto an eigenspace is a polynomial in the adjacency
 matrix, a vertex permutation is an automorphism exactly when its matrix
-commutes with every eigenprojection; ``preserves_eigenspaces`` checks that
-commutation directly.
+commutes with every eigenprojection.  ``preserves_eigenspaces`` asks this
+without building the matrix: E_k[p(x), p(y)] = E_k[x, y] for every level k
+and pair (x, y), one index gather of the cached (levels, N, N) projection
+stack, whose defects are exactly the entries of P E_k - E_k P.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ from functools import lru_cache
 import numpy as np
 
 from .boolean_group import FOLDED_CUBE_VERTEX_BOUND, GroupWord, folded_cube, walsh_matrix
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, check_tolerance
 from .errors import CapacityError, DimensionError, UsageError
-from .graphs import Permutation
+from .graphs import Permutation, _permutation_defects
 
 __all__ = [
     "EigenLevel",
@@ -218,6 +220,7 @@ def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> Spectru
     """
     if not isinstance(n, int) or n < 3:
         raise UsageError(f"verify_spectrum needs an integer n >= 3 (the closed form assumes it), got {n!r}")
+    check_tolerance(tol)
     g = folded_cube(n)
     width = n - 1
     lams = np.array([eigenvalue_of_bits(w, n) for w in GroupWord.all_words(width)])
@@ -247,21 +250,30 @@ def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> Spectru
 
 
 @lru_cache(maxsize=None)
-def eigenprojections(n: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """Orthogonal projections onto the folded n-cube eigenspaces, by level.
+def _projection_stack(n: int) -> np.ndarray:
+    """The folded n-cube eigenprojections as one read-only (levels, N, N)
+    stack, in level order.
 
     P_k = V V^T / 2^{n-1} with V the Walsh columns of the level-k words;
     the columns are orthogonal with squared norm 2^{n-1}.
     """
     data = eigen_data(n)
     h = walsh_matrix(n - 1)
-    out = []
-    for lvl in data.levels:
+    size = 1 << (n - 1)
+    stack = np.empty((len(data.levels), size, size))
+    for proj, lvl in zip(stack, data.levels):
         cols = h[:, [w.bits for w in lvl.basis]].astype(float)
-        p = cols @ cols.T / (1 << (n - 1))
-        p.setflags(write=False)
-        out.append((lvl.k, p))
-    return tuple(out)
+        np.divide(cols @ cols.T, size, out=proj)
+    stack.setflags(write=False)
+    return stack
+
+
+@lru_cache(maxsize=None)
+def eigenprojections(n: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """Orthogonal projections onto the folded n-cube eigenspaces, by level:
+    read-only views into one cached stack."""
+    levels = eigen_data(n).levels
+    return tuple((lvl.k, proj) for lvl, proj in zip(levels, _projection_stack(n)))
 
 
 def eigenprojection(n: int, k: int) -> np.ndarray:
@@ -272,19 +284,25 @@ def eigenprojection(n: int, k: int) -> np.ndarray:
     raise UsageError(f"k={k} is not a level of the folded {n}-cube")
 
 
+def _eigenspace_defects(n: int, images: np.ndarray) -> np.ndarray:
+    """Per row p of a (P, 2^{n-1}) image array, max_k |P E_k - E_k P| over
+    the eigenprojections E_k of FQ_n, by index gathers."""
+    return _permutation_defects(images, _projection_stack(n))
+
+
 def preserves_eigenspaces(
     n: int, p: Permutation, tol: float = DEFAULT_TOLERANCES.projector
 ) -> bool:
-    """True iff p's matrix commutes with every eigenprojection of FQ_n.
+    """True iff p's matrix commutes with every eigenprojection of FQ_n
+    within tol.
 
-    The eigenprojections generate the same commutant as the adjacency
-    matrix, so for permutation matrices this is equivalent to being a graph
-    automorphism; non-automorphisms simply return False.
+    The check is E_k[p(x), p(y)] = E_k[x, y] for every level k, read by
+    index gathers from the cached projection stack; no permutation matrix
+    is built.  The eigenprojections generate the same commutant as the
+    adjacency matrix, so for permutations this is equivalent to being a
+    graph automorphism; non-automorphisms simply return False.
     """
+    check_tolerance(tol)
     if p.size != 1 << (n - 1):
         raise DimensionError(f"permutation on {p.size} points vs 2^{n - 1} vertices")
-    m = p.matrix().astype(float)
-    for _, proj in eigenprojections(n):
-        if np.max(np.abs(m @ proj - proj @ m)) > tol:
-            return False
-    return True
+    return bool(_eigenspace_defects(n, np.array([p.images]))[0] <= tol)

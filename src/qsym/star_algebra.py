@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES
+from .config import DEFAULT_TOLERANCES, check_tolerance
 from .errors import DimensionError, UsageError
 from .graphs import Graph, Permutation, are_disjoint, is_automorphism
 
@@ -61,6 +61,7 @@ def adjoint(x: np.ndarray) -> np.ndarray:
 
 def is_projection(x: np.ndarray, tol: float = DEFAULT_TOLERANCES.projector) -> bool:
     """True iff x is self-adjoint and idempotent within tol (operator norm)."""
+    check_tolerance(tol)
     return op_norm(x - adjoint(x)) <= tol and op_norm(x - x @ x) <= tol
 
 
@@ -253,12 +254,14 @@ class WitnessReport:
 
 
 def _distinct_entries(u: MagicUnitary) -> list[np.ndarray]:
-    """The entries of u up to equality after rounding to 9 decimals."""
+    """The entries of u up to equality after rounding to 9 decimals, each
+    first occurrence in row-major order.  All entries are rounded in one
+    pass; the keys are the bytes of each rounded entry."""
+    rounded = np.round(u.entries, 9)
     out: dict[bytes, np.ndarray] = {}
     for i in range(u.r):
         for j in range(u.r):
-            key = np.round(u.entries[i, j], 9).tobytes()
-            out.setdefault(key, u.entries[i, j])
+            out.setdefault(rounded[i, j].tobytes(), u.entries[i, j])
     return list(out.values())
 
 
@@ -277,6 +280,7 @@ def certify_witness(
     ``DEFAULT_TOLERANCES.certificate_floor`` is the positive
     quantum-symmetry signal, c = 0 the commutative case).
     """
+    check_tolerance(tol)
     if u.r != g.n_vertices:
         raise DimensionError(f"witness on {u.r} vertices vs graph on {g.n_vertices}")
     e = u.entries
@@ -371,6 +375,7 @@ def recovery_products(
 
     and likewise for tau and the q_l.
     """
+    check_tolerance(tol)
     sigma_reps, sigma_res = _recovery_side(u, sigma, p)
     tau_reps, tau_res = _recovery_side(u, tau, q)
     passed = max(sigma_res + tau_res) <= tol

@@ -1,19 +1,48 @@
-"""Reference automorphism search for the tests of ``qsym.graphs``.
+"""Reference forms for the tests of ``qsym.graphs`` and of eigenspace
+preservation in ``qsym.spectral``.
 
-This is the static-order backtracking search that ``qsym.graphs`` used
-before its search was vectorized, kept unchanged.  It orders vertices by
-(degree, neighbour degree multiset), tracks images with Python bit masks
+The search is the static-order backtracking search that ``qsym.graphs``
+used before its search was vectorized, kept unchanged.  It orders vertices
+by (degree, neighbour degree multiset), tracks images with Python bit masks
 and builds one ``Permutation`` per automorphism.  ``automorphisms`` and
 ``find_disjoint_pair`` in the library must return exactly what these
 return.
+
+The commutation checks are the dense permutation-matrix products that the
+library used before it read them by index gathers: P A == A P for the
+adjacency, and max |P E_k - E_k P| for each eigenprojection E_k.  The
+library's defects and booleans must be bit-equal to these.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from qsym import CapacityError, Graph, Permutation
 from qsym.graphs import AUTOMORPHISM_VERTEX_BOUND
+from qsym.spectral import eigenprojections
+
+
+def adjacency_defect(g: Graph, p: Permutation) -> int:
+    """max |P A - A P|, for p's permutation matrix P (P e_i = e_{p(i)})."""
+    m = p.matrix().astype(np.int64)
+    a = g.adjacency.astype(np.int64)
+    return int(np.max(np.abs(m @ a - a @ m)))
+
+
+def commutes_with_adjacency(g: Graph, p: Permutation) -> bool:
+    """P A == A P, for p's permutation matrix P."""
+    m = p.matrix().astype(np.int64)
+    a = g.adjacency.astype(np.int64)
+    return bool(np.array_equal(m @ a, a @ m))
+
+
+def eigenspace_defects(n: int, p: Permutation) -> list[float]:
+    """max |P E_k - E_k P| for each eigenprojection E_k of FQ_n, in level order."""
+    m = p.matrix().astype(float)
+    return [float(np.max(np.abs(m @ proj - proj @ m))) for _, proj in eigenprojections(n)]
 
 
 def automorphisms(g: Graph) -> list[Permutation]:

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+import qsym.cli
 from qsym.cli import main
 from qsym.fixtures import fixture_path
 
@@ -140,6 +142,11 @@ def test_exit_2_on_usage_errors(capsys, argv):
         ("spectra", "--n", "2"),  # below the closed form's range
         ("spectra", "--n", "5", "--tol", "nan"),
         ("spectra", "--n", "5", "--tol", "-1"),
+        ("so-points", "--n", "5", "--tol", "nan"),
+        ("so-points", "--n", "3", "--tol", "-1"),
+        ("witness", "--graph", "k4", "--tol", "nan"),
+        ("so-check", "--n", "3", "--tol", "-1"),
+        ("twist-check", "--m", "1", "--tol", "nan"),
         ("witness", "--n", "3", "--seed", "-1"),
         ("twist-check", "--m", "1", "--seed", "-1"),
         ("so-check", "--n", "3", "--seed", "-1"),
@@ -149,6 +156,33 @@ def test_exit_2_on_bad_values(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert "error:" in err and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("autos", "--graph", "k4", "--tol", "-1"),
+        ("autos", "--n", "3", "--tol", "1e-9"),
+        ("disjoint", "--graph", "k4", "--tol", "nan"),
+    ],
+)
+def test_exit_2_on_tol_for_commands_without_a_threshold(capsys, argv):
+    """autos and disjoint search exactly: --tol is not one of their flags."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in captured.err and captured.out == ""
+
+
+def test_so_points_reads_its_tolerance(capsys, monkeypatch):
+    """The eigenspace check compares the gathered defects with --tol."""
+    monkeypatch.setattr(qsym.cli, "_eigenspace_defects", lambda n, images: np.full(len(images), 1e-12))
+    code, report, _ = run_json(capsys, "so-points", "--n", "3")
+    assert code == 0 and report["eigenspaces_preserved"] is True
+    code, report, _ = run_json(capsys, "so-points", "--n", "3", "--tol", "1e-13")
+    assert code == 1 and report["eigenspaces_preserved"] is False
+    assert report["actions_are_automorphisms"] is True
 
 
 @pytest.mark.parametrize(

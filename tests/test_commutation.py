@@ -1,0 +1,168 @@
+"""The index-gather commutation kernel against the dense permutation-matrix
+products of ``graph_oracle``: defects bit-equal, booleans equal."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import graph_oracle as oracle
+from qsym import (
+    Graph,
+    Permutation,
+    UsageError,
+    abelian_points,
+    classical_point_action,
+    folded_cube,
+    is_automorphism,
+    preserves_eigenspaces,
+)
+from qsym import graphs, so_twist, spectral
+from qsym.config import DEFAULT_TOLERANCES
+
+
+def _images(perms) -> np.ndarray:
+    return np.array([p.images for p in perms])
+
+
+def _level_defects(n: int, images: np.ndarray) -> np.ndarray:
+    """(levels, P) kernel defects, one eigenprojection at a time."""
+    stack = spectral._projection_stack(n)
+    return np.array([graphs._permutation_defects(images, stack[k : k + 1]) for k in range(len(stack))])
+
+
+def _assert_matches_oracle(n: int, perms) -> None:
+    g = folded_cube(n)
+    images = _images(perms)
+    adjacency = graphs._adjacency_defects(g, images)
+    eigen = spectral._eigenspace_defects(n, images)
+    levels = _level_defects(n, images)
+    for i, p in enumerate(perms):
+        dense = oracle.eigenspace_defects(n, p)
+        assert adjacency[i] == oracle.adjacency_defect(g, p)
+        assert levels[:, i].tolist() == dense
+        assert eigen[i] == max(dense)
+        assert is_automorphism(g, p) == oracle.commutes_with_adjacency(g, p)
+        assert preserves_eigenspaces(n, p) == (max(dense) <= DEFAULT_TOLERANCES.projector)
+
+
+# ---------------------------------------------------------------------------
+# whole groups: every defect is exactly 0, as in the dense products
+# ---------------------------------------------------------------------------
+
+
+def test_all_1920_fq5_point_actions_match_the_dense_oracle():
+    points = abelian_points(5)
+    images = so_twist._point_action_images(points)
+    actions = [classical_point_action(sp) for sp in points]
+    assert [p.images for p in actions] == list(map(tuple, images.tolist()))
+    _assert_matches_oracle(5, actions)
+    assert not graphs._adjacency_defects(folded_cube(5), images).any()
+    assert not spectral._eigenspace_defects(5, images).any()
+
+
+def test_all_1920_clebsch_automorphisms_match_the_dense_oracle(clebsch, clebsch_autos):
+    # the bundled Clebsch labeling is FQ_5's
+    assert clebsch == folded_cube(5)
+    assert len(clebsch_autos) == 1920
+    _assert_matches_oracle(5, clebsch_autos)
+
+
+# ---------------------------------------------------------------------------
+# random permutations: mostly non-automorphisms, with non-zero defects
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([3, 5, 7]).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(1 << (n - 1))), min_size=1, max_size=4))))
+def test_random_permutations_match_the_dense_oracle(case):
+    n, rows = case
+    _assert_matches_oracle(n, [Permutation(tuple(r)) for r in rows])
+
+
+def test_random_permutations_on_fq7_are_mostly_rejected():
+    rng = np.random.default_rng(7)
+    perms = [Permutation(tuple(rng.permutation(64).tolist())) for _ in range(20)]
+    _assert_matches_oracle(7, perms)
+    assert not any(preserves_eigenspaces(7, p) for p in perms)
+    assert not any(is_automorphism(folded_cube(7), p) for p in perms)
+
+
+@st.composite
+def graphs_and_permutations(draw):
+    n = draw(st.integers(1, 12))
+    pairs = [[i, j] for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    perms = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=4))
+    return g, [Permutation(tuple(p)) for p in perms]
+
+
+@settings(max_examples=200)
+@given(graphs_and_permutations())
+def test_adjacency_defects_match_the_dense_oracle_on_random_graphs(case):
+    g, perms = case
+    defects = graphs._adjacency_defects(g, _images(perms))
+    assert defects.tolist() == [oracle.adjacency_defect(g, p) for p in perms]
+    assert [is_automorphism(g, p) for p in perms] == [oracle.commutes_with_adjacency(g, p) for p in perms]
+
+
+# ---------------------------------------------------------------------------
+# blocks, and the stacks the kernel reads
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("block", [1, 256 * 3 * 5, 1 << 20])
+def test_gather_blocks_give_the_same_defects(monkeypatch, block):
+    """One permutation per gather, five per gather, and all at once."""
+    rng = np.random.default_rng(3)
+    images = np.array([rng.permutation(16) for _ in range(12)] + [np.arange(16)])
+    want = [max(oracle.eigenspace_defects(5, Permutation(tuple(r)))) for r in images.tolist()]
+    monkeypatch.setattr(graphs, "_GATHER_BLOCK", block)
+    assert spectral._eigenspace_defects(5, images).tolist() == want
+
+
+def test_projection_stack_is_read_only_and_shared_with_eigenprojections():
+    stack = spectral._projection_stack(5)
+    assert stack.shape == (3, 16, 16) and not stack.flags.writeable
+    assert stack.nbytes < 100_000
+    for (k, proj), level in zip(spectral.eigenprojections(5), stack):
+        assert np.shares_memory(proj, stack) and np.array_equal(proj, level)
+        assert not proj.flags.writeable
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_eigenspace_defects_read_every_level(monkeypatch, n):
+    """The projections sum to I and E_0 commutes with every permutation, so
+    one level dropped changes no boolean; the stack passed must be whole."""
+    seen = []
+    real = spectral._permutation_defects
+    monkeypatch.setattr(spectral, "_permutation_defects", lambda images, tables: seen.append(tables) or real(images, tables))
+    spectral._eigenspace_defects(n, np.arange(1 << (n - 1))[None])
+    (tables,) = seen
+    levels = spectral.eigenprojections(n)
+    assert len(tables) == len(levels) == (n + 1) // 2
+    assert all(np.array_equal(t, proj) for t, (_, proj) in zip(tables, levels))
+    assert np.allclose(tables.sum(axis=0), np.eye(1 << (n - 1)), atol=1e-12)
+
+
+def test_one_non_bijective_row_fails_the_whole_stack():
+    images = np.array([[0, 1, 2], [2, 0, 1], [0, 0, 2], [1, 2, 0]])
+    with pytest.raises(UsageError, match=r"\(0, 0, 2\) is not a bijection"):
+        graphs._bijections(images)
+    good = images[[0, 1, 3]]
+    assert graphs._bijections(good) is good
+
+
+def test_point_actions_of_a_stack_are_checked_as_bijections(monkeypatch):
+    """A map y -> c + Phi^T y that is not one-to-one is refused, not inverted."""
+    points = abelian_points(3)[:2]
+    real = so_twist._word_bits(3)
+    bits = real[0].copy()
+    bits[1] = 0  # bit 1 of every word reads as zero: two words collide
+    monkeypatch.setattr(so_twist, "_word_bits", lambda n: (bits, real[1]))
+    with pytest.raises(UsageError, match="not a bijection"):
+        so_twist._point_action_images(points)
+    with pytest.raises(UsageError, match="not a bijection"):
+        classical_point_action(points[1])

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations
 from math import factorial, prod
 
@@ -138,6 +139,35 @@ def test_permutation_validation():
         Permutation((0, 0, 1))
     with pytest.raises(UsageError):
         Permutation.from_cycles(4, [(0, 1), (1, 2)])  # reuses 1
+
+
+def test_rows_of_a_checked_stack_equal_validated_permutations():
+    rows = graphs._permutation_rows(graphs._bijections(np.array([[1, 0, 2], [2, 0, 1]], dtype=np.int8)))
+    assert rows == [Permutation((1, 0, 2)), Permutation((2, 0, 1))]
+    assert all(type(i) is int for p in rows for i in p.images)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])
+def test_graph_copies_and_never_freezes_the_callers_array(dtype):
+    a = np.zeros((3, 3), dtype=dtype)
+    a[0, 1] = a[1, 0] = 1
+    g = Graph(a)
+    assert a.flags.writeable and not g.adjacency.flags.writeable
+    assert not np.shares_memory(a, g.adjacency)
+    a[0, 2] = 1
+    assert g.adjacency[0, 2] == 0
+
+
+def test_folded_cube_hands_its_adjacency_over_without_a_copy():
+    """The 16 MiB FQ_13 adjacency, plus validation stripes, and no copy."""
+    tracemalloc.start()
+    try:
+        g = folded_cube(13)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert g.adjacency.nbytes == 16 * 2**20
+    assert peak <= 1.25 * 16
 
 
 def test_permutation_order_is_lcm():
@@ -399,6 +429,25 @@ def test_small_blocks_give_the_same_group(monkeypatch, clebsch, clebsch_autos):
     assert automorphisms(clebsch) == clebsch_autos
     g = Graph.from_edges(11, DISCONNECTED_EDGES)
     assert automorphisms(g) == oracle.automorphisms(g)
+
+
+def _set_bits_oracle(words):
+    return sorted((i, b) for i, w in enumerate(words.tolist()) for b in range(64) if w >> b & 1)
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=20))
+def test_set_bits_finds_every_bit(words):
+    words = np.array(words, dtype=np.uint64)
+    rows, bits = graphs._set_bits(words)
+    assert sorted(zip(rows.tolist(), bits.tolist())) == _set_bits_oracle(words)
+    assert rows.dtype == bits.dtype == np.intp
+
+
+def test_set_bits_on_full_and_empty_words():
+    words = np.array([0, 2**64 - 1, 2**63, 1, 0], dtype=np.uint64)
+    rows, bits = graphs._set_bits(words)
+    assert sorted(zip(rows.tolist(), bits.tolist())) == _set_bits_oracle(words)
+    assert len(rows) == 64 + 2
 
 
 def test_search_bound_is_32_vertices():

@@ -19,6 +19,7 @@ from qsym import (
     spectral_projections,
 )
 from qsym.fixtures import PENTAGONAL_SIGMA, PENTAGONAL_TAU
+from qsym.star_algebra import _distinct_entries
 
 #: regression: max ||[p_k, q_l]|| for the n=m=2, seed-42 model
 SEED42_COMMUTATOR = 0.49988694811776474
@@ -232,6 +233,44 @@ def test_classical_witness_passes_with_zero_certificate(k4):
     rep = certify_witness(k4, u)
     assert rep.passed
     assert rep.noncomm_certificate == 0.0
+
+
+def _distinct_entries_per_entry(u: MagicUnitary) -> list[np.ndarray]:
+    """The entry-by-entry form: each entry rounded to 9 decimals on its own."""
+    out = {}
+    for i in range(u.r):
+        for j in range(u.r):
+            out.setdefault(np.round(u.entries[i, j], 9).tobytes(), u.entries[i, j])
+    return list(out.values())
+
+
+def _same_entries(got, want) -> bool:
+    return len(got) == len(want) and all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_distinct_entries_equal_the_per_entry_loop_with_negative_zeros(k4):
+    sigma = Permutation.from_cycles(4, [(0, 1)])
+    tau = Permutation.from_cycles(4, [(2, 3)])
+    p, q = rep_free_product(2, 2, seed=42)
+    u = build_witness(k4, sigma, tau, p, q)
+    entries = u.entries.copy()
+    entries[0, 2] = -0.0  # -0.0 + 0j
+    entries[1, 3] = complex(-0.0, -0.0)
+    entries[2, 0] = -1e-12  # rounds to -0.0
+    entries[3, 1, 0, 0] = complex(0.0, -1e-12)
+    planted = MagicUnitary(entries)
+    want = _distinct_entries_per_entry(planted)
+    got = _distinct_entries(planted)
+    assert _same_entries(got, want)
+    # -0.0 and +0.0 entries stay apart, as in the per-entry keys
+    assert len(got) > len(_distinct_entries(u))
+
+
+def test_distinct_entries_of_a_classical_witness(k4):
+    u = classical_witness(k4, Permutation.from_cycles(4, [(0, 1, 2, 3)]), dim=2)
+    assert _same_entries(_distinct_entries(u), _distinct_entries_per_entry(u))
+    assert len(_distinct_entries(u)) == 2  # the identity and the zero block
+    assert certify_witness(k4, u).noncomm_certificate == 0.0
 
 
 def test_non_disjoint_pair_fails_projection_test(k4):
