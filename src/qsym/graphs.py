@@ -314,23 +314,26 @@ def _permutation_defects(images: np.ndarray, tables: np.ndarray) -> np.ndarray:
     so a defect is 0 exactly when p commutes with every table, and float
     defects are bit-identical to those of the dense products.  Tables of
     0/1 entries must come in a signed dtype (the uint8 adjacency as int8).
-    A single permutation is gathered by two axis takes, T[:, p][:, :, p].
-    A stack of them reads the flattened tables at p(x) N + p(y), as many
-    permutations at a time as fit in ``_GATHER_BLOCK`` entries.
+    Permutations are gathered in blocks of as many as fit in
+    ``_GATHER_BLOCK`` entries.  A block of several reads the flattened
+    tables at p(x) N + p(y), an index no larger than the block; a block of
+    one takes T[:, p][:, :, p] by two axis takes, which needs no N x N
+    index.  Both beat one broadcast fancy index T[:, p[:, None], p[None, :]]:
+    the axis takes by 1.5-2.5x for one permutation on FQ_5 and FQ_7, the
+    flat read by 1.9-3x on the 1920 FQ_5 point actions.
     """
-    if len(images) == 1:
-        p = images[0]
-        gathered = tables.take(p, axis=1).take(p, axis=2)[:, None]
-    else:
-        step = max(1, _GATHER_BLOCK // tables.size)
-        if len(images) > step:
-            blocks = range(0, len(images), step)
-            return np.concatenate([_permutation_defects(images[s : s + step], tables) for s in blocks])
-        levels, size = len(tables), images.shape[1]
-        index = images[:, :, None] * size + images[:, None, :]
-        gathered = tables.reshape(levels, size * size).take(index, axis=1)
-    gathered -= tables[:, None]
-    return np.abs(gathered, out=gathered).max(axis=(0, 2, 3))
+    step = max(1, _GATHER_BLOCK // tables.size)
+    levels, size = len(tables), images.shape[1]
+    defects = []
+    for block in (images[s : s + step] for s in range(0, len(images), step)):
+        if len(block) == 1:
+            gathered = tables.take(block[0], axis=1).take(block[0], axis=2)[:, None]
+        else:
+            index = block[:, :, None] * size + block[:, None, :]
+            gathered = tables.reshape(levels, size * size).take(index, axis=1)
+        gathered -= tables[:, None]
+        defects.append(np.abs(gathered, out=gathered).max(axis=(0, 2, 3)))
+    return np.concatenate(defects)
 
 
 def _adjacency_defects(g: Graph, images: np.ndarray) -> np.ndarray:

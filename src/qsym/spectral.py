@@ -268,7 +268,6 @@ def _projection_stack(n: int) -> np.ndarray:
     return stack
 
 
-@lru_cache(maxsize=None)
 def eigenprojections(n: int) -> tuple[tuple[int, np.ndarray], ...]:
     """Orthogonal projections onto the folded n-cube eigenspaces, by level:
     read-only views into one cached stack."""
