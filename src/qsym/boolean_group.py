@@ -46,6 +46,7 @@ __all__ = [
     "inverse_fourier",
     "walsh_transform",
     "walsh_matrix",
+    "walsh_rows",
     "tau_generators",
     "FOLDED_CUBE_VERTEX_BOUND",
 ]
@@ -181,17 +182,31 @@ def walsh_transform(values: np.ndarray) -> np.ndarray:
     return a
 
 
+def walsh_rows(words: np.ndarray, width: int) -> np.ndarray:
+    """Rows H[g, :] of the 2^width Walsh matrix for the words g, as int8.
+
+    H[g, h] = (-1)^{g.h} is built by doubling the columns one bit of h at a
+    time: the columns with bit b set are the ones below it times
+    (-1)^{g_b}.  The work is proportional to the rows asked for, so a few
+    rows of a wide table never build the whole table.
+    """
+    words = np.asarray(words, dtype=np.intp)
+    rows = np.empty((len(words), 1 << width), dtype=np.int8)
+    rows[:, 0] = 1
+    for bit in range(width):
+        low = 1 << bit
+        sign = (1 - 2 * ((words >> bit) & 1)).astype(np.int8)
+        np.multiply(rows[:, :low], sign[:, None], out=rows[:, low : 2 * low])
+    return rows
+
+
 def walsh_matrix(width: int) -> np.ndarray:
     """The 2^width Walsh matrix H[g, h] = (-1)^{g.h} as int8.
 
     int8 keeps the 4096 x 4096 table at 16 MB; cast it before a matrix
     product, whose int8 sums would wrap.
     """
-    h = np.ones((1, 1), dtype=np.int8)
-    block = np.array([[1, 1], [1, -1]], dtype=np.int8)
-    for _ in range(width):
-        h = np.kron(block, h)
-    return h
+    return walsh_rows(np.arange(1 << width), width)
 
 
 def fourier(v: FunctionVector) -> FunctionVector:

@@ -10,16 +10,20 @@ For odd n the eigenvalues are exactly lambda_k = n - 2k over even k in
 [0, n], the eigenspace of lambda_k being spanned by the words of length k
 or k-1, so its dimension is C(n-1, k) + C(n-1, k-1) = C(n, k).  Everything
 here is cross-validated numerically against a dense symmetric eigensolver.
-The residuals A psi(T_w) - lambda(w) psi(T_w) are computed exactly, 128
-vertex rows at a time in an int8 accumulator (int16 when the degree and
-eigenvalue bound exceeds 127), from the graph's own adjacency.
+The residuals A psi(T_w) - lambda(w) psi(T_w) are computed exactly from the
+graph's own adjacency: psi(T_w) is a character, so the residual at vertex
+v depends only on v's XOR-difference set {u ^ v : u ~ v}, and one int8
+accumulator row per distinct set (int16 when the degree and eigenvalue
+bound exceeds 127) gives every per-word maximum.  FQ_n has a single set,
+its n generators.
 
 That eigensolver runs on blocks, not on the whole adjacency: FQ_n is a
 Cayley graph of Z_2^(n-1), so each XOR translation x -> x ^ h is an
 automorphism, and A is block diagonalized by the orthogonal splits
-(1/sqrt 2)[[I, I], [I, -I]], exact in int8, down to 256-row blocks.  Each
-split is taken only after the symmetry it uses is checked on the matrix
-itself, so the block eigenvalues are those of A for every input graph.
+(1/sqrt 2)[[I, I], [I, -I]], exact in int8 and then int16, down to 16-row
+blocks.  Each split is taken only after the symmetry it uses is checked on
+the matrix itself, so the block eigenvalues are those of A for every input
+graph.
 
 Since each projection onto an eigenspace is a polynomial in the adjacency
 matrix, a vertex permutation is an automorphism exactly when its matrix
@@ -36,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolean_group import FOLDED_CUBE_VERTEX_BOUND, GroupWord, folded_cube, walsh_matrix
+from .boolean_group import FOLDED_CUBE_VERTEX_BOUND, GroupWord, folded_cube, walsh_matrix, walsh_rows
 from .config import DEFAULT_TOLERANCES, check_tolerance
 from .errors import CapacityError, DimensionError, UsageError
 from .graphs import Permutation, _permutation_defects
@@ -138,55 +142,81 @@ class SpectrumReport:
         }
 
 
-#: rows of the residual accumulator; a (128, N) block stays in cache while
-#: every neighbour slot is gathered into it
+#: distinct difference sets per block of the residual accumulator
 _RESIDUAL_ROWS = 128
+
+
+def _difference_sets(adjacency: np.ndarray) -> np.ndarray:
+    """The distinct sets D(v) = {u ^ v : u ~ v}, one row each, read from the
+    adjacency's nonzeros.
+
+    Each row lists its differences in falling order, padded with 0 on the
+    right; 0 is never a difference, since a graph has no loops.  Rows equal
+    as bytes are equal as sets, so grouping by the rows' bytes is exact.
+    The rows come in order of falling degree.
+    """
+    size = adjacency.shape[0]
+    # the uint8 adjacency read as bool: nonzero then needs no compare pass
+    rows, cols = np.divmod(np.flatnonzero(adjacency.view(bool)), size)
+    degree = np.bincount(rows, minlength=size)
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
+    diffs = np.zeros((size, max(1, int(degree.max()))), dtype=np.uint16)
+    diffs[rows, slot] = rows ^ cols
+    diffs = np.ascontiguousarray(np.sort(diffs, axis=1)[:, ::-1])
+    keys = diffs.view(np.dtype((np.void, diffs.itemsize * diffs.shape[1]))).ravel()
+    sets = np.unique(keys).view(np.uint16).reshape(-1, diffs.shape[1])
+    return sets[np.argsort(-np.count_nonzero(sets, axis=1), kind="stable")]
 
 
 def _max_residuals(adjacency: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Per word w, max_v |(A H)[v, w] - lams[w] H[v, w]|, exact in integers.
 
-    H is the Walsh matrix (column w = psi(T_w) in the point basis).  Row v
-    of A H is the sum of the Walsh rows of v's neighbours, read from the
-    0/1 adjacency itself, so a corrupted graph shows up as a non-zero
-    residual.  Rows are taken in order of falling degree, ``_RESIDUAL_ROWS``
-    at a time: within a block the vertices with a j-th neighbour form a
-    prefix, so each neighbour slot j is one gather-add and no regularity is
-    assumed.  Every partial sum is bounded by deg(v) + |lambda|, so the
-    accumulator is int8 when that bound is at most 127 (FQ_n: 2n) and
-    int16 otherwise (<= 4095 + 13 within the vertex bound).
+    H is the Walsh matrix (column w = psi(T_w) in the point basis), with
+    H[v, w] = chi_w(v) = +-1 a character of Z_2^(n-1).  Row v of A H sums
+    chi_w over v's neighbours u, and chi_w(u) = chi_w(u ^ v) chi_w(v), so
+
+        |(A H)[v, w] - lams[w] H[v, w]| = |sum_{d in D(v)} H[d, w] - lams[w]|
+
+    with D(v) = {u ^ v : u ~ v} read from the 0/1 adjacency itself.  The
+    residual depends on v only through D(v): one accumulator row per
+    distinct set (``_difference_sets``) gives the exact per-word maxima,
+    from the Walsh rows of the differences only.  FQ_n has the single set
+    of its n generators; a corrupted graph gets more sets, each checked.
+    Sets are taken in order of falling degree, ``_RESIDUAL_ROWS`` at a
+    time: within a block the sets with a j-th difference form a prefix, so
+    each slot j is one gather-add and the 0 padding is never read.  Every
+    partial sum is bounded by deg(v) + |lambda|, so the accumulator is int8
+    when that bound is at most 127 (FQ_n: 2n) and int16 otherwise (<= 4095
+    + 13 within the vertex bound).
     """
-    size = adjacency.shape[0]
-    h = walsh_matrix(size.bit_length() - 1)
-    # the uint8 adjacency read as bool: nonzero then needs no compare pass
-    rows, cols = np.divmod(np.flatnonzero(adjacency.view(bool)), size)
-    degree = np.bincount(rows, minlength=size)
-    first = np.cumsum(degree) - degree  # offset of each vertex's neighbours in cols
-    order = np.argsort(-degree, kind="stable")
+    sets = _difference_sets(adjacency)
+    degree = np.count_nonzero(sets, axis=1)
+    words, index = np.unique(sets, return_inverse=True)
+    index = index.reshape(sets.shape)
+    signs = walsh_rows(words, adjacency.shape[0].bit_length() - 1)
     bound = int(degree.max()) + int(np.abs(lams).max())
     dtype = np.int8 if bound <= np.iinfo(np.int8).max else np.int16
     neg_lams = -lams.astype(dtype)
-    block_residual = np.empty((min(_RESIDUAL_ROWS, size), size), dtype=dtype)
-    peak = np.zeros(size, dtype=dtype)
-    for start in range(0, size, _RESIDUAL_ROWS):
-        block = order[start : start + _RESIDUAL_ROWS]
-        residual = block_residual[: len(block)]
-        np.multiply(h[block], neg_lams, out=residual)
-        block_degree = degree[block]
+    block_residual = np.empty((min(_RESIDUAL_ROWS, len(sets)), len(lams)), dtype=dtype)
+    peak = np.zeros(len(lams), dtype=dtype)
+    for start in range(0, len(sets), _RESIDUAL_ROWS):
+        block_degree = degree[start : start + _RESIDUAL_ROWS]
+        residual = block_residual[: len(block_degree)]
+        residual[:] = neg_lams
         for j in range(int(block_degree[0])):
             count = int(np.count_nonzero(block_degree > j))
-            residual[:count] += h[cols[first[block[:count]] + j]]
+            residual[:count] += signs[index[start : start + count, j]]
         np.maximum(peak, np.abs(residual, out=residual).max(axis=0), out=peak)
     return peak
 
 
-#: rows at which the XOR-translation splits stop (FQ_9's size); each block
+#: rows at which the XOR-translation splits stop (FQ_5's size); each block
 #: left is still a dense eigenproblem, so the closed form is never assumed
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 16
 
 
 def _decoupled_blocks(adjacency: np.ndarray) -> np.ndarray:
-    """Stack of int8 blocks whose joint spectrum is that of ``adjacency``.
+    """Stack of integer blocks whose joint spectrum is that of ``adjacency``.
 
     Starting from the (1, N, N) stack, a level with M = 2h rows splits when
     every block B = [[B11, B12], [B21, B22]] has B11 == B22 and B12 == B21,
@@ -194,36 +224,60 @@ def _decoupled_blocks(adjacency: np.ndarray) -> np.ndarray:
     similar to diag(B11 + B12, B11 - B12).  The splits stop at the first
     level that fails this test (an odd M always does: the diagonal blocks
     differ in shape), or once blocks have at most ``_BLOCK_ROWS`` rows.
-    The 0/1 uint8 adjacency is read as int8 without a copy.  Entries at
-    most double per level, and at most four levels split within the vertex
-    bound (4096 rows down to 256), so |entry| <= 16 and int8 is exact.
+
+    The 0/1 uint8 adjacency is read as int8 without a copy.  Each entry
+    after a split is a sum or difference of two entries before it, so after
+    L splits every |entry| <= 2^L.  int8 holds 2^6 = 64 but not 2^7 = 128,
+    so the halves are widened to int16 just before the seventh split, the
+    first whose entries could pass 127.  int16 holds 2^14, and at most
+    eight splits happen within the vertex bound (4096 rows down to 16;
+    K_4096 reaches 256), so every block is exact.  The widening reads two
+    halves of a 64-row level, never the N x N matrix.
     """
     b = adjacency.view(np.int8)[None]
+    bound = 1  # every |entry| of b is at most bound
     while b.shape[1] > _BLOCK_ROWS:
         h = b.shape[1] // 2
         b11, b12 = b[:, :h, :h], b[:, :h, h:]
         if not (np.array_equal(b11, b[:, h:, h:]) and np.array_equal(b12, b[:, h:, :h])):
             break
+        if 2 * bound > np.iinfo(b.dtype).max:
+            b11, b12 = b11.astype(np.int16), b12.astype(np.int16)
         b = np.concatenate((b11 + b12, b11 - b12))
+        bound *= 2
     return b
+
+
+def _eigenvalues(n: int) -> np.ndarray:
+    """lambda(w) for every word w of width n-1, in word order.
+
+    A word of length l sits at level k = l rounded up to even, with
+    eigenvalue n - 2k (see ``eigenvalue_of_bits``).  The lengths are a
+    popcount of all words at once: doubling the table one bit at a time,
+    the words with that bit set are one longer than those below them.
+    """
+    length = np.zeros(1, dtype=np.int64)
+    for _ in range(n - 1):
+        length = np.concatenate((length, length + 1))
+    return n - 2 * (length + (length & 1))
 
 
 def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> SpectrumReport:
     """Check every closed-form eigenpair of the folded n-cube numerically.
 
     For each word w the residual ||A psi(T_w) - lambda(w) psi(T_w)||_inf is
-    computed exactly in integers (A the adjacency matrix, see
-    ``_max_residuals``), and the closed-form eigenvalue multiset is compared
-    with a dense symmetric eigensolver, run in one batch on the blocks of
-    ``_decoupled_blocks(A)`` (16 blocks of 256 rows at n = 13).  Needs
-    n >= 3, where the closed form holds; levels are grouped by eigenvalue.
+    computed exactly in integers (A the adjacency matrix), once per distinct
+    XOR-difference set of the graph's vertices (see ``_max_residuals``), and
+    the closed-form eigenvalue multiset is compared with a dense symmetric
+    eigensolver, run in one batch on the blocks of ``_decoupled_blocks(A)``
+    (256 blocks of 16 rows at n = 13).  Needs n >= 3, where the closed form
+    holds; levels are grouped by eigenvalue.
     """
     if not isinstance(n, int) or n < 3:
         raise UsageError(f"verify_spectrum needs an integer n >= 3 (the closed form assumes it), got {n!r}")
     check_tolerance(tol)
     g = folded_cube(n)
-    width = n - 1
-    lams = np.array([eigenvalue_of_bits(w, n) for w in GroupWord.all_words(width)])
+    lams = _eigenvalues(n)
     per_word = _max_residuals(g.adjacency, lams)
     numeric = np.sort(np.linalg.eigvalsh(_decoupled_blocks(g.adjacency).astype(float)), axis=None)
     closed = np.sort(lams.astype(float))

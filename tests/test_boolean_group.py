@@ -18,6 +18,7 @@ from qsym import (
     walsh_matrix,
     walsh_transform,
 )
+from qsym.boolean_group import walsh_rows
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,27 @@ def test_walsh_matrix_is_the_int8_character_table(width):
     for g in GroupWord.all_words(width):
         for k in GroupWord.all_words(width):
             assert h[g.bits, k.bits] == (-1) ** g.dot(k)
+
+
+def _kron_walsh(width):
+    h = np.ones((1, 1), dtype=np.int8)
+    for _ in range(width):
+        h = np.kron(np.array([[1, 1], [1, -1]], dtype=np.int8), h)
+    return h
+
+
+@pytest.mark.parametrize("width", range(13))
+def test_walsh_matrix_equals_the_kronecker_power(width):
+    got = walsh_matrix(width)
+    assert got.dtype == np.int8 and np.array_equal(got, _kron_walsh(width))
+
+
+@given(st.integers(0, 10).flatmap(lambda w: st.tuples(st.just(w), st.lists(st.integers(0, (1 << w) - 1), max_size=20))))
+def test_walsh_rows_are_rows_of_the_walsh_matrix(case):
+    width, words = case
+    got = walsh_rows(np.array(words, dtype=np.int64), width)
+    assert got.dtype == np.int8 and got.shape == (len(words), 1 << width)
+    assert np.array_equal(got, _kron_walsh(width)[words])
 
 
 def test_function_vector_json_round_trip():

@@ -4,8 +4,11 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graph_oracle as oracle
+import spectral_oracle
 import qsym.spectral
 from qsym import (
     DimensionError,
@@ -234,8 +237,8 @@ def _fq11_thinned(*cuts):
     return Graph(a)
 
 
-# (degree, vertices) classes in falling degree; the residual takes rows in
-# that order, 128 at a time, so FQ_11 is 8 row blocks
+# (degree, vertices) classes in falling degree; the row-by-row oracle takes
+# rows in that order, 128 at a time, so FQ_11 is 8 row blocks for it
 _ROW_BLOCK_CASES = [
     # labels [924, 1024) keep degree 11, [0, 52) drop to 9: the order is not
     # the labels, and degrees differ inside the first and the last block
@@ -258,7 +261,7 @@ def test_residual_row_blocks_match_dense_oracle(monkeypatch, make, classes):
     g = make()
     degrees, counts = np.unique(g.degrees(), return_counts=True)
     assert list(zip(degrees[::-1].tolist(), counts[::-1].tolist())) == classes
-    assert g.n_vertices == 8 * qsym.spectral._RESIDUAL_ROWS
+    assert g.n_vertices == 8 * spectral_oracle.RESIDUAL_ROWS
     monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: g)
     rep = verify_spectrum(11)
     assert not rep.passed
@@ -299,6 +302,103 @@ def test_residual_exact_at_the_int8_boundary(monkeypatch, n, degree, residual, d
     assert rep.to_json() == dense_spectrum_report(n, g)
 
 
+# ---------------------------------------------------------------------------
+# the residual by XOR-difference set, against the row-by-row oracle
+# ---------------------------------------------------------------------------
+
+
+def _closed_form_lams(n):
+    return np.array([eigenvalue_of_bits(w, n) for w in GroupWord.all_words(n - 1)])
+
+
+def _assert_residuals_equal_the_oracle(adjacency, lams):
+    got = qsym.spectral._max_residuals(adjacency, lams)
+    want = spectral_oracle.max_residuals(adjacency, lams)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def _flipped_pairs(n, count, seed):
+    """FQ_n with ``count`` random vertex pairs toggled between edge and non-edge."""
+    a = np.array(folded_cube(n).adjacency)
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        x, y = rng.choice(len(a), size=2, replace=False)
+        a[x, y] = a[y, x] = 1 - a[x, y]
+    return Graph(a)
+
+
+def _fq11_minus_edge_twice():
+    b = _fq11_without_edge(0, 1).adjacency
+    return Graph(np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]]))
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_folded_cube_has_one_difference_set(n):
+    sets = qsym.spectral._difference_sets(folded_cube(n).adjacency)
+    generators = sorted([1 << s for s in range(n - 1)] + [(1 << (n - 1)) - 1], reverse=True)
+    assert sets.tolist() == [generators]
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_residual_classes_equal_the_row_oracle_on_folded_cubes(n):
+    _assert_residuals_equal_the_oracle(folded_cube(n).adjacency, _closed_form_lams(n))
+
+
+# every corrupted graph of this file, with the n whose closed form it stands
+# in for; K_1024 is a Cayley graph too, with the one set of all non-zero words
+_CORRUPTED_GRAPHS = [
+    pytest.param(7, _fq7_edge_removed, id="FQ_7-edge_removed"),
+    pytest.param(7, _fq7_edges_swapped, id="FQ_7-edges_swapped"),
+    pytest.param(11, lambda: Graph(1 - np.eye(1024, dtype=np.uint8)), id="K_1024"),
+    *(pytest.param(11, p.values[0], id=f"thinned-{p.id}") for p in _ROW_BLOCK_CASES),
+    *(
+        pytest.param(p.values[0], lambda p=p: _rewired_to_even_words(*p.values[:2]), id=f"rewired-{p.id}")
+        for p in _DTYPE_BOUNDARY_CASES
+    ),
+    pytest.param(11, lambda: _fq11_without_edge(0, 1), id="FQ_11-edge_0_1"),
+    pytest.param(11, lambda: _fq11_without_edge(0, 1023), id="FQ_11-edge_0_1023"),
+    pytest.param(12, _fq11_minus_edge_twice, id="FQ_11-edge_0_1-twice"),
+    # 159 difference sets: two blocks of the accumulator
+    pytest.param(11, lambda: _flipped_pairs(11, 150, 0), id="FQ_11-150_flipped_pairs"),
+]
+
+
+@pytest.mark.parametrize("n, make", _CORRUPTED_GRAPHS)
+def test_residual_classes_equal_the_row_oracle_on_corrupted_graphs(n, make):
+    _assert_residuals_equal_the_oracle(make().adjacency, _closed_form_lams(n))
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, 9),
+    st.sampled_from([0.0, 0.02, 0.3, 0.7, 1.0]),
+    st.integers(0, 200),
+    st.integers(0, 2**32 - 1),
+)
+def test_residual_classes_equal_the_row_oracle_on_random_graphs(width, density, lam_bound, seed):
+    """Random graphs on 2^width vertices with random integer lambdas; a
+    bound past 127 takes the int16 accumulator."""
+    rng = np.random.default_rng(seed)
+    size = 1 << width
+    upper = np.triu(rng.random((size, size)) < density, 1)
+    adjacency = Graph((upper | upper.T).astype(np.uint8)).adjacency
+    _assert_residuals_equal_the_oracle(adjacency, rng.integers(-lam_bound, lam_bound + 1, size))
+
+
+@settings(max_examples=60)
+@given(st.integers(3, 11), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_residual_classes_equal_the_row_oracle_on_perturbed_folded_cubes(n, count, seed):
+    adjacency = _flipped_pairs(n, count, seed).adjacency
+    _assert_residuals_equal_the_oracle(adjacency, _closed_form_lams(n))
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_vectorized_eigenvalues_equal_the_per_word_formula(n):
+    got = qsym.spectral._eigenvalues(n)
+    assert got.tolist() == _closed_form_lams(n).tolist()
+
+
 _WALSH_13_MIB = (1 << 12) ** 2 / 2**20  # the int8 Walsh table of FQ_13: 16 MiB
 
 
@@ -337,7 +437,8 @@ def _record_eigvalsh_shapes(monkeypatch):
     return shapes
 
 
-@pytest.mark.parametrize("n, shape", [(9, (1, 256, 256)), (11, (4, 256, 256)), (13, (16, 256, 256))])
+# the splits stop at 16 rows, FQ_5's size
+@pytest.mark.parametrize("n, shape", [(9, (16, 16, 16)), (11, (64, 16, 16)), (13, (256, 16, 16))])
 def test_eigensolver_gets_256_row_blocks(monkeypatch, n, shape):
     shapes = _record_eigvalsh_shapes(monkeypatch)
     assert verify_spectrum(n).passed
@@ -364,30 +465,36 @@ def test_graph_that_decouples_once_gets_two_dense_blocks(monkeypatch):
     assert rep.to_json() == dense_spectrum_report(12, twice)
 
 
+# (graph, block count, exact spectrum or None for the full eigvalsh); the
+# full eigvalsh of K_1024 is itself 1.7e-12 off {1023, -1 x 1023}, so the
+# blocks are held to the exact spectrum there, under the same bound
 _BLOCK_SPLIT_CASES = [
-    *(pytest.param(lambda n=n: folded_cube(n), 1 << max(0, n - 9), id=f"FQ_{n}") for n in range(3, 12)),
-    pytest.param(lambda: Graph(1 - np.eye(1024, dtype=np.uint8)), 4, id="K_1024"),
+    *(pytest.param(lambda n=n: folded_cube(n), 1 << max(0, n - 5), None, id=f"FQ_{n}") for n in range(3, 12)),
+    pytest.param(
+        lambda: Graph(1 - np.eye(1024, dtype=np.uint8)), 64, np.r_[1023.0, -np.ones(1023)], id="K_1024"
+    ),
     # B11 != B22 at the first level: no split
-    pytest.param(lambda: _fq11_without_edge(0, 1), 1, id="FQ_11-edge_0_1"),
+    pytest.param(lambda: _fq11_without_edge(0, 1), 1, None, id="FQ_11-edge_0_1"),
     # B11 == B22 but B12 != B21, since the edge {512, 511} stays: no split
-    pytest.param(lambda: _fq11_without_edge(0, 1023), 1, id="FQ_11-edge_0_1023"),
+    pytest.param(lambda: _fq11_without_edge(0, 1023), 1, None, id="FQ_11-edge_0_1023"),
 ]
 
 
-@pytest.mark.parametrize("make, count", _BLOCK_SPLIT_CASES)
-def test_block_eigenvalues_equal_the_full_spectrum(make, count):
+@pytest.mark.parametrize("make, count, exact", _BLOCK_SPLIT_CASES)
+def test_block_eigenvalues_equal_the_full_spectrum(make, count, exact):
     a = make().adjacency
     blocks = qsym.spectral._decoupled_blocks(a)
     rows = a.shape[0] // count
     assert blocks.dtype == np.int8 and blocks.shape == (count, rows, rows)
     got = np.sort(np.linalg.eigvalsh(blocks.astype(float)), axis=None)
-    want = np.linalg.eigvalsh(a.astype(float))
+    want = np.linalg.eigvalsh(a.astype(float)) if exact is None else np.sort(exact)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def _int16_blocks(adjacency):
-    """The split on an int16 copy of the adjacency: the oracle for the int8 stack."""
-    b = adjacency.astype(np.int16)[None]
+def _int64_blocks(adjacency):
+    """The split on an int64 copy of the adjacency: the oracle for the
+    int8 stack that widens to int16."""
+    b = adjacency.astype(np.int64)[None]
     while b.shape[1] > qsym.spectral._BLOCK_ROWS:
         h = b.shape[1] // 2
         b11, b12 = b[:, :h, :h], b[:, :h, h:]
@@ -400,16 +507,16 @@ def _int16_blocks(adjacency):
 @pytest.mark.parametrize(
     "make, largest",
     [
-        pytest.param(lambda: folded_cube(13), 4, id="FQ_13"),
-        # entries double at each of the four levels: 16, the most within the bound
-        pytest.param(lambda: Graph(1 - np.eye(4096, dtype=np.uint8)), 16, id="K_4096"),
+        pytest.param(lambda: folded_cube(13), 8, id="FQ_13"),
+        # entries double at each of the eight levels: 256, the most within the bound
+        pytest.param(lambda: Graph(1 - np.eye(4096, dtype=np.uint8)), 256, id="K_4096"),
     ],
 )
 def test_int8_split_equals_the_int16_split(make, largest):
     a = make().adjacency
     got = qsym.spectral._decoupled_blocks(a)
-    want = _int16_blocks(a)
-    assert got.dtype == np.int8 and got.shape == want.shape == (16, 256, 256)
+    want = _int64_blocks(a)
+    assert got.dtype == np.int16 and got.shape == want.shape == (256, 16, 16)
     assert np.array_equal(got, want)
     assert int(np.abs(want).max()) == largest
 
