@@ -3,8 +3,9 @@
 The package bundles five cooperating toolkits:
 
 * ``graphs``        -- simple graphs, automorphism enumeration, disjoint pairs
-* ``boolean_group`` -- Z_2^w, Walsh-Hadamard Fourier pair, folded cubes
-* ``spectral``      -- closed-form folded-cube spectra and eigenprojections
+* ``boolean_group`` -- Z_2^w, the batched Walsh-Hadamard transform, folded cubes
+* ``spectral``      -- closed-form folded-cube spectra and eigenprojections,
+                       from one vectorized eigenvalue rule
 * ``star_algebra``  -- magic-unitary witnesses over a matrix model
 * ``so_twist``      -- the q = -1 orthogonal relation system, its bicharacter
                        twist, and the classical points acting on folded cubes
@@ -29,25 +30,15 @@ from .graphs import (
     is_automorphism,
 )
 from .boolean_group import (
-    FunctionVector,
-    GROUP_BASIS,
     GroupWord,
-    POINT_BASIS,
     folded_cube,
-    fourier,
-    inverse_fourier,
     tau_generators,
     walsh_matrix,
     walsh_transform,
 )
 from .spectral import (
-    EigenData,
-    EigenLevel,
     SpectrumReport,
-    eigen_data,
-    eigenprojection,
     eigenprojections,
-    eigenvalue_of_bits,
     preserves_eigenspaces,
     verify_spectrum,
 )
@@ -57,9 +48,7 @@ from .star_algebra import (
     WitnessReport,
     build_witness,
     certify_witness,
-    classical_witness,
     haar_unitary,
-    is_projection,
     op_norm,
     recovery_products,
     rep_free_product,
@@ -70,7 +59,6 @@ from .so_twist import (
     CheckReport,
     SignedPermMatrix,
     abelian_points,
-    all_signed_perm_matrices,
     bicharacter,
     chain_sign,
     chain_signs,
@@ -78,11 +66,7 @@ from .so_twist import (
     lemma_P_check,
     lemma_SO_bruteforce,
     lemma_SO_mismatches,
-    lemma_SO_sides,
     lemma_sumzero_check,
-    sample_orthogonal_reflection,
-    sample_special_orthogonal,
-    scalar_relations_defect,
     twisted_relation_check,
 )
 

@@ -15,9 +15,10 @@ They are exchanged by the Fourier pair
     phi: e_g  ->  (1/2^w) sum_h (-1)^{g.h} T_h      (point -> group)
     psi: T_g  ->  sum_h (-1)^{g.h} e_h              (group -> point)
 
-with g.h the GF(2) dot product of exponent vectors, i.e. both maps are the
-+-1 Walsh-Hadamard matrix, phi carrying the 1/2^w normalization, which makes
-them mutually inverse.
+with g.h the GF(2) dot product of exponent vectors.  Both maps are the +-1
+Walsh-Hadamard matrix, ``walsh_transform`` along the word axis of a
+coefficient array; phi is that transform divided by 2^w, which the caller
+does, and which makes the two mutually inverse.
 
 The folded n-cube graph lives on the 2^{n-1} words of width n-1: two words
 are adjacent when they differ in exactly one exponent or are complementary.
@@ -38,12 +39,7 @@ from .graphs import GRAPH_VERTEX_BOUND, Graph
 
 __all__ = [
     "GroupWord",
-    "FunctionVector",
-    "POINT_BASIS",
-    "GROUP_BASIS",
     "folded_cube",
-    "fourier",
-    "inverse_fourier",
     "walsh_transform",
     "walsh_matrix",
     "walsh_rows",
@@ -53,9 +49,6 @@ __all__ = [
 
 #: cap on 2^{n-1}, the folded cube vertex count
 FOLDED_CUBE_VERTEX_BOUND = GRAPH_VERTEX_BOUND
-
-POINT_BASIS = "point"
-GROUP_BASIS = "group"
 
 
 @dataclass(frozen=True)
@@ -119,65 +112,29 @@ class GroupWord:
         return f"GroupWord({word}, width={self.width})"
 
 
-@dataclass(frozen=True)
-class FunctionVector:
-    """Complex coefficient vector over the 2^width words, with a basis tag."""
+def walsh_transform(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along ``axis``:
+    y[..., i, ...] = sum_j (-1)^{i.j} x[..., j, ...].
 
-    coefficients: np.ndarray
-    basis: str
-    width: int
-
-    def __post_init__(self):
-        if self.basis not in (POINT_BASIS, GROUP_BASIS):
-            raise UsageError(f'basis must be "{POINT_BASIS}" or "{GROUP_BASIS}"')
-        c = np.asarray(self.coefficients, dtype=complex)
-        if c.ndim != 1 or c.shape[0] != (1 << self.width):
-            raise DimensionError(
-                f"expected {1 << self.width} coefficients for width {self.width}, got shape {c.shape}"
-            )
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
-
-    @classmethod
-    def indicator(cls, word: GroupWord, basis: str) -> "FunctionVector":
-        c = np.zeros(1 << word.width, dtype=complex)
-        c[word.bits] = 1.0
-        return cls(c, basis, word.width)
-
-    def to_json(self) -> dict:
-        return {
-            "width": self.width,
-            "basis": self.basis,
-            "re": [float(x) for x in self.coefficients.real],
-            "im": [float(x) for x in self.coefficients.imag],
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "FunctionVector":
-        if not isinstance(obj, dict) or set(obj) != {"width", "basis", "re", "im"}:
-            raise UsageError('function vector JSON needs keys "width", "basis", "re", "im"')
-        coeffs = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-        return cls(coeffs, obj["basis"], obj["width"])
-
-
-def walsh_transform(values: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform y[i] = sum_j (-1)^{i.j} x[j].
-
-    In-place butterfly on a copy; input length must be a power of two.
-    Self-inverse up to the factor len(values).
+    A butterfly on a copy of dtype ``np.result_type(values, float)``.  At
+    each stage the copy is viewed as (before, pairs, 2, h, after) around
+    the axis, so no axis is moved; a stage's only temporary is the half
+    holding the sums.  The length along the axis must be a power of two.
+    Self-inverse up to that length.
     """
-    a = np.array(values, dtype=complex)
-    size = a.shape[0]
+    a = np.array(values, dtype=np.result_type(values, float))
+    axis = range(a.ndim)[axis]
+    size = a.shape[axis]
     if size & (size - 1):
         raise DimensionError(f"length {size} is not a power of two")
+    before, after = int(np.prod(a.shape[:axis])), int(np.prod(a.shape[axis + 1 :]))
     h = 1
     while h < size:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a[:, 0, :] = top
-        a[:, 1, :] = bot
-        a = a.reshape(size)
+        pairs = a.reshape(before, size // (2 * h), 2, h, after)
+        top, bot = pairs[:, :, 0], pairs[:, :, 1]
+        total = top + bot
+        np.subtract(top, bot, out=bot)
+        top[...] = total
         h *= 2
     return a
 
@@ -207,21 +164,6 @@ def walsh_matrix(width: int) -> np.ndarray:
     product, whose int8 sums would wrap.
     """
     return walsh_rows(np.arange(1 << width), width)
-
-
-def fourier(v: FunctionVector) -> FunctionVector:
-    """Fourier transform: point basis -> group basis, with 1/2^width."""
-    if v.basis != POINT_BASIS:
-        raise UsageError("fourier expects a point-basis vector")
-    out = walsh_transform(v.coefficients) / (1 << v.width)
-    return FunctionVector(out, GROUP_BASIS, v.width)
-
-
-def inverse_fourier(v: FunctionVector) -> FunctionVector:
-    """Inverse Fourier transform: group basis -> point basis, unnormalized."""
-    if v.basis != GROUP_BASIS:
-        raise UsageError("inverse_fourier expects a group-basis vector")
-    return FunctionVector(walsh_transform(v.coefficients), POINT_BASIS, v.width)
 
 
 def folded_cube(n: int) -> Graph:

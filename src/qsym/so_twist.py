@@ -68,18 +68,13 @@ __all__ = [
     "SignedPermMatrix",
     "Bicharacter",
     "CheckReport",
-    "all_signed_perm_matrices",
     "abelian_points",
-    "scalar_relations_defect",
-    "lemma_SO_sides",
     "lemma_SO_mismatches",
     "lemma_SO_bruteforce",
     "lemma_sumzero_check",
     "bicharacter",
     "chain_signs",
     "chain_sign",
-    "sample_special_orthogonal",
-    "sample_orthogonal_reflection",
     "twisted_relation_check",
     "lemma_P_check",
     "classical_point_action",
@@ -269,16 +264,14 @@ def _stack_points(stack: _SignedPermStack, keep: np.ndarray) -> list[SignedPermM
     ]
 
 
-def all_signed_perm_matrices(n: int) -> list[SignedPermMatrix]:
-    """All 2^n n! signed permutation matrices, in a deterministic order."""
-    if n > SIGNED_PERM_BOUND:
-        raise CapacityError(f"n={n} exceeds the signed-permutation bound {SIGNED_PERM_BOUND}")
-    stack = _signed_perm_stack(n)
-    return _stack_points(stack, np.ones(len(stack.matrices), dtype=bool))
-
-
 def _scalar_relations_defects(mats: np.ndarray) -> np.ndarray:
-    """``scalar_relations_defect`` of every matrix in an (N, n, n) stack."""
+    """Worst violation of (7.1)-(7.4) by each scalar (commuting) matrix of
+    an (N, n, n) stack.
+
+    (7.1) is realness, (7.2) orthogonality of rows and columns, (7.3)
+    degenerates to vanishing products within a row or column, and (7.4) is
+    automatic for scalars.  Integer arithmetic, so 0 means exact.
+    """
     n = mats.shape[-1]
     eye = np.eye(n, dtype=np.int64)
     off_diagonal = 1 - eye
@@ -292,16 +285,6 @@ def _scalar_relations_defects(mats: np.ndarray) -> np.ndarray:
             parts.append(np.abs(v[:, :, :, None] * v[:, :, None, :]) * off_diagonal)
         out[blk] = np.max([p.reshape(len(m), -1).max(axis=1) for p in parts], axis=0)
     return out
-
-
-def scalar_relations_defect(m: np.ndarray) -> int:
-    """Worst violation of (7.1)-(7.4) by a scalar (commuting) matrix.
-
-    (7.1) is realness, (7.2) orthogonality of rows and columns, (7.3)
-    degenerates to vanishing products within a row or column, and (7.4) is
-    automatic for scalars.  Integer arithmetic, so 0 means exact.
-    """
-    return int(_scalar_relations_defects(np.asarray(m)[None])[0])
 
 
 def abelian_points(n: int) -> list[SignedPermMatrix]:
@@ -335,14 +318,6 @@ def _column_expansions(values: np.ndarray) -> np.ndarray:
     avoided = n * (n - 1) // 2 - tuples.sum(axis=1)
     ones = np.ones(len(tuples), dtype=np.int8)
     return _signed_product_sums(values, tuples, np.arange(n - 1), ones, avoided, n)
-
-
-def lemma_SO_sides(sp: SignedPermMatrix) -> list[tuple[int, int]]:
-    """For each j: (u_jn, sum over injective tuples avoiding j of the
-    column products u_{i_1 1} ... u_{i_{n-1} n-1}), exact integers."""
-    m = sp.matrix()
-    rhs = _column_expansions(_sample_major(m[None]))[:, 0]
-    return [(int(m[j, sp.n - 1]), int(rhs[j])) for j in range(sp.n)]
 
 
 def lemma_SO_mismatches(n: int) -> int:
@@ -525,16 +500,6 @@ def _stack_samples(n: int, count: int, rng: np.random.Generator, negative: bool)
     flip = (np.linalg.det(q) < 0) != negative
     q[flip, :, -1] = -q[flip, :, -1]
     return q
-
-
-def sample_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded random orthogonal matrix with determinant +1."""
-    return _stack_samples(n, 1, rng, negative=False)[0]
-
-
-def sample_orthogonal_reflection(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded random orthogonal matrix with determinant -1."""
-    return _stack_samples(n, 1, rng, negative=True)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -40,83 +40,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolean_group import FOLDED_CUBE_VERTEX_BOUND, GroupWord, folded_cube, walsh_matrix, walsh_rows
+from .boolean_group import FOLDED_CUBE_VERTEX_BOUND, folded_cube, walsh_matrix, walsh_rows
 from .config import DEFAULT_TOLERANCES, check_tolerance
 from .errors import CapacityError, DimensionError, UsageError
 from .graphs import Permutation, _permutation_defects
 
 __all__ = [
-    "EigenLevel",
-    "EigenData",
     "SpectrumReport",
-    "eigenvalue_of_bits",
-    "eigen_data",
     "verify_spectrum",
-    "eigenprojection",
     "eigenprojections",
     "preserves_eigenspaces",
 ]
-
-
-def eigenvalue_of_bits(bits: GroupWord, n: int) -> int:
-    """Eigenvalue of the folded n-cube eigenvector indexed by ``bits``."""
-    if bits.width != n - 1:
-        raise DimensionError(f"word width {bits.width} != n-1 = {n - 1}")
-    length = bits.length()
-    return (n - 1 - 2 * length) + (-1) ** (length & 1)
-
-
-@dataclass(frozen=True)
-class EigenLevel:
-    k: int
-    eigenvalue: int
-    basis: tuple[GroupWord, ...]
-
-    @property
-    def multiplicity(self) -> int:
-        return len(self.basis)
-
-
-@dataclass(frozen=True)
-class EigenData:
-    n: int
-    levels: tuple[EigenLevel, ...]
-
-    def level(self, k: int) -> EigenLevel:
-        for lvl in self.levels:
-            if lvl.k == k:
-                return lvl
-        raise UsageError(f"k={k} is not a level of the folded {self.n}-cube")
-
-    def multiplicities(self) -> dict[int, int]:
-        return {lvl.eigenvalue: lvl.multiplicity for lvl in self.levels}
-
-
-def eigen_data(n: int) -> EigenData:
-    """Group the 2^{n-1} eigenvector words of the folded n-cube by level.
-
-    Level k (k even, 0 <= k <= n) collects the words of length k or k-1 and
-    carries the eigenvalue n - 2k.  Odd n only: for even n distinct levels
-    can share an eigenvalue, and that regime is out of scope here.
-    """
-    if not isinstance(n, int) or n < 3 or n % 2 == 0:
-        raise UsageError(f"eigen_data needs an odd n >= 3, got {n!r}")
-    if 1 << (n - 1) > FOLDED_CUBE_VERTEX_BOUND:
-        raise CapacityError(f"folded {n}-cube has {1 << (n - 1)} > {FOLDED_CUBE_VERTEX_BOUND} vertices")
-    width = n - 1
-    buckets: dict[int, list[GroupWord]] = {}
-    for w in GroupWord.all_words(width):
-        length = w.length()
-        k = length if length % 2 == 0 else length + 1
-        buckets.setdefault(k, []).append(w)
-    levels = []
-    for k in sorted(buckets):
-        lam = n - 2 * k
-        for w in buckets[k]:
-            if eigenvalue_of_bits(w, n) != lam:  # pragma: no cover
-                raise RuntimeError("level grouping disagrees with the eigenvalue formula")
-        levels.append(EigenLevel(k=k, eigenvalue=lam, basis=tuple(buckets[k])))
-    return EigenData(n=n, levels=tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -251,10 +185,11 @@ def _decoupled_blocks(adjacency: np.ndarray) -> np.ndarray:
 def _eigenvalues(n: int) -> np.ndarray:
     """lambda(w) for every word w of width n-1, in word order.
 
-    A word of length l sits at level k = l rounded up to even, with
-    eigenvalue n - 2k (see ``eigenvalue_of_bits``).  The lengths are a
-    popcount of all words at once: doubling the table one bit at a time,
-    the words with that bit set are one longer than those below them.
+    A word of length l has lambda(w) = (n - 1 - 2l) + (-1)^l, so it sits
+    at level k = l rounded up to even, with eigenvalue n - 2k.  The
+    lengths are a popcount of all words at once: doubling the table one
+    bit at a time, the words with that bit set are one longer than those
+    below them.
     """
     length = np.zeros(1, dtype=np.int64)
     for _ in range(n - 1):
@@ -306,35 +241,36 @@ def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> Spectru
 @lru_cache(maxsize=None)
 def _projection_stack(n: int) -> np.ndarray:
     """The folded n-cube eigenprojections as one read-only (levels, N, N)
-    stack, in level order.
+    stack, one level per distinct eigenvalue, in falling order.
 
-    P_k = V V^T / 2^{n-1} with V the Walsh columns of the level-k words;
-    the columns are orthogonal with squared norm 2^{n-1}.
+    P = V V^T / 2^{n-1} with V the Walsh columns of the level's words, in
+    word order; the columns are orthogonal with squared norm 2^{n-1}.
+    Odd n only: for even n distinct levels can share an eigenvalue, and
+    that regime is out of scope here.
     """
-    data = eigen_data(n)
-    h = walsh_matrix(n - 1)
+    if not isinstance(n, int) or n < 3 or n % 2 == 0:
+        raise UsageError(f"eigenprojections need an odd n >= 3, got {n!r}")
     size = 1 << (n - 1)
-    stack = np.empty((len(data.levels), size, size))
-    for proj, lvl in zip(stack, data.levels):
-        cols = h[:, [w.bits for w in lvl.basis]].astype(float)
+    if size > FOLDED_CUBE_VERTEX_BOUND:
+        raise CapacityError(f"folded {n}-cube has {size} > {FOLDED_CUBE_VERTEX_BOUND} vertices")
+    lams = _eigenvalues(n)
+    h = walsh_matrix(n - 1)
+    levels = sorted(set(lams.tolist()), reverse=True)
+    stack = np.empty((len(levels), size, size))
+    for proj, lam in zip(stack, levels):
+        cols = h[:, lams == lam].astype(float)
         np.divide(cols @ cols.T, size, out=proj)
     stack.setflags(write=False)
     return stack
 
 
 def eigenprojections(n: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """Orthogonal projections onto the folded n-cube eigenspaces, by level:
+    """Orthogonal projections onto the folded n-cube eigenspaces, as
+    (level k, projection) pairs with eigenvalue n - 2k, k rising:
     read-only views into one cached stack."""
-    levels = eigen_data(n).levels
-    return tuple((lvl.k, proj) for lvl, proj in zip(levels, _projection_stack(n)))
-
-
-def eigenprojection(n: int, k: int) -> np.ndarray:
-    """Projection onto the level-k eigenspace (idempotent, symmetric)."""
-    for kk, p in eigenprojections(n):
-        if kk == k:
-            return p
-    raise UsageError(f"k={k} is not a level of the folded {n}-cube")
+    stack = _projection_stack(n)
+    levels = sorted(set(_eigenvalues(n).tolist()), reverse=True)
+    return tuple(((n - lam) // 2, proj) for lam, proj in zip(levels, stack))
 
 
 def _eigenspace_defects(n: int, images: np.ndarray) -> np.ndarray:

@@ -38,12 +38,10 @@ __all__ = [
     "WitnessReport",
     "RecoveryReport",
     "op_norm",
-    "is_projection",
     "haar_unitary",
     "spectral_projections",
     "rep_free_product",
     "build_witness",
-    "classical_witness",
     "certify_witness",
     "recovery_products",
 ]
@@ -57,12 +55,6 @@ def op_norm(x: np.ndarray) -> float:
 def adjoint(x: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
     return x.conj().swapaxes(-1, -2)
-
-
-def is_projection(x: np.ndarray, tol: float = DEFAULT_TOLERANCES.projector) -> bool:
-    """True iff x is self-adjoint and idempotent within tol (operator norm)."""
-    check_tolerance(tol)
-    return op_norm(x - adjoint(x)) <= tol and op_norm(x - x @ x) <= tol
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -211,22 +203,6 @@ def build_witness(
     return MagicUnitary(entries, seed=seed)
 
 
-def classical_witness(g: Graph, p: Permutation, dim: int = 1) -> MagicUnitary:
-    """Magic unitary of a single classical automorphism: entries delta_{j,p(i)} 1.
-
-    All entries commute, so its noncommutativity certificate is zero.
-    """
-    if p.size != g.n_vertices:
-        raise DimensionError("permutation size != vertex count")
-    if not is_automorphism(g, p):
-        raise UsageError("p is not an automorphism")
-    r = g.n_vertices
-    entries = np.zeros((r, r, dim, dim), dtype=complex)
-    for i in range(r):
-        entries[i, p(i)] = np.eye(dim)
-    return MagicUnitary(entries)
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     projection_defect: float
@@ -256,8 +232,9 @@ class WitnessReport:
 def _distinct_entries(u: MagicUnitary) -> list[np.ndarray]:
     """The entries of u up to equality after rounding to 9 decimals, each
     first occurrence in row-major order.  All entries are rounded in one
-    pass; the keys are the bytes of each rounded entry."""
-    rounded = np.round(u.entries, 9)
+    pass; the keys are the bytes of each rounded entry, with -0.0 made
+    +0.0 (adding 0.0 does that) so that equal entries share their bytes."""
+    rounded = np.round(u.entries, 9) + 0.0
     out: dict[bytes, np.ndarray] = {}
     for i in range(u.r):
         for j in range(u.r):

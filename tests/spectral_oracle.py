@@ -1,17 +1,93 @@
-"""Reference form of the exact spectral residual in ``qsym.spectral``.
+"""Reference forms of the spectral computations in ``qsym.spectral``.
 
-``max_residuals`` is the row-by-row residual that ``qsym.spectral`` used
-before it grouped vertices by their XOR-difference sets, kept unchanged: it
-gathers the Walsh rows of every vertex's neighbours from the whole int8
-Walsh table.  ``spectral._max_residuals`` must return bit-equal per-word
-maxima in the same dtype.
+* ``eigenvalue_of_bits`` and ``eigen_data`` are the closed form word by
+  word: the eigenvalue of one ``GroupWord``, and the words grouped into
+  levels.  ``spectral._eigenvalues`` and ``spectral._projection_stack``
+  must agree with them exactly.
+* ``max_residuals`` is the row-by-row residual that ``qsym.spectral``
+  used before it grouped vertices by their XOR-difference sets, kept
+  unchanged: it gathers the Walsh rows of every vertex's neighbours from
+  the whole int8 Walsh table.  ``spectral._max_residuals`` must return
+  bit-equal per-word maxima in the same dtype.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from qsym import DimensionError, GroupWord, UsageError
 from qsym.boolean_group import walsh_matrix
+
+def eigenvalue_of_bits(bits: GroupWord, n: int) -> int:
+    """Eigenvalue of the folded n-cube eigenvector indexed by ``bits``."""
+    if bits.width != n - 1:
+        raise DimensionError(f"word width {bits.width} != n-1 = {n - 1}")
+    length = bits.length()
+    return (n - 1 - 2 * length) + (-1) ** (length & 1)
+
+
+@dataclass(frozen=True)
+class EigenLevel:
+    k: int
+    eigenvalue: int
+    basis: tuple[GroupWord, ...]
+
+    @property
+    def multiplicity(self) -> int:
+        return len(self.basis)
+
+
+@dataclass(frozen=True)
+class EigenData:
+    n: int
+    levels: tuple[EigenLevel, ...]
+
+    def level(self, k: int) -> EigenLevel:
+        for lvl in self.levels:
+            if lvl.k == k:
+                return lvl
+        raise UsageError(f"k={k} is not a level of the folded {self.n}-cube")
+
+    def multiplicities(self) -> dict[int, int]:
+        return {lvl.eigenvalue: lvl.multiplicity for lvl in self.levels}
+
+
+def eigen_data(n: int) -> EigenData:
+    """Group the 2^{n-1} eigenvector words of the folded n-cube by level.
+
+    Level k (k even, 0 <= k <= n) collects the words of length k or k-1 and
+    carries the eigenvalue n - 2k, checked word by word against
+    ``eigenvalue_of_bits``.  Odd n only, as for the eigenprojections.
+    """
+    if not isinstance(n, int) or n < 3 or n % 2 == 0:
+        raise UsageError(f"eigen_data needs an odd n >= 3, got {n!r}")
+    buckets: dict[int, list[GroupWord]] = {}
+    for w in GroupWord.all_words(n - 1):
+        length = w.length()
+        k = length if length % 2 == 0 else length + 1
+        buckets.setdefault(k, []).append(w)
+    levels = []
+    for k in sorted(buckets):
+        lam = n - 2 * k
+        assert all(eigenvalue_of_bits(w, n) == lam for w in buckets[k])
+        levels.append(EigenLevel(k=k, eigenvalue=lam, basis=tuple(buckets[k])))
+    return EigenData(n=n, levels=tuple(levels))
+
+
+def projection_stack(n: int) -> np.ndarray:
+    """The eigenprojections of FQ_n by level, from ``eigen_data``: P = V V^T
+    / 2^{n-1} with V the float Walsh columns of the level's words."""
+    h = walsh_matrix(n - 1)
+    size = 1 << (n - 1)
+    levels = eigen_data(n).levels
+    stack = np.empty((len(levels), size, size))
+    for proj, lvl in zip(stack, levels):
+        cols = h[:, [w.bits for w in lvl.basis]].astype(float)
+        np.divide(cols @ cols.T, size, out=proj)
+    return stack
+
 
 #: rows of the residual accumulator; a (128, N) block stays in cache while
 #: every neighbour slot is gathered into it

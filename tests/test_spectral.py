@@ -11,22 +11,20 @@ import graph_oracle as oracle
 import spectral_oracle
 import qsym.spectral
 from qsym import (
+    CapacityError,
     DimensionError,
     Graph,
     GroupWord,
     Permutation,
     UsageError,
-    eigen_data,
-    eigenprojection,
     eigenprojections,
-    eigenvalue_of_bits,
     folded_cube,
-    inverse_fourier,
     preserves_eigenspaces,
     verify_spectrum,
+    walsh_transform,
 )
-from qsym.boolean_group import FunctionVector, GROUP_BASIS
 from qsym.cli import main
+from spectral_oracle import eigen_data, eigenvalue_of_bits
 
 
 # ---------------------------------------------------------------------------
@@ -530,20 +528,20 @@ def test_spectrum_report_json_shape():
 def test_psi_images_are_eigenvectors():
     n = 5
     a = folded_cube(n).adjacency.astype(float)
+    # column w of the transformed identity is psi(T_w)
+    h = walsh_transform(np.eye(1 << (n - 1)))
     for w in GroupWord.all_words(n - 1):
-        vec = inverse_fourier(FunctionVector.indicator(w, GROUP_BASIS)).coefficients.real
+        vec = h[:, w.bits]
         lam = eigenvalue_of_bits(w, n)
         assert np.max(np.abs(a @ vec - lam * vec)) <= 1e-9
 
 
 def test_psi_images_orthogonal_within_levels():
     n = 5
+    h = walsh_transform(np.eye(1 << (n - 1)))
     for lvl in eigen_data(n).levels:
-        vecs = [
-            inverse_fourier(FunctionVector.indicator(w, GROUP_BASIS)).coefficients.real
-            for w in lvl.basis
-        ]
-        g = np.array(vecs) @ np.array(vecs).T
+        vecs = h[:, [w.bits for w in lvl.basis]].T
+        g = vecs @ vecs.T
         assert np.allclose(g, np.eye(len(vecs)) * (1 << (n - 1)))
 
 
@@ -553,7 +551,7 @@ def test_psi_images_orthogonal_within_levels():
 
 
 def test_projection_k0_is_rank_one_all_ones():
-    p = eigenprojection(5, 0)
+    p = dict(eigenprojections(5))[0]
     assert np.allclose(p, np.full((16, 16), 1 / 16))
 
 
@@ -575,8 +573,32 @@ def test_projection_identities(n):
 
 
 def test_invalid_level_rejected():
+    # levels are the even k only
+    assert [k for k, _ in eigenprojections(5)] == [0, 2, 4]
+    assert 1 not in dict(eigenprojections(5))
     with pytest.raises(UsageError):
-        eigenprojection(5, 1)
+        eigen_data(5).level(1)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_projection_stack_equals_the_per_word_oracle(n):
+    got = qsym.spectral._projection_stack(n)
+    assert not got.flags.writeable
+    assert np.array_equal(got, spectral_oracle.projection_stack(n))
+    assert [k for k, _ in eigenprojections(n)] == [lvl.k for lvl in eigen_data(n).levels]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_eigenprojections_reject_even_n(n):
+    with pytest.raises(UsageError):
+        eigenprojections(n)
+    with pytest.raises(UsageError):
+        preserves_eigenspaces(n, Permutation.identity(1 << (n - 1)))
+
+
+def test_eigenprojections_reject_n_over_the_vertex_bound():
+    with pytest.raises(CapacityError):
+        eigenprojections(15)
 
 
 # ---------------------------------------------------------------------------

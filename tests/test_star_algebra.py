@@ -9,10 +9,8 @@ from qsym import (
     UsageError,
     build_witness,
     certify_witness,
-    classical_witness,
     find_disjoint_pair,
     haar_unitary,
-    is_projection,
     op_norm,
     recovery_products,
     rep_free_product,
@@ -20,6 +18,7 @@ from qsym import (
 )
 from qsym.fixtures import PENTAGONAL_SIGMA, PENTAGONAL_TAU
 from qsym.star_algebra import _distinct_entries
+from witness_helpers import classical_witness, is_projection
 
 #: regression: max ||[p_k, q_l]|| for the n=m=2, seed-42 model
 SEED42_COMMUTATOR = 0.49988694811776474
@@ -236,11 +235,12 @@ def test_classical_witness_passes_with_zero_certificate(k4):
 
 
 def _distinct_entries_per_entry(u: MagicUnitary) -> list[np.ndarray]:
-    """The entry-by-entry form: each entry rounded to 9 decimals on its own."""
+    """The entry-by-entry form: each entry rounded to 9 decimals on its own,
+    with its signed zeros made +0.0."""
     out = {}
     for i in range(u.r):
         for j in range(u.r):
-            out.setdefault(np.round(u.entries[i, j], 9).tobytes(), u.entries[i, j])
+            out.setdefault((np.round(u.entries[i, j], 9) + 0.0).tobytes(), u.entries[i, j])
     return list(out.values())
 
 
@@ -254,6 +254,9 @@ def test_distinct_entries_equal_the_per_entry_loop_with_negative_zeros(k4):
     p, q = rep_free_product(2, 2, seed=42)
     u = build_witness(k4, sigma, tau, p, q)
     entries = u.entries.copy()
+    # four zero entries of u, each planted with negative zeros
+    assert not entries[0, 2].any() and not entries[1, 3].any()
+    assert not entries[2, 0].any() and not entries[3, 1].any()
     entries[0, 2] = -0.0  # -0.0 + 0j
     entries[1, 3] = complex(-0.0, -0.0)
     entries[2, 0] = -1e-12  # rounds to -0.0
@@ -262,8 +265,12 @@ def test_distinct_entries_equal_the_per_entry_loop_with_negative_zeros(k4):
     want = _distinct_entries_per_entry(planted)
     got = _distinct_entries(planted)
     assert _same_entries(got, want)
-    # -0.0 and +0.0 entries stay apart, as in the per-entry keys
-    assert len(got) > len(_distinct_entries(u))
+    # each -0.0 entry merges with its +0.0 twin: the planted entries add
+    # no distinct entry, and the kept entries equal u's in value
+    plain = _distinct_entries(u)
+    assert len(got) == len(plain)
+    assert all(np.array_equal(a, b) for a, b in zip(got, plain))
+    assert certify_witness(k4, planted).noncomm_certificate == certify_witness(k4, u).noncomm_certificate
 
 
 def test_distinct_entries_of_a_classical_witness(k4):

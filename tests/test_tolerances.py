@@ -1,6 +1,7 @@
 """Every public pass/fail threshold is checked by ``config.check_tolerance``:
 NaN, negative, bool and non-numeric tolerances are usage errors, never a
-silent PASS or a mathematical FAIL."""
+silent PASS or a mathematical FAIL.  The tests' own ``is_projection``
+helper goes through the same check, and is kept in the table."""
 
 import math
 
@@ -12,8 +13,6 @@ from qsym import (
     UsageError,
     build_witness,
     certify_witness,
-    classical_witness,
-    is_projection,
     lemma_P_check,
     lemma_sumzero_check,
     preserves_eigenspaces,
@@ -23,6 +22,7 @@ from qsym import (
     verify_spectrum,
 )
 from qsym.config import check_tolerance
+from witness_helpers import classical_witness, is_projection
 
 BAD = [math.nan, -1, -1e-300, True, False, "1e-9", None, 1j]
 GOOD = [0, 0.0, 1e-10, 1, np.float64(1e-9), np.float32(1e-6), math.inf]
