@@ -3,7 +3,7 @@
 The package bundles five cooperating toolkits:
 
 * ``graphs``        -- simple graphs, automorphism enumeration, disjoint pairs
-* ``boolean_group`` -- Z_2^w, the batched Walsh-Hadamard transform, folded cubes
+* ``boolean_group`` -- Z_2^w, the Walsh-Hadamard matrix, folded cubes
 * ``spectral``      -- closed-form folded-cube spectra and eigenprojections,
                        from one vectorized eigenvalue rule
 * ``star_algebra``  -- magic-unitary witnesses over a matrix model
@@ -34,7 +34,6 @@ from .boolean_group import (
     folded_cube,
     tau_generators,
     walsh_matrix,
-    walsh_transform,
 )
 from .spectral import (
     SpectrumReport,

@@ -16,9 +16,9 @@ They are exchanged by the Fourier pair
     psi: T_g  ->  sum_h (-1)^{g.h} e_h              (group -> point)
 
 with g.h the GF(2) dot product of exponent vectors.  Both maps are the +-1
-Walsh-Hadamard matrix, ``walsh_transform`` along the word axis of a
-coefficient array; phi is that transform divided by 2^w, which the caller
-does, and which makes the two mutually inverse.
+Walsh-Hadamard matrix ``walsh_matrix`` applied along the word axis of a
+coefficient array; phi is that product divided by 2^w, which makes the two
+mutually inverse.
 
 The folded n-cube graph lives on the 2^{n-1} words of width n-1: two words
 are adjacent when they differ in exactly one exponent or are complementary.
@@ -40,7 +40,6 @@ from .graphs import GRAPH_VERTEX_BOUND, Graph
 __all__ = [
     "GroupWord",
     "folded_cube",
-    "walsh_transform",
     "walsh_matrix",
     "walsh_rows",
     "tau_generators",
@@ -110,33 +109,6 @@ class GroupWord:
             return f"GroupWord(e, width={self.width})"
         word = "*".join(f"t{s + 1}" for s in range(self.width) if (self.bits >> s) & 1)
         return f"GroupWord({word}, width={self.width})"
-
-
-def walsh_transform(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along ``axis``:
-    y[..., i, ...] = sum_j (-1)^{i.j} x[..., j, ...].
-
-    A butterfly on a copy of dtype ``np.result_type(values, float)``.  At
-    each stage the copy is viewed as (before, pairs, 2, h, after) around
-    the axis, so no axis is moved; a stage's only temporary is the half
-    holding the sums.  The length along the axis must be a power of two.
-    Self-inverse up to that length.
-    """
-    a = np.array(values, dtype=np.result_type(values, float))
-    axis = range(a.ndim)[axis]
-    size = a.shape[axis]
-    if size & (size - 1):
-        raise DimensionError(f"length {size} is not a power of two")
-    before, after = int(np.prod(a.shape[:axis])), int(np.prod(a.shape[axis + 1 :]))
-    h = 1
-    while h < size:
-        pairs = a.reshape(before, size // (2 * h), 2, h, after)
-        top, bot = pairs[:, :, 0], pairs[:, :, 1]
-        total = top + bot
-        np.subtract(top, bot, out=bot)
-        top[...] = total
-        h *= 2
-    return a
 
 
 def walsh_rows(words: np.ndarray, width: int) -> np.ndarray:

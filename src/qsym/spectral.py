@@ -267,10 +267,9 @@ def _projection_stack(n: int) -> np.ndarray:
 def eigenprojections(n: int) -> tuple[tuple[int, np.ndarray], ...]:
     """Orthogonal projections onto the folded n-cube eigenspaces, as
     (level k, projection) pairs with eigenvalue n - 2k, k rising:
-    read-only views into one cached stack."""
-    stack = _projection_stack(n)
-    levels = sorted(set(_eigenvalues(n).tolist()), reverse=True)
-    return tuple(((n - lam) // 2, proj) for lam, proj in zip(levels, stack))
+    read-only views into one cached stack.  For odd n the levels are
+    k = 0, 2, ..., n-1."""
+    return tuple(zip(range(0, n, 2), _projection_stack(n)))
 
 
 def _eigenspace_defects(n: int, images: np.ndarray) -> np.ndarray:

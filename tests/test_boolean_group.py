@@ -11,9 +11,9 @@ from qsym import (
     folded_cube,
     tau_generators,
     walsh_matrix,
-    walsh_transform,
 )
 from qsym.boolean_group import walsh_rows
+from walsh_oracle import walsh_transform
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +234,14 @@ def test_walsh_transform_dtype_and_batch(dtype, want):
     # these small integers
     assert np.array_equal(got, np.einsum("gh,ihk->igk", walsh_matrix(3).astype(want), x.astype(want)))
     assert np.array_equal(x, before)  # the transform works on a copy
+    # inputs not in C order, along the first and the last axis: each stage
+    # must write into the copy, not into a temporary made by reshape
+    y = np.random.default_rng(6).integers(-3, 4, size=(8, 2, 8)).astype(dtype)
+    permuted = np.ascontiguousarray(y.transpose(1, 2, 0)).transpose(2, 0, 1)
+    h, yw = walsh_matrix(3).astype(want), y.astype(want)
+    for axis, ref in ((0, np.einsum("gh,hik->gik", h, yw)), (2, np.einsum("gh,ikh->ikg", h, yw))):
+        for z in (np.asfortranarray(y), permuted):
+            assert np.array_equal(walsh_transform(z, axis=axis), ref)
 
 
 @pytest.mark.parametrize("width", [0, 1, 4, 6])
