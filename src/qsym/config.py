@@ -8,7 +8,7 @@ headroom over float64 round-off.
 
 from dataclasses import dataclass
 from math import isnan
-from numbers import Real
+from numbers import Integral, Real
 
 from .errors import UsageError
 
@@ -40,3 +40,15 @@ def check_tolerance(tol, name: str = "tol"):
     if isinstance(tol, bool) or not isinstance(tol, Real) or isnan(tol) or tol < 0:
         raise UsageError(f"{name} must be a non-negative number, got {tol!r}")
     return tol
+
+
+def check_integer(value, name: str, minimum: int = 0) -> int:
+    """Return value as an int if it is an integer of at least ``minimum``.
+
+    Sizes, sample counts and seeds are counts: a bool would pass as 0 or 1
+    and a float would fail deep inside numpy, so both are usage errors, as
+    are values below the minimum.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise UsageError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

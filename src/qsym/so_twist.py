@@ -34,11 +34,18 @@ gives SO_n^{-1}.  Two concrete models are certified here:
   read straight off the generator table (``chain_signs``).  The identities
   are verified pointwise on seeded random special orthogonal samples.
 
-Both models share one array primitive: per-sample signed sums of entry
-products over index tuples (``_signed_product_sums``).  The abelian checks
-run it over the stack of all 2^n n! signed permutation matrices, which
-stand in for the samples (their sums are small integers, exact in
-float64); the twisted checks run it over the sampled matrices.
+Both models share one array kernel (``relation_kernel._product_sums``):
+per-sample sums of entry products u_{j_1 i_1} ... u_{j_l i_l}, one sum
+per bucket of row tuples J, for a whole (C, l) stack of column tuples I
+in one call.  The abelian checks run it over the stack of all 2^n n!
+signed permutation matrices, which stand in for the samples (their sums
+are small integers, exact in float64); the twisted checks run it over the
+sampled matrices.  A chain's twist sign splits by bilinearity into a row
+part and a column part, chain_signs(J, I) = r(J) c(I) (``_index_signs``),
+so each check computes the row signs r(J) once and applies the column
+sign c(I) = +-1 after the sum, or drops it where only |lhs - rhs| or
+|total| is read.  A slot table per bucketing makes every sum sequential,
+in the order of its tuples: bit for bit the sum of a plain loop.
 
 Finally, every abelian point acts on the folded n-cube: the generators
 tau_i of Z_2^{n-1} are sent to sign * tau_{perm(i)}, which (precisely
@@ -60,9 +67,10 @@ from typing import Iterable
 import numpy as np
 
 from .boolean_group import tau_generators
-from .config import DEFAULT_TOLERANCES, check_tolerance
+from .config import DEFAULT_TOLERANCES, check_integer, check_tolerance
 from .errors import CapacityError, DimensionError, UsageError
 from .graphs import Permutation, _bijections, _permutation_rows, _without_checks
+from .relation_kernel import _bucket_sums, _product_sums, _slot_table
 
 __all__ = [
     "SignedPermMatrix",
@@ -105,50 +113,6 @@ def _permutations(n: int, l: int | None = None) -> np.ndarray:
     out = np.array(list(permutations(range(n), l)), dtype=np.intp)
     out.setflags(write=False)
     return out
-
-
-def _signed_product_sums(
-    values: np.ndarray,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    signs: np.ndarray,
-    buckets: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """Per-sample signed sums of entry products, grouped into buckets.
-
-    ``values`` is a matrix stack with the sample axis last, shape (n, n, S).
-    Returns the (size, S) array whose row b is the sum, over the tuples p
-    with ``buckets[p] == b``, of
-
-        signs[p] * values[rows[p, 0], cols[0]] * ... * values[rows[p, l-1], cols[l-1]].
-
-    Factors are multiplied left to right (a leading sign +-1 only flips
-    the sign bit, so it commutes with the rounding) and each bucket is
-    summed in the order of p by a cumulative sum, so the float result is
-    that of a plain loop over p.  The work is split into blocks of
-    samples, which leaves every per-sample operation as it is.
-    """
-    order = np.argsort(buckets, kind="stable")
-    rows, signs = rows[order], signs[order, None].astype(np.float64)
-    bounds = np.searchsorted(buckets[order], np.arange(size + 1))
-    out = np.zeros((size, values.shape[-1]))
-    for blk in _blocks(values.shape[-1], len(rows)):
-        block = values[..., blk]
-        terms = np.repeat(signs, block.shape[-1], axis=1)
-        for a, c in enumerate(cols):
-            terms *= block[rows[:, a], c]
-        for b in range(size):
-            if bounds[b] < bounds[b + 1]:
-                out[b, blk] = np.cumsum(terms[bounds[b] : bounds[b + 1]], axis=0)[-1]
-    return out
-
-
-def _sample_major(stack: np.ndarray) -> np.ndarray:
-    """(S, n, n) stack -> contiguous (n, n, S), the layout of
-    ``_signed_product_sums``; the dtype is kept (int8 for the signed
-    permutation stack: the sums are formed in float64 all the same)."""
-    return np.ascontiguousarray(np.moveaxis(stack, 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +201,6 @@ class _SignedPermStack:
 
 @lru_cache(maxsize=SIGNED_PERM_BOUND)
 def _signed_perm_stack(n: int) -> _SignedPermStack:
-    if n < 1:
-        raise UsageError("n must be positive")
     perms = _permutations(n)
     signs = np.array(list(product((1, -1), repeat=n)), dtype=np.int8)
     count = len(perms) * len(signs)
@@ -294,6 +256,7 @@ def abelian_points(n: int) -> list[SignedPermMatrix]:
     quantum determinant condition.  Each survivor is also checked against
     (7.1)-(7.4) literally.
     """
+    n = check_integer(n, "n", 1)
     if n > SIGNED_PERM_BOUND:
         raise CapacityError(f"n={n} exceeds the signed-permutation bound {SIGNED_PERM_BOUND}")
     stack = _signed_perm_stack(n)
@@ -308,27 +271,26 @@ def abelian_points(n: int) -> list[SignedPermMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def _column_expansions(values: np.ndarray) -> np.ndarray:
-    """For each j and each matrix of the sample-major stack ``values``: the
+def _column_expansions(stack: np.ndarray) -> np.ndarray:
+    """For each j and each matrix of the (S, n, n) stack: the
     sum over injective tuples of rows {0..n-1}\\{j} of the column products
     u_{i_1 1} ... u_{i_{n-1} n-1}; shape (n, S)."""
-    n = values.shape[0]
+    n = stack.shape[-1]
     tuples = _permutations(n, n - 1)
     # the row a tuple avoids: each tuple misses exactly one of 0..n-1
     avoided = n * (n - 1) // 2 - tuples.sum(axis=1)
-    ones = np.ones(len(tuples), dtype=np.int8)
-    return _signed_product_sums(values, tuples, np.arange(n - 1), ones, avoided, n)
+    return _bucket_sums(stack, tuples, np.arange(n - 1)[None], avoided, n)[:, 0]
 
 
 def lemma_SO_mismatches(n: int) -> int:
     """Number of signed permutation matrices for which "quantum determinant
     one" and "every column-n entry equals its injective-product expansion"
     (the two formulations of (7.5)) disagree; 0 confirms the equivalence."""
+    n = check_integer(n, "n", 1)
     if n > SO_BRUTEFORCE_BOUND:
         raise CapacityError(f"n={n} exceeds the brute-force bound {SO_BRUTEFORCE_BOUND}")
     stack = _signed_perm_stack(n)
-    values = _sample_major(stack.matrices)
-    expansion = (values[:, n - 1, :] == _column_expansions(values)).all(axis=0)
+    expansion = (stack.matrices[:, :, n - 1].T == _column_expansions(stack.matrices)).all(axis=0)
     return int(np.count_nonzero((stack.determinants == 1) != expansion))
 
 
@@ -434,8 +396,7 @@ class Bicharacter:
 
 def bicharacter(m: int) -> Bicharacter:
     """The unique bicharacter with the three prescribed value families."""
-    if not isinstance(m, int) or m < 1:
-        raise UsageError(f"m must be a positive integer, got {m!r}")
+    m = check_integer(m, "m", 1)
     n = 2 * m + 1
     diag = (-1) ** (m & 1)
     table = [[0] * n for _ in range(n)]
@@ -465,16 +426,32 @@ def chain_signs(I, J, bc: Bicharacter) -> np.ndarray:
     the earlier factors costs sigma(t_{i_1}...t_{i_{a-1}}, t_{i_a}) times
     the same on the right, and sigma is multiplicative in each argument.
     """
-    table = np.array(bc.table, dtype=np.int8)
     I, J = np.broadcast_arrays(np.asarray(I, dtype=np.intp), np.asarray(J, dtype=np.intp))
     if I.ndim == 0:
         raise DimensionError("index arrays need a chain axis")
     if I.size and (min(I.min(), J.min()) < 0 or max(I.max(), J.max()) >= bc.n):
         raise UsageError(f"generator index out of range for n={bc.n}")
-    out = np.ones(I.shape[:-1], dtype=np.int8)
-    for a in range(1, I.shape[-1]):
+    return _index_signs(I, bc) * _index_signs(J, bc)
+
+
+@lru_cache(maxsize=None)
+def _sign_table(bc: Bicharacter) -> np.ndarray:
+    """The generator table of ``bc`` as a read-only int8 array."""
+    table = np.array(bc.table, dtype=np.int8)
+    table.setflags(write=False)
+    return table
+
+
+def _index_signs(indices: np.ndarray, bc: Bicharacter) -> np.ndarray:
+    """One side of a chain's twist sign: prod_{b < a} T[k_b, k_a] over the
+    last axis of ``indices``, shape (...,).  ``chain_signs(I, J)`` is
+    ``_index_signs(I) * _index_signs(J)``, so the sign of a row tuple J
+    against a column tuple I is r(J) c(I), a row part times a column part."""
+    table = _sign_table(bc)
+    out = np.ones(indices.shape[:-1], dtype=np.int8)
+    for a in range(1, indices.shape[-1]):
         for b in range(a):
-            out *= table[I[..., b], I[..., a]] * table[J[..., b], J[..., a]]
+            out *= table[indices[..., b], indices[..., a]]
     return out
 
 
@@ -493,8 +470,6 @@ def _stack_samples(n: int, count: int, rng: np.random.Generator, negative: bool)
     """``count`` seeded random orthogonal matrices of determinant -1 if
     ``negative`` else +1: QR of Gaussians, R-diagonal signs absorbed, last
     column flipped where the determinant has the wrong sign."""
-    if count < 1:
-        raise UsageError("need at least one sample")
     q, r = np.linalg.qr(rng.standard_normal((count, n, n)))
     q *= np.where(np.diagonal(r, axis1=1, axis2=2) >= 0, 1.0, -1.0)[:, None, :]
     flip = (np.linalg.det(q) < 0) != negative
@@ -521,6 +496,9 @@ def twisted_relation_check(
     so the sum becomes the classical determinant: 1 on the special
     orthogonal samples and -1 on the determinant-(-1) control samples.
     """
+    m = check_integer(m, "m", 1)
+    n_samples = check_integer(n_samples, "n_samples", 1)
+    seed = check_integer(seed, "seed")
     if m not in (1, 2):
         raise UsageError(f"twisted relation check supports m in {{1, 2}}, got {m}")
     check_tolerance(tol)
@@ -575,11 +553,12 @@ def twisted_relation_check(
             d74 = max(d74, float(np.abs(comm * so[:, i, :, None] * so[:, k, None, :]).max()))
     reports.append(CheckReport("7.4", d74, tol, d74 <= tol, dict(base)))
 
+    # the sign of sigma is r(sigma) c(1..n); one kernel call per sample set,
+    # as a joined copy of both stacks made the 7.2 loop above slower
     perms = _permutations(n)
-    signs = chain_signs(perms, idx, bc)
     at_zero = np.zeros(len(perms), dtype=np.intp)
-    total = _signed_product_sums(_sample_major(so), perms, idx, signs, at_zero, 1)[0]
-    total_refl = _signed_product_sums(_sample_major(refl), perms, idx, signs, at_zero, 1)[0]
+    row_signs, col_sign = _index_signs(perms, bc), _index_signs(idx, bc)
+    total, total_refl = (col_sign * _bucket_sums(u, perms, idx[None], at_zero, 1, row_signs)[0, 0] for u in (so, refl))
     d75 = float(np.abs(total - 1.0).max())
     control = float(np.abs(total_refl + 1.0).max())
     details = dict(base)
@@ -603,13 +582,17 @@ def lemma_sumzero_check(
     """Check that sum_sigma u_{sigma(1)1} ... u_{sigma(n-1)n-1} u_{sigma(n)k}
     vanishes for every k != n, plus the k = n control (the quantum
     determinant itself: d per matrix in the abelian model, 1 on special
-    orthogonal samples in the twisted model)."""
+    orthogonal samples in the twisted model).  The n column tuples
+    (1..n-1, k) go through the kernel in one call."""
+    n = check_integer(n, "n", 1)
+    samples = check_integer(samples, "samples", 1)
+    seed = check_integer(seed, "seed")
     check_tolerance(tol)
     if model == "abelian":
         if n > SO_BRUTEFORCE_BOUND:
             raise CapacityError(f"n={n} exceeds the abelian bound {SO_BRUTEFORCE_BOUND}")
         stack = _signed_perm_stack(n)
-        values = _sample_major(stack.matrices)
+        values = stack.matrices
         target = stack.determinants
         details = {"model": "abelian", "n": n, "matrices": len(stack.matrices)}
     elif model == "twisted":
@@ -618,24 +601,23 @@ def lemma_sumzero_check(
         if n > SO_BRUTEFORCE_BOUND:
             raise CapacityError(f"n={n} exceeds the twisted bound {SO_BRUTEFORCE_BOUND}")
         bc = bicharacter((n - 1) // 2)
-        values = _sample_major(_stack_samples(n, samples, np.random.default_rng(seed), negative=False))
+        values = _stack_samples(n, samples, np.random.default_rng(seed), negative=False)
         target = 1.0
         details = {"model": "twisted", "n": n, "samples": samples, "seed": seed}
     else:
         raise UsageError(f'model must be "abelian" or "twisted", got {model!r}')
 
     perms = _permutations(n)
+    cols = np.tile(np.arange(n), (n, 1))
+    cols[:, -1] = np.arange(n)  # row k: (1..n-1, k)
     at_zero = np.zeros(len(perms), dtype=np.intp)
-    max_defect = 0.0
-    control = 0.0
-    for k in range(n):
-        cols = np.r_[np.arange(n - 1), k]
-        signs = chain_signs(perms, cols, bc) if model == "twisted" else np.ones(len(perms), dtype=np.int8)
-        total = _signed_product_sums(values, perms, cols, signs, at_zero, 1)[0]
-        if k == n - 1:
-            control = float(np.abs(total - target).max())
-        else:
-            max_defect = max(max_defect, float(np.abs(total).max()))
+    signs = _index_signs(perms, bc) if model == "twisted" else None
+    totals = _bucket_sums(values, perms, cols, at_zero, 1, signs)[0]
+    # the column sign c(1..n-1, k) cannot change |total|; the control needs it
+    max_defect = float(np.abs(totals[:-1]).max(initial=0.0))
+    if model == "twisted":
+        totals[-1] *= _index_signs(cols[-1], bc)
+    control = float(np.abs(totals[-1] - target).max())
     details["control_defect"] = control
     passed = max_defect <= tol and control <= tol
     return CheckReport("lemma_sumzero", max_defect, tol, passed, details)
@@ -659,7 +641,18 @@ def lemma_P_check(
     special orthogonal samples in the twisted model.  The abelian sums are
     exact integers, so there the difference of the two sides is summed
     directly, over the row tuples with a repeated index.
+
+    All column tuples go through the kernel in one call.  The row-tuple
+    twist signs r(J) are computed once; the column sign c(I) multiplies
+    both sides alike, so it cannot change |lhs - rhs| and is left out.
+    Both sides are read from the same block of terms, lhs through the slot
+    table of all row tuples and rhs through that of the distinct ones, and
+    each block's difference is folded into a running maximum.
     """
+    n = check_integer(n, "n", 1)
+    l = check_integer(l, "l", 1)
+    samples = check_integer(samples, "samples", 1)
+    seed = check_integer(seed, "seed")
     if n % 2 == 0 or n < 3:
         raise UsageError("lemma_P needs odd n >= 3 (tau generators)")
     if n > SO_BRUTEFORCE_BOUND:
@@ -668,34 +661,36 @@ def lemma_P_check(
         raise UsageError(f"l must lie in 1..{n}, got {l}")
     check_tolerance(tol)
     if model == "abelian":
-        matrices = _signed_perm_stack(n).matrices
-        values = _sample_major(matrices)
-        details = {"model": "abelian", "n": n, "l": l, "matrices": len(matrices)}
+        values = _signed_perm_stack(n).matrices
+        details = {"model": "abelian", "n": n, "l": l, "matrices": len(values)}
     elif model == "twisted":
         bc = bicharacter((n - 1) // 2)
-        values = _sample_major(_stack_samples(n, samples, np.random.default_rng(seed), negative=False))
+        values = _stack_samples(n, samples, np.random.default_rng(seed), negative=False)
         details = {"model": "twisted", "n": n, "l": l, "samples": samples, "seed": seed}
     else:
         raise UsageError(f'model must be "abelian" or "twisted", got {model!r}')
 
     tau_bits = np.array([t.bits for t in tau_generators(n)], dtype=np.intp)
-    size = 1 << (n - 1)
     j_tuples = np.array(list(product(range(n), repeat=l)), dtype=np.intp)
     bits = np.bitwise_xor.reduce(tau_bits[j_tuples], axis=1)
     ordered = np.sort(j_tuples, axis=1)
     distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
-    repeated = j_tuples[~distinct]
-    ones = np.ones(len(repeated), dtype=np.int8)
+    cols = _permutations(n, l)
+    if model == "abelian":
+        rows, signs = j_tuples[~distinct], None
+        tables = [_slot_table(bits[~distinct])[0]]
+    else:
+        rows, signs = j_tuples, _index_signs(j_tuples, bc)
+        (lhs_table, lhs_ids), (rhs_table, rhs_ids) = _slot_table(bits), _slot_table(np.where(distinct, bits, -1))
+        tables = [lhs_table, rhs_table]
+        # every bucket of a distinct tuple is a bucket of lhs
+        shared = np.searchsorted(lhs_ids, rhs_ids)
     max_defect = 0.0
-    for it in _permutations(n, l):
-        if model == "abelian":
-            diff = _signed_product_sums(values, repeated, it, ones, bits[~distinct], size)
-        else:
-            signs = chain_signs(j_tuples, it, bc)
-            lhs = _signed_product_sums(values, j_tuples, it, signs, bits, size)
-            rhs = _signed_product_sums(values, j_tuples[distinct], it, signs[distinct], bits[distinct], size)
-            diff = lhs - rhs
-        max_defect = max(max_defect, float(np.abs(diff).max()))
+    for _, _, sums in _product_sums(values, rows, cols, tables, signs):
+        diff = sums[0]
+        if model == "twisted":
+            diff[shared] -= sums[1]
+        max_defect = max(max_defect, float(np.abs(diff, out=diff).max(initial=0.0)))
     return CheckReport("lemma_P", max_defect, tol, max_defect <= tol, details)
 
 

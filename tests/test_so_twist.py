@@ -27,7 +27,7 @@ from qsym import (
     is_automorphism,
     twisted_relation_check,
 )
-from qsym import so_twist
+from qsym import relation_kernel, so_twist
 from twist_oracle import GradedMonomial, TwistedElement, twisted_chain, twisted_product
 
 
@@ -43,7 +43,7 @@ def so_sides(sp):
     """For each j: (u_jn, the column expansion of u avoiding row j), from
     the batched kernel on the one-matrix stack."""
     m = sp.matrix()
-    rhs = so_twist._column_expansions(so_twist._sample_major(m[None]))[:, 0]
+    rhs = so_twist._column_expansions(m[None])[:, 0]
     return [(int(m[j, sp.n - 1]), int(rhs[j])) for j in range(sp.n)]
 
 
@@ -172,7 +172,7 @@ def test_lemma_SO_sides_against_naive_oracle():
     from itertools import permutations as iperm
 
     points = oracle.loop_signed_perm_matrices(3)
-    got = so_twist._column_expansions(so_twist._sample_major(matrix_stack(points)))
+    got = so_twist._column_expansions(matrix_stack(points))
     assert got.shape == (3, 48)
     for s, sp in enumerate(points):
         m = sp.matrix()
@@ -547,17 +547,80 @@ def test_lemma_P_twisted_n5(l):
     assert rep.passed and rep.max_defect <= 1e-9
 
 
-@pytest.mark.parametrize("model", ["abelian", "twisted"])
-def test_sumzero_equals_the_per_tuple_loops(model):
-    assert lemma_sumzero_check(3, model) == oracle.loop_lemma_sumzero_check(3, model)
+@pytest.mark.parametrize(
+    "n, model",
+    [pytest.param(3, model, id=model) for model in ("abelian", "twisted")]
+    + [pytest.param(5, model, id=f"n5-{model}") for model in ("abelian", "twisted")],
+)
+def test_sumzero_equals_the_per_tuple_loops(n, model):
+    assert lemma_sumzero_check(n, model) == oracle.loop_lemma_sumzero_check(n, model)
 
 
-@pytest.mark.parametrize("model", ["abelian", "twisted"])
-@pytest.mark.parametrize("l", [1, 2, 3])
-def test_lemma_P_equals_the_per_tuple_loops(model, l):
-    assert lemma_P_check(3, l, model, samples=30, seed=8) == oracle.loop_lemma_P_check(
-        3, l, model, samples=30, seed=8
+@pytest.mark.parametrize(
+    "n, l, model, samples",
+    [pytest.param(3, l, model, 30, id=f"{l}-{model}") for l in (1, 2, 3) for model in ("abelian", "twisted")]
+    + [
+        pytest.param(n, l, model, samples, id=f"n{n}-{l}-{model}-samples{samples}")
+        for n, l, model, samples in [
+            (5, 1, "twisted", 20), (5, 2, "twisted", 20), (5, 3, "twisted", 20), (5, 4, "twisted", 5),
+            (5, 1, "abelian", 20), (5, 3, "twisted", 1), (3, 2, "twisted", 1),
+        ]
+    ],
+)
+def test_lemma_P_equals_the_per_tuple_loops(n, l, model, samples):
+    assert lemma_P_check(n, l, model, samples=samples, seed=8) == oracle.loop_lemma_P_check(
+        n, l, model, samples=samples, seed=8
     )
+
+
+def _relation_reports():
+    """One report of every relation check, at sizes where a block of one
+    column tuple and one sample stays quick."""
+    reports = twisted_relation_check(1, n_samples=3, seed=4) + twisted_relation_check(2, n_samples=2, seed=4)
+    reports += [lemma_sumzero_check(n, "twisted", samples=3, seed=4) for n in (3, 5)]
+    reports += [lemma_P_check(3, l, model, samples=3, seed=4) for l in (1, 2, 3) for model in ("abelian", "twisted")]
+    reports += [lemma_P_check(5, l, "twisted", samples=2, seed=4) for l in (1, 2, 3)]
+    reports += [lemma_sumzero_check(n, "abelian") for n in (3, 4)]
+    return reports + [lemma_SO_mismatches(3), lemma_SO_mismatches(4)]
+
+
+def test_reports_do_not_depend_on_the_block_size(monkeypatch):
+    # a block of one column tuple and one sample crosses every boundary
+    expected = _relation_reports()
+    monkeypatch.setattr(relation_kernel, "_BLOCK", 1)
+    assert _relation_reports() == expected
+
+
+def test_kernel_adds_each_bucket_in_tuple_order():
+    # one bucket, one column tuple, one sample: pairwise summation of these
+    # 16 terms would give another float than the running sum
+    column = np.array([1.0, 1e16, 1.0, -1e16] + [0.1, 3.0, -7.0, 1e-8] * 3)
+    stack = np.zeros((1, 16, 16))
+    stack[0, :, 0] = column
+    rows = np.arange(16)[:, None]
+    sums = relation_kernel._bucket_sums(stack, rows, np.zeros((1, 1), dtype=np.intp), np.zeros(16, dtype=np.intp), 1)
+    running = 0.0
+    for term in column:
+        running += term
+    assert running != float(np.add.reduce(column))
+    assert sums[0, 0, 0] == running
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_chain_signs_split_into_row_and_column_signs(l):
+    # chain_signs(J, I) = r(J) c(I): the kernel's sign rule, for every row
+    # tuple J against every injective column tuple I at n = 5
+    bc = bicharacter(2)
+    rows = np.array(list(product(range(5), repeat=l)))
+    cols = so_twist._permutations(5, l)
+    expected = so_twist._index_signs(rows, bc)[:, None] * so_twist._index_signs(cols, bc)[None, :]
+    assert np.array_equal(chain_signs(rows[:, None], cols[None, :], bc), expected)
+
+
+def test_lemma_P_abelian_l1_has_no_repeated_tuple():
+    # every 1-tuple is distinct, so the repeated-index sum is empty
+    rep = lemma_P_check(5, 1, "abelian")
+    assert rep.passed and rep.max_defect == 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,7 +1,10 @@
 """Every public pass/fail threshold is checked by ``config.check_tolerance``:
 NaN, negative, bool and non-numeric tolerances are usage errors, never a
 silent PASS or a mathematical FAIL.  The tests' own ``is_projection``
-helper goes through the same check, and is kept in the table."""
+helper goes through the same check, and is kept in the table.  Likewise
+every size, sample count and seed of the relation checks goes through
+``config.check_integer``: bools, non-integers and negatives are usage
+errors before any work starts."""
 
 import math
 
@@ -11,9 +14,12 @@ import pytest
 from qsym import (
     Permutation,
     UsageError,
+    abelian_points,
+    bicharacter,
     build_witness,
     certify_witness,
     lemma_P_check,
+    lemma_SO_mismatches,
     lemma_sumzero_check,
     preserves_eigenspaces,
     recovery_products,
@@ -21,7 +27,7 @@ from qsym import (
     twisted_relation_check,
     verify_spectrum,
 )
-from qsym.config import check_tolerance
+from qsym.config import check_integer, check_tolerance
 from witness_helpers import classical_witness, is_projection
 
 BAD = [math.nan, -1, -1e-300, True, False, "1e-9", None, 1j]
@@ -76,3 +82,44 @@ def test_nan_no_longer_passes_a_non_automorphism():
         preserves_eigenspaces(5, SWAP, tol=math.nan)
     assert not preserves_eigenspaces(5, SWAP)
     assert preserves_eigenspaces(5, Permutation.identity(16), tol=0)
+
+
+#: calls of the relation checks with one bad integer parameter each
+BAD_INTEGERS = {
+    "lemma_P l=True": lambda: lemma_P_check(3, True, "twisted"),
+    "lemma_P l=2.0": lambda: lemma_P_check(3, 2.0),
+    "lemma_P n=3.0": lambda: lemma_P_check(3.0, 1),
+    "lemma_P samples=0": lambda: lemma_P_check(3, 1, "twisted", samples=0),
+    "lemma_P seed=-1": lambda: lemma_P_check(3, 1, "twisted", seed=-1),
+    "lemma_P seed=True": lambda: lemma_P_check(3, 1, "twisted", seed=True),
+    "twisted m=True": lambda: twisted_relation_check(True),
+    "twisted m=1.5": lambda: twisted_relation_check(1.5),
+    "twisted n_samples=True": lambda: twisted_relation_check(1, n_samples=True),
+    "twisted n_samples=2.0": lambda: twisted_relation_check(1, n_samples=2.0),
+    "twisted seed=True": lambda: twisted_relation_check(1, seed=True),
+    "twisted seed=-1": lambda: twisted_relation_check(1, seed=-1),
+    "sumzero n=True": lambda: lemma_sumzero_check(True),
+    "sumzero samples='5'": lambda: lemma_sumzero_check(3, "twisted", samples="5"),
+    "sumzero seed=None": lambda: lemma_sumzero_check(3, "twisted", seed=None),
+    "abelian_points n=True": lambda: abelian_points(True),
+    "abelian_points n=0": lambda: abelian_points(0),
+    "lemma_SO n=True": lambda: lemma_SO_mismatches(True),
+    "bicharacter m=True": lambda: bicharacter(True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INTEGERS))
+def test_bad_integer_parameters_are_usage_errors(name):
+    with pytest.raises(UsageError, match="must be an integer"):
+        BAD_INTEGERS[name]()
+
+
+@pytest.mark.parametrize("value", [0, 3, np.int64(3), np.uint8(7)], ids=repr)
+def test_good_integers_come_back_as_int(value):
+    out = check_integer(value, "n")
+    assert out == value and type(out) is int
+
+
+def test_numpy_integer_parameters_give_the_same_reports():
+    numpy_args = lemma_P_check(np.int64(3), np.int64(2), "twisted", samples=np.int32(5), seed=np.int64(1))
+    assert numpy_args == lemma_P_check(3, 2, "twisted", samples=5, seed=1)
