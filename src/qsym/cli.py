@@ -186,13 +186,11 @@ def _run_so_check(args) -> tuple[dict, bool]:
             "matrices": 2 ** n * factorial(n),
         }
     )
-    checks.append(lemma_sumzero_check(n, "abelian", tol=tol).to_json())
-    checks.append(lemma_sumzero_check(n, "twisted", samples=args.samples, seed=seed, tol=tol).to_json())
-    l_values = range(1, n + 1) if n == 3 else range(1, 3)
-    for l in l_values:
-        checks.append(lemma_P_check(n, l, "abelian", tol=tol).to_json())
-    for l in l_values:
-        checks.append(lemma_P_check(n, l, "twisted", samples=args.samples, seed=seed, tol=tol).to_json())
+    options = {"samples": args.samples, "seed": seed, "tol": tol}  # the abelian checks ignore samples and seed
+    for model in ("abelian", "twisted"):
+        checks.append(lemma_sumzero_check(n, model, **options).to_json())
+    for model in ("abelian", "twisted"):
+        checks += [lemma_P_check(n, l, model, **options).to_json() for l in range(1, n + 1)]
     ok = all(c["pass"] for c in checks)
     return {"n": n, "seed": seed, "samples": args.samples, "checks": checks}, ok
 
@@ -259,7 +257,11 @@ def main(argv=None) -> int:
         print(f"qsym {args.command}: internal error", file=sys.stderr)
         return EXIT_INTERNAL
     report["command"] = args.command
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+    except OSError as exc:  # BrokenPipeError too: a report that is not written is no verdict
+        print(f"qsym {args.command}: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     status = "PASS" if passed else "FAIL"
     print(f"qsym {args.command}: {status}", file=sys.stderr)
     return EXIT_OK if passed else EXIT_CHECK_FAILED

@@ -1,11 +1,12 @@
-"""The batched array kernel of the relation checks in ``so_twist``.
+"""The batched array kernel of the twisted relation checks in ``so_twist``.
 
-Every vanishing lemma and the quantum determinant reduce to per-sample
-sums of entry products u_{j_1 i_1} ... u_{j_l i_l} over row tuples J,
-grouped into buckets, for every column tuple I of a check.
-``_product_sums`` forms them for all column tuples in one call, and adds
-each bucket in the order of its tuples, so the reports built on it are
-byte-stable.
+Every twisted vanishing lemma and the quantum determinant reduce to
+per-sample sums of signed entry products r(J) u_{j_1 i_1} ... u_{j_l i_l}
+over row tuples J, grouped into buckets, for every column tuple I of a
+check.  ``_product_sums`` forms them for all column tuples in one call,
+and adds each bucket in the order of its tuples, so the reports built on
+it are byte-stable.  (The abelian checks read their one non-zero product
+per column tuple directly, in ``so_twist._support_terms``.)
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def _slot_table(buckets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table, ids
 
 
-def _product_sums(stack, rows, cols, tables, signs=None):
+def _product_sums(stack, rows, cols, tables, signs):
     """Per-sample bucket sums of entry products, over a stack of column tuples.
 
     ``stack`` holds S matrices, shape (S, n, n); ``rows`` is (P, l) and
@@ -47,7 +48,7 @@ def _product_sums(stack, rows, cols, tables, signs=None):
         signs[p] * stack[s, rows[p, 0], cols[c, 0]] * ... * stack[s, rows[p, l-1], cols[c, l-1]],
 
     with factors multiplied left to right (a sign +-1 only flips the sign
-    bit, so it commutes with the rounding); no signs means all +1.  Each
+    bit, so it commutes with the rounding).  Each
     slot table of ``tables`` (``_slot_table``) sums these terms per bucket.
 
     Yields ``(cblk, sblk, sums)`` per block of column tuples and samples:
@@ -79,14 +80,14 @@ def _product_sums(stack, rows, cols, tables, signs=None):
             block = stack[sblk]
             terms = np.zeros((count + 1, len(block_cols), len(block)))
             products = terms[:count]
-            products[...] = 1 if signs is None else signs[:, None, None]
+            products[...] = signs[:, None, None]
             for a in range(depth):
                 slab = block[:, :, block_cols[:, a]].transpose(1, 2, 0)
                 products *= slab.take(rows[:, a], axis=0)
             yield cblk, sblk, [np.add.reduce(terms[table], axis=0)[:-1] for table in tables]
 
 
-def _bucket_sums(stack, rows, cols, buckets, size, signs=None) -> np.ndarray:
+def _bucket_sums(stack, rows, cols, buckets, size, signs) -> np.ndarray:
     """The whole (size, C, S) array of ``_product_sums`` for one bucketing
     into 0..size-1."""
     table, ids = _slot_table(buckets)

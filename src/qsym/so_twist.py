@@ -34,18 +34,18 @@ gives SO_n^{-1}.  Two concrete models are certified here:
   read straight off the generator table (``chain_signs``).  The identities
   are verified pointwise on seeded random special orthogonal samples.
 
-Both models share one array kernel (``relation_kernel._product_sums``):
-per-sample sums of entry products u_{j_1 i_1} ... u_{j_l i_l}, one sum
-per bucket of row tuples J, for a whole (C, l) stack of column tuples I
-in one call.  The abelian checks run it over the stack of all 2^n n!
-signed permutation matrices, which stand in for the samples (their sums
-are small integers, exact in float64); the twisted checks run it over the
-sampled matrices.  A chain's twist sign splits by bilinearity into a row
-part and a column part, chain_signs(J, I) = r(J) c(I) (``_index_signs``),
-so each check computes the row signs r(J) once and applies the column
-sign c(I) = +-1 after the sum, or drops it where only |lhs - rhs| or
-|total| is read.  A slot table per bucketing makes every sum sequential,
-in the order of its tuples: bit for bit the sum of a plain loop.
+Only terms that can be non-zero are formed.  Signed permutation (pi, s)
+has entry s_i at (pi(i), i) and zeros elsewhere, so for a column tuple I
+its one non-zero product u_{j_1 i_1} ... u_{j_l i_l} sits at J = pi(I),
+with value prod_a s_{i_a}: the abelian checks read that term for all
+2^n n! matrices at once (``_support_terms``).  The twisted checks sum
+signed products over the samples per bucket of row tuples J, for a (C, l)
+stack of column tuples I in one kernel call (``relation_kernel``).  A chain's twist sign
+splits into a row and a column part, chain_signs(J, I) = r(J) c(I)
+(``_index_signs``): r(J) is computed once, c(I) = +-1 applied after the
+sum or dropped where only |lhs - rhs| or |total| is read.  Every sum runs
+in the order of its tuples, bit for bit a plain loop.  (7.3) and (7.4)
+multiply sample entries only where a twist sign survives.
 
 Finally, every abelian point acts on the folded n-cube: the generators
 tau_i of Z_2^{n-1} are sent to sign * tau_{perm(i)}, which (precisely
@@ -213,6 +213,20 @@ def _signed_perm_stack(n: int) -> _SignedPermStack:
     return _SignedPermStack(perms, signs, matrices, determinants)
 
 
+def _support_terms(stack: _SignedPermStack, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Of the products u_{j_1 i_1} ... u_{j_l i_l} of matrix (p, s), over
+    the row tuples J of ``rows``, only J = perms[p][I] can be non-zero for
+    I = ``cols[c]``.  Returns ``hit`` (n!, C), its index in ``rows`` by
+    base-n code (-1 if absent), and ``value`` (2^n, C), prod_a signs[s][i_a]."""
+    n = stack.perms.shape[1]
+    weights = n ** np.arange(cols.shape[1])[::-1]
+    lookup = np.full(n ** cols.shape[1], -1, dtype=np.intp)
+    lookup[rows @ weights] = np.arange(len(rows))
+    hit = lookup[stack.perms[:, cols] @ weights]
+    value = stack.signs[:, cols].prod(axis=-1, dtype=np.int8)
+    return hit, value
+
+
 def _stack_points(stack: _SignedPermStack, keep: np.ndarray) -> list[SignedPermMatrix]:
     """The selected matrices of the stack as SignedPermMatrix objects, in
     order.  The permutations are checked once per array; the sign vectors
@@ -271,17 +285,6 @@ def abelian_points(n: int) -> list[SignedPermMatrix]:
 # ---------------------------------------------------------------------------
 
 
-def _column_expansions(stack: np.ndarray) -> np.ndarray:
-    """For each j and each matrix of the (S, n, n) stack: the
-    sum over injective tuples of rows {0..n-1}\\{j} of the column products
-    u_{i_1 1} ... u_{i_{n-1} n-1}; shape (n, S)."""
-    n = stack.shape[-1]
-    tuples = _permutations(n, n - 1)
-    # the row a tuple avoids: each tuple misses exactly one of 0..n-1
-    avoided = n * (n - 1) // 2 - tuples.sum(axis=1)
-    return _bucket_sums(stack, tuples, np.arange(n - 1)[None], avoided, n)[:, 0]
-
-
 def lemma_SO_mismatches(n: int) -> int:
     """Number of signed permutation matrices for which "quantum determinant
     one" and "every column-n entry equals its injective-product expansion"
@@ -290,8 +293,14 @@ def lemma_SO_mismatches(n: int) -> int:
     if n > SO_BRUTEFORCE_BOUND:
         raise CapacityError(f"n={n} exceeds the brute-force bound {SO_BRUTEFORCE_BOUND}")
     stack = _signed_perm_stack(n)
-    expansion = (stack.matrices[:, :, n - 1].T == _column_expansions(stack.matrices)).all(axis=0)
-    return int(np.count_nonzero((stack.determinants == 1) != expansion))
+    rows = _permutations(n, n - 1)
+    hit, value = _support_terms(stack, rows, np.arange(n - 1)[None])
+    # the expansion's one term sits in the row its tuple avoids
+    avoided = n * (n - 1) // 2 - rows.sum(axis=1)
+    expansion = np.zeros((len(stack.perms), len(stack.signs), n), dtype=np.int8)
+    expansion[np.arange(len(stack.perms)), :, avoided[hit[:, 0]]] = value[:, 0]
+    agree = (expansion.reshape(len(stack.matrices), n) == stack.matrices[:, :, n - 1]).all(axis=1)
+    return int(np.count_nonzero((stack.determinants == 1) != agree))
 
 
 def lemma_SO_bruteforce(n: int) -> bool:
@@ -528,29 +537,23 @@ def twisted_relation_check(
         d72 = max(d72, float(np.abs(total).max()))
     reports.append(CheckReport("7.2", d72, tol, d72 <= tol, dict(base)))
 
-    # Sign arrays below are zeroed where two indices coincide (j = k in
-    # 7.3, j = l in 7.4), which leaves those products out of the maximum.
+    # Sign tensors for all leading indices, zeroed where two indices
+    # coincide; entries are multiplied only where a sign survives (nowhere,
+    # for the correct bicharacter).  anti[i, j, k]: the anticommutator
+    # signs of u_ij, u_ik (row) and of u_ji, u_ki (column).
     same = np.eye(n, dtype=bool)
-    # per leading i, over (sample, j, k): the anticommutators of u_ij, u_ik
-    # (row) and of u_ji, u_ki (column)
-    d73 = 0.0
-    for i in range(n):
-        anti = chain_signs([i, i], pairs, bc) + chain_signs([i, i], pairs[:, :, ::-1], bc)
-        anti[same] = 0
-        for u in (so, columns):
-            d73 = max(d73, float(np.abs(anti * u[:, i, :, None] * u[:, i, None, :]).max()))
+    lead, flip = pairs[idx, idx, None, None], pairs[:, :, ::-1]  # lead[i, 0, 0] = (i, i)
+    anti = chain_signs(lead, pairs, bc) + chain_signs(lead, flip, bc)
+    anti[:, same] = 0
+    i, j, k = np.nonzero(anti)
+    d73 = max(float(np.abs(anti[i, j, k] * u[:, i, j] * u[:, i, k]).max(initial=0.0)) for u in (so, columns))
     reports.append(CheckReport("7.3", d73, tol, d73 <= tol, dict(base)))
 
-    # per leading (i, k) with i != k, over (sample, j, l): the commutator
-    # of u_ij and u_kl
-    d74 = 0.0
-    for i in range(n):
-        for k in range(n):
-            if i == k:
-                continue
-            comm = chain_signs([i, k], pairs, bc) - chain_signs([k, i], pairs[:, :, ::-1], bc)
-            comm[same] = 0
-            d74 = max(d74, float(np.abs(comm * so[:, i, :, None] * so[:, k, None, :]).max()))
+    # comm[i, k, j, l]: the commutator signs of u_ij and u_kl
+    comm = chain_signs(pairs[:, :, None, None], pairs, bc) - chain_signs(flip[:, :, None, None], flip, bc)
+    comm[same] = comm[:, :, same] = 0
+    i, k, j, l = np.nonzero(comm)
+    d74 = float(np.abs(comm[i, k, j, l] * so[:, i, j] * so[:, k, l]).max(initial=0.0))
     reports.append(CheckReport("7.4", d74, tol, d74 <= tol, dict(base)))
 
     # the sign of sigma is r(sigma) c(1..n); one kernel call per sample set,
@@ -583,40 +586,38 @@ def lemma_sumzero_check(
     vanishes for every k != n, plus the k = n control (the quantum
     determinant itself: d per matrix in the abelian model, 1 on special
     orthogonal samples in the twisted model).  The n column tuples
-    (1..n-1, k) go through the kernel in one call."""
+    (1..n-1, k) are read in one call."""
     n = check_integer(n, "n", 1)
     samples = check_integer(samples, "samples", 1)
     seed = check_integer(seed, "seed")
     check_tolerance(tol)
-    if model == "abelian":
-        if n > SO_BRUTEFORCE_BOUND:
-            raise CapacityError(f"n={n} exceeds the abelian bound {SO_BRUTEFORCE_BOUND}")
-        stack = _signed_perm_stack(n)
-        values = stack.matrices
-        target = stack.determinants
-        details = {"model": "abelian", "n": n, "matrices": len(stack.matrices)}
-    elif model == "twisted":
-        if n % 2 == 0 or n < 3:
-            raise UsageError("twisted model needs odd n >= 3")
-        if n > SO_BRUTEFORCE_BOUND:
-            raise CapacityError(f"n={n} exceeds the twisted bound {SO_BRUTEFORCE_BOUND}")
-        bc = bicharacter((n - 1) // 2)
-        values = _stack_samples(n, samples, np.random.default_rng(seed), negative=False)
-        target = 1.0
-        details = {"model": "twisted", "n": n, "samples": samples, "seed": seed}
-    else:
+    if model not in ("abelian", "twisted"):
         raise UsageError(f'model must be "abelian" or "twisted", got {model!r}')
+    if model == "twisted" and (n % 2 == 0 or n < 3):
+        raise UsageError("twisted model needs odd n >= 3")
+    if n > SO_BRUTEFORCE_BOUND:
+        raise CapacityError(f"n={n} exceeds the {model} bound {SO_BRUTEFORCE_BOUND}")
 
     perms = _permutations(n)
     cols = np.tile(np.arange(n), (n, 1))
     cols[:, -1] = np.arange(n)  # row k: (1..n-1, k)
-    at_zero = np.zeros(len(perms), dtype=np.intp)
-    signs = _index_signs(perms, bc) if model == "twisted" else None
-    totals = _bucket_sums(values, perms, cols, at_zero, 1, signs)[0]
-    # the column sign c(1..n-1, k) cannot change |total|; the control needs it
-    max_defect = float(np.abs(totals[:-1]).max(initial=0.0))
-    if model == "twisted":
+    if model == "abelian":
+        stack = _signed_perm_stack(n)
+        # a total is its support term where that is a permutation, else 0
+        hit, value = _support_terms(stack, perms, cols)
+        totals = np.where(hit[:, None, :] >= 0, value[None], 0).reshape(-1, n).T
+        target = stack.determinants
+        details = {"model": "abelian", "n": n, "matrices": len(stack.matrices)}
+    else:
+        bc = bicharacter((n - 1) // 2)
+        values = _stack_samples(n, samples, np.random.default_rng(seed), negative=False)
+        at_zero = np.zeros(len(perms), dtype=np.intp)
+        totals = _bucket_sums(values, perms, cols, at_zero, 1, _index_signs(perms, bc))[0]
+        # the column sign c(1..n-1, k) cannot change |total|; the control needs it
         totals[-1] *= _index_signs(cols[-1], bc)
+        target = 1.0
+        details = {"model": "twisted", "n": n, "samples": samples, "seed": seed}
+    max_defect = float(np.abs(totals[:-1]).max(initial=0.0))
     control = float(np.abs(totals[-1] - target).max())
     details["control_defect"] = control
     passed = max_defect <= tol and control <= tol
@@ -638,16 +639,14 @@ def lemma_P_check(
     equal its restriction to pairwise-distinct row tuples.  Both sides are
     accumulated as coefficient vectors over Z_2^{n-1} (the tau products)
     and compared: exactly in the abelian model, within tol on seeded
-    special orthogonal samples in the twisted model.  The abelian sums are
-    exact integers, so there the difference of the two sides is summed
-    directly, over the row tuples with a repeated index.
+    special orthogonal samples in the twisted model.  The abelian
+    difference is the sum over row tuples with a repeated index, to which
+    only the support term (``_support_terms``) can add.
 
-    All column tuples go through the kernel in one call.  The row-tuple
-    twist signs r(J) are computed once; the column sign c(I) multiplies
-    both sides alike, so it cannot change |lhs - rhs| and is left out.
-    Both sides are read from the same block of terms, lhs through the slot
-    table of all row tuples and rhs through that of the distinct ones, and
-    each block's difference is folded into a running maximum.
+    The twisted column tuples go through the kernel in one call; c(I)
+    multiplies both sides alike and is left out.  lhs and rhs are read from
+    one block of terms, through the slot tables of all and of the distinct
+    row tuples, and each block's difference folds into a running maximum.
     """
     n = check_integer(n, "n", 1)
     l = check_integer(l, "l", 1)
@@ -660,36 +659,32 @@ def lemma_P_check(
     if not 1 <= l <= n:
         raise UsageError(f"l must lie in 1..{n}, got {l}")
     check_tolerance(tol)
-    if model == "abelian":
-        values = _signed_perm_stack(n).matrices
-        details = {"model": "abelian", "n": n, "l": l, "matrices": len(values)}
-    elif model == "twisted":
-        bc = bicharacter((n - 1) // 2)
-        values = _stack_samples(n, samples, np.random.default_rng(seed), negative=False)
-        details = {"model": "twisted", "n": n, "l": l, "samples": samples, "seed": seed}
-    else:
+    if model not in ("abelian", "twisted"):
         raise UsageError(f'model must be "abelian" or "twisted", got {model!r}')
 
-    tau_bits = np.array([t.bits for t in tau_generators(n)], dtype=np.intp)
     j_tuples = np.array(list(product(range(n), repeat=l)), dtype=np.intp)
-    bits = np.bitwise_xor.reduce(tau_bits[j_tuples], axis=1)
     ordered = np.sort(j_tuples, axis=1)
     distinct = (ordered[:, 1:] != ordered[:, :-1]).all(axis=1)
     cols = _permutations(n, l)
     if model == "abelian":
-        rows, signs = j_tuples[~distinct], None
-        tables = [_slot_table(bits[~distinct])[0]]
-    else:
-        rows, signs = j_tuples, _index_signs(j_tuples, bc)
-        (lhs_table, lhs_ids), (rhs_table, rhs_ids) = _slot_table(bits), _slot_table(np.where(distinct, bits, -1))
-        tables = [lhs_table, rhs_table]
-        # every bucket of a distinct tuple is a bucket of lhs
-        shared = np.searchsorted(lhs_ids, rhs_ids)
+        stack = _signed_perm_stack(n)
+        hit, value = _support_terms(stack, j_tuples[~distinct], cols)
+        # a bucket's difference is the support term where that is repeated
+        max_defect = float(np.abs(value[:, (hit >= 0).any(axis=0)]).max(initial=0))
+        details = {"model": "abelian", "n": n, "l": l, "matrices": len(stack.matrices)}
+        return CheckReport("lemma_P", max_defect, tol, max_defect <= tol, details)
+
+    bc = bicharacter((n - 1) // 2)
+    values = _stack_samples(n, samples, np.random.default_rng(seed), negative=False)
+    details = {"model": "twisted", "n": n, "l": l, "samples": samples, "seed": seed}
+    tau_bits = np.array([t.bits for t in tau_generators(n)], dtype=np.intp)
+    bits = np.bitwise_xor.reduce(tau_bits[j_tuples], axis=1)
+    (lhs_table, lhs_ids), (rhs_table, rhs_ids) = _slot_table(bits), _slot_table(np.where(distinct, bits, -1))
+    # every bucket of a distinct tuple is a bucket of lhs
+    shared = np.searchsorted(lhs_ids, rhs_ids)
     max_defect = 0.0
-    for _, _, sums in _product_sums(values, rows, cols, tables, signs):
-        diff = sums[0]
-        if model == "twisted":
-            diff[shared] -= sums[1]
+    for _, _, (diff, rhs) in _product_sums(values, j_tuples, cols, [lhs_table, rhs_table], _index_signs(j_tuples, bc)):
+        diff[shared] -= rhs
         max_defect = max(max_defect, float(np.abs(diff, out=diff).max(initial=0.0)))
     return CheckReport("lemma_P", max_defect, tol, max_defect <= tol, details)
 

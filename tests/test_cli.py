@@ -92,6 +92,16 @@ def test_so_check(capsys):
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_so_check_n5_runs_every_l_on_both_models(capsys):
+    code, report, _ = run_json(capsys, "so-check", "--n", "5", "--samples", "5")
+    assert code == 0
+    assert len(report["checks"]) == 13
+    for model in ("abelian", "twisted"):
+        ls = [c["l"] for c in report["checks"] if c["relation"] == "lemma_P" and c["model"] == model]
+        assert ls == [1, 2, 3, 4, 5]
+    assert all(c["pass"] for c in report["checks"])
+
+
 def test_twist_check(capsys):
     code, report, _ = run_json(capsys, "twist-check", "--m", "1", "--samples", "50", "--seed", "42")
     assert code == 0
@@ -227,6 +237,26 @@ def test_exit_3_on_an_unexpected_exception(capsys, monkeypatch):
     assert "Traceback" in err and "RuntimeError: planted defect" in err
 
 
+class _FailingStdout:
+    def __init__(self, error):
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), BrokenPipeError(32, "Broken pipe")])
+def test_exit_3_when_the_report_cannot_be_written(capsys, monkeypatch, error):
+    monkeypatch.setattr("sys.stdout", _FailingStdout(error))
+    code = main(["so-check", "--n", "3", "--samples", "5"])
+    err = capsys.readouterr().err
+    assert code == qsym.cli.EXIT_INTERNAL == 3
+    assert "cannot write the report" in err and error.strerror in err
+
+
 def test_exit_2_on_directory_as_graph(capsys, tmp_path):
     code, _, err = run(capsys, "autos", "--graph", str(tmp_path))
     assert code == 2
@@ -234,10 +264,9 @@ def test_exit_2_on_directory_as_graph(capsys, tmp_path):
 
 
 def test_so_check_reports_the_lemma_SO_mismatch_count(capsys, monkeypatch):
-    from qsym import so_twist
+    import twist_oracle
 
-    real = so_twist._column_expansions
-    monkeypatch.setattr(so_twist, "_column_expansions", lambda values: -real(values))
+    twist_oracle.negate_support_terms(monkeypatch)
     code, report, _ = run_json(capsys, "so-check", "--n", "3", "--samples", "5")
     assert code == 1
     lemma_so = report["checks"][0]

@@ -1,3 +1,5 @@
+import json
+import time
 from itertools import product
 
 import numpy as np
@@ -41,9 +43,9 @@ def matrix_stack(points):
 
 def so_sides(sp):
     """For each j: (u_jn, the column expansion of u avoiding row j), from
-    the batched kernel on the one-matrix stack."""
+    the dense oracle on the one-matrix stack."""
     m = sp.matrix()
-    rhs = so_twist._column_expansions(m[None])[:, 0]
+    rhs = oracle.dense_column_expansions(m[None])[:, 0]
     return [(int(m[j, sp.n - 1]), int(rhs[j])) for j in range(sp.n)]
 
 
@@ -168,11 +170,11 @@ def test_equivalence_other_sizes(n):
 
 def test_lemma_SO_sides_against_naive_oracle():
     # independent pure-python evaluation of the expansion side, for every
-    # 3 x 3 signed permutation matrix at once through the batched kernel
+    # 3 x 3 signed permutation matrix at once through the dense oracle
     from itertools import permutations as iperm
 
     points = oracle.loop_signed_perm_matrices(3)
-    got = so_twist._column_expansions(matrix_stack(points))
+    got = oracle.dense_column_expansions(matrix_stack(points))
     assert got.shape == (3, 48)
     for s, sp in enumerate(points):
         m = sp.matrix()
@@ -598,7 +600,8 @@ def test_kernel_adds_each_bucket_in_tuple_order():
     stack = np.zeros((1, 16, 16))
     stack[0, :, 0] = column
     rows = np.arange(16)[:, None]
-    sums = relation_kernel._bucket_sums(stack, rows, np.zeros((1, 1), dtype=np.intp), np.zeros(16, dtype=np.intp), 1)
+    at_zero = np.zeros(16, dtype=np.intp)
+    sums = relation_kernel._bucket_sums(stack, rows, np.zeros((1, 1), dtype=np.intp), at_zero, 1, np.ones(16))
     running = 0.0
     for term in column:
         running += term
@@ -631,10 +634,112 @@ def test_lemma_SO_mismatches_equal_the_per_tuple_loops(n):
 def test_lemma_SO_mismatches_counts_every_disagreement(monkeypatch):
     # negated expansions agree with u_jn exactly on the d = -1 matrices, so
     # all 48 matrices of n = 3 disagree with the determinant test
-    real = so_twist._column_expansions
-    monkeypatch.setattr(so_twist, "_column_expansions", lambda values: -real(values))
+    oracle.negate_support_terms(monkeypatch)
     assert lemma_SO_mismatches(3) == 48
     assert lemma_SO_bruteforce(3) is False
+
+
+# ---------------------------------------------------------------------------
+# the abelian support terms against the dense oracle
+# ---------------------------------------------------------------------------
+
+
+def as_json(report):
+    return json.dumps(report.to_json())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_sumzero_abelian_equals_the_dense_oracle(n):
+    assert as_json(lemma_sumzero_check(n, "abelian")) == as_json(oracle.dense_lemma_sumzero_check(n))
+
+
+@pytest.mark.parametrize("n, l", [(3, l) for l in (1, 2, 3)] + [(5, l) for l in (1, 2, 3, 4)])
+def test_lemma_P_abelian_equals_the_dense_oracle(n, l):
+    assert as_json(lemma_P_check(n, l, "abelian")) == as_json(oracle.dense_lemma_P_check(n, l))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_lemma_SO_mismatches_equal_the_dense_oracle(n):
+    assert lemma_SO_mismatches(n) == oracle.dense_lemma_SO_mismatches(n) == 0
+
+
+def plant(monkeypatch, n, perms=None, signs=None):
+    stack = so_twist._signed_perm_stack(n)
+    perms = stack.perms if perms is None else perms
+    signs = stack.signs if signs is None else signs
+    planted = oracle.planted_stack(n, perms, signs)
+    monkeypatch.setattr(so_twist, "_signed_perm_stack", lambda size: planted)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_flipped_sign_vector_fails_like_the_dense_oracle(monkeypatch, n):
+    # the matrices of sign vector 3 change their determinant, the stored
+    # determinants do not: both routes must count the same disagreements
+    signs = so_twist._signed_perm_stack(n).signs.copy()
+    signs[3] *= -1
+    plant(monkeypatch, n, signs=signs)
+    mismatches = lemma_SO_mismatches(n)
+    assert mismatches == oracle.dense_lemma_SO_mismatches(n) > 0
+    report = lemma_sumzero_check(n, "abelian")
+    assert as_json(report) == as_json(oracle.dense_lemma_sumzero_check(n))
+    assert report.max_defect == 0.0 and report.details["control_defect"] == 2.0 and not report.passed
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_collapsed_permutation_fails_like_the_dense_oracle(monkeypatch, n):
+    # perms[1] sends columns 0 and 1 to one row: the column tuple (0, 1)
+    # then meets a repeated row tuple, and lemma P sees its term
+    perms = so_twist._signed_perm_stack(n).perms.copy()
+    perms[1, 1] = perms[1, 0]
+    plant(monkeypatch, n, perms=perms)
+    for l in (2, 3):
+        report = lemma_P_check(n, l, "abelian")
+        assert as_json(report) == as_json(oracle.dense_lemma_P_check(n, l))
+        assert report.max_defect == 1.0 and not report.passed
+    assert as_json(lemma_sumzero_check(n, "abelian")) == as_json(oracle.dense_lemma_sumzero_check(n))
+
+
+def test_lemma_P_abelian_n5_l5_is_fast():
+    start = time.perf_counter()
+    report = lemma_P_check(5, 5, "abelian")
+    assert time.perf_counter() - start < 0.1
+    assert report.passed and report.max_defect == 0.0
+
+
+# ---------------------------------------------------------------------------
+# pinned and planted twisted relation reports
+# ---------------------------------------------------------------------------
+
+
+#: (m, seed) -> max defects of 7.1-7.5 and the 7.5 control, at 2000 samples
+PINNED_TWIST_DEFECTS = {
+    (1, 7): (0.0, 1.1102230246251565e-15, 0.0, 0.0, 1.1102230246251565e-15, 8.881784197001252e-16),
+    (1, 2024): (0.0, 1.1102230246251565e-15, 0.0, 0.0, 8.881784197001252e-16, 1.1102230246251565e-15),
+    (2, 7): (0.0, 1.3322676295501878e-15, 0.0, 0.0, 1.7763568394002505e-15, 2.220446049250313e-15),
+    (2, 2024): (0.0, 1.3322676295501878e-15, 0.0, 0.0, 1.7763568394002505e-15, 1.9984014443252818e-15),
+}
+
+
+@pytest.mark.parametrize("m, seed", sorted(PINNED_TWIST_DEFECTS))
+def test_twisted_relation_reports_are_pinned(m, seed):
+    *defects, control = PINNED_TWIST_DEFECTS[m, seed]
+    base = {"tol": 1e-09, "pass": True, "m": m, "n": 2 * m + 1, "samples": 2000, "seed": seed}
+    expected = [dict(relation=r, max_defect=d, **base) for r, d in zip(("7.1", "7.2", "7.3", "7.4", "7.5"), defects)]
+    expected[-1]["control_det_negative_defect"] = control
+    got = [r.to_json() for r in twisted_relation_check(m, 2000, seed)]
+    assert json.dumps(got) == json.dumps(expected)
+
+
+@pytest.mark.parametrize("m, a, b", [(1, 0, 1), (1, 1, 0), (2, 0, 3), (2, 1, 2), (2, 3, 1)])
+def test_a_flipped_bicharacter_entry_fails_like_the_loops(monkeypatch, m, a, b):
+    # an off-diagonal flip breaks the antisymmetry behind 7.3 and 7.4
+    wrong = oracle.flipped_bicharacter(m, a, b)
+    for module in (so_twist, oracle):
+        monkeypatch.setattr(module, "bicharacter", lambda _m: wrong)
+    reports = twisted_relation_check(m, n_samples=50, seed=3)
+    assert [as_json(r) for r in reports] == [as_json(r) for r in oracle.loop_twisted_relation_check(m, 50, seed=3)]
+    failed = {r.relation for r in reports if not r.passed}
+    assert failed & {"7.3", "7.4"}
 
 
 def test_lemma_P_twisted_n5_l5():

@@ -7,6 +7,11 @@
 * The per-tuple loops that ``so_twist`` used before its checks were
   batched: one Python call per index tuple, one QR per sample, and the
   bit-loop chain sign.  The batched checks must reproduce their reports.
+* The dense abelian evaluation: every entry product of every signed
+  permutation matrix of ``so_twist._signed_perm_stack``, summed by the
+  relation kernel as if the matrices were samples.  The abelian checks,
+  which read only the one non-zero product per column tuple, must
+  reproduce its reports, also on a planted stack.
 * The classical point action by Fourier conjugation: the group-basis
   matrix of the algebra map, built word by word, conjugated by the Walsh
   matrix.  The closed-form XOR rule must return the same permutation.
@@ -24,6 +29,8 @@ import numpy as np
 from qsym import Permutation, SignedPermMatrix, tau_generators
 from qsym.boolean_group import GroupWord, walsh_matrix
 from qsym.errors import DimensionError, UsageError
+from qsym import so_twist
+from qsym.relation_kernel import _bucket_sums, _product_sums, _slot_table
 from qsym.so_twist import Bicharacter, CheckReport, _generator_bits, bicharacter
 
 # ---------------------------------------------------------------------------
@@ -384,6 +391,107 @@ def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[Chec
     details["control_det_negative_defect"] = control
     reports.append(CheckReport("7.5", d75, tol, d75 <= tol and control <= tol, details))
     return reports
+
+
+# ---------------------------------------------------------------------------
+# the dense abelian evaluation
+# ---------------------------------------------------------------------------
+
+
+def _unsigned(rows: np.ndarray) -> np.ndarray:
+    return np.ones(len(rows), dtype=np.int8)
+
+
+def dense_column_expansions(matrices: np.ndarray) -> np.ndarray:
+    """For each j and each matrix of the (S, n, n) stack: the sum over
+    injective tuples of rows {0..n-1}\\{j} of the column products
+    u_{i_1 1} ... u_{i_{n-1} n-1}, every product formed; shape (n, S)."""
+    n = matrices.shape[-1]
+    tuples = so_twist._permutations(n, n - 1)
+    # the row a tuple avoids: each tuple misses exactly one of 0..n-1
+    avoided = n * (n - 1) // 2 - tuples.sum(axis=1)
+    return _bucket_sums(matrices, tuples, np.arange(n - 1)[None], avoided, n, _unsigned(tuples))[:, 0]
+
+
+def dense_lemma_SO_mismatches(n: int) -> int:
+    stack = so_twist._signed_perm_stack(n)
+    expansion = (stack.matrices[:, :, n - 1].T == dense_column_expansions(stack.matrices)).all(axis=0)
+    return int(np.count_nonzero((stack.determinants == 1) != expansion))
+
+
+def dense_lemma_sumzero_check(n: int, tol: float = 1e-9) -> CheckReport:
+    stack = so_twist._signed_perm_stack(n)
+    perms = so_twist._permutations(n)
+    cols = np.tile(np.arange(n), (n, 1))
+    cols[:, -1] = np.arange(n)
+    at_zero = np.zeros(len(perms), dtype=np.intp)
+    totals = _bucket_sums(stack.matrices, perms, cols, at_zero, 1, _unsigned(perms))[0]
+    max_defect = float(np.abs(totals[:-1]).max(initial=0.0))
+    control = float(np.abs(totals[-1] - stack.determinants).max())
+    details = {"model": "abelian", "n": n, "matrices": len(stack.matrices), "control_defect": control}
+    return CheckReport("lemma_sumzero", max_defect, tol, max_defect <= tol and control <= tol, details)
+
+
+def dense_lemma_P_check(n: int, l: int, tol: float = 1e-9) -> CheckReport:
+    """The abelian lemma P: lhs - rhs summed exactly over the row tuples
+    with a repeated index, per tau-word bucket, matrix and column tuple."""
+    stack = so_twist._signed_perm_stack(n)
+    tau_bits = np.array([t.bits for t in tau_generators(n)], dtype=np.intp)
+    j_tuples = np.array(list(product(range(n), repeat=l)), dtype=np.intp)
+    ordered = np.sort(j_tuples, axis=1)
+    repeated = j_tuples[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
+    table = _slot_table(np.bitwise_xor.reduce(tau_bits[repeated], axis=1))[0]
+    max_defect = 0.0
+    for _, _, (diff,) in _product_sums(stack.matrices, repeated, so_twist._permutations(n, l), [table],
+                                       _unsigned(repeated)):
+        max_defect = max(max_defect, float(np.abs(diff).max(initial=0.0)))
+    details = {"model": "abelian", "n": n, "l": l, "matrices": len(stack.matrices)}
+    return CheckReport("lemma_P", max_defect, tol, max_defect <= tol, details)
+
+
+# ---------------------------------------------------------------------------
+# planted faults
+# ---------------------------------------------------------------------------
+
+
+def negate_support_terms(monkeypatch) -> None:
+    """Make every abelian check read the negated value of each support term."""
+    real = so_twist._support_terms
+
+    def negated(*args):
+        hit, value = real(*args)
+        return hit, -value
+
+    monkeypatch.setattr(so_twist, "_support_terms", negated)
+
+
+def planted_stack(n: int, perms: np.ndarray, signs: np.ndarray) -> "so_twist._SignedPermStack":
+    """A stack of matrices built from ``perms`` and ``signs`` as the true
+    one is (column a of matrix (p, s) holds signs[s][a] at row
+    perms[p][a]), but with the determinants of the true stack."""
+    count = len(perms) * len(signs)
+    index = np.arange(count)
+    matrices = np.zeros((count, n, n), dtype=np.int8)
+    matrices[index[:, None], perms[index // len(signs)], np.arange(n)] = signs[index % len(signs)]
+    return so_twist._SignedPermStack(perms, signs, matrices, so_twist._signed_perm_stack(n).determinants)
+
+
+def flipped_bicharacter(m: int, a: int, b: int) -> Bicharacter:
+    """A wrong bicharacter: the true pairing on Z_2^{2m} with the value on
+    generators (t_{a+1}, t_{b+1}), a, b < 2m, negated, and its row and
+    column of t_{2m+1} extended multiplicatively from the changed table."""
+    n = 2 * m + 1
+    table = [list(row) for row in bicharacter(m).table]
+    table[a][b] *= -1
+    changed = Bicharacter(m, tuple(map(tuple, table)))
+    full = changed.generator_bits(n)
+    for i in range(1, n + 1):
+        gi = changed.generator_bits(i)
+        table[i - 1][n - 1] = changed.word_sign(gi, full)
+        table[n - 1][i - 1] = changed.word_sign(full, gi)
+    out = Bicharacter(m, tuple(map(tuple, table)))
+    assert out.consistency_defect() == 0
+    return out
 
 
 # ---------------------------------------------------------------------------
