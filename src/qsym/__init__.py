@@ -10,10 +10,11 @@ The package bundles five cooperating toolkits:
 * ``so_twist``      -- the q = -1 orthogonal relation system, its bicharacter
                        twist, and the classical points acting on folded cubes
 
-plus a JSON-reporting CLI (``qsym``).
+plus a JSON-reporting CLI (``qsym``).  Every check returns one
+``config.Report``.
 """
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import DEFAULT_TOLERANCES, Report, Tolerances
 from .errors import (
     CapacityError,
     DimensionError,
@@ -36,15 +37,12 @@ from .boolean_group import (
     walsh_matrix,
 )
 from .spectral import (
-    SpectrumReport,
     eigenprojections,
     preserves_eigenspaces,
     verify_spectrum,
 )
 from .star_algebra import (
     MagicUnitary,
-    RecoveryReport,
-    WitnessReport,
     build_witness,
     certify_witness,
     haar_unitary,
@@ -55,7 +53,6 @@ from .star_algebra import (
 )
 from .so_twist import (
     Bicharacter,
-    CheckReport,
     SignedPermMatrix,
     abelian_points,
     bicharacter,

@@ -34,6 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .config import check_integer
 from .errors import CapacityError, DimensionError, UsageError
 from .graphs import GRAPH_VERTEX_BOUND, Graph
 
@@ -146,8 +147,7 @@ def folded_cube(n: int) -> Graph:
     For n >= 3 the graph is n-regular; for n = 2 the two kinds of shift
     coincide and the graph is a single edge.
     """
-    if not isinstance(n, int) or n < 2:
-        raise UsageError(f"folded cube needs an integer n >= 2, got {n!r}")
+    n = check_integer(n, "n", 2, need="folded cube needs an integer n >= 2")
     size = 1 << (n - 1)
     if size > FOLDED_CUBE_VERTEX_BOUND:
         raise CapacityError(f"folded {n}-cube has {size} > {FOLDED_CUBE_VERTEX_BOUND} vertices")
@@ -167,8 +167,7 @@ def tau_generators(n: int) -> list[GroupWord]:
     tau_n = tau_1 ... tau_{n-1}; the latter identity needs n odd, which is
     why even n is rejected.
     """
-    if not isinstance(n, int) or n < 3 or n % 2 == 0:
-        raise UsageError(f"tau generators need an odd n >= 3, got {n!r}")
+    n = check_integer(n, "n", 3, odd=True, need="tau generators need an odd n >= 3")
     width = n - 1
     full = (1 << width) - 1
     taus = [GroupWord(full ^ (1 << (i - 1)), width) for i in range(1, n)]

@@ -23,7 +23,7 @@ from math import factorial
 from pathlib import Path
 
 from . import fixtures
-from .config import DEFAULT_TOLERANCES, check_tolerance
+from .config import DEFAULT_TOLERANCES, Report, check_tolerance
 from .errors import QsymError, UsageError
 from .graphs import Graph, _adjacency_defects, _automorphism_images, automorphisms, find_disjoint_pair
 from .so_twist import (
@@ -174,24 +174,15 @@ def _run_so_check(args) -> tuple[dict, bool]:
         raise UsageError("so-check needs odd n")
     seed = _resolve_seed(args)
     tol = _resolve_tol(args, DEFAULT_TOLERANCES.residual)
-    checks = []
     mismatches = lemma_SO_mismatches(n)
-    checks.append(
-        {
-            "relation": "lemma_SO",
-            "max_defect": float(mismatches),
-            "tol": tol,
-            "pass": mismatches == 0,
-            "n": n,
-            "matrices": 2 ** n * factorial(n),
-        }
-    )
+    reports = [Report(relation="lemma_SO", max_defect=float(mismatches), tol=tol, passed=mismatches == 0, n=n,
+                      matrices=2 ** n * factorial(n))]
     options = {"samples": args.samples, "seed": seed, "tol": tol}  # the abelian checks ignore samples and seed
+    reports += [lemma_sumzero_check(n, model, **options) for model in ("abelian", "twisted")]
     for model in ("abelian", "twisted"):
-        checks.append(lemma_sumzero_check(n, model, **options).to_json())
-    for model in ("abelian", "twisted"):
-        checks += [lemma_P_check(n, l, model, **options).to_json() for l in range(1, n + 1)]
-    ok = all(c["pass"] for c in checks)
+        reports += [lemma_P_check(n, l, model, **options) for l in range(1, n + 1)]
+    checks = [r.to_json() for r in reports]
+    ok = all(r.passed for r in reports)
     return {"n": n, "seed": seed, "samples": args.samples, "checks": checks}, ok
 
 

@@ -174,9 +174,6 @@ class Graph:
     def to_json(self) -> dict:
         return {"n": self.n_vertices, "edges": self.edges()}
 
-    def degree(self, v: int) -> int:
-        return int(self.adjacency[v].sum())
-
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(int)
 

@@ -87,11 +87,10 @@ def _product_sums(stack, rows, cols, tables, signs):
             yield cblk, sblk, [np.add.reduce(terms[table], axis=0)[:-1] for table in tables]
 
 
-def _bucket_sums(stack, rows, cols, buckets, size, signs) -> np.ndarray:
-    """The whole (size, C, S) array of ``_product_sums`` for one bucketing
-    into 0..size-1."""
-    table, ids = _slot_table(buckets)
-    out = np.zeros((size, len(cols), len(stack)))
-    for cblk, sblk, (sums,) in _product_sums(stack, rows, cols, [table], signs):
-        out[ids, cblk, sblk] = sums
+def _bucket_sums(stack, rows, cols, signs) -> np.ndarray:
+    """The (C, S) sums of ``_product_sums`` over all row tuples in one
+    bucket, added in the order of ``rows``."""
+    out = np.empty((len(cols), len(stack)))
+    for cblk, sblk, (sums,) in _product_sums(stack, rows, cols, [np.arange(len(rows))[:, None]], signs):
+        out[cblk, sblk] = sums[0]
     return out

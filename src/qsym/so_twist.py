@@ -67,7 +67,7 @@ from typing import Iterable
 import numpy as np
 
 from .boolean_group import tau_generators
-from .config import DEFAULT_TOLERANCES, check_integer, check_tolerance
+from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
 from .errors import CapacityError, DimensionError, UsageError
 from .graphs import Permutation, _bijections, _permutation_rows, _without_checks
 from .relation_kernel import _bucket_sums, _product_sums, _slot_table
@@ -75,7 +75,6 @@ from .relation_kernel import _bucket_sums, _product_sums, _slot_table
 __all__ = [
     "SignedPermMatrix",
     "Bicharacter",
-    "CheckReport",
     "abelian_points",
     "lemma_SO_mismatches",
     "lemma_SO_bruteforce",
@@ -311,30 +310,6 @@ def lemma_SO_bruteforce(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# generic check report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    relation: str
-    max_defect: float
-    tol: float
-    passed: bool
-    details: dict
-
-    def to_json(self) -> dict:
-        out = {
-            "relation": self.relation,
-            "max_defect": self.max_defect,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
-        out.update(self.details)
-        return out
-
-
-# ---------------------------------------------------------------------------
 # the bicharacter and the twist signs
 # ---------------------------------------------------------------------------
 
@@ -496,7 +471,7 @@ def twisted_relation_check(
     n_samples: int = 50,
     seed: int = 42,
     tol: float = DEFAULT_TOLERANCES.residual,
-) -> list[CheckReport]:
+) -> list[Report]:
     """Certify (7.1)-(7.5) for the twisted generators, pointwise.
 
     Each monomial is evaluated as its accumulated twist sign times the
@@ -520,7 +495,7 @@ def twisted_relation_check(
     reports = []
 
     d71 = float(np.abs(so.imag).max()) if np.iscomplexobj(so) else 0.0
-    reports.append(CheckReport("7.1", d71, tol, d71 <= tol, dict(base)))
+    reports.append(Report(relation="7.1", max_defect=d71, tol=tol, passed=d71 <= tol, **base))
 
     idx = np.arange(n)
     pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1)  # pairs[i, j] = (i, j)
@@ -535,7 +510,7 @@ def twisted_relation_check(
             total += chain_signs(pairs, [k, k], bc) * u[:, :, None, k] * u[:, None, :, k]
         total -= np.eye(n)
         d72 = max(d72, float(np.abs(total).max()))
-    reports.append(CheckReport("7.2", d72, tol, d72 <= tol, dict(base)))
+    reports.append(Report(relation="7.2", max_defect=d72, tol=tol, passed=d72 <= tol, **base))
 
     # Sign tensors for all leading indices, zeroed where two indices
     # coincide; entries are multiplied only where a sign survives (nowhere,
@@ -547,26 +522,25 @@ def twisted_relation_check(
     anti[:, same] = 0
     i, j, k = np.nonzero(anti)
     d73 = max(float(np.abs(anti[i, j, k] * u[:, i, j] * u[:, i, k]).max(initial=0.0)) for u in (so, columns))
-    reports.append(CheckReport("7.3", d73, tol, d73 <= tol, dict(base)))
+    reports.append(Report(relation="7.3", max_defect=d73, tol=tol, passed=d73 <= tol, **base))
 
     # comm[i, k, j, l]: the commutator signs of u_ij and u_kl
     comm = chain_signs(pairs[:, :, None, None], pairs, bc) - chain_signs(flip[:, :, None, None], flip, bc)
     comm[same] = comm[:, :, same] = 0
     i, k, j, l = np.nonzero(comm)
     d74 = float(np.abs(comm[i, k, j, l] * so[:, i, j] * so[:, k, l]).max(initial=0.0))
-    reports.append(CheckReport("7.4", d74, tol, d74 <= tol, dict(base)))
+    reports.append(Report(relation="7.4", max_defect=d74, tol=tol, passed=d74 <= tol, **base))
 
     # the sign of sigma is r(sigma) c(1..n); one kernel call per sample set,
     # as a joined copy of both stacks made the 7.2 loop above slower
     perms = _permutations(n)
-    at_zero = np.zeros(len(perms), dtype=np.intp)
     row_signs, col_sign = _index_signs(perms, bc), _index_signs(idx, bc)
-    total, total_refl = (col_sign * _bucket_sums(u, perms, idx[None], at_zero, 1, row_signs)[0, 0] for u in (so, refl))
+    total, total_refl = (col_sign * _bucket_sums(u, perms, idx[None], row_signs)[0] for u in (so, refl))
     d75 = float(np.abs(total - 1.0).max())
     control = float(np.abs(total_refl + 1.0).max())
-    details = dict(base)
-    details["control_det_negative_defect"] = control
-    reports.append(CheckReport("7.5", d75, tol, d75 <= tol and control <= tol, details))
+    passed = d75 <= tol and control <= tol
+    reports.append(Report(relation="7.5", max_defect=d75, tol=tol, passed=passed, **base,
+                          control_det_negative_defect=control))
     return reports
 
 
@@ -581,7 +555,7 @@ def lemma_sumzero_check(
     samples: int = 50,
     seed: int = 42,
     tol: float = DEFAULT_TOLERANCES.residual,
-) -> CheckReport:
+) -> Report:
     """Check that sum_sigma u_{sigma(1)1} ... u_{sigma(n-1)n-1} u_{sigma(n)k}
     vanishes for every k != n, plus the k = n control (the quantum
     determinant itself: d per matrix in the abelian model, 1 on special
@@ -611,17 +585,16 @@ def lemma_sumzero_check(
     else:
         bc = bicharacter((n - 1) // 2)
         values = _stack_samples(n, samples, np.random.default_rng(seed), negative=False)
-        at_zero = np.zeros(len(perms), dtype=np.intp)
-        totals = _bucket_sums(values, perms, cols, at_zero, 1, _index_signs(perms, bc))[0]
+        totals = _bucket_sums(values, perms, cols, _index_signs(perms, bc))
         # the column sign c(1..n-1, k) cannot change |total|; the control needs it
         totals[-1] *= _index_signs(cols[-1], bc)
         target = 1.0
         details = {"model": "twisted", "n": n, "samples": samples, "seed": seed}
     max_defect = float(np.abs(totals[:-1]).max(initial=0.0))
     control = float(np.abs(totals[-1] - target).max())
-    details["control_defect"] = control
     passed = max_defect <= tol and control <= tol
-    return CheckReport("lemma_sumzero", max_defect, tol, passed, details)
+    return Report(relation="lemma_sumzero", max_defect=max_defect, tol=tol, passed=passed, **details,
+                  control_defect=control)
 
 
 def lemma_P_check(
@@ -631,7 +604,7 @@ def lemma_P_check(
     samples: int = 20,
     seed: int = 42,
     tol: float = DEFAULT_TOLERANCES.residual,
-) -> CheckReport:
+) -> Report:
     """Check the repeated-index collapse of the tau-twisted sums.
 
     For every injective column tuple (i_1..i_l), the full sum
@@ -672,7 +645,7 @@ def lemma_P_check(
         # a bucket's difference is the support term where that is repeated
         max_defect = float(np.abs(value[:, (hit >= 0).any(axis=0)]).max(initial=0))
         details = {"model": "abelian", "n": n, "l": l, "matrices": len(stack.matrices)}
-        return CheckReport("lemma_P", max_defect, tol, max_defect <= tol, details)
+        return Report(relation="lemma_P", max_defect=max_defect, tol=tol, passed=max_defect <= tol, **details)
 
     bc = bicharacter((n - 1) // 2)
     values = _stack_samples(n, samples, np.random.default_rng(seed), negative=False)
@@ -686,7 +659,7 @@ def lemma_P_check(
     for _, _, (diff, rhs) in _product_sums(values, j_tuples, cols, [lhs_table, rhs_table], _index_signs(j_tuples, bc)):
         diff[shared] -= rhs
         max_defect = max(max_defect, float(np.abs(diff, out=diff).max(initial=0.0)))
-    return CheckReport("lemma_P", max_defect, tol, max_defect <= tol, details)
+    return Report(relation="lemma_P", max_defect=max_defect, tol=tol, passed=max_defect <= tol, **details)
 
 
 # ---------------------------------------------------------------------------

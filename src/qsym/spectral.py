@@ -35,45 +35,20 @@ stack, whose defects are exactly the entries of P E_k - E_k P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .boolean_group import FOLDED_CUBE_VERTEX_BOUND, folded_cube, walsh_matrix, walsh_rows
-from .config import DEFAULT_TOLERANCES, check_tolerance
-from .errors import CapacityError, DimensionError, UsageError
+from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
+from .errors import CapacityError, DimensionError
 from .graphs import Permutation, _permutation_defects
 
 __all__ = [
-    "SpectrumReport",
     "verify_spectrum",
     "eigenprojections",
     "preserves_eigenspaces",
 ]
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    n: int
-    levels: tuple[dict, ...]
-    numeric_match: bool
-    max_residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.numeric_match and self.max_residual <= self.tol
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "levels": [dict(lvl) for lvl in self.levels],
-            "numeric_match": self.numeric_match,
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
 
 
 #: distinct difference sets per block of the residual accumulator
@@ -197,7 +172,7 @@ def _eigenvalues(n: int) -> np.ndarray:
     return n - 2 * (length + (length & 1))
 
 
-def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> SpectrumReport:
+def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> Report:
     """Check every closed-form eigenpair of the folded n-cube numerically.
 
     For each word w the residual ||A psi(T_w) - lambda(w) psi(T_w)||_inf is
@@ -208,8 +183,7 @@ def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> Spectru
     (256 blocks of 16 rows at n = 13).  Needs n >= 3, where the closed form
     holds; levels are grouped by eigenvalue.
     """
-    if not isinstance(n, int) or n < 3:
-        raise UsageError(f"verify_spectrum needs an integer n >= 3 (the closed form assumes it), got {n!r}")
+    n = check_integer(n, "n", 3, need="verify_spectrum needs an integer n >= 3 (the closed form assumes it)")
     check_tolerance(tol)
     g = folded_cube(n)
     lams = _eigenvalues(n)
@@ -229,12 +203,14 @@ def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> Spectru
                 "max_residual": float(per_word[mask].max()),
             }
         )
-    return SpectrumReport(
+    max_residual = float(per_word.max())
+    return Report(
         n=n,
         levels=tuple(levels),
         numeric_match=numeric_match,
-        max_residual=float(per_word.max()),
+        max_residual=max_residual,
         tol=tol,
+        passed=numeric_match and max_residual <= tol,
     )
 
 
@@ -248,8 +224,7 @@ def _projection_stack(n: int) -> np.ndarray:
     Odd n only: for even n distinct levels can share an eigenvalue, and
     that regime is out of scope here.
     """
-    if not isinstance(n, int) or n < 3 or n % 2 == 0:
-        raise UsageError(f"eigenprojections need an odd n >= 3, got {n!r}")
+    n = check_integer(n, "n", 3, odd=True, need="eigenprojections need an odd n >= 3")
     size = 1 << (n - 1)
     if size > FOLDED_CUBE_VERTEX_BOUND:
         raise CapacityError(f"folded {n}-cube has {size} > {FOLDED_CUBE_VERTEX_BOUND} vertices")
@@ -269,7 +244,8 @@ def eigenprojections(n: int) -> tuple[tuple[int, np.ndarray], ...]:
     (level k, projection) pairs with eigenvalue n - 2k, k rising:
     read-only views into one cached stack.  For odd n the levels are
     k = 0, 2, ..., n-1."""
-    return tuple(zip(range(0, n, 2), _projection_stack(n)))
+    stack = _projection_stack(n)  # checks n before range reads it
+    return tuple(zip(range(0, n, 2), stack))
 
 
 def _eigenspace_defects(n: int, images: np.ndarray) -> np.ndarray:
@@ -291,6 +267,7 @@ def preserves_eigenspaces(
     graph automorphism; non-automorphisms simply return False.
     """
     check_tolerance(tol)
-    if p.size != 1 << (n - 1):
-        raise DimensionError(f"permutation on {p.size} points vs 2^{n - 1} vertices")
-    return bool(_eigenspace_defects(n, np.array([p.images]))[0] <= tol)
+    stack = _projection_stack(n)  # checks n before its size is read
+    if p.size != stack.shape[-1]:
+        raise DimensionError(f"permutation on {p.size} points vs {stack.shape[-1]} vertices")
+    return bool(_permutation_defects(np.array([p.images]), stack)[0] <= tol)

@@ -29,14 +29,12 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, check_tolerance
+from .config import DEFAULT_TOLERANCES, Report, check_tolerance
 from .errors import DimensionError, UsageError
 from .graphs import Graph, Permutation, are_disjoint, is_automorphism
 
 __all__ = [
     "MagicUnitary",
-    "WitnessReport",
-    "RecoveryReport",
     "op_norm",
     "haar_unitary",
     "spectral_projections",
@@ -203,32 +201,6 @@ def build_witness(
     return MagicUnitary(entries, seed=seed)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    projection_defect: float
-    rowsum_defect: float
-    colsum_defect: float
-    commutation_defect: float
-    noncomm_certificate: float
-    seed: Optional[int]
-    tol: float
-    certificate_floor: float
-    passed: bool
-
-    def to_json(self) -> dict:
-        return {
-            "projection_defect": self.projection_defect,
-            "rowsum_defect": self.rowsum_defect,
-            "colsum_defect": self.colsum_defect,
-            "commutation_defect": self.commutation_defect,
-            "noncomm_certificate": self.noncomm_certificate,
-            "seed": self.seed,
-            "tol": self.tol,
-            "certificate_floor": self.certificate_floor,
-            "pass": self.passed,
-        }
-
-
 def _distinct_entries(u: MagicUnitary) -> list[np.ndarray]:
     """The entries of u up to equality after rounding to 9 decimals, each
     first occurrence in row-major order.  All entries are rounded in one
@@ -246,7 +218,7 @@ def certify_witness(
     g: Graph,
     u: MagicUnitary,
     tol: float = DEFAULT_TOLERANCES.projector,
-) -> WitnessReport:
+) -> Report:
     """Measure all magic-unitary defects of u against the graph g.
 
     Reports the worst projection defect over entries, the worst row and
@@ -278,7 +250,7 @@ def certify_witness(
             certificate = max(certificate, op_norm(x @ y - y @ x))
 
     passed = max(projection_defect, rowsum_defect, colsum_defect, commutation_defect) <= tol
-    return WitnessReport(
+    return Report(
         projection_defect=projection_defect,
         rowsum_defect=rowsum_defect,
         colsum_defect=colsum_defect,
@@ -289,31 +261,6 @@ def certify_witness(
         certificate_floor=DEFAULT_TOLERANCES.certificate_floor,
         passed=passed,
     )
-
-
-@dataclass(frozen=True)
-class RecoveryReport:
-    sigma_residuals: tuple[float, ...]
-    tau_residuals: tuple[float, ...]
-    sigma_representatives: tuple[int, ...]
-    tau_representatives: tuple[int, ...]
-    tol: float
-    passed: bool
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.sigma_residuals + self.tau_residuals)
-
-    def to_json(self) -> dict:
-        return {
-            "sigma_residuals": list(self.sigma_residuals),
-            "tau_residuals": list(self.tau_residuals),
-            "sigma_representatives": list(self.sigma_representatives),
-            "tau_representatives": list(self.tau_representatives),
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
 
 
 def _recovery_side(
@@ -341,7 +288,7 @@ def recovery_products(
     p: list[np.ndarray],
     q: list[np.ndarray],
     tol: float = DEFAULT_TOLERANCES.projector,
-) -> RecoveryReport:
+) -> Report:
     """Recover every p_k and q_l as a product of witness entries.
 
     One representative s per non-trivial cycle (the cycle minimum, taken in
@@ -355,12 +302,13 @@ def recovery_products(
     check_tolerance(tol)
     sigma_reps, sigma_res = _recovery_side(u, sigma, p)
     tau_reps, tau_res = _recovery_side(u, tau, q)
-    passed = max(sigma_res + tau_res) <= tol
-    return RecoveryReport(
+    max_residual = max(sigma_res + tau_res)
+    return Report(
         sigma_residuals=sigma_res,
         tau_residuals=tau_res,
         sigma_representatives=sigma_reps,
         tau_representatives=tau_reps,
+        max_residual=max_residual,
         tol=tol,
-        passed=passed,
+        passed=max_residual <= tol,
     )

@@ -104,7 +104,7 @@ def test_06_determinant_expansion_equivalence_n3():
 
 def test_07_vanishing_sums_abelian_exact_and_twisted_sampled():
     rep = qsym.lemma_sumzero_check(3, "abelian")
-    assert rep.max_defect == 0.0 and rep.details["control_defect"] == 0.0
+    assert rep.max_defect == 0.0 and rep.control_defect == 0.0
     rep = qsym.lemma_sumzero_check(3, "twisted", samples=50, seed=42, tol=SPECTRA_TOL)
     assert rep.passed and rep.max_defect <= SPECTRA_TOL
     for l in (1, 2, 3):
@@ -121,7 +121,7 @@ def test_08_twisted_relations_for_m_1_and_2():
         assert [r.relation for r in reports] == ["7.1", "7.2", "7.3", "7.4", "7.5"]
         for r in reports:
             assert r.passed and r.max_defect <= SPECTRA_TOL
-        assert reports[-1].details["control_det_negative_defect"] <= SPECTRA_TOL
+        assert reports[-1].control_det_negative_defect <= SPECTRA_TOL
     report(8, "relations 7.1-7.5 hold twisted for m=1,2; det=-1 control yields -1")
 
 

@@ -18,12 +18,15 @@ from qsym import (
     bicharacter,
     build_witness,
     certify_witness,
+    eigenprojections,
+    folded_cube,
     lemma_P_check,
     lemma_SO_mismatches,
     lemma_sumzero_check,
     preserves_eigenspaces,
     recovery_products,
     rep_free_product,
+    tau_generators,
     twisted_relation_check,
     verify_spectrum,
 )
@@ -123,3 +126,33 @@ def test_good_integers_come_back_as_int(value):
 def test_numpy_integer_parameters_give_the_same_reports():
     numpy_args = lemma_P_check(np.int64(3), np.int64(2), "twisted", samples=np.int32(5), seed=np.int64(1))
     assert numpy_args == lemma_P_check(3, 2, "twisted", samples=5, seed=1)
+
+
+def test_numpy_integer_n_gives_the_same_folded_cube_objects():
+    n = np.int64(5)
+    assert np.array_equal(folded_cube(n).adjacency, folded_cube(5).adjacency)
+    assert tau_generators(n) == tau_generators(5)
+    report = verify_spectrum(n)
+    assert report == verify_spectrum(5) and type(report.n) is int
+    assert [k for k, _ in eigenprojections(n)] == [0, 2, 4]
+    assert preserves_eigenspaces(n, Permutation.identity(16))
+
+
+#: folded-cube sizes that are checked before they are used
+BAD_N = {
+    "folded_cube n=2.5": lambda: folded_cube(2.5),
+    "folded_cube n=True": lambda: folded_cube(True),
+    "tau_generators n=5.0": lambda: tau_generators(5.0),
+    "tau_generators n=4": lambda: tau_generators(4),
+    "verify_spectrum n=5.0": lambda: verify_spectrum(5.0),
+    "eigenprojections n=2.5": lambda: eigenprojections(2.5),
+    "eigenprojections n=np.int64(4)": lambda: eigenprojections(np.int64(4)),
+    "preserves_eigenspaces n=0": lambda: preserves_eigenspaces(0, Permutation.identity(1)),
+    "preserves_eigenspaces n=-3": lambda: preserves_eigenspaces(-3, Permutation.identity(1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_N))
+def test_bad_folded_cube_sizes_are_usage_errors(name):
+    with pytest.raises(UsageError):
+        BAD_N[name]()

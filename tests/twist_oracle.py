@@ -28,10 +28,11 @@ import numpy as np
 
 from qsym import Permutation, SignedPermMatrix, tau_generators
 from qsym.boolean_group import GroupWord, walsh_matrix
+from qsym.config import Report
 from qsym.errors import DimensionError, UsageError
 from qsym import so_twist
 from qsym.relation_kernel import _bucket_sums, _product_sums, _slot_table
-from qsym.so_twist import Bicharacter, CheckReport, _generator_bits, bicharacter
+from qsym.so_twist import Bicharacter, _generator_bits, bicharacter
 
 # ---------------------------------------------------------------------------
 # the symbolic twist layer
@@ -247,7 +248,7 @@ def loop_lemma_SO_mismatches(n: int) -> int:
     return count
 
 
-def loop_lemma_sumzero_check(n, model, samples=50, seed=42, tol=1e-9) -> CheckReport:
+def loop_lemma_sumzero_check(n, model, samples=50, seed=42, tol=1e-9) -> Report:
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
     if model == "abelian":
         first_cols = np.arange(n - 1)
@@ -265,7 +266,7 @@ def loop_lemma_sumzero_check(n, model, samples=50, seed=42, tol=1e-9) -> CheckRe
                     max_defect = max(max_defect, abs(total))
         details = {"model": "abelian", "n": n, "matrices": len(mats), "control_defect": float(control)}
         passed = max_defect <= tol and control <= tol
-        return CheckReport("lemma_sumzero", float(max_defect), tol, passed, details)
+        return Report(relation="lemma_sumzero", max_defect=float(max_defect), tol=tol, passed=passed, **details)
     bc = bicharacter((n - 1) // 2)
     so = loop_stack_samples(n, samples, np.random.default_rng(seed), negative=False)
     max_defect = 0.0
@@ -284,10 +285,10 @@ def loop_lemma_sumzero_check(n, model, samples=50, seed=42, tol=1e-9) -> CheckRe
             max_defect = max(max_defect, float(np.abs(total).max()))
     details = {"model": "twisted", "n": n, "samples": samples, "seed": seed, "control_defect": control}
     passed = max_defect <= tol and control <= tol
-    return CheckReport("lemma_sumzero", max_defect, tol, passed, details)
+    return Report(relation="lemma_sumzero", max_defect=max_defect, tol=tol, passed=passed, **details)
 
 
-def loop_lemma_P_check(n, l, model, samples=20, seed=42, tol=1e-9) -> CheckReport:
+def loop_lemma_P_check(n, l, model, samples=20, seed=42, tol=1e-9) -> Report:
     tau_bits = [t.bits for t in tau_generators(n)]
     size = 1 << (n - 1)
     i_tuples = list(permutations(range(1, n + 1), l))
@@ -314,7 +315,7 @@ def loop_lemma_P_check(n, l, model, samples=20, seed=42, tol=1e-9) -> CheckRepor
                         rhs[bits] += coeff
                 max_defect = max(max_defect, int(np.abs(lhs - rhs).max()))
         details = {"model": "abelian", "n": n, "l": l, "matrices": len(mats)}
-        return CheckReport("lemma_P", float(max_defect), tol, max_defect <= tol, details)
+        return Report(relation="lemma_P", max_defect=float(max_defect), tol=tol, passed=max_defect <= tol, **details)
     bc = bicharacter((n - 1) // 2)
     so = loop_stack_samples(n, samples, np.random.default_rng(seed), negative=False)
     max_defect = 0.0
@@ -330,10 +331,10 @@ def loop_lemma_P_check(n, l, model, samples=20, seed=42, tol=1e-9) -> CheckRepor
                 rhs[bits] += vals
         max_defect = max(max_defect, float(np.abs(lhs - rhs).max()))
     details = {"model": "twisted", "n": n, "l": l, "samples": samples, "seed": seed}
-    return CheckReport("lemma_P", max_defect, tol, max_defect <= tol, details)
+    return Report(relation="lemma_P", max_defect=max_defect, tol=tol, passed=max_defect <= tol, **details)
 
 
-def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[CheckReport]:
+def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[Report]:
     n = 2 * m + 1
     bc = bicharacter(m)
     rng = np.random.default_rng(seed)
@@ -341,7 +342,7 @@ def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[Chec
     refl = loop_stack_samples(n, n_samples, rng, negative=True)
     base = {"m": m, "n": n, "samples": n_samples, "seed": seed}
     cs = loop_chain_sign
-    reports = [CheckReport("7.1", 0.0, tol, True, dict(base))]
+    reports = [Report(relation="7.1", max_defect=0.0, tol=tol, passed=True, **base)]
 
     d72 = 0.0
     for i in range(1, n + 1):
@@ -353,7 +354,7 @@ def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[Chec
                 row += cs(((i, k), (j, k)), bc) * so[:, i - 1, k - 1] * so[:, j - 1, k - 1]
                 col += cs(((k, i), (k, j)), bc) * so[:, k - 1, i - 1] * so[:, k - 1, j - 1]
             d72 = max(d72, float(np.abs(row - target).max()), float(np.abs(col - target).max()))
-    reports.append(CheckReport("7.2", d72, tol, d72 <= tol, dict(base)))
+    reports.append(Report(relation="7.2", max_defect=d72, tol=tol, passed=d72 <= tol, **base))
 
     d73 = 0.0
     for i in range(1, n + 1):
@@ -364,7 +365,7 @@ def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[Chec
                 anti_row = (cs(((i, j), (i, k)), bc) + cs(((i, k), (i, j)), bc)) * so[:, i - 1, j - 1] * so[:, i - 1, k - 1]
                 anti_col = (cs(((j, i), (k, i)), bc) + cs(((k, i), (j, i)), bc)) * so[:, j - 1, i - 1] * so[:, k - 1, i - 1]
                 d73 = max(d73, float(np.abs(anti_row).max()), float(np.abs(anti_col).max()))
-    reports.append(CheckReport("7.3", d73, tol, d73 <= tol, dict(base)))
+    reports.append(Report(relation="7.3", max_defect=d73, tol=tol, passed=d73 <= tol, **base))
 
     d74 = 0.0
     for i in range(1, n + 1):
@@ -375,7 +376,7 @@ def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[Chec
                         continue
                     comm = (cs(((i, j), (k, l)), bc) - cs(((k, l), (i, j)), bc)) * so[:, i - 1, j - 1] * so[:, k - 1, l - 1]
                     d74 = max(d74, float(np.abs(comm).max()))
-    reports.append(CheckReport("7.4", d74, tol, d74 <= tol, dict(base)))
+    reports.append(Report(relation="7.4", max_defect=d74, tol=tol, passed=d74 <= tol, **base))
 
     cols = np.arange(n)
     total = np.zeros(n_samples)
@@ -387,9 +388,8 @@ def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[Chec
         total_refl += sign * np.prod(refl[:, rows, cols], axis=1)
     d75 = float(np.abs(total - 1.0).max())
     control = float(np.abs(total_refl + 1.0).max())
-    details = dict(base)
-    details["control_det_negative_defect"] = control
-    reports.append(CheckReport("7.5", d75, tol, d75 <= tol and control <= tol, details))
+    reports.append(Report(relation="7.5", max_defect=d75, tol=tol, passed=d75 <= tol and control <= tol, **base,
+                          control_det_negative_defect=control))
     return reports
 
 
@@ -410,7 +410,11 @@ def dense_column_expansions(matrices: np.ndarray) -> np.ndarray:
     tuples = so_twist._permutations(n, n - 1)
     # the row a tuple avoids: each tuple misses exactly one of 0..n-1
     avoided = n * (n - 1) // 2 - tuples.sum(axis=1)
-    return _bucket_sums(matrices, tuples, np.arange(n - 1)[None], avoided, n, _unsigned(tuples))[:, 0]
+    table, ids = _slot_table(avoided)
+    out = np.zeros((n, len(matrices)))
+    for _, sblk, (sums,) in _product_sums(matrices, tuples, np.arange(n - 1)[None], [table], _unsigned(tuples)):
+        out[ids, sblk] = sums[:, 0]
+    return out
 
 
 def dense_lemma_SO_mismatches(n: int) -> int:
@@ -419,20 +423,20 @@ def dense_lemma_SO_mismatches(n: int) -> int:
     return int(np.count_nonzero((stack.determinants == 1) != expansion))
 
 
-def dense_lemma_sumzero_check(n: int, tol: float = 1e-9) -> CheckReport:
+def dense_lemma_sumzero_check(n: int, tol: float = 1e-9) -> Report:
     stack = so_twist._signed_perm_stack(n)
     perms = so_twist._permutations(n)
     cols = np.tile(np.arange(n), (n, 1))
     cols[:, -1] = np.arange(n)
-    at_zero = np.zeros(len(perms), dtype=np.intp)
-    totals = _bucket_sums(stack.matrices, perms, cols, at_zero, 1, _unsigned(perms))[0]
+    totals = _bucket_sums(stack.matrices, perms, cols, _unsigned(perms))
     max_defect = float(np.abs(totals[:-1]).max(initial=0.0))
     control = float(np.abs(totals[-1] - stack.determinants).max())
     details = {"model": "abelian", "n": n, "matrices": len(stack.matrices), "control_defect": control}
-    return CheckReport("lemma_sumzero", max_defect, tol, max_defect <= tol and control <= tol, details)
+    passed = max_defect <= tol and control <= tol
+    return Report(relation="lemma_sumzero", max_defect=max_defect, tol=tol, passed=passed, **details)
 
 
-def dense_lemma_P_check(n: int, l: int, tol: float = 1e-9) -> CheckReport:
+def dense_lemma_P_check(n: int, l: int, tol: float = 1e-9) -> Report:
     """The abelian lemma P: lhs - rhs summed exactly over the row tuples
     with a repeated index, per tau-word bucket, matrix and column tuple."""
     stack = so_twist._signed_perm_stack(n)
@@ -446,7 +450,7 @@ def dense_lemma_P_check(n: int, l: int, tol: float = 1e-9) -> CheckReport:
                                        _unsigned(repeated)):
         max_defect = max(max_defect, float(np.abs(diff).max(initial=0.0)))
     details = {"model": "abelian", "n": n, "l": l, "matrices": len(stack.matrices)}
-    return CheckReport("lemma_P", max_defect, tol, max_defect <= tol, details)
+    return Report(relation="lemma_P", max_defect=max_defect, tol=tol, passed=max_defect <= tol, **details)
 
 
 # ---------------------------------------------------------------------------
