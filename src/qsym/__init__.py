@@ -3,15 +3,18 @@
 The package bundles five cooperating toolkits:
 
 * ``graphs``        -- simple graphs, automorphism enumeration, disjoint pairs
-* ``boolean_group`` -- Z_2^w, the Walsh-Hadamard matrix, folded cubes
+* ``boolean_group`` -- Z_2^w as integer words, the Walsh-Hadamard matrix,
+                       folded cubes and the tau generators
 * ``spectral``      -- closed-form folded-cube spectra and eigenprojections,
                        from one vectorized eigenvalue rule
 * ``star_algebra``  -- magic-unitary witnesses over a matrix model
 * ``so_twist``      -- the q = -1 orthogonal relation system, its bicharacter
-                       twist, and the classical points acting on folded cubes
+                       twist (an int8 sign table), and the classical points
+                       acting on folded cubes
 
 plus a JSON-reporting CLI (``qsym``).  Every check returns one
-``config.Report``.
+``config.Report``.  The names exported here are what the CLI, the
+benchmark and the library's own code paths call.
 """
 
 from .config import DEFAULT_TOLERANCES, Report, Tolerances
@@ -31,7 +34,6 @@ from .graphs import (
     is_automorphism,
 )
 from .boolean_group import (
-    GroupWord,
     folded_cube,
     tau_generators,
     walsh_matrix,
@@ -45,14 +47,11 @@ from .star_algebra import (
     MagicUnitary,
     build_witness,
     certify_witness,
-    haar_unitary,
     op_norm,
     recovery_products,
     rep_free_product,
-    spectral_projections,
 )
 from .so_twist import (
-    Bicharacter,
     SignedPermMatrix,
     abelian_points,
     bicharacter,

@@ -29,17 +29,13 @@ connecting word; the distance definition is the test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
 from .config import check_integer
-from .errors import CapacityError, DimensionError, UsageError
+from .errors import CapacityError
 from .graphs import GRAPH_VERTEX_BOUND, Graph
 
 __all__ = [
-    "GroupWord",
     "folded_cube",
     "walsh_matrix",
     "walsh_rows",
@@ -49,67 +45,6 @@ __all__ = [
 
 #: cap on 2^{n-1}, the folded cube vertex count
 FOLDED_CUBE_VERTEX_BOUND = GRAPH_VERTEX_BOUND
-
-
-@dataclass(frozen=True)
-class GroupWord:
-    """Element of Z_2^width; ``bits`` holds the exponent vector."""
-
-    bits: int
-    width: int
-
-    def __post_init__(self):
-        if self.width < 0:
-            raise UsageError("width must be non-negative")
-        if not 0 <= self.bits < (1 << self.width):
-            raise UsageError(f"bits {self.bits:#x} out of range for width {self.width}")
-
-    @classmethod
-    def identity(cls, width: int) -> "GroupWord":
-        return cls(0, width)
-
-    @classmethod
-    def generator(cls, k: int, width: int) -> "GroupWord":
-        """The generator t_k (1-based), i.e. the word with exponent vector e_k."""
-        if not 1 <= k <= width:
-            raise UsageError(f"generator index {k} out of range 1..{width}")
-        return cls(1 << (k - 1), width)
-
-    @classmethod
-    def all_ones(cls, width: int) -> "GroupWord":
-        return cls((1 << width) - 1, width)
-
-    @classmethod
-    def all_words(cls, width: int) -> Iterator["GroupWord"]:
-        for bits in range(1 << width):
-            yield cls(bits, width)
-
-    def __mul__(self, other: "GroupWord") -> "GroupWord":
-        if self.width != other.width:
-            raise DimensionError("group word widths differ")
-        return GroupWord(self.bits ^ other.bits, self.width)
-
-    def inverse(self) -> "GroupWord":
-        return self
-
-    def length(self) -> int:
-        """Word length: number of generators with exponent 1."""
-        return self.bits.bit_count()
-
-    def dot(self, other: "GroupWord") -> int:
-        """GF(2) dot product of exponent vectors (0 or 1)."""
-        if self.width != other.width:
-            raise DimensionError("group word widths differ")
-        return (self.bits & other.bits).bit_count() & 1
-
-    def exponents(self) -> tuple[int, ...]:
-        return tuple((self.bits >> s) & 1 for s in range(self.width))
-
-    def __repr__(self) -> str:
-        if self.bits == 0:
-            return f"GroupWord(e, width={self.width})"
-        word = "*".join(f"t{s + 1}" for s in range(self.width) if (self.bits >> s) & 1)
-        return f"GroupWord({word}, width={self.width})"
 
 
 def walsh_rows(words: np.ndarray, width: int) -> np.ndarray:
@@ -139,6 +74,17 @@ def walsh_matrix(width: int) -> np.ndarray:
     return walsh_rows(np.arange(1 << width), width)
 
 
+def _cube_size(n: int) -> int:
+    """2^(n-1), the folded n-cube's vertex count, for an integer n >= 1.
+
+    n is compared with the vertex bound before the shift, so a huge n is a
+    ``CapacityError`` and never builds a huge integer.
+    """
+    if n > FOLDED_CUBE_VERTEX_BOUND.bit_length():
+        raise CapacityError(f"folded {n}-cube has 2^{n - 1} > {FOLDED_CUBE_VERTEX_BOUND} vertices")
+    return 1 << (n - 1)
+
+
 def folded_cube(n: int) -> Graph:
     """Folded n-cube graph on the 2^{n-1} bit words of width n-1.
 
@@ -148,9 +94,7 @@ def folded_cube(n: int) -> Graph:
     coincide and the graph is a single edge.
     """
     n = check_integer(n, "n", 2, need="folded cube needs an integer n >= 2")
-    size = 1 << (n - 1)
-    if size > FOLDED_CUBE_VERTEX_BOUND:
-        raise CapacityError(f"folded {n}-cube has {size} > {FOLDED_CUBE_VERTEX_BOUND} vertices")
+    size = _cube_size(n)
     ii = np.arange(size)
     adjacency = np.zeros((size, size), dtype=np.uint8)
     for s in [1 << k for k in range(n - 1)] + [size - 1]:
@@ -159,22 +103,15 @@ def folded_cube(n: int) -> Graph:
     return Graph._from_owned(adjacency)
 
 
-def tau_generators(n: int) -> list[GroupWord]:
-    """The alternative generator system tau_1..tau_n of Z_2^{n-1}, n odd.
+def tau_generators(n: int) -> tuple[int, ...]:
+    """The alternative generator system tau_1..tau_n of Z_2^{n-1}, n odd,
+    as words of width n-1.
 
     tau_i = t_1 ... t_{i-1} t_{i+1} ... t_{n-1} for i <= n-1 (all generators
     but the i-th) and tau_n = t_1 ... t_{n-1}.  Each tau_i has order two and
     tau_n = tau_1 ... tau_{n-1}; the latter identity needs n odd, which is
-    why even n is rejected.
+    why even n is rejected.  n is held to the folded cube's vertex bound.
     """
     n = check_integer(n, "n", 3, odd=True, need="tau generators need an odd n >= 3")
-    width = n - 1
-    full = (1 << width) - 1
-    taus = [GroupWord(full ^ (1 << (i - 1)), width) for i in range(1, n)]
-    taus.append(GroupWord(full, width))
-    product = 0
-    for t in taus[:-1]:
-        product ^= t.bits
-    if product != full:  # pragma: no cover - guards the n-odd arithmetic above
-        raise RuntimeError("tau_n != tau_1...tau_{n-1}; generator table is inconsistent")
-    return taus
+    full = _cube_size(n) - 1
+    return tuple(full ^ (1 << (i - 1)) for i in range(1, n)) + (full,)

@@ -22,8 +22,6 @@ class Tolerances:
     #: projector identities and witness algebra defects (projection,
     #: row/column sums, commutation with the adjacency matrix)
     projector: float = 1e-10
-    #: Fourier round-trip defects
-    roundtrip: float = 1e-12
     #: smallest commutator norm reported as a positive noncommutativity
     #: certificate; below this the witness counts as commutative
     certificate_floor: float = 1e-2

@@ -159,6 +159,8 @@ class Graph:
             obj = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"{path}: invalid JSON ({exc})") from None
+        except RecursionError:
+            raise GraphFormatError(f"{path}: JSON nested too deeply to be a graph") from None
         except (OSError, UnicodeDecodeError) as exc:
             raise GraphFormatError(f"{path}: cannot read a graph file ({exc})") from None
         return cls.from_json(obj)
@@ -166,19 +168,6 @@ class Graph:
     @property
     def n_vertices(self) -> int:
         return int(self.adjacency.shape[0])
-
-    def edges(self) -> list[list[int]]:
-        ii, jj = np.nonzero(np.triu(self.adjacency))
-        return [[int(i), int(j)] for i, j in zip(ii, jj)]
-
-    def to_json(self) -> dict:
-        return {"n": self.n_vertices, "edges": self.edges()}
-
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1).astype(int)
-
-    def neighbors(self, v: int) -> list[int]:
-        return [int(w) for w in np.nonzero(self.adjacency[v])[0]]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and np.array_equal(self.adjacency, other.adjacency)
@@ -199,10 +188,6 @@ class Permutation:
         object.__setattr__(self, "images", imgs)
         if sorted(imgs) != list(range(len(imgs))):
             raise UsageError(f"{imgs!r} is not a bijection on 0..{len(imgs) - 1}")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
@@ -227,12 +212,6 @@ class Permutation:
         if self.size != other.size:
             raise DimensionError("permutation sizes differ")
         return Permutation(tuple(self.images[j] for j in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Non-trivial cycles, each starting at its minimum, sorted by minimum."""
@@ -259,21 +238,8 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
 
-    def matrix(self) -> np.ndarray:
-        """Permutation matrix P with P e_i = e_{p(i)}."""
-        m = np.zeros((self.size, self.size), dtype=np.uint8)
-        for i, j in enumerate(self.images):
-            m[j, i] = 1
-        return m
-
     def to_json(self) -> list[int]:
         return list(self.images)
-
-    @classmethod
-    def from_json(cls, obj) -> "Permutation":
-        if not isinstance(obj, list):
-            raise UsageError("permutation JSON must be a list of images")
-        return cls(tuple(obj))
 
 
 def _bijections(images: np.ndarray) -> np.ndarray:

@@ -31,8 +31,10 @@ gives SO_n^{-1}.  Two concrete models are certified here:
 
       prod_{b < a} sigma(t_{i_b}, t_{i_a}) sigma(t_{j_b}, t_{j_a}),
 
-  read straight off the generator table (``chain_signs``).  The identities
-  are verified pointwise on seeded random special orthogonal samples.
+  read straight off the generator table.  ``bicharacter(m)`` is that
+  table, a read-only int8 (n, n) array, and ``chain_signs`` reads it.  The
+  identities are verified pointwise on seeded random special orthogonal
+  samples.
 
 Only terms that can be non-zero are formed.  Signed permutation (pi, s)
 has entry s_i at (pi(i), i) and zeros elsewhere, so for a column tuple I
@@ -74,7 +76,6 @@ from .relation_kernel import _bucket_sums, _product_sums, _slot_table
 
 __all__ = [
     "SignedPermMatrix",
-    "Bicharacter",
     "abelian_points",
     "lemma_SO_mismatches",
     "lemma_SO_bruteforce",
@@ -135,23 +136,9 @@ class SignedPermMatrix:
         if any(s not in (-1, 1) for s in signs):
             raise UsageError("signs must be +-1")
 
-    @classmethod
-    def identity(cls, n: int) -> "SignedPermMatrix":
-        return cls(Permutation.identity(n), (1,) * n)
-
     @property
     def n(self) -> int:
         return self.perm.size
-
-    def entry(self, i: int, j: int) -> int:
-        """0-based matrix entry."""
-        return self.signs[j] if i == self.perm(j) else 0
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=np.int64)
-        for a, s in enumerate(self.signs):
-            m[self.perm(a), a] = s
-        return m
 
     @property
     def quantum_determinant(self) -> int:
@@ -161,29 +148,8 @@ class SignedPermMatrix:
             out *= s
         return out
 
-    def __mul__(self, other: "SignedPermMatrix") -> "SignedPermMatrix":
-        """Matrix product self @ other."""
-        if self.n != other.n:
-            raise DimensionError("sizes differ")
-        perm = self.perm.compose(other.perm)
-        signs = tuple(other.signs[a] * self.signs[other.perm(a)] for a in range(self.n))
-        return SignedPermMatrix(perm, signs)
-
-    def inverse(self) -> "SignedPermMatrix":
-        inv = self.perm.inverse()
-        return SignedPermMatrix(inv, tuple(self.signs[inv(j)] for j in range(self.n)))
-
     def to_json(self) -> dict:
         return {"n": self.n, "perm": list(self.perm.images), "signs": list(self.signs)}
-
-    @classmethod
-    def from_json(cls, obj) -> "SignedPermMatrix":
-        if not isinstance(obj, dict) or set(obj) != {"n", "perm", "signs"}:
-            raise UsageError('signed permutation JSON needs keys "n", "perm", "signs"')
-        p = Permutation(tuple(obj["perm"]))
-        if p.size != obj["n"]:
-            raise DimensionError("perm length != n")
-        return cls(p, tuple(obj["signs"]))
 
 
 @dataclass(frozen=True)
@@ -314,124 +280,57 @@ def lemma_SO_bruteforce(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _generator_bits(i: int, width: int) -> int:
-    """Exponent word of t_i in Z_2^width; t_{width+1} is the full product."""
-    if 1 <= i <= width:
-        return 1 << (i - 1)
-    if i == width + 1:
-        return (1 << width) - 1
-    raise UsageError(f"generator index {i} out of range 1..{width + 1}")
+def bicharacter(m: int) -> np.ndarray:
+    """The bicharacter's table T on the generators t_1..t_{2m+1}, n = 2m+1,
+    as a read-only int8 (n, n) array: T[i-1, j-1] = sigma(t_i, t_j).
 
-
-@dataclass(frozen=True)
-class Bicharacter:
-    """+-1 pairing on Z_2^{2m}, tabulated on the generators t_1..t_{2m+1}.
-
-    Antisymmetric off the diagonal among t_1..t_{2m} (value -1 for i < j),
-    constant (-1)^m on the diagonal, and (-1)^{m-i} against the full
-    product t_{2m+1} = t_1...t_{2m}.  ``word_sign`` extends the table
-    multiplicatively to arbitrary pairs of words.
+    Among t_1..t_{2m} it is antisymmetric off the diagonal (-1 for i < j),
+    (-1)^m on the whole diagonal, and sigma(t_i, t_{2m+1}) = (-1)^{m-i} =
+    -sigma(t_{2m+1}, t_i) against the full product t_{2m+1} = t_1...t_{2m}.
+    These three value families fix the unique bicharacter on Z_2^{2m} that
+    twists SO_{2m+1} into SO_{2m+1}^{-1}.  m is checked before the cache
+    is read, so an unhashable m is a ``UsageError``.
     """
-
-    m: int
-    table: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return 2 * self.m + 1
-
-    @property
-    def width(self) -> int:
-        return 2 * self.m
-
-    def value(self, i: int, j: int) -> int:
-        """Table entry for generators t_i, t_j (1-based, up to 2m+1)."""
-        return self.table[i - 1][j - 1]
-
-    def generator_bits(self, i: int) -> int:
-        return _generator_bits(i, self.width)
-
-    def word_sign(self, g_bits: int, h_bits: int) -> int:
-        """Multiplicative extension: product of table entries over the
-        generator supports of the two words (width-2m encodings)."""
-        sign = 1
-        g = g_bits
-        while g:
-            a = (g & -g).bit_length() - 1
-            h = h_bits
-            while h:
-                b = (h & -h).bit_length() - 1
-                sign *= self.table[a][b]
-                h &= h - 1
-            g &= g - 1
-        return sign
-
-    def consistency_defect(self) -> int:
-        """0 iff the prescribed last row/column agree with the
-        multiplicative extension to t_{2m+1}."""
-        bad = 0
-        full = self.generator_bits(self.n)
-        for i in range(1, self.n + 1):
-            gi = self.generator_bits(i)
-            bad += int(self.word_sign(gi, full) != self.value(i, self.n))
-            bad += int(self.word_sign(full, gi) != self.value(self.n, i))
-        return bad
+    return _bicharacter_table(check_integer(m, "m", 1))
 
 
-def bicharacter(m: int) -> Bicharacter:
-    """The unique bicharacter with the three prescribed value families."""
-    m = check_integer(m, "m", 1)
-    n = 2 * m + 1
-    diag = (-1) ** (m & 1)
-    table = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        table[i - 1][i - 1] = diag
-    for i in range(1, 2 * m + 1):
-        for j in range(i + 1, 2 * m + 1):
-            table[i - 1][j - 1] = -1
-            table[j - 1][i - 1] = 1
-    for i in range(1, 2 * m + 1):
-        v = (-1) ** ((m - i) & 1)
-        table[i - 1][n - 1] = v
-        table[n - 1][i - 1] = -v
-    bc = Bicharacter(m, tuple(tuple(row) for row in table))
-    if bc.consistency_defect() != 0:  # pragma: no cover - fixed by the table
-        raise RuntimeError("bicharacter table is inconsistent with its extension")
-    return bc
+@lru_cache(maxsize=None)
+def _bicharacter_table(m: int) -> np.ndarray:
+    width = 2 * m
+    i = np.arange(width)  # t_{i+1}
+    table = np.empty((width + 1, width + 1), dtype=np.int8)
+    table[:width, :width] = np.where(i[:, None] < i, -1, 1)
+    last = 1 - 2 * ((m - 1 - i) & 1)  # (-1)^{m-(i+1)}
+    table[:width, width], table[width, :width] = last, -last
+    np.fill_diagonal(table, (-1) ** m)
+    table.setflags(write=False)
+    return table
 
 
-def chain_signs(I, J, bc: Bicharacter) -> np.ndarray:
+def chain_signs(I, J, table: np.ndarray) -> np.ndarray:
     """Accumulated twist signs of the chains [u_{i_1 j_1}] * ... * [u_{i_l j_l}].
 
     ``I`` and ``J`` hold 0-based generator indices (index i is t_{i+1}) in
     arrays broadcastable to a common shape (..., l); the result has shape
     (...,).  Each sign is prod_{b < a} T[i_b, i_a] T[j_b, j_a] with T the
-    generator table ``bc.table``: moving [u_{i_a j_a}] past the product of
-    the earlier factors costs sigma(t_{i_1}...t_{i_{a-1}}, t_{i_a}) times
-    the same on the right, and sigma is multiplicative in each argument.
+    generator ``table`` of ``bicharacter``: moving [u_{i_a j_a}] past the
+    product of the earlier factors costs sigma(t_{i_1}...t_{i_{a-1}}, t_{i_a})
+    times the same on the right, and sigma is multiplicative in each argument.
     """
     I, J = np.broadcast_arrays(np.asarray(I, dtype=np.intp), np.asarray(J, dtype=np.intp))
     if I.ndim == 0:
         raise DimensionError("index arrays need a chain axis")
-    if I.size and (min(I.min(), J.min()) < 0 or max(I.max(), J.max()) >= bc.n):
-        raise UsageError(f"generator index out of range for n={bc.n}")
-    return _index_signs(I, bc) * _index_signs(J, bc)
+    n = len(table)
+    if I.size and (min(I.min(), J.min()) < 0 or max(I.max(), J.max()) >= n):
+        raise UsageError(f"generator index out of range for n={n}")
+    return _index_signs(I, table) * _index_signs(J, table)
 
 
-@lru_cache(maxsize=None)
-def _sign_table(bc: Bicharacter) -> np.ndarray:
-    """The generator table of ``bc`` as a read-only int8 array."""
-    table = np.array(bc.table, dtype=np.int8)
-    table.setflags(write=False)
-    return table
-
-
-def _index_signs(indices: np.ndarray, bc: Bicharacter) -> np.ndarray:
+def _index_signs(indices: np.ndarray, table: np.ndarray) -> np.ndarray:
     """One side of a chain's twist sign: prod_{b < a} T[k_b, k_a] over the
     last axis of ``indices``, shape (...,).  ``chain_signs(I, J)`` is
     ``_index_signs(I) * _index_signs(J)``, so the sign of a row tuple J
     against a column tuple I is r(J) c(I), a row part times a column part."""
-    table = _sign_table(bc)
     out = np.ones(indices.shape[:-1], dtype=np.int8)
     for a in range(1, indices.shape[-1]):
         for b in range(a):
@@ -439,10 +338,10 @@ def _index_signs(indices: np.ndarray, bc: Bicharacter) -> np.ndarray:
     return out
 
 
-def chain_sign(pairs: Iterable[tuple[int, int]], bc: Bicharacter) -> int:
+def chain_sign(pairs: Iterable[tuple[int, int]], table: np.ndarray) -> int:
     """Accumulated twist sign of one chain of 1-based pairs (i, j)."""
     idx = np.array(list(pairs), dtype=np.intp).reshape(-1, 2) - 1
-    return int(chain_signs(idx[:, 0], idx[:, 1], bc))
+    return int(chain_signs(idx[:, 0], idx[:, 1], table))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +386,7 @@ def twisted_relation_check(
         raise UsageError(f"twisted relation check supports m in {{1, 2}}, got {m}")
     check_tolerance(tol)
     n = 2 * m + 1
-    bc = bicharacter(m)
+    twist = bicharacter(m)
     rng = np.random.default_rng(seed)
     so = _stack_samples(n, n_samples, rng, negative=False)
     refl = _stack_samples(n, n_samples, rng, negative=True)
@@ -507,7 +406,7 @@ def twisted_relation_check(
     for u in (so, columns):
         total = np.zeros((n_samples, n, n))
         for k in range(n):
-            total += chain_signs(pairs, [k, k], bc) * u[:, :, None, k] * u[:, None, :, k]
+            total += chain_signs(pairs, [k, k], twist) * u[:, :, None, k] * u[:, None, :, k]
         total -= np.eye(n)
         d72 = max(d72, float(np.abs(total).max()))
     reports.append(Report(relation="7.2", max_defect=d72, tol=tol, passed=d72 <= tol, **base))
@@ -518,14 +417,14 @@ def twisted_relation_check(
     # signs of u_ij, u_ik (row) and of u_ji, u_ki (column).
     same = np.eye(n, dtype=bool)
     lead, flip = pairs[idx, idx, None, None], pairs[:, :, ::-1]  # lead[i, 0, 0] = (i, i)
-    anti = chain_signs(lead, pairs, bc) + chain_signs(lead, flip, bc)
+    anti = chain_signs(lead, pairs, twist) + chain_signs(lead, flip, twist)
     anti[:, same] = 0
     i, j, k = np.nonzero(anti)
     d73 = max(float(np.abs(anti[i, j, k] * u[:, i, j] * u[:, i, k]).max(initial=0.0)) for u in (so, columns))
     reports.append(Report(relation="7.3", max_defect=d73, tol=tol, passed=d73 <= tol, **base))
 
     # comm[i, k, j, l]: the commutator signs of u_ij and u_kl
-    comm = chain_signs(pairs[:, :, None, None], pairs, bc) - chain_signs(flip[:, :, None, None], flip, bc)
+    comm = chain_signs(pairs[:, :, None, None], pairs, twist) - chain_signs(flip[:, :, None, None], flip, twist)
     comm[same] = comm[:, :, same] = 0
     i, k, j, l = np.nonzero(comm)
     d74 = float(np.abs(comm[i, k, j, l] * so[:, i, j] * so[:, k, l]).max(initial=0.0))
@@ -534,7 +433,7 @@ def twisted_relation_check(
     # the sign of sigma is r(sigma) c(1..n); one kernel call per sample set,
     # as a joined copy of both stacks made the 7.2 loop above slower
     perms = _permutations(n)
-    row_signs, col_sign = _index_signs(perms, bc), _index_signs(idx, bc)
+    row_signs, col_sign = _index_signs(perms, twist), _index_signs(idx, twist)
     total, total_refl = (col_sign * _bucket_sums(u, perms, idx[None], row_signs)[0] for u in (so, refl))
     d75 = float(np.abs(total - 1.0).max())
     control = float(np.abs(total_refl + 1.0).max())
@@ -583,11 +482,11 @@ def lemma_sumzero_check(
         target = stack.determinants
         details = {"model": "abelian", "n": n, "matrices": len(stack.matrices)}
     else:
-        bc = bicharacter((n - 1) // 2)
+        twist = bicharacter((n - 1) // 2)
         values = _stack_samples(n, samples, np.random.default_rng(seed), negative=False)
-        totals = _bucket_sums(values, perms, cols, _index_signs(perms, bc))
+        totals = _bucket_sums(values, perms, cols, _index_signs(perms, twist))
         # the column sign c(1..n-1, k) cannot change |total|; the control needs it
-        totals[-1] *= _index_signs(cols[-1], bc)
+        totals[-1] *= _index_signs(cols[-1], twist)
         target = 1.0
         details = {"model": "twisted", "n": n, "samples": samples, "seed": seed}
     max_defect = float(np.abs(totals[:-1]).max(initial=0.0))
@@ -614,7 +513,11 @@ def lemma_P_check(
     and compared: exactly in the abelian model, within tol on seeded
     special orthogonal samples in the twisted model.  The abelian
     difference is the sum over row tuples with a repeated index, to which
-    only the support term (``_support_terms``) can add.
+    only the support term (``_support_terms``) can add.  For a true signed
+    permutation that lookup never hits: a permutation maps an injective
+    column tuple to an injective row tuple, and the looked-up rows all
+    repeat an index.  So the abelian defect is 0 by construction, and the
+    check reads it only to catch a stack that is not made of permutations.
 
     The twisted column tuples go through the kernel in one call; c(I)
     multiplies both sides alike and is left out.  lhs and rhs are read from
@@ -647,16 +550,16 @@ def lemma_P_check(
         details = {"model": "abelian", "n": n, "l": l, "matrices": len(stack.matrices)}
         return Report(relation="lemma_P", max_defect=max_defect, tol=tol, passed=max_defect <= tol, **details)
 
-    bc = bicharacter((n - 1) // 2)
+    twist = bicharacter((n - 1) // 2)
     values = _stack_samples(n, samples, np.random.default_rng(seed), negative=False)
     details = {"model": "twisted", "n": n, "l": l, "samples": samples, "seed": seed}
-    tau_bits = np.array([t.bits for t in tau_generators(n)], dtype=np.intp)
+    tau_bits = np.array(tau_generators(n), dtype=np.intp)
     bits = np.bitwise_xor.reduce(tau_bits[j_tuples], axis=1)
     (lhs_table, lhs_ids), (rhs_table, rhs_ids) = _slot_table(bits), _slot_table(np.where(distinct, bits, -1))
     # every bucket of a distinct tuple is a bucket of lhs
     shared = np.searchsorted(lhs_ids, rhs_ids)
     max_defect = 0.0
-    for _, _, (diff, rhs) in _product_sums(values, j_tuples, cols, [lhs_table, rhs_table], _index_signs(j_tuples, bc)):
+    for _, _, (diff, rhs) in _product_sums(values, j_tuples, cols, [lhs_table, rhs_table], _index_signs(j_tuples, twist)):
         diff[shared] -= rhs
         max_defect = max(max_defect, float(np.abs(diff, out=diff).max(initial=0.0)))
     return Report(relation="lemma_P", max_defect=max_defect, tol=tol, passed=max_defect <= tol, **details)

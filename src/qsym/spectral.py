@@ -39,9 +39,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolean_group import FOLDED_CUBE_VERTEX_BOUND, folded_cube, walsh_matrix, walsh_rows
+from .boolean_group import _cube_size, folded_cube, walsh_matrix, walsh_rows
 from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
-from .errors import CapacityError, DimensionError
+from .errors import DimensionError
 from .graphs import Permutation, _permutation_defects
 
 __all__ = [
@@ -214,20 +214,24 @@ def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> Report:
     )
 
 
-@lru_cache(maxsize=None)
 def _projection_stack(n: int) -> np.ndarray:
     """The folded n-cube eigenprojections as one read-only (levels, N, N)
     stack, one level per distinct eigenvalue, in falling order.
 
-    P = V V^T / 2^{n-1} with V the Walsh columns of the level's words, in
-    word order; the columns are orthogonal with squared norm 2^{n-1}.
+    n is checked before the cache is read, so an unhashable n is a
+    ``UsageError``, and held to the vertex bound before 2^(n-1) is formed.
     Odd n only: for even n distinct levels can share an eigenvalue, and
     that regime is out of scope here.
     """
     n = check_integer(n, "n", 3, odd=True, need="eigenprojections need an odd n >= 3")
-    size = 1 << (n - 1)
-    if size > FOLDED_CUBE_VERTEX_BOUND:
-        raise CapacityError(f"folded {n}-cube has {size} > {FOLDED_CUBE_VERTEX_BOUND} vertices")
+    return _cached_projection_stack(n, _cube_size(n))
+
+
+@lru_cache(maxsize=None)
+def _cached_projection_stack(n: int, size: int) -> np.ndarray:
+    """P = V V^T / 2^{n-1} per level, with V the Walsh columns of the
+    level's words, in word order; the columns are orthogonal with squared
+    norm 2^{n-1} = ``size``."""
     lams = _eigenvalues(n)
     h = walsh_matrix(n - 1)
     levels = sorted(set(lams.tolist()), reverse=True)

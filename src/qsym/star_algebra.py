@@ -36,8 +36,6 @@ from .graphs import Graph, Permutation, are_disjoint, is_automorphism
 __all__ = [
     "MagicUnitary",
     "op_norm",
-    "haar_unitary",
-    "spectral_projections",
     "rep_free_product",
     "build_witness",
     "certify_witness",
@@ -129,9 +127,6 @@ class MagicUnitary:
     @property
     def dim(self) -> int:
         return int(self.entries.shape[2])
-
-    def entry(self, i: int, j: int) -> np.ndarray:
-        return self.entries[i, j]
 
     def flat(self) -> np.ndarray:
         """The r*dim x r*dim block matrix."""

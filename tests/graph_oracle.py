@@ -10,8 +10,9 @@ return.
 
 The commutation checks are the dense permutation-matrix products that the
 library used before it read them by index gathers: P A == A P for the
-adjacency, and max |P E_k - E_k P| for each eigenprojection E_k.  The
-library's defects and booleans must be bit-equal to these.
+adjacency, and max |P E_k - E_k P| for each eigenprojection E_k, with P
+from ``permutation_matrix``.  The library's defects and booleans must be
+bit-equal to these.
 """
 
 from __future__ import annotations
@@ -25,23 +26,30 @@ from qsym.graphs import AUTOMORPHISM_VERTEX_BOUND
 from qsym.spectral import eigenprojections
 
 
+def permutation_matrix(p: Permutation) -> np.ndarray:
+    """Permutation matrix P with P e_i = e_{p(i)}, as uint8."""
+    m = np.zeros((p.size, p.size), dtype=np.uint8)
+    m[list(p.images), np.arange(p.size)] = 1
+    return m
+
+
 def adjacency_defect(g: Graph, p: Permutation) -> int:
     """max |P A - A P|, for p's permutation matrix P (P e_i = e_{p(i)})."""
-    m = p.matrix().astype(np.int64)
+    m = permutation_matrix(p).astype(np.int64)
     a = g.adjacency.astype(np.int64)
     return int(np.max(np.abs(m @ a - a @ m)))
 
 
 def commutes_with_adjacency(g: Graph, p: Permutation) -> bool:
     """P A == A P, for p's permutation matrix P."""
-    m = p.matrix().astype(np.int64)
+    m = permutation_matrix(p).astype(np.int64)
     a = g.adjacency.astype(np.int64)
     return bool(np.array_equal(m @ a, a @ m))
 
 
 def eigenspace_defects(n: int, p: Permutation) -> list[float]:
     """max |P E_k - E_k P| for each eigenprojection E_k of FQ_n, in level order."""
-    m = p.matrix().astype(float)
+    m = permutation_matrix(p).astype(float)
     return [float(np.max(np.abs(m @ proj - proj @ m))) for _, proj in eigenprojections(n)]
 
 

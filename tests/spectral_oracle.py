@@ -1,7 +1,7 @@
 """Reference forms of the spectral computations in ``qsym.spectral``.
 
 * ``eigenvalue_of_bits`` and ``eigen_data`` are the closed form word by
-  word: the eigenvalue of one ``GroupWord``, and the words grouped into
+  word: the eigenvalue of one word, an int of width n-1, and the words grouped into
   levels.  ``spectral._eigenvalues`` and ``spectral._projection_stack``
   must agree with them exactly.
 * ``max_residuals`` is the row-by-row residual that ``qsym.spectral``
@@ -17,14 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qsym import DimensionError, GroupWord, UsageError
+from qsym import DimensionError, UsageError
 from qsym.boolean_group import walsh_matrix
 
-def eigenvalue_of_bits(bits: GroupWord, n: int) -> int:
-    """Eigenvalue of the folded n-cube eigenvector indexed by ``bits``."""
-    if bits.width != n - 1:
-        raise DimensionError(f"word width {bits.width} != n-1 = {n - 1}")
-    length = bits.length()
+
+def eigenvalue_of_bits(bits: int, n: int) -> int:
+    """Eigenvalue of the folded n-cube eigenvector indexed by the word ``bits``."""
+    if not 0 <= bits < 1 << (n - 1):
+        raise DimensionError(f"word {bits:#b} is not of width n-1 = {n - 1}")
+    length = bits.bit_count()
     return (n - 1 - 2 * length) + (-1) ** (length & 1)
 
 
@@ -32,7 +33,7 @@ def eigenvalue_of_bits(bits: GroupWord, n: int) -> int:
 class EigenLevel:
     k: int
     eigenvalue: int
-    basis: tuple[GroupWord, ...]
+    basis: tuple[int, ...]
 
     @property
     def multiplicity(self) -> int:
@@ -63,9 +64,9 @@ def eigen_data(n: int) -> EigenData:
     """
     if not isinstance(n, int) or n < 3 or n % 2 == 0:
         raise UsageError(f"eigen_data needs an odd n >= 3, got {n!r}")
-    buckets: dict[int, list[GroupWord]] = {}
-    for w in GroupWord.all_words(n - 1):
-        length = w.length()
+    buckets: dict[int, list[int]] = {}
+    for w in range(1 << (n - 1)):
+        length = w.bit_count()
         k = length if length % 2 == 0 else length + 1
         buckets.setdefault(k, []).append(w)
     levels = []
@@ -84,7 +85,7 @@ def projection_stack(n: int) -> np.ndarray:
     levels = eigen_data(n).levels
     stack = np.empty((len(levels), size, size))
     for proj, lvl in zip(stack, levels):
-        cols = h[:, [w.bits for w in lvl.basis]].astype(float)
+        cols = h[:, list(lvl.basis)].astype(float)
         np.divide(cols @ cols.T, size, out=proj)
     return stack
 

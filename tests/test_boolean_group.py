@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qsym import (
     CapacityError,
     DimensionError,
-    GroupWord,
     UsageError,
     folded_cube,
     tau_generators,
@@ -17,21 +16,8 @@ from walsh_oracle import walsh_transform
 
 
 # ---------------------------------------------------------------------------
-# GroupWord: XOR group laws
+# words of Z_2^w are ints under XOR
 # ---------------------------------------------------------------------------
-
-
-def test_group_laws_exhaustive_small_widths():
-    for width in range(1, 5):
-        words = list(GroupWord.all_words(width))
-        e = GroupWord.identity(width)
-        for a in words:
-            assert a * a == e
-            assert a * e == a
-            assert a.inverse() == a
-            for b in words:
-                for c in words:
-                    assert (a * b) * c == a * (b * c)
 
 
 def test_unary_laws_exhaustive_width_12():
@@ -39,36 +25,6 @@ def test_unary_laws_exhaustive_width_12():
     bits = np.arange(1 << 12)
     assert np.all(bits ^ bits == 0)
     assert np.all(bits ^ 0 == bits)
-
-
-@given(
-    width=st.integers(1, 12),
-    data=st.data(),
-)
-def test_group_laws_random(width, data):
-    top = (1 << width) - 1
-    a = GroupWord(data.draw(st.integers(0, top)), width)
-    b = GroupWord(data.draw(st.integers(0, top)), width)
-    c = GroupWord(data.draw(st.integers(0, top)), width)
-    assert (a * b) * c == a * (b * c)
-    assert a * b == b * a
-    assert (a * b).length() == (a.bits ^ b.bits).bit_count()
-
-
-def test_group_word_validation():
-    with pytest.raises(UsageError):
-        GroupWord(4, 2)
-    with pytest.raises(DimensionError):
-        GroupWord(1, 2) * GroupWord(1, 3)
-    with pytest.raises(UsageError):
-        GroupWord.generator(3, 2)
-
-
-def test_group_word_dot():
-    a = GroupWord(0b101, 3)
-    b = GroupWord(0b110, 3)
-    assert a.dot(b) == 1
-    assert a.dot(a) == 0  # two bits set
 
 
 # ---------------------------------------------------------------------------
@@ -85,19 +41,20 @@ def test_folded_3_cube_is_k4():
 def test_folded_5_cube_is_16_vertex_5_regular():
     g = folded_cube(5)
     assert g.n_vertices == 16
-    assert set(g.degrees().tolist()) == {5}
+    assert set(g.adjacency.sum(axis=1).tolist()) == {5}
 
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_folded_cube_counts(n):
     g = folded_cube(n)
     assert g.n_vertices == 2 ** (n - 1)
-    assert set(g.degrees().tolist()) == {n}
+    assert set(g.adjacency.sum(axis=1).tolist()) == {n}
 
 
 def test_folded_cube_bounds():
     with pytest.raises(UsageError):
         folded_cube(1)
+    assert folded_cube(13).n_vertices == 4096
     with pytest.raises(CapacityError):
         folded_cube(14)  # 8192 vertices > 4096
 
@@ -123,7 +80,7 @@ def test_cayley_neighbor_sets():
     width = n - 1
     gens = [1 << s for s in range(width)] + [(1 << width) - 1]
     for v in range(g.n_vertices):
-        assert set(g.neighbors(v)) == {v ^ s for s in gens}
+        assert set(np.flatnonzero(g.adjacency[v]).tolist()) == {v ^ s for s in gens}
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +102,7 @@ def test_fourier_of_identity_indicator():
 
 
 def test_fourier_of_t1_indicator_width_2():
-    f = walsh_transform(_indicator(GroupWord.generator(1, 2).bits, 2)) / 4
+    f = walsh_transform(_indicator(0b01, 2)) / 4  # t_1
     # independent oracle: (1/4) sum_j (-1)^{i.j} with i = (1,0)
     oracle = np.array(
         [0.25 * (-1) ** ((0b01 & j).bit_count() & 1) for j in range(4)]
@@ -161,7 +118,7 @@ def test_inverse_fourier_of_group_identity_is_all_ones():
 
 def test_inverse_fourier_of_t1_is_sign_of_first_bit():
     width = 4
-    out = walsh_transform(_indicator(GroupWord.generator(1, width).bits, width))
+    out = walsh_transform(_indicator(0b0001, width))  # t_1
     expected = np.array([(-1) ** (j & 1) for j in range(1 << width)], dtype=float)
     assert np.array_equal(out, expected)
     assert np.array_equal(out, walsh_matrix(width)[1])
@@ -248,9 +205,9 @@ def test_walsh_transform_dtype_and_batch(dtype, want):
 def test_walsh_matrix_is_the_int8_character_table(width):
     h = walsh_matrix(width)
     assert h.dtype == np.int8
-    for g in GroupWord.all_words(width):
-        for k in GroupWord.all_words(width):
-            assert h[g.bits, k.bits] == (-1) ** g.dot(k)
+    for g in range(1 << width):
+        for k in range(1 << width):
+            assert h[g, k] == (-1) ** ((g & k).bit_count() & 1)
 
 
 def _kron_walsh(width):
@@ -281,24 +238,33 @@ def test_walsh_rows_are_rows_of_the_walsh_matrix(case):
 
 def test_tau_generators_n3():
     t1, t2, t3 = tau_generators(3)
-    assert t1 == GroupWord.generator(2, 2)  # t_2
-    assert t2 == GroupWord.generator(1, 2)  # t_1
-    assert t3 == GroupWord.all_ones(2)      # t_1 t_2
+    assert t1 == 0b10  # t_2
+    assert t2 == 0b01  # t_1
+    assert t3 == 0b11  # t_1 t_2
 
 
 def test_tau_product_identity_n5():
     taus = tau_generators(5)
-    prod = GroupWord.identity(4)
+    prod = 0
     for t in taus[:-1]:
-        prod = prod * t
+        prod ^= t
     assert prod == taus[-1]  # each t_k appears 3 times across tau_1..tau_4
+
+
+@pytest.mark.parametrize("n", [3, 7, 9, 13])
+def test_tau_product_identity_up_to_the_bound(n):
+    # tau_n = tau_1 ... tau_{n-1}: each t_k appears n - 2 times, an odd count
+    taus = tau_generators(n)
+    prod = 0
+    for t in taus[:-1]:
+        prod ^= t
+    assert prod == taus[-1] == (1 << (n - 1)) - 1
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_tau_generators_span(n):
     # GF(2) rank of the exponent matrix must be n-1
-    taus = tau_generators(n)
-    rows = [t.bits for t in taus]
+    rows = list(tau_generators(n))
     rank = 0
     for col in range(n - 1):
         pivot = next((i for i, r in enumerate(rows) if (r >> col) & 1), None)
@@ -311,12 +277,11 @@ def test_tau_generators_span(n):
 
 
 def test_tau_generators_involutive_and_commuting():
+    # Z_2^4 is abelian of exponent two, so each tau is an involution as long
+    # as it is a non-identity word of width 4; the five are distinct
     taus = tau_generators(5)
-    e = GroupWord.identity(4)
-    for a in taus:
-        assert a * a == e
-        for b in taus:
-            assert a * b == b * a
+    assert all(isinstance(t, int) and 0 < t < 16 for t in taus)
+    assert len(set(taus)) == 5
 
 
 def test_tau_generators_reject_even_n():

@@ -160,12 +160,18 @@ def test_exit_2_on_usage_errors(capsys, argv):
         ("witness", "--n", "3", "--seed", "-1"),
         ("twist-check", "--m", "1", "--seed", "-1"),
         ("so-check", "--n", "3", "--seed", "-1"),
+        # n is held to the bound before 2^(n-1) is formed: no MemoryError
+        ("spectra", "--n", "99999999999"),
+        ("autos", "--n", "99999999999"),
+        ("disjoint", "--n", "100000000000"),
+        ("witness", "--n", "100000000001"),
+        ("so-points", "--n", "100000000001"),
     ],
 )
 def test_exit_2_on_bad_values(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
-    assert "error:" in err and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and out == ""
 
 
 @pytest.mark.parametrize(
@@ -222,6 +228,14 @@ def test_exit_2_on_graph_file_over_the_vertex_bound(capsys, tmp_path, n):
     code, out, err = run(capsys, "autos", "--graph", str(big))
     assert code == 2
     assert f"graph has {n} > 4096 vertices" in err and out == ""
+
+
+def test_exit_2_on_a_graph_file_nested_too_deeply(capsys, tmp_path):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    code, out, err = run(capsys, "autos", "--graph", str(nested))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "nested too deeply" in err
 
 
 def test_exit_3_on_an_unexpected_exception(capsys, monkeypatch):

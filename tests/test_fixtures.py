@@ -22,7 +22,7 @@ def test_k4_fixture_is_folded_3_cube():
 def test_c5_fixture():
     g = load_graph("c5")
     assert g.n_vertices == 5
-    assert set(g.degrees().tolist()) == {2}
+    assert set(g.adjacency.sum(axis=1).tolist()) == {2}
 
 
 def _common_neighbor_profile(g):
@@ -41,7 +41,7 @@ def test_both_clebsch_labelings_are_srg_16_5_0_2(name):
     # every non-adjacent pair has exactly two common neighbors
     g = load_graph(name)
     assert g.n_vertices == 16
-    assert set(g.degrees().tolist()) == {5}
+    assert set(g.adjacency.sum(axis=1).tolist()) == {5}
     adjacent, non_adjacent = _common_neighbor_profile(g)
     assert adjacent == {0}
     assert non_adjacent == {2}

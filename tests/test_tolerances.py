@@ -4,7 +4,8 @@ silent PASS or a mathematical FAIL.  The tests' own ``is_projection``
 helper goes through the same check, and is kept in the table.  Likewise
 every size, sample count and seed of the relation checks goes through
 ``config.check_integer``: bools, non-integers and negatives are usage
-errors before any work starts."""
+errors before any work starts, and folded-cube sizes over the vertex
+bound are capacity errors before 2^(n-1) is formed."""
 
 import math
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from qsym import (
+    CapacityError,
     Permutation,
     UsageError,
     abelian_points,
@@ -51,7 +53,7 @@ CHECKS = {
     "verify_spectrum": lambda k4, tol: verify_spectrum(3, tol=tol),
     "preserves_eigenspaces": lambda k4, tol: preserves_eigenspaces(5, SWAP, tol=tol),
     "is_projection": lambda k4, tol: is_projection(np.eye(2), tol=tol),
-    "certify_witness": lambda k4, tol: certify_witness(k4, classical_witness(k4, Permutation.identity(4)), tol=tol),
+    "certify_witness": lambda k4, tol: certify_witness(k4, classical_witness(k4, Permutation((0, 1, 2, 3))), tol=tol),
     "recovery_products": lambda k4, tol: recovery_products(*_k4_witness(k4), tol=tol),
     "twisted_relation_check": lambda k4, tol: twisted_relation_check(1, n_samples=2, tol=tol),
     "lemma_sumzero_check": lambda k4, tol: lemma_sumzero_check(3, tol=tol),
@@ -84,7 +86,7 @@ def test_nan_no_longer_passes_a_non_automorphism():
     with pytest.raises(UsageError):
         preserves_eigenspaces(5, SWAP, tol=math.nan)
     assert not preserves_eigenspaces(5, SWAP)
-    assert preserves_eigenspaces(5, Permutation.identity(16), tol=0)
+    assert preserves_eigenspaces(5, Permutation(tuple(range(16))), tol=0)
 
 
 #: calls of the relation checks with one bad integer parameter each
@@ -135,7 +137,7 @@ def test_numpy_integer_n_gives_the_same_folded_cube_objects():
     report = verify_spectrum(n)
     assert report == verify_spectrum(5) and type(report.n) is int
     assert [k for k, _ in eigenprojections(n)] == [0, 2, 4]
-    assert preserves_eigenspaces(n, Permutation.identity(16))
+    assert preserves_eigenspaces(n, Permutation(tuple(range(16))))
 
 
 #: folded-cube sizes that are checked before they are used
@@ -147,8 +149,11 @@ BAD_N = {
     "verify_spectrum n=5.0": lambda: verify_spectrum(5.0),
     "eigenprojections n=2.5": lambda: eigenprojections(2.5),
     "eigenprojections n=np.int64(4)": lambda: eigenprojections(np.int64(4)),
-    "preserves_eigenspaces n=0": lambda: preserves_eigenspaces(0, Permutation.identity(1)),
-    "preserves_eigenspaces n=-3": lambda: preserves_eigenspaces(-3, Permutation.identity(1)),
+    "preserves_eigenspaces n=0": lambda: preserves_eigenspaces(0, Permutation((0,))),
+    "preserves_eigenspaces n=-3": lambda: preserves_eigenspaces(-3, Permutation((0,))),
+    # the cached functions check n before the cache hashes it
+    "eigenprojections n=[3]": lambda: eigenprojections([3]),
+    "preserves_eigenspaces n=[3]": lambda: preserves_eigenspaces([3], Permutation((0, 1, 2, 3))),
 }
 
 
@@ -156,3 +161,22 @@ BAD_N = {
 def test_bad_folded_cube_sizes_are_usage_errors(name):
     with pytest.raises(UsageError):
         BAD_N[name]()
+
+
+#: n = 10^11 + 1 is odd, so no parity check stops it: 2^(n-1) would be a
+#: 12.5 GB integer, so each call must compare n with the vertex bound first
+HUGE_N = 10**11 + 1
+OVER_THE_BOUND = {
+    "folded_cube": lambda n: folded_cube(n),
+    "tau_generators": lambda n: tau_generators(n),
+    "verify_spectrum": lambda n: verify_spectrum(n),
+    "eigenprojections": lambda n: eigenprojections(n),
+    "preserves_eigenspaces": lambda n: preserves_eigenspaces(n, Permutation((0,))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_THE_BOUND))
+@pytest.mark.parametrize("n", [15, HUGE_N])
+def test_folded_cube_sizes_over_the_bound_are_capacity_errors(name, n):
+    with pytest.raises(CapacityError, match=f"folded {n}-cube has 2\\^{n - 1} > 4096 vertices"):
+        OVER_THE_BOUND[name](n)

@@ -1,12 +1,17 @@
 """Reference implementations for the tests of ``qsym.so_twist``.
 
+* The bicharacter as a pairing of words: ``word_sign`` extends the
+  generator table of ``so_twist.bicharacter`` multiplicatively, and
+  ``consistency_defect`` checks that the table's row and column of the
+  full product t_{2m+1} agree with that extension.
 * The symbolic twist layer: graded monomials, exact linear combinations
-  of them and the bilinear twisted product built on
-  ``Bicharacter.word_sign``.  It derives twist signs independently of the
-  closed form behind ``chain_signs``.
+  of them and the bilinear twisted product built on ``word_sign``.  It
+  derives twist signs independently of the closed form behind
+  ``chain_signs``.
 * The per-tuple loops that ``so_twist`` used before its checks were
-  batched: one Python call per index tuple, one QR per sample, and the
-  bit-loop chain sign.  The batched checks must reproduce their reports.
+  batched: one Python call per index tuple, one QR per sample, the
+  bit-loop chain sign and the dense matrix of each signed permutation
+  (``dense_matrix``).  The batched checks must reproduce their reports.
 * The dense abelian evaluation: every entry product of every signed
   permutation matrix of ``so_twist._signed_perm_stack``, summed by the
   relation kernel as if the matrices were samples.  The abelian checks,
@@ -27,12 +32,56 @@ from typing import Iterable
 import numpy as np
 
 from qsym import Permutation, SignedPermMatrix, tau_generators
-from qsym.boolean_group import GroupWord, walsh_matrix
+from qsym.boolean_group import walsh_matrix
 from qsym.config import Report
 from qsym.errors import DimensionError, UsageError
 from qsym import so_twist
 from qsym.relation_kernel import _bucket_sums, _product_sums, _slot_table
-from qsym.so_twist import Bicharacter, _generator_bits, bicharacter
+from qsym.so_twist import bicharacter
+
+# ---------------------------------------------------------------------------
+# the bicharacter as a pairing of words
+# ---------------------------------------------------------------------------
+
+
+def generator_bits(i: int, width: int) -> int:
+    """Exponent word of t_i in Z_2^width; t_{width+1} is the full product."""
+    if 1 <= i <= width:
+        return 1 << (i - 1)
+    if i == width + 1:
+        return (1 << width) - 1
+    raise UsageError(f"generator index {i} out of range 1..{width + 1}")
+
+
+def word_sign(table: np.ndarray, g_bits: int, h_bits: int) -> int:
+    """Multiplicative extension of the generator table to two words of
+    width 2m: the product of table entries over their generator supports."""
+    sign = 1
+    g = g_bits
+    while g:
+        a = (g & -g).bit_length() - 1
+        h = h_bits
+        while h:
+            b = (h & -h).bit_length() - 1
+            sign *= int(table[a, b])
+            h &= h - 1
+        g &= g - 1
+    return sign
+
+
+def consistency_defect(table: np.ndarray) -> int:
+    """0 iff the table's last row and column, the values against t_{2m+1},
+    agree with the multiplicative extension of its first 2m rows to the
+    full product t_1...t_{2m}; else the number of disagreeing entries."""
+    n = len(table)
+    full = generator_bits(n, n - 1)
+    bad = 0
+    for i in range(1, n + 1):
+        gi = generator_bits(i, n - 1)
+        bad += int(word_sign(table, gi, full) != table[i - 1, n - 1])
+        bad += int(word_sign(table, full, gi) != table[n - 1, i - 1])
+    return bad
+
 
 # ---------------------------------------------------------------------------
 # the symbolic twist layer
@@ -59,23 +108,15 @@ class GradedMonomial:
     def left_bits(self) -> int:
         bits = 0
         for i, _ in self.factors:
-            bits ^= _generator_bits(i, self.width)
+            bits ^= generator_bits(i, self.width)
         return bits
 
     @property
     def right_bits(self) -> int:
         bits = 0
         for _, j in self.factors:
-            bits ^= _generator_bits(j, self.width)
+            bits ^= generator_bits(j, self.width)
         return bits
-
-    @property
-    def left_degree(self) -> GroupWord:
-        return GroupWord(self.left_bits, self.width)
-
-    @property
-    def right_degree(self) -> GroupWord:
-        return GroupWord(self.right_bits, self.width)
 
     def evaluate(self, u: np.ndarray):
         out = 1.0
@@ -164,24 +205,23 @@ class TwistedElement:
         return f"TwistedElement({' '.join(bits)})"
 
 
-def twisted_product(f: TwistedElement, h: TwistedElement, bc: Bicharacter) -> TwistedElement:
+def twisted_product(f: TwistedElement, h: TwistedElement, table: np.ndarray) -> TwistedElement:
     """Bilinear extension of [x][y] = sigma(deg_L x, deg_L y) sigma(deg_R x, deg_R y) [xy]."""
-    if f.width != h.width or f.width != bc.width:
+    if f.width != h.width or f.width != len(table) - 1:
         raise DimensionError("element widths do not match the bicharacter")
     out = TwistedElement(f.width)
     for mf, cf in f.terms.items():
         for mh, ch in h.terms.items():
-            sign = bc.word_sign(mf.left_bits, mh.left_bits) * bc.word_sign(
-                mf.right_bits, mh.right_bits
-            )
+            sign = word_sign(table, mf.left_bits, mh.left_bits) * word_sign(table, mf.right_bits, mh.right_bits)
             out._add(GradedMonomial.of(mf.factors + mh.factors, f.width), cf * ch * sign)
     return out
 
 
-def twisted_chain(pairs: Iterable[tuple[int, int]], bc: Bicharacter) -> TwistedElement:
+def twisted_chain(pairs: Iterable[tuple[int, int]], table: np.ndarray) -> TwistedElement:
     """Twisted product [u_{i_1 j_1}] * ... * [u_{i_d j_d}], left to right."""
-    gens = [TwistedElement.generator(i, j, bc.m) for i, j in pairs]
-    return reduce(lambda a, b: twisted_product(a, b, bc), gens, TwistedElement.one(bc.m))
+    m = (len(table) - 1) // 2
+    gens = [TwistedElement.generator(i, j, m) for i, j in pairs]
+    return reduce(lambda a, b: twisted_product(a, b, table), gens, TwistedElement.one(m))
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +229,16 @@ def twisted_chain(pairs: Iterable[tuple[int, int]], bc: Bicharacter) -> TwistedE
 # ---------------------------------------------------------------------------
 
 
-def loop_chain_sign(pairs: Iterable[tuple[int, int]], bc: Bicharacter) -> int:
+def loop_chain_sign(pairs: Iterable[tuple[int, int]], table: np.ndarray) -> int:
     """Twist sign of a chain accumulated word by word with the bit loops
-    of ``Bicharacter.word_sign``."""
+    of ``word_sign``."""
+    width = len(table) - 1
     sign = 1
     gl = gr = 0
     for i, j in pairs:
-        wi = _generator_bits(i, bc.width)
-        wj = _generator_bits(j, bc.width)
-        sign *= bc.word_sign(gl, wi) * bc.word_sign(gr, wj)
+        wi = generator_bits(i, width)
+        wj = generator_bits(j, width)
+        sign *= word_sign(table, gl, wi) * word_sign(table, gr, wj)
         gl ^= wi
         gr ^= wj
     return sign
@@ -223,6 +264,14 @@ def loop_stack_samples(n: int, count: int, rng: np.random.Generator, negative: b
     return np.stack([maker(n, rng) for _ in range(count)])
 
 
+def dense_matrix(sp: SignedPermMatrix) -> np.ndarray:
+    """The n x n int64 matrix of a signed permutation: column a holds
+    signs[a] at row perm(a)."""
+    m = np.zeros((sp.n, sp.n), dtype=np.int64)
+    m[list(sp.perm.images), np.arange(sp.n)] = sp.signs
+    return m
+
+
 def loop_signed_perm_matrices(n: int) -> list[SignedPermMatrix]:
     return [
         SignedPermMatrix(Permutation(images), signs)
@@ -234,7 +283,7 @@ def loop_signed_perm_matrices(n: int) -> list[SignedPermMatrix]:
 def loop_lemma_SO_mismatches(n: int) -> int:
     count = 0
     for sp in loop_signed_perm_matrices(n):
-        m = sp.matrix()
+        m = dense_matrix(sp)
         expansion = True
         for j in range(n):
             rhs = 0
@@ -256,7 +305,7 @@ def loop_lemma_sumzero_check(n, model, samples=50, seed=42, tol=1e-9) -> Report:
         control = 0
         mats = loop_signed_perm_matrices(n)
         for sp in mats:
-            mat = sp.matrix()
+            mat = dense_matrix(sp)
             heads = mat[perms[:, :-1], first_cols[None, :]].prod(axis=1)
             for k in range(n):
                 total = int((heads * mat[perms[:, -1], k]).sum())
@@ -267,7 +316,7 @@ def loop_lemma_sumzero_check(n, model, samples=50, seed=42, tol=1e-9) -> Report:
         details = {"model": "abelian", "n": n, "matrices": len(mats), "control_defect": float(control)}
         passed = max_defect <= tol and control <= tol
         return Report(relation="lemma_sumzero", max_defect=float(max_defect), tol=tol, passed=passed, **details)
-    bc = bicharacter((n - 1) // 2)
+    twist = bicharacter((n - 1) // 2)
     so = loop_stack_samples(n, samples, np.random.default_rng(seed), negative=False)
     max_defect = 0.0
     control = 0.0
@@ -276,7 +325,7 @@ def loop_lemma_sumzero_check(n, model, samples=50, seed=42, tol=1e-9) -> Report:
         col_idx = np.array(cols) - 1
         total = np.zeros(samples)
         for sigma in permutations(range(1, n + 1)):
-            sign = loop_chain_sign(tuple(zip(sigma, cols)), bc)
+            sign = loop_chain_sign(tuple(zip(sigma, cols)), twist)
             rows = np.array(sigma) - 1
             total += sign * np.prod(so[:, rows, col_idx], axis=1)
         if k == n:
@@ -289,7 +338,7 @@ def loop_lemma_sumzero_check(n, model, samples=50, seed=42, tol=1e-9) -> Report:
 
 
 def loop_lemma_P_check(n, l, model, samples=20, seed=42, tol=1e-9) -> Report:
-    tau_bits = [t.bits for t in tau_generators(n)]
+    tau_bits = tau_generators(n)
     size = 1 << (n - 1)
     i_tuples = list(permutations(range(1, n + 1), l))
     j_info = []
@@ -302,7 +351,7 @@ def loop_lemma_P_check(n, l, model, samples=20, seed=42, tol=1e-9) -> Report:
         mats = loop_signed_perm_matrices(n)
         max_defect = 0
         for sp in mats:
-            mat = sp.matrix()
+            mat = dense_matrix(sp)
             for it in i_tuples:
                 lhs = np.zeros(size, dtype=np.int64)
                 rhs = np.zeros(size, dtype=np.int64)
@@ -316,7 +365,7 @@ def loop_lemma_P_check(n, l, model, samples=20, seed=42, tol=1e-9) -> Report:
                 max_defect = max(max_defect, int(np.abs(lhs - rhs).max()))
         details = {"model": "abelian", "n": n, "l": l, "matrices": len(mats)}
         return Report(relation="lemma_P", max_defect=float(max_defect), tol=tol, passed=max_defect <= tol, **details)
-    bc = bicharacter((n - 1) // 2)
+    twist = bicharacter((n - 1) // 2)
     so = loop_stack_samples(n, samples, np.random.default_rng(seed), negative=False)
     max_defect = 0.0
     for it in i_tuples:
@@ -324,7 +373,7 @@ def loop_lemma_P_check(n, l, model, samples=20, seed=42, tol=1e-9) -> Report:
         lhs = np.zeros((size, samples))
         rhs = np.zeros((size, samples))
         for jt, bits, distinct in j_info:
-            sign = loop_chain_sign(tuple(zip(jt, it)), bc)
+            sign = loop_chain_sign(tuple(zip(jt, it)), twist)
             vals = sign * np.prod(so[:, np.array(jt) - 1, it_idx], axis=1)
             lhs[bits] += vals
             if distinct:
@@ -336,7 +385,7 @@ def loop_lemma_P_check(n, l, model, samples=20, seed=42, tol=1e-9) -> Report:
 
 def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[Report]:
     n = 2 * m + 1
-    bc = bicharacter(m)
+    twist = bicharacter(m)
     rng = np.random.default_rng(seed)
     so = loop_stack_samples(n, n_samples, rng, negative=False)
     refl = loop_stack_samples(n, n_samples, rng, negative=True)
@@ -351,8 +400,8 @@ def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[Repo
             row = np.zeros(n_samples)
             col = np.zeros(n_samples)
             for k in range(1, n + 1):
-                row += cs(((i, k), (j, k)), bc) * so[:, i - 1, k - 1] * so[:, j - 1, k - 1]
-                col += cs(((k, i), (k, j)), bc) * so[:, k - 1, i - 1] * so[:, k - 1, j - 1]
+                row += cs(((i, k), (j, k)), twist) * so[:, i - 1, k - 1] * so[:, j - 1, k - 1]
+                col += cs(((k, i), (k, j)), twist) * so[:, k - 1, i - 1] * so[:, k - 1, j - 1]
             d72 = max(d72, float(np.abs(row - target).max()), float(np.abs(col - target).max()))
     reports.append(Report(relation="7.2", max_defect=d72, tol=tol, passed=d72 <= tol, **base))
 
@@ -362,8 +411,8 @@ def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[Repo
             for k in range(1, n + 1):
                 if j == k:
                     continue
-                anti_row = (cs(((i, j), (i, k)), bc) + cs(((i, k), (i, j)), bc)) * so[:, i - 1, j - 1] * so[:, i - 1, k - 1]
-                anti_col = (cs(((j, i), (k, i)), bc) + cs(((k, i), (j, i)), bc)) * so[:, j - 1, i - 1] * so[:, k - 1, i - 1]
+                anti_row = (cs(((i, j), (i, k)), twist) + cs(((i, k), (i, j)), twist)) * so[:, i - 1, j - 1] * so[:, i - 1, k - 1]
+                anti_col = (cs(((j, i), (k, i)), twist) + cs(((k, i), (j, i)), twist)) * so[:, j - 1, i - 1] * so[:, k - 1, i - 1]
                 d73 = max(d73, float(np.abs(anti_row).max()), float(np.abs(anti_col).max()))
     reports.append(Report(relation="7.3", max_defect=d73, tol=tol, passed=d73 <= tol, **base))
 
@@ -374,7 +423,7 @@ def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[Repo
                 for l in range(1, n + 1):
                     if i == k or j == l:
                         continue
-                    comm = (cs(((i, j), (k, l)), bc) - cs(((k, l), (i, j)), bc)) * so[:, i - 1, j - 1] * so[:, k - 1, l - 1]
+                    comm = (cs(((i, j), (k, l)), twist) - cs(((k, l), (i, j)), twist)) * so[:, i - 1, j - 1] * so[:, k - 1, l - 1]
                     d74 = max(d74, float(np.abs(comm).max()))
     reports.append(Report(relation="7.4", max_defect=d74, tol=tol, passed=d74 <= tol, **base))
 
@@ -382,7 +431,7 @@ def loop_twisted_relation_check(m, n_samples=50, seed=42, tol=1e-9) -> list[Repo
     total = np.zeros(n_samples)
     total_refl = np.zeros(n_samples)
     for sigma in permutations(range(1, n + 1)):
-        sign = cs(tuple((sigma[a], a + 1) for a in range(n)), bc)
+        sign = cs(tuple((sigma[a], a + 1) for a in range(n)), twist)
         rows = np.array(sigma) - 1
         total += sign * np.prod(so[:, rows, cols], axis=1)
         total_refl += sign * np.prod(refl[:, rows, cols], axis=1)
@@ -440,7 +489,7 @@ def dense_lemma_P_check(n: int, l: int, tol: float = 1e-9) -> Report:
     """The abelian lemma P: lhs - rhs summed exactly over the row tuples
     with a repeated index, per tau-word bucket, matrix and column tuple."""
     stack = so_twist._signed_perm_stack(n)
-    tau_bits = np.array([t.bits for t in tau_generators(n)], dtype=np.intp)
+    tau_bits = np.array(tau_generators(n), dtype=np.intp)
     j_tuples = np.array(list(product(range(n), repeat=l)), dtype=np.intp)
     ordered = np.sort(j_tuples, axis=1)
     repeated = j_tuples[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
@@ -480,22 +529,20 @@ def planted_stack(n: int, perms: np.ndarray, signs: np.ndarray) -> "so_twist._Si
     return so_twist._SignedPermStack(perms, signs, matrices, so_twist._signed_perm_stack(n).determinants)
 
 
-def flipped_bicharacter(m: int, a: int, b: int) -> Bicharacter:
-    """A wrong bicharacter: the true pairing on Z_2^{2m} with the value on
-    generators (t_{a+1}, t_{b+1}), a, b < 2m, negated, and its row and
+def flipped_bicharacter(m: int, a: int, b: int) -> np.ndarray:
+    """A wrong bicharacter table: the true pairing on Z_2^{2m} with the value
+    on generators (t_{a+1}, t_{b+1}), a, b < 2m, negated, and its row and
     column of t_{2m+1} extended multiplicatively from the changed table."""
     n = 2 * m + 1
-    table = [list(row) for row in bicharacter(m).table]
-    table[a][b] *= -1
-    changed = Bicharacter(m, tuple(map(tuple, table)))
-    full = changed.generator_bits(n)
+    table = bicharacter(m).copy()
+    table[a, b] *= -1
+    full = generator_bits(n, n - 1)
     for i in range(1, n + 1):
-        gi = changed.generator_bits(i)
-        table[i - 1][n - 1] = changed.word_sign(gi, full)
-        table[n - 1][i - 1] = changed.word_sign(full, gi)
-    out = Bicharacter(m, tuple(map(tuple, table)))
-    assert out.consistency_defect() == 0
-    return out
+        gi = generator_bits(i, n - 1)
+        table[i - 1, n - 1] = word_sign(table, gi, full)
+        table[n - 1, i - 1] = word_sign(table, full, gi)
+    assert consistency_defect(table) == 0
+    return table
 
 
 # ---------------------------------------------------------------------------
