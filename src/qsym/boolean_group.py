@@ -29,6 +29,8 @@ connecting word; the distance definition is the test oracle.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .config import check_integer
@@ -83,6 +85,18 @@ def _cube_size(n: int) -> int:
     if n > FOLDED_CUBE_VERTEX_BOUND.bit_length():
         raise CapacityError(f"folded {n}-cube has 2^{n - 1} > {FOLDED_CUBE_VERTEX_BOUND} vertices")
     return 1 << (n - 1)
+
+
+@lru_cache(maxsize=None)
+def _word_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only tables for the folded n-cube's 2^(n-1) words y, n checked
+    by the caller: their (n, N) uint8 bits, row k holding bit k of every
+    word (row n-1, y_n, is zero), and the weights 2^k that pack words."""
+    bits = ((np.arange(1 << (n - 1)) >> np.arange(n)[:, None]) & 1).astype(np.uint8)
+    weights = 1 << np.arange(n - 1)
+    for arr in (bits, weights):
+        arr.setflags(write=False)
+    return bits, weights
 
 
 def folded_cube(n: int) -> Graph:

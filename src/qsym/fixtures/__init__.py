@@ -7,30 +7,20 @@
 * ``clebsch_pentagonal``  -- the same graph under the 1-based labeling of the
                              classic pentagonal drawing (outer pentagon 1..5
                              ring, middle and inner rings, center 15),
-                             converted to 0-based vertices; the pair
-                             sigma = (1 2)(5 6)(9 10)(13 14),
-                             tau = (0 3)(4 7)(8 11)(12 15)
-                             is a disjoint pair of automorphisms in this
-                             labeling (see ``PENTAGONAL_SIGMA`` / ``_TAU``)
+                             converted to 0-based vertices
 """
 
 from importlib import resources
 
-from ..graphs import Graph, Permutation
+from ..graphs import Graph
 
 __all__ = [
     "fixture_names",
     "load_graph",
     "fixture_path",
-    "PENTAGONAL_SIGMA",
-    "PENTAGONAL_TAU",
 ]
 
 _NAMES = ("k4", "c5", "clebsch", "clebsch_pentagonal")
-
-#: disjoint automorphism pair of the pentagonal-labeled Clebsch graph
-PENTAGONAL_SIGMA = Permutation.from_cycles(16, [(1, 2), (5, 6), (9, 10), (13, 14)])
-PENTAGONAL_TAU = Permutation.from_cycles(16, [(0, 3), (4, 7), (8, 11), (12, 15)])
 
 
 def fixture_names() -> tuple[str, ...]:

@@ -20,6 +20,7 @@ built.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from math import lcm
 from pathlib import Path
@@ -64,6 +65,11 @@ _TILE = 256
 def _is_int(x) -> bool:
     """A JSON integer: int but not bool (JSON true/false load as bool)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _quote(value) -> str:
+    """A graph file's value for an error message: ``reprlib``'s repr, cut to 80 characters."""
+    return reprlib.repr(value)[:80]
 
 
 def _is_symmetric(a: np.ndarray) -> bool:
@@ -121,20 +127,20 @@ class Graph:
         the adjacency is allocated.
         """
         if not _is_int(n) or n <= 0:
-            raise GraphFormatError(f"vertex count must be a positive integer, got {n!r}")
+            raise GraphFormatError(f"vertex count must be a positive integer, got {_quote(n)}")
         if n > GRAPH_VERTEX_BOUND:
-            raise CapacityError(f"graph has {n} > {GRAPH_VERTEX_BOUND} vertices")
+            raise CapacityError(f"graph has {_quote(n)} > {GRAPH_VERTEX_BOUND} vertices")
         a = np.zeros((n, n), dtype=np.uint8)
         seen = set()
         for e in edges:
             try:
                 i, j = e
             except (TypeError, ValueError):
-                raise GraphFormatError(f"edge {e!r} is not a pair") from None
+                raise GraphFormatError(f"edge {_quote(e)} is not a pair") from None
             if not (_is_int(i) and _is_int(j)):
-                raise GraphFormatError(f"edge {e!r} has non-integer endpoints")
+                raise GraphFormatError(f"edge {_quote(e)} has non-integer endpoints")
             if not (0 <= i < n and 0 <= j < n):
-                raise GraphFormatError(f"edge {e!r} out of range for n={n}")
+                raise GraphFormatError(f"edge {_quote(e)} out of range for n={n}")
             if i == j:
                 raise GraphFormatError(f"loop at vertex {i} is not allowed")
             key = (min(i, j), max(i, j))
@@ -150,7 +156,7 @@ class Graph:
         if not isinstance(obj, dict) or set(obj) != {"n", "edges"}:
             raise GraphFormatError('graph JSON must have exactly the keys "n" and "edges"')
         if not isinstance(obj["edges"], list):
-            raise GraphFormatError(f'"edges" must be an array of pairs, got {json.dumps(obj["edges"])}')
+            raise GraphFormatError(f'"edges" must be an array of pairs, got {_quote(obj["edges"])}')
         return cls.from_edges(obj["n"], obj["edges"])
 
     @classmethod
@@ -189,29 +195,9 @@ class Permutation:
         if sorted(imgs) != list(range(len(imgs))):
             raise UsageError(f"{imgs!r} is not a bijection on 0..{len(imgs) - 1}")
 
-    @classmethod
-    def from_cycles(cls, n: int, cycles) -> "Permutation":
-        """Build from disjoint cycles given as tuples of 0-based points."""
-        imgs = list(range(n))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
-                if imgs[a] != a:
-                    raise UsageError(f"cycles reuse point {a}")
-                imgs[a] = b
-        return cls(tuple(imgs))
-
     @property
     def size(self) -> int:
         return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Return self after other: (self.compose(other))(i) = self(other(i))."""
-        if self.size != other.size:
-            raise DimensionError("permutation sizes differ")
-        return Permutation(tuple(self.images[j] for j in other.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Non-trivial cycles, each starting at its minimum, sorted by minimum."""

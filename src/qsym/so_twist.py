@@ -68,7 +68,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .boolean_group import tau_generators
+from .boolean_group import _word_bits, tau_generators
 from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
 from .errors import CapacityError, DimensionError, UsageError
 from .graphs import Permutation, _bijections, _permutation_rows, _without_checks
@@ -88,11 +88,15 @@ __all__ = [
     "classical_point_action",
     "SIGNED_PERM_BOUND",
     "SO_BRUTEFORCE_BOUND",
+    "SAMPLE_BOUND",
 ]
 
 #: enumeration caps: 2^n n! signed permutation matrices
 SIGNED_PERM_BOUND = 6
 SO_BRUTEFORCE_BOUND = 5
+
+#: cap on sample counts: the (S, n, n) float64 sample stack at n = 5 is 200 MiB
+SAMPLE_BOUND = 1 << 20
 
 #: elements per temporary array in the batched checks (128 KB of float64);
 #: the checks work through their index tuples in blocks of this size
@@ -349,6 +353,13 @@ def chain_sign(pairs: Iterable[tuple[int, int]], table: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_samples(samples, name: str) -> int:
+    """samples as an int in 1..``SAMPLE_BOUND``, checked before any draw."""
+    if check_integer(samples, name, 1) > SAMPLE_BOUND:
+        raise CapacityError(f"{name}={samples} exceeds the sample bound {SAMPLE_BOUND}")
+    return int(samples)
+
+
 def _stack_samples(n: int, count: int, rng: np.random.Generator, negative: bool) -> np.ndarray:
     """``count`` seeded random orthogonal matrices of determinant -1 if
     ``negative`` else +1: QR of Gaussians, R-diagonal signs absorbed, last
@@ -380,7 +391,7 @@ def twisted_relation_check(
     orthogonal samples and -1 on the determinant-(-1) control samples.
     """
     m = check_integer(m, "m", 1)
-    n_samples = check_integer(n_samples, "n_samples", 1)
+    n_samples = _check_samples(n_samples, "n_samples")
     seed = check_integer(seed, "seed")
     if m not in (1, 2):
         raise UsageError(f"twisted relation check supports m in {{1, 2}}, got {m}")
@@ -461,7 +472,7 @@ def lemma_sumzero_check(
     orthogonal samples in the twisted model).  The n column tuples
     (1..n-1, k) are read in one call."""
     n = check_integer(n, "n", 1)
-    samples = check_integer(samples, "samples", 1)
+    samples = _check_samples(samples, "samples")
     seed = check_integer(seed, "seed")
     check_tolerance(tol)
     if model not in ("abelian", "twisted"):
@@ -526,7 +537,7 @@ def lemma_P_check(
     """
     n = check_integer(n, "n", 1)
     l = check_integer(l, "l", 1)
-    samples = check_integer(samples, "samples", 1)
+    samples = _check_samples(samples, "samples")
     seed = check_integer(seed, "seed")
     if n % 2 == 0 or n < 3:
         raise UsageError("lemma_P needs odd n >= 3 (tau generators)")
@@ -568,19 +579,6 @@ def lemma_P_check(
 # ---------------------------------------------------------------------------
 # classical points acting on the folded cube
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _word_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tables for the folded n-cube's 2^(n-1) words y: their
-    (n, N) bits, row k holding bit k of every word (row n-1, y_n, is
-    zero), and the weights 2^k, k < n-1, that pack bits back into words."""
-    width = n - 1
-    bits = (np.arange(1 << width) >> np.arange(n)[:, None]) & 1
-    weights = 1 << np.arange(width)
-    for arr in (bits, weights):
-        arr.setflags(write=False)
-    return bits, weights
 
 
 def _point_action_images(points: list[SignedPermMatrix]) -> np.ndarray:

@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolean_group import _cube_size, folded_cube, walsh_matrix, walsh_rows
+from .boolean_group import _cube_size, _word_bits, folded_cube, walsh_matrix, walsh_rows
 from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
 from .errors import DimensionError
 from .graphs import Permutation, _permutation_defects
@@ -162,13 +162,10 @@ def _eigenvalues(n: int) -> np.ndarray:
 
     A word of length l has lambda(w) = (n - 1 - 2l) + (-1)^l, so it sits
     at level k = l rounded up to even, with eigenvalue n - 2k.  The
-    lengths are a popcount of all words at once: doubling the table one
-    bit at a time, the words with that bit set are one longer than those
-    below them.
+    lengths are the column sums of the word-bit table ``_word_bits``, taken
+    as int64: a uint8 sum would wrap in n - 2 * (...).
     """
-    length = np.zeros(1, dtype=np.int64)
-    for _ in range(n - 1):
-        length = np.concatenate((length, length + 1))
+    length = _word_bits(n)[0].sum(axis=0, dtype=np.int64)
     return n - 2 * (length + (length & 1))
 
 

@@ -25,6 +25,7 @@ the operator (spectral) norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -70,20 +71,15 @@ def spectral_projections(x: np.ndarray, order: int) -> list[np.ndarray]:
 
     For x unitary with x^order = 1 these are the spectral projections onto
     the w^k eigenspaces (w the primitive order-th root of unity), indexed so
-    that p_order projects onto the fixed space.
+    that p_order projects onto the fixed space.  Each sum adds its terms
+    in order of j to a complex zero matrix, which fixes its rounding.
     """
-    dim = x.shape[0]
     powers = [x]
-    for _ in range(order - 1):
+    while len(powers) < order:
         powers.append(powers[-1] @ x)
-    omega = np.exp(2j * np.pi / order)
-    out = []
-    for k in range(1, order + 1):
-        acc = np.zeros((dim, dim), dtype=complex)
-        for j in range(1, order + 1):
-            acc += omega ** (-k * j) * powers[j - 1]
-        out.append(acc / order)
-    return out
+    omega, zero = np.exp(2j * np.pi / order), np.zeros(x.shape, dtype=complex)
+    return [sum((omega ** (-k * j) * x_j for j, x_j in enumerate(powers, 1)), zero) / order
+            for k in range(1, order + 1)]
 
 
 def rep_free_product(n: int, m: int, seed: int = 42) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -128,19 +124,13 @@ class MagicUnitary:
     def dim(self) -> int:
         return int(self.entries.shape[2])
 
-    def flat(self) -> np.ndarray:
-        """The r*dim x r*dim block matrix."""
-        r, d = self.r, self.dim
-        return self.entries.transpose(0, 2, 1, 3).reshape(r * d, r * d)
 
-
-def _permutation_powers(p: Permutation, order: int) -> list[Permutation]:
-    powers = []
-    cur = p
-    for _ in range(order):
-        powers.append(cur)
-        cur = cur.compose(p)
-    return powers  # powers[k-1] = p^k, powers[order-1] = identity
+def _power_table(p: Permutation, order: int) -> np.ndarray:
+    """The (order, r) intp image table of p's powers: row k-1 is p^k."""
+    table = [np.array(p.images, dtype=np.intp)]
+    while len(table) < order:
+        table.append(table[0][table[-1]])
+    return np.array(table)
 
 
 def build_witness(
@@ -150,63 +140,54 @@ def build_witness(
     p: list[np.ndarray],
     q: list[np.ndarray],
     seed: Optional[int] = None,
-    strict: bool = True,
 ) -> MagicUnitary:
     """Assemble u' = sum tau^l (x) q_l + sum sigma^k (x) p_k - id.
 
     Entry (i, j) is sum_{l: tau^l(i)=j} q_l + sum_{k: sigma^k(i)=j} p_k
     minus the identity when i = j.  Disjointness makes every entry a sum of
-    p's only, a sum of q's only, or the identity.
-
-    With ``strict=False`` the hypothesis checks are skipped so that broken
-    inputs (e.g. non-disjoint pairs) can be assembled and then watched to
-    fail certification.
+    p's only, a sum of q's only, or the identity.  Each power adds its block
+    to all r rows at once (q's by l, then p's by k, then -1 on the diagonal,
+    the order of the per-entry sums), after the hypotheses are checked.
     """
     r = g.n_vertices
     n, m = len(p), len(q)
-    if strict:
-        if sigma.size != r or tau.size != r:
-            raise UsageError("hypothesis failed: permutation size != vertex count")
-        if sigma.is_identity() or tau.is_identity():
-            raise UsageError("hypothesis failed: sigma and tau must be non-trivial")
-        if not is_automorphism(g, sigma):
-            raise UsageError("hypothesis failed: sigma is not an automorphism")
-        if not is_automorphism(g, tau):
-            raise UsageError("hypothesis failed: tau is not an automorphism")
-        if not are_disjoint(sigma, tau):
-            raise UsageError("hypothesis failed: sigma and tau are not disjoint")
-        if sigma.order() != n:
-            raise UsageError(f"hypothesis failed: order(sigma)={sigma.order()} != len(p)={n}")
-        if tau.order() != m:
-            raise UsageError(f"hypothesis failed: order(tau)={tau.order()} != len(q)={m}")
+    if sigma.size != r or tau.size != r:
+        raise UsageError("hypothesis failed: permutation size != vertex count")
+    if sigma.is_identity() or tau.is_identity():
+        raise UsageError("hypothesis failed: sigma and tau must be non-trivial")
+    if not is_automorphism(g, sigma):
+        raise UsageError("hypothesis failed: sigma is not an automorphism")
+    if not is_automorphism(g, tau):
+        raise UsageError("hypothesis failed: tau is not an automorphism")
+    if not are_disjoint(sigma, tau):
+        raise UsageError("hypothesis failed: sigma and tau are not disjoint")
+    if sigma.order() != n:
+        raise UsageError(f"hypothesis failed: order(sigma)={sigma.order()} != len(p)={n}")
+    if tau.order() != m:
+        raise UsageError(f"hypothesis failed: order(tau)={tau.order()} != len(q)={m}")
     dims = {mat.shape for mat in list(p) + list(q)}
     if len(dims) != 1 or any(len(s) != 2 or s[0] != s[1] for s in dims):
         raise DimensionError("p and q must share one square matrix shape")
     d = p[0].shape[0]
 
+    rows = np.arange(r)
     entries = np.zeros((r, r, d, d), dtype=complex)
-    sigma_powers = _permutation_powers(sigma, n)
-    tau_powers = _permutation_powers(tau, m)
-    for i in range(r):
-        for l in range(1, m + 1):
-            entries[i, tau_powers[l - 1](i)] += q[l - 1]
-        for k in range(1, n + 1):
-            entries[i, sigma_powers[k - 1](i)] += p[k - 1]
-        entries[i, i] -= np.eye(d)
+    for blocks, perm in ((q, tau), (p, sigma)):
+        for block, image in zip(blocks, _power_table(perm, len(blocks))):
+            entries[rows, image] += block
+    entries[rows, rows] -= np.eye(d)
     return MagicUnitary(entries, seed=seed)
 
 
 def _distinct_entries(u: MagicUnitary) -> list[np.ndarray]:
     """The entries of u up to equality after rounding to 9 decimals, each
-    first occurrence in row-major order.  All entries are rounded in one
-    pass; the keys are the bytes of each rounded entry, with -0.0 made
-    +0.0 (adding 0.0 does that) so that equal entries share their bytes."""
-    rounded = np.round(u.entries, 9) + 0.0
-    out: dict[bytes, np.ndarray] = {}
-    for i in range(u.r):
-        for j in range(u.r):
-            out.setdefault(rounded[i, j].tobytes(), u.entries[i, j])
-    return list(out.values())
+    first occurrence in row-major order: ``np.unique`` on the rounded entries
+    as void rows, with -0.0 made +0.0 (adding 0.0) so equal entries share bytes."""
+    r, d = u.r, u.dim
+    rounded = (np.round(u.entries, 9) + 0.0).reshape(r * r, d * d)
+    keys = rounded.view(np.dtype((np.void, rounded.itemsize * d * d))).ravel()
+    first = np.unique(keys, return_index=True)[1]
+    return list(u.entries.reshape(r * r, d, d)[np.sort(first)])
 
 
 def certify_witness(
@@ -217,12 +198,14 @@ def certify_witness(
     """Measure all magic-unitary defects of u against the graph g.
 
     Reports the worst projection defect over entries, the worst row and
-    column sum defect against the identity, the commutation defect with
-    (adjacency (x) 1), and the noncommutativity certificate
-    c = max ||[u_ab, u_cd]|| over entry pairs.  PASS requires the first
-    three at most tol; c is reported either way (c above
+    column sum defect against the identity, the commutation defect
+    ||[u, A (x) 1]|| with the adjacency A, and the noncommutativity
+    certificate c = max ||[u_ab, u_cd]|| over entry pairs.  PASS requires
+    the first three at most tol; c is reported either way (c above
     ``DEFAULT_TOLERANCES.certificate_floor`` is the positive
-    quantum-symmetry signal, c = 0 the commutative case).
+    quantum-symmetry signal, c = 0 the commutative case).  A (x) 1 is never
+    formed: the commutator is the d^2 stacked r x r products U_ab A - A U_ab,
+    U_ab the matrix of component (a, b) of every entry, laid out rd x rd.
     """
     check_tolerance(tol)
     if u.r != g.n_vertices:
@@ -233,16 +216,13 @@ def certify_witness(
     rowsum_defect = op_norm(e.sum(axis=1) - eye)
     colsum_defect = op_norm(e.sum(axis=0) - eye)
 
-    flat = u.flat()
-    eps_big = np.kron(g.adjacency.astype(float), eye)
-    commutation_defect = op_norm(flat @ eps_big - eps_big @ flat)
+    adj = g.adjacency.astype(float)
+    per_ab = e.transpose(2, 3, 0, 1)  # per_ab[a, b] = U_ab
+    commutator = (per_ab @ adj - adj @ per_ab).transpose(2, 0, 3, 1)
+    commutation_defect = op_norm(commutator.reshape(u.r * u.dim, u.r * u.dim))
 
-    distinct = _distinct_entries(u)
-    certificate = 0.0
-    for a in range(len(distinct)):
-        for b in range(a + 1, len(distinct)):
-            x, y = distinct[a], distinct[b]
-            certificate = max(certificate, op_norm(x @ y - y @ x))
+    pairs = combinations(_distinct_entries(u), 2)
+    certificate = max([0.0] + [op_norm(x @ y - y @ x) for x, y in pairs])
 
     passed = max(projection_defect, rowsum_defect, colsum_defect, commutation_defect) <= tol
     return Report(
@@ -265,14 +245,12 @@ def _recovery_side(
     if not cycles:
         raise UsageError("recovery products need a non-trivial permutation")
     reps = tuple(sorted(min(c) for c in cycles))
-    order = len(targets)
-    powers = _permutation_powers(perm, order)
     residuals = []
-    for k in range(1, order + 1):
+    for target, image in zip(targets, _power_table(perm, len(targets))):
         prod = np.eye(u.dim, dtype=complex)
         for s in reps:
-            prod = prod @ u.entries[s, powers[k - 1](s)]
-        residuals.append(op_norm(prod - targets[k - 1]))
+            prod = prod @ u.entries[s, image[s]]
+        residuals.append(op_norm(prod - target))
     return reps, tuple(residuals)
 
 

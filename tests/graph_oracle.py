@@ -13,6 +13,11 @@ library used before it read them by index gathers: P A == A P for the
 adjacency, and max |P E_k - E_k P| for each eigenprojection E_k, with P
 from ``permutation_matrix``.  The library's defects and booleans must be
 bit-equal to these.
+
+``from_cycles`` and ``compose`` build and multiply permutations for the
+tests; the library itself reads permutations only as image tuples.
+``PENTAGONAL_SIGMA`` and ``PENTAGONAL_TAU`` are a disjoint pair of
+automorphisms of the ``clebsch_pentagonal`` fixture.
 """
 
 from __future__ import annotations
@@ -21,9 +26,33 @@ from typing import Optional
 
 import numpy as np
 
-from qsym import CapacityError, Graph, Permutation
+from qsym import CapacityError, DimensionError, Graph, Permutation, UsageError
 from qsym.graphs import AUTOMORPHISM_VERTEX_BOUND
 from qsym.spectral import eigenprojections
+
+
+def from_cycles(n: int, cycles) -> Permutation:
+    """The permutation of 0..n-1 with these disjoint cycles, each a tuple
+    of points a_1, ..., a_k sending a_i to a_{i+1} and a_k to a_1."""
+    images = list(range(n))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            if images[a] != a:
+                raise UsageError(f"cycles reuse point {a}")
+            images[a] = b
+    return Permutation(tuple(images))
+
+
+def compose(p: Permutation, q: Permutation) -> Permutation:
+    """p after q: compose(p, q).images[i] = p.images[q.images[i]]."""
+    if p.size != q.size:
+        raise DimensionError("permutation sizes differ")
+    return Permutation(tuple(p.images[j] for j in q.images))
+
+
+#: disjoint automorphism pair of the pentagonal-labeled Clebsch graph
+PENTAGONAL_SIGMA = from_cycles(16, [(1, 2), (5, 6), (9, 10), (13, 14)])
+PENTAGONAL_TAU = from_cycles(16, [(0, 3), (4, 7), (8, 11), (12, 15)])
 
 
 def permutation_matrix(p: Permutation) -> np.ndarray:

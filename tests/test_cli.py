@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,6 +170,10 @@ def test_exit_2_on_usage_errors(capsys, argv):
         ("disjoint", "--n", "100000000000"),
         ("witness", "--n", "100000000001"),
         ("so-points", "--n", "100000000001"),
+        # samples are held to SAMPLE_BOUND before any is drawn: no MemoryError
+        ("so-check", "--n", "5", "--samples", "100000000"),
+        ("so-check", "--n", "3", "--samples", "100000000"),
+        ("twist-check", "--m", "2", "--samples", "100000000"),
     ],
 )
 def test_exit_2_on_bad_values(capsys, argv):
@@ -236,6 +244,18 @@ def test_exit_2_on_a_graph_file_nested_too_deeply(capsys, tmp_path):
     code, out, err = run(capsys, "autos", "--graph", str(nested))
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "nested too deeply" in err
+
+
+def test_exit_2_on_an_edge_nested_980_deep_with_one_short_error_line(tmp_path):
+    """A cold process parses the edge (in-process, the test runner's own
+    stack can make the parser give up first) and quotes it capped."""
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"n": 3, "edges": [' + "[" * 980 + "0" + "]" * 980 + "]}")
+    env = {**os.environ, "PYTHONPATH": str(Path(qsym.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "qsym.cli", "autos", "--graph", str(deep)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: edge [[[[[[[...]]]]]]] is not a pair\n"
 
 
 def test_exit_3_on_an_unexpected_exception(capsys, monkeypatch):

@@ -22,7 +22,7 @@ from qsym import (
     folded_cube,
     is_automorphism,
 )
-from qsym.fixtures import PENTAGONAL_SIGMA, PENTAGONAL_TAU
+from graph_oracle import PENTAGONAL_SIGMA, PENTAGONAL_TAU, compose, from_cycles
 
 
 def edge_list(g: Graph) -> list[list[int]]:
@@ -65,6 +65,45 @@ def test_isolated_vertices_and_disconnection_allowed():
 def test_malformed_edge_lists_rejected(n, edges):
     with pytest.raises(GraphFormatError):
         Graph.from_edges(n, edges)
+
+
+def _nested(depth: int):
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3, [_nested(980)], "edge [[[[[[[...]]]]]]] is not a pair"),
+        (3, [[0, _nested(980)]], "edge [0, [[[[[[...]]]]]]] has non-integer endpoints"),
+        (3, [list(range(10**5))], "edge [0, 1, 2, 3, 4, 5, ...] is not a pair"),
+        (_nested(980), [], "vertex count must be a positive integer, got [[[[[[[...]]]]]]]"),
+        (10**100, [], f"graph has {str(10**100)[:18]}...{str(10**100)[-19:]} > 4096 vertices"),
+    ],
+    ids=["nested-edge", "nested-endpoint", "long-edge", "nested-n", "huge-n"],
+)
+def test_quoted_values_are_capped_in_error_messages(n, edges, message):
+    with pytest.raises((GraphFormatError, CapacityError)) as exc:
+        Graph.from_edges(n, edges)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([[0, 5]], "edge [0, 5] out of range for n=3"),
+        ([[0, 0, 0]], "edge [0, 0, 0] is not a pair"),
+        ([[0, "1"]], "edge [0, '1'] has non-integer endpoints"),
+        ([[0, 0]], "loop at vertex 0 is not allowed"),
+    ],
+)
+def test_short_bad_edges_are_quoted_in_full(edges, message):
+    with pytest.raises(GraphFormatError) as exc:
+        Graph.from_edges(3, edges)
+    assert str(exc.value) == message
 
 
 def test_bad_json_keys_rejected():
@@ -129,36 +168,36 @@ def test_non_binary_entry_found_in_last_stripe():
 
 
 def test_permutation_basics():
-    p = Permutation.from_cycles(5, [(0, 1, 2)])
+    p = from_cycles(5, [(0, 1, 2)])
     assert p.images == (1, 2, 0, 3, 4)
     assert p.cycles() == [(0, 1, 2)]
     assert p.order() == 3
     assert p.support() == {0, 1, 2}
-    assert Permutation((2, 0, 1, 3, 4)).compose(p).is_identity()
+    assert compose(Permutation((2, 0, 1, 3, 4)), p).is_identity()
     assert identity(4).order() == 1
 
 
 def test_permutation_compose_order():
-    p = Permutation.from_cycles(3, [(0, 1)])
-    q = Permutation.from_cycles(3, [(1, 2)])
+    p = from_cycles(3, [(0, 1)])
+    q = from_cycles(3, [(1, 2)])
     # (p o q)(1) = p(q(1)) = p(2) = 2
-    assert p.compose(q)(1) == 2
+    assert compose(p, q).images[1] == 2
 
 
 def test_permutation_matrix_convention():
     # the dense reference of the gathered commutation defects
-    p = Permutation.from_cycles(3, [(0, 1, 2)])
+    p = from_cycles(3, [(0, 1, 2)])
     m = oracle.permutation_matrix(p)
     e0 = np.zeros(3)
     e0[0] = 1
-    assert np.array_equal(m @ e0, np.eye(3)[p(0)])
+    assert np.array_equal(m @ e0, np.eye(3)[p.images[0]])
 
 
 def test_permutation_validation():
     with pytest.raises(UsageError):
         Permutation((0, 0, 1))
     with pytest.raises(UsageError):
-        Permutation.from_cycles(4, [(0, 1), (1, 2)])  # reuses 1
+        from_cycles(4, [(0, 1), (1, 2)])  # reuses 1
 
 
 def test_rows_of_a_checked_stack_equal_validated_permutations():
@@ -191,7 +230,7 @@ def test_folded_cube_hands_its_adjacency_over_without_a_copy():
 
 
 def test_permutation_order_is_lcm():
-    p = Permutation.from_cycles(6, [(0, 1), (2, 3, 4)])
+    p = from_cycles(6, [(0, 1), (2, 3, 4)])
     assert p.order() == 6
 
 
@@ -211,10 +250,10 @@ def test_identity_is_automorphism(c5, k4, clebsch):
 
 
 def test_adjacent_transposition_on_c5_is_not_automorphism(c5):
-    p = Permutation.from_cycles(5, [(0, 1)])
+    p = from_cycles(5, [(0, 1)])
     # direct adjacency oracle: permuted edge set differs
     edges = {frozenset(e) for e in edge_list(c5)}
-    permuted = {frozenset((p(a), p(b))) for a, b in edges}
+    permuted = {frozenset((p.images[a], p.images[b])) for a, b in edges}
     assert permuted != edges
     assert not is_automorphism(c5, p)
 
@@ -258,7 +297,7 @@ def test_group_closure_and_inverse_small(graph_fixture, request):
     for p in autos:
         assert tuple(np.argsort(p.images).tolist()) in group
         for q in autos:
-            assert p.compose(q).images in group
+            assert compose(p, q).images in group
 
 
 def test_clebsch_group_closure_and_inverse(clebsch_autos):
@@ -305,19 +344,19 @@ def test_pentagonal_pair_is_disjoint():
 
 
 def test_nontrivial_permutation_not_disjoint_from_itself():
-    p = Permutation.from_cycles(4, [(0, 1)])
+    p = from_cycles(4, [(0, 1)])
     assert not are_disjoint(p, p)
 
 
 def test_transpositions_on_four_points_disjoint():
-    p = Permutation.from_cycles(4, [(0, 1)])
-    q = Permutation.from_cycles(4, [(2, 3)])
+    p = from_cycles(4, [(0, 1)])
+    q = from_cycles(4, [(2, 3)])
     assert are_disjoint(p, q)
 
 
 def test_identity_vacuously_disjoint():
     p = identity(4)
-    q = Permutation.from_cycles(4, [(0, 1, 2, 3)])
+    q = from_cycles(4, [(0, 1, 2, 3)])
     assert are_disjoint(p, q)
 
 

@@ -612,7 +612,7 @@ def test_identity_preserves():
 
 
 def test_non_automorphism_fails_with_visible_commutator():
-    bad = Permutation.from_cycles(16, [(0, 1)])
+    bad = oracle.from_cycles(16, [(0, 1)])
     assert not preserves_eigenspaces(5, bad)
     assert not preserves_eigenspaces(5, bad, tol=0)
     assert max(oracle.eigenspace_defects(5, bad)) > 0.1

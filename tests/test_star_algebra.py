@@ -14,9 +14,10 @@ from qsym import (
     recovery_products,
     rep_free_product,
 )
-from qsym.fixtures import PENTAGONAL_SIGMA, PENTAGONAL_TAU
+from graph_oracle import PENTAGONAL_SIGMA, PENTAGONAL_TAU, from_cycles
+from qsym import fixtures
 from qsym.star_algebra import _distinct_entries, haar_unitary, spectral_projections
-from witness_helpers import classical_witness, is_projection
+from witness_helpers import classical_witness, is_projection, unchecked_witness
 
 #: regression: max ||[p_k, q_l]|| for the n=m=2, seed-42 model
 SEED42_COMMUTATOR = 0.49988694811776474
@@ -72,8 +73,8 @@ def test_commuting_model_from_two_diagonals():
 
 
 def test_k4_witness_matches_the_two_by_two_block_matrix(k4):
-    sigma = Permutation.from_cycles(4, [(0, 1)])
-    tau = Permutation.from_cycles(4, [(2, 3)])
+    sigma = from_cycles(4, [(0, 1)])
+    tau = from_cycles(4, [(2, 3)])
     p, q = rep_free_product(2, 2, seed=42)
     u = build_witness(k4, sigma, tau, p, q, seed=42)
     eye = np.eye(4)
@@ -114,8 +115,8 @@ def test_entry_is_identity_when_both_fix_the_vertex():
     # C5 + K2 + an isolated vertex: sigma rotates the cycle, tau swaps the
     # edge, vertex 7 is fixed by both
     g = Graph.from_edges(8, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [5, 6]])
-    sigma = Permutation.from_cycles(8, [(0, 1, 2, 3, 4)])
-    tau = Permutation.from_cycles(8, [(5, 6)])
+    sigma = from_cycles(8, [(0, 1, 2, 3, 4)])
+    tau = from_cycles(8, [(5, 6)])
     p, q = rep_free_product(5, 2, seed=1)
     u = build_witness(g, sigma, tau, p, q)
     assert np.allclose(u.entries[7, 7], np.eye(10))
@@ -123,16 +124,53 @@ def test_entry_is_identity_when_both_fix_the_vertex():
         assert np.allclose(u.entries[7, j], 0)
 
 
+def _cases():
+    """(graph, sigma, tau, seed): the disjoint pairs of the k4, clebsch and
+    clebsch_pentagonal fixtures, and the C5 + K2 graph with a fixed vertex,
+    whose sigma has order 5."""
+    g = Graph.from_edges(8, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [5, 6]])
+    yield g, from_cycles(8, [(0, 1, 2, 3, 4)]), from_cycles(8, [(5, 6)]), 1
+    for name in ("k4", "clebsch", "clebsch_pentagonal"):
+        graph = fixtures.load_graph(name)
+        yield (graph, *find_disjoint_pair(graph), 7)
+
+
+def test_witness_entries_equal_the_per_entry_loop_bit_for_bit():
+    for g, sigma, tau, seed in _cases():
+        p, q = rep_free_product(sigma.order(), tau.order(), seed=seed)
+        u = build_witness(g, sigma, tau, p, q, seed=seed)
+        want = unchecked_witness(sigma, tau, p, q)
+        assert u.entries.tobytes() == want.entries.tobytes() and u.seed == seed
+
+
+def test_commutation_defect_equals_the_dense_kron_product():
+    """The stacked commutator against [u, A (x) 1] formed densely, as the
+    block matrix of u times kron(A, 1), on witnesses with complex noise in
+    every entry: a noise term of the form E_xy (x) H would give a partial
+    transpose of the block matrix the same norm."""
+    for g, sigma, tau, seed in _cases():
+        p, q = rep_free_product(sigma.order(), tau.order(), seed=seed)
+        u = build_witness(g, sigma, tau, p, q)
+        rng = np.random.default_rng(seed)
+        u.entries += 0.01 * (rng.standard_normal(u.entries.shape) + 1j * rng.standard_normal(u.entries.shape))
+        r, d = u.r, u.dim
+        flat = u.entries.transpose(0, 2, 1, 3).reshape(r * d, r * d)
+        big = np.kron(g.adjacency.astype(float), np.eye(d))
+        dense = op_norm(flat @ big - big @ flat)
+        defect = certify_witness(g, u).commutation_defect
+        assert defect > 0.01 and abs(defect - dense) <= 1e-12 * max(1.0, dense)
+
+
 @pytest.mark.parametrize(
     "mutate,message",
     [
         (lambda s, t: (Permutation((0, 1, 2, 3)), t), "non-trivial"),
-        (lambda s, t: (s, Permutation.from_cycles(4, [(0, 2)])), "disjoint"),
+        (lambda s, t: (s, from_cycles(4, [(0, 2)])), "disjoint"),
     ],
 )
 def test_build_witness_hypothesis_errors(k4, mutate, message):
-    sigma = Permutation.from_cycles(4, [(0, 1)])
-    tau = Permutation.from_cycles(4, [(2, 3)])
+    sigma = from_cycles(4, [(0, 1)])
+    tau = from_cycles(4, [(2, 3)])
     p, q = rep_free_product(2, 2, seed=42)
     bad_sigma, bad_tau = mutate(sigma, tau)
     with pytest.raises(UsageError, match=message):
@@ -140,16 +178,16 @@ def test_build_witness_hypothesis_errors(k4, mutate, message):
 
 
 def test_build_witness_rejects_non_automorphism(c5):
-    sigma = Permutation.from_cycles(5, [(0, 1)])  # breaks C5 adjacency
-    tau = Permutation.from_cycles(5, [(2, 3)])
+    sigma = from_cycles(5, [(0, 1)])  # breaks C5 adjacency
+    tau = from_cycles(5, [(2, 3)])
     p, q = rep_free_product(2, 2, seed=42)
     with pytest.raises(UsageError, match="automorphism"):
         build_witness(c5, sigma, tau, p, q)
 
 
 def test_build_witness_order_mismatch(k4):
-    sigma = Permutation.from_cycles(4, [(0, 1)])
-    tau = Permutation.from_cycles(4, [(2, 3)])
+    sigma = from_cycles(4, [(0, 1)])
+    tau = from_cycles(4, [(2, 3)])
     p, q = rep_free_product(3, 2, seed=42)
     with pytest.raises(UsageError, match="order"):
         build_witness(k4, sigma, tau, p, q)
@@ -184,8 +222,8 @@ def test_witness_with_orders_5_and_2_certifies_end_to_end():
     # C5 + K2 + an isolated vertex: a 5-cycle and a transposition, so the
     # p_k are spectral projections of a unitary with complex eigenvalues
     g = Graph.from_edges(8, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [5, 6]])
-    sigma = Permutation.from_cycles(8, [(0, 1, 2, 3, 4)])
-    tau = Permutation.from_cycles(8, [(5, 6)])
+    sigma = from_cycles(8, [(0, 1, 2, 3, 4)])
+    tau = from_cycles(8, [(5, 6)])
     p, q = rep_free_product(5, 2, seed=1)
     u = build_witness(g, sigma, tau, p, q, seed=1)
     rep = certify_witness(g, u)
@@ -204,8 +242,8 @@ def test_witness_with_orders_5_and_2_certifies_end_to_end():
 def test_stacked_defects_equal_the_per_entry_loops(k4, cells, hermitian):
     # +h in one cell and -h in another of the same row (or column) leaves
     # that row (column) sum alone and moves two column (row) sums
-    sigma = Permutation.from_cycles(4, [(0, 1)])
-    tau = Permutation.from_cycles(4, [(2, 3)])
+    sigma = from_cycles(4, [(0, 1)])
+    tau = from_cycles(4, [(2, 3)])
     p, q = rep_free_product(2, 2, seed=42)
     u = build_witness(k4, sigma, tau, p, q)
     h = 0.1 * np.triu(np.ones((4, 4)), 1)
@@ -225,7 +263,7 @@ def test_stacked_defects_equal_the_per_entry_loops(k4, cells, hermitian):
 
 
 def test_classical_witness_passes_with_zero_certificate(k4):
-    perm = Permutation.from_cycles(4, [(0, 1, 2, 3)])
+    perm = from_cycles(4, [(0, 1, 2, 3)])
     u = classical_witness(k4, perm)
     rep = certify_witness(k4, u)
     assert rep.passed
@@ -247,8 +285,8 @@ def _same_entries(got, want) -> bool:
 
 
 def test_distinct_entries_equal_the_per_entry_loop_with_negative_zeros(k4):
-    sigma = Permutation.from_cycles(4, [(0, 1)])
-    tau = Permutation.from_cycles(4, [(2, 3)])
+    sigma = from_cycles(4, [(0, 1)])
+    tau = from_cycles(4, [(2, 3)])
     p, q = rep_free_product(2, 2, seed=42)
     u = build_witness(k4, sigma, tau, p, q)
     entries = u.entries.copy()
@@ -272,17 +310,19 @@ def test_distinct_entries_equal_the_per_entry_loop_with_negative_zeros(k4):
 
 
 def test_distinct_entries_of_a_classical_witness(k4):
-    u = classical_witness(k4, Permutation.from_cycles(4, [(0, 1, 2, 3)]), dim=2)
+    u = classical_witness(k4, from_cycles(4, [(0, 1, 2, 3)]), dim=2)
     assert _same_entries(_distinct_entries(u), _distinct_entries_per_entry(u))
     assert len(_distinct_entries(u)) == 2  # the identity and the zero block
     assert certify_witness(k4, u).noncomm_certificate == 0.0
 
 
 def test_non_disjoint_pair_fails_projection_test(k4):
-    sigma = Permutation.from_cycles(4, [(0, 1)])
-    tau = Permutation.from_cycles(4, [(0, 1), (2, 3)])  # overlaps sigma
+    sigma = from_cycles(4, [(0, 1)])
+    tau = from_cycles(4, [(0, 1), (2, 3)])  # overlaps sigma
     p, q = rep_free_product(2, 2, seed=42)
-    u = build_witness(k4, sigma, tau, p, q, strict=False)
+    with pytest.raises(UsageError, match="disjoint"):
+        build_witness(k4, sigma, tau, p, q)
+    u = unchecked_witness(sigma, tau, p, q)
     rep = certify_witness(k4, u)
     assert rep.projection_defect > 1e-10
     assert not rep.passed
@@ -294,8 +334,8 @@ def test_commuting_projections_give_zero_certificate(k4):
     v_diag = np.diag(np.tile(np.exp(2j * np.pi * np.arange(1, m + 1) / m), n))
     p = spectral_projections(u_diag, n)
     q = spectral_projections(v_diag, m)
-    sigma = Permutation.from_cycles(4, [(0, 1)])
-    tau = Permutation.from_cycles(4, [(2, 3)])
+    sigma = from_cycles(4, [(0, 1)])
+    tau = from_cycles(4, [(2, 3)])
     u = build_witness(k4, sigma, tau, p, q)
     rep = certify_witness(k4, u)
     assert rep.passed
@@ -303,8 +343,8 @@ def test_commuting_projections_give_zero_certificate(k4):
 
 
 def test_functoriality_under_unitary_conjugation(k4):
-    sigma = Permutation.from_cycles(4, [(0, 1)])
-    tau = Permutation.from_cycles(4, [(2, 3)])
+    sigma = from_cycles(4, [(0, 1)])
+    tau = from_cycles(4, [(2, 3)])
     p, q = rep_free_product(2, 2, seed=42)
     w = haar_unitary(4, np.random.default_rng(123))
     p2 = [w @ x @ w.conj().T for x in p]
@@ -319,8 +359,8 @@ def test_functoriality_under_unitary_conjugation(k4):
 
 def test_certify_dimension_mismatch(k4, c5):
     p, q = rep_free_product(2, 2, seed=42)
-    sigma = Permutation.from_cycles(4, [(0, 1)])
-    tau = Permutation.from_cycles(4, [(2, 3)])
+    sigma = from_cycles(4, [(0, 1)])
+    tau = from_cycles(4, [(2, 3)])
     u = build_witness(k4, sigma, tau, p, q)
     with pytest.raises(DimensionError):
         certify_witness(c5, u)
@@ -339,8 +379,8 @@ def test_magic_unitary_shape_validation():
 
 
 def test_k4_recovery_recovers_both_p_components(k4):
-    sigma = Permutation.from_cycles(4, [(0, 1)])
-    tau = Permutation.from_cycles(4, [(2, 3)])
+    sigma = from_cycles(4, [(0, 1)])
+    tau = from_cycles(4, [(2, 3)])
     p, q = rep_free_product(2, 2, seed=42)
     u = build_witness(k4, sigma, tau, p, q)
     rep = recovery_products(u, sigma, tau, p, q)
@@ -364,8 +404,8 @@ def test_clebsch_recovery(clebsch_pentagonal):
 def test_single_cycle_recovery_recovers_all_powers():
     # sigma a single 5-cycle: one representative recovers all five p_k
     g = Graph.from_edges(7, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0], [5, 6]])
-    sigma = Permutation.from_cycles(7, [(0, 1, 2, 3, 4)])
-    tau = Permutation.from_cycles(7, [(5, 6)])
+    sigma = from_cycles(7, [(0, 1, 2, 3, 4)])
+    tau = from_cycles(7, [(5, 6)])
     p, q = rep_free_product(5, 2, seed=9)
     u = build_witness(g, sigma, tau, p, q)
     rep = recovery_products(u, sigma, tau, p, q)
@@ -377,8 +417,8 @@ def test_single_cycle_recovery_recovers_all_powers():
 
 
 def test_recovery_requires_nontrivial_permutation(k4):
-    sigma = Permutation.from_cycles(4, [(0, 1)])
-    tau = Permutation.from_cycles(4, [(2, 3)])
+    sigma = from_cycles(4, [(0, 1)])
+    tau = from_cycles(4, [(2, 3)])
     p, q = rep_free_product(2, 2, seed=42)
     u = build_witness(k4, sigma, tau, p, q)
     with pytest.raises(UsageError):

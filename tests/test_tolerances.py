@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from graph_oracle import from_cycles
 from qsym import (
     CapacityError,
     Permutation,
@@ -32,6 +33,7 @@ from qsym import (
     twisted_relation_check,
     verify_spectrum,
 )
+from qsym import so_twist
 from qsym.config import check_integer, check_tolerance
 from witness_helpers import classical_witness, is_projection
 
@@ -43,8 +45,8 @@ SWAP = Permutation((1, 0) + tuple(range(2, 16)))
 
 
 def _k4_witness(k4):
-    sigma = Permutation.from_cycles(4, [(0, 1)])
-    tau = Permutation.from_cycles(4, [(2, 3)])
+    sigma = from_cycles(4, [(0, 1)])
+    tau = from_cycles(4, [(2, 3)])
     p, q = rep_free_product(2, 2, seed=42)
     return build_witness(k4, sigma, tau, p, q), sigma, tau, p, q
 
@@ -180,3 +182,35 @@ OVER_THE_BOUND = {
 def test_folded_cube_sizes_over_the_bound_are_capacity_errors(name, n):
     with pytest.raises(CapacityError, match=f"folded {n}-cube has 2\\^{n - 1} > 4096 vertices"):
         OVER_THE_BOUND[name](n)
+
+
+#: sample counts past SAMPLE_BOUND: each check refuses them before it draws
+#: a sample, so 10^8 raises at once instead of allocating gigabytes
+OVER_THE_SAMPLE_BOUND = {
+    "twisted_relation_check": lambda s: twisted_relation_check(2, n_samples=s),
+    "lemma_sumzero_check abelian": lambda s: lemma_sumzero_check(5, "abelian", samples=s),
+    "lemma_sumzero_check twisted": lambda s: lemma_sumzero_check(5, "twisted", samples=s),
+    "lemma_P_check abelian": lambda s: lemma_P_check(3, 2, "abelian", samples=s),
+    "lemma_P_check twisted": lambda s: lemma_P_check(5, 3, "twisted", samples=s),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVER_THE_SAMPLE_BOUND))
+@pytest.mark.parametrize("samples", [so_twist.SAMPLE_BOUND + 1, 10**8, 10**11])
+def test_sample_counts_over_the_bound_are_capacity_errors(name, samples):
+    with pytest.raises(CapacityError, match=f"samples={samples} exceeds the sample bound {so_twist.SAMPLE_BOUND}"):
+        OVER_THE_SAMPLE_BOUND[name](samples)
+
+
+@pytest.mark.parametrize("name", sorted(OVER_THE_SAMPLE_BOUND))
+def test_the_sample_bound_itself_is_accepted(name, monkeypatch):
+    monkeypatch.setattr(so_twist, "SAMPLE_BOUND", 3)
+    assert OVER_THE_SAMPLE_BOUND[name](3)
+    with pytest.raises(CapacityError):
+        OVER_THE_SAMPLE_BOUND[name](4)
+
+
+def test_the_sample_stack_at_the_bound_stays_under_256_mib():
+    # the twisted checks run at n <= SO_BRUTEFORCE_BOUND = 5 (twist-check: n = 2m + 1 = 5)
+    n = so_twist.SO_BRUTEFORCE_BOUND
+    assert so_twist.SAMPLE_BOUND * n * n * np.dtype(np.float64).itemsize <= 256 * 2**20

@@ -562,7 +562,7 @@ def fourier_point_action(point: SignedPermMatrix) -> Permutation:
     width = n - 1
     size = 1 << width
     full = size - 1
-    pi = point.perm
+    pi = point.perm.images
     signs = point.signs
 
     m = np.zeros((size, size))
@@ -575,7 +575,7 @@ def fourier_point_action(point: SignedPermMatrix) -> Permutation:
         for i, e in enumerate(exps):
             if e:
                 sign *= signs[i]
-                img[pi(i)] = 1
+                img[pi[i]] = 1
         # back to a t-word: tau_j = t_j tau_n for j < n, tau_n the full word
         bits = 0
         for j in range(width):
