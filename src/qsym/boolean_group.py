@@ -99,6 +99,12 @@ def _word_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
     return bits, weights
 
 
+def _connection_words(n: int) -> np.ndarray:
+    """FQ_n's connecting words t_1, ..., t_{n-1}, t_n = t_1...t_{n-1} as
+    int32, n checked by the caller."""
+    return np.array([1 << k for k in range(n - 1)] + [(1 << (n - 1)) - 1], dtype=np.int32)
+
+
 def folded_cube(n: int) -> Graph:
     """Folded n-cube graph on the 2^{n-1} bit words of width n-1.
 
@@ -106,15 +112,18 @@ def folded_cube(n: int) -> Graph:
     t_1...t_{n-1}}: the n-1 generators flip single bits, t_n complements.
     For n >= 3 the graph is n-regular; for n = 2 the two kinds of shift
     coincide and the graph is a single edge.
+
+    The graph is built from its pairs (y, y ^ s), one (n, 2^{n-1}) int32
+    array of shifted words against a broadcast view of the words, so the
+    pair arrays stay at about 4 bytes per edge end.  ``Graph._from_pairs``
+    checks them (a zero word would be a loop) and writes the adjacency; the
+    dense matrix is never read back.
     """
     n = check_integer(n, "n", 2, need="folded cube needs an integer n >= 2")
     size = _cube_size(n)
-    ii = np.arange(size)
-    adjacency = np.zeros((size, size), dtype=np.uint8)
-    for s in [1 << k for k in range(n - 1)] + [size - 1]:
-        adjacency[ii, ii ^ s] = 1
-    # the fresh array is handed over: validated, but not copied again
-    return Graph._from_owned(adjacency)
+    ii = np.arange(size, dtype=np.int32)
+    shifted = ii ^ _connection_words(n)[:, None]
+    return Graph._from_pairs(size, np.broadcast_to(ii, shifted.shape), shifted)
 
 
 def tau_generators(n: int) -> tuple[int, ...]:

@@ -9,7 +9,7 @@ headroom over float64 round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isnan
+from math import isfinite
 from numbers import Integral, Real
 
 from .errors import UsageError
@@ -57,11 +57,12 @@ class Report:
 def check_tolerance(tol, name: str = "tol"):
     """Return tol unchanged if it is a usable pass/fail threshold.
 
-    A NaN threshold would pass every ``defect <= tol`` test as False and a
-    negative one would fail exact results, so both are usage errors, as are
-    bools and non-numbers.
+    A NaN threshold would pass every ``defect <= tol`` test as False, a
+    negative one would fail exact results and an infinite one would pass
+    any defect, so all three are usage errors, as are bools and
+    non-numbers.
     """
-    if isinstance(tol, bool) or not isinstance(tol, Real) or isnan(tol) or tol < 0:
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not isfinite(tol) or tol < 0:
         raise UsageError(f"{name} must be a non-negative number, got {tol!r}")
     return tol
 

@@ -92,24 +92,21 @@ def _check_entries(a: np.ndarray) -> None:
 
 
 class Graph:
-    """Undirected simple graph (no loops, no multiple edges)."""
+    """Undirected simple graph (no loops, no multiple edges).
+
+    ``Graph(adjacency)`` takes a caller's dense array as outside input: it
+    checks that the matrix is square, non-empty, 0/1, symmetric and
+    loop-free, and keeps a uint8 copy.  ``from_edges`` and the folded cube
+    build from vertex pairs instead (``_from_pairs``), which are checked
+    before the adjacency is written; the written matrix is symmetric and 0/1
+    by construction, so it is never read back.
+    """
 
     def __init__(self, adjacency):
         a = np.asarray(adjacency)
         _check_entries(a)
         # a fresh copy: the graph never aliases or freezes the caller's array
-        self._adopt(a.astype(np.uint8))
-
-    @classmethod
-    def _from_owned(cls, a: np.ndarray) -> "Graph":
-        """Graph on a fresh uint8 adjacency that the caller hands over and
-        no longer touches: validated like any input, frozen, not copied."""
-        _check_entries(a)
-        g = cls.__new__(cls)
-        g._adopt(a)
-        return g
-
-    def _adopt(self, a: np.ndarray) -> None:
+        a = a.astype(np.uint8)
         if not _is_symmetric(a):
             raise GraphFormatError("adjacency matrix must be symmetric")
         if np.any(np.diag(a) != 0):
@@ -118,19 +115,43 @@ class Graph:
         self.adjacency = a
 
     @classmethod
+    def _from_pairs(cls, n: int, rows, cols) -> "Graph":
+        """Graph on n vertices with the edges {rows[k], cols[k]}.
+
+        The integer index arrays (any one shape, broadcast views included)
+        are checked as a whole: every endpoint lies in 0..n-1 and
+        no pair is a loop, else ``GraphFormatError``.  Then
+        a[rows, cols] = a[cols, rows] = 1 is written into a fresh uint8
+        zero matrix, which makes it symmetric with 0/1 entries, and it is
+        frozen; repeated pairs write the same 1 again.
+        """
+        if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+            raise GraphFormatError(f"edge endpoint out of range for n={n}")
+        if np.any(rows == cols):
+            raise GraphFormatError("loops are not allowed")
+        a = np.zeros((n, n), dtype=np.uint8)
+        a[rows, cols] = 1
+        a[cols, rows] = 1
+        a.setflags(write=False)
+        g = cls.__new__(cls)
+        g.adjacency = a
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         """Build a graph from an edge list with 0-based endpoints.
 
         Duplicate unordered pairs, loops and out-of-range endpoints are
-        rejected; isolated vertices are fine.  More than
-        ``GRAPH_VERTEX_BOUND`` vertices is a ``CapacityError``, raised before
-        the adjacency is allocated.
+        rejected, edge by edge, with a message that quotes the edge;
+        isolated vertices are fine.  More than ``GRAPH_VERTEX_BOUND``
+        vertices is a ``CapacityError``, raised before the adjacency is
+        allocated.  The checked pairs go to ``_from_pairs``, which writes
+        the adjacency.
         """
         if not _is_int(n) or n <= 0:
             raise GraphFormatError(f"vertex count must be a positive integer, got {_quote(n)}")
         if n > GRAPH_VERTEX_BOUND:
             raise CapacityError(f"graph has {_quote(n)} > {GRAPH_VERTEX_BOUND} vertices")
-        a = np.zeros((n, n), dtype=np.uint8)
         seen = set()
         for e in edges:
             try:
@@ -147,8 +168,8 @@ class Graph:
             if key in seen:
                 raise GraphFormatError(f"duplicate edge {key}")
             seen.add(key)
-            a[i, j] = a[j, i] = 1
-        return cls._from_owned(a)
+        pairs = np.array(list(seen), dtype=np.intp).reshape(-1, 2)
+        return cls._from_pairs(n, pairs[:, 0], pairs[:, 1])
 
     @classmethod
     def from_json(cls, obj) -> "Graph":

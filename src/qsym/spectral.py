@@ -124,6 +124,14 @@ def _max_residuals(adjacency: np.ndarray, lams: np.ndarray) -> np.ndarray:
 _BLOCK_ROWS = 16
 
 
+def _halves_equal(x: np.ndarray, y: np.ndarray) -> bool:
+    """x == y for two quarters of a block stack, each row read as 8-byte
+    words when its bytes allow it and bytewise otherwise."""
+    if x.shape == y.shape and x.shape[-1] * x.itemsize % 8 == 0:
+        x, y = x.view(np.uint64), y.view(np.uint64)
+    return np.array_equal(x, y)
+
+
 def _decoupled_blocks(adjacency: np.ndarray) -> np.ndarray:
     """Stack of integer blocks whose joint spectrum is that of ``adjacency``.
 
@@ -133,27 +141,32 @@ def _decoupled_blocks(adjacency: np.ndarray) -> np.ndarray:
     similar to diag(B11 + B12, B11 - B12).  The splits stop at the first
     level that fails this test (an odd M always does: the diagonal blocks
     differ in shape), or once blocks have at most ``_BLOCK_ROWS`` rows.
+    The test reads the quarters' rows as 8-byte words where their width
+    allows (``_halves_equal``).  Each split writes its halves into one new
+    (2k, h, h) stack, the k sums before the k differences, with no
+    concatenation buffer.
 
     The 0/1 uint8 adjacency is read as int8 without a copy.  Each entry
     after a split is a sum or difference of two entries before it, so after
     L splits every |entry| <= 2^L.  int8 holds 2^6 = 64 but not 2^7 = 128,
-    so the halves are widened to int16 just before the seventh split, the
-    first whose entries could pass 127.  int16 holds 2^14, and at most
-    eight splits happen within the vertex bound (4096 rows down to 16;
-    K_4096 reaches 256), so every block is exact.  The widening reads two
-    halves of a 64-row level, never the N x N matrix.
+    so the seventh split, the first whose entries could pass 127, writes
+    int16 from int8 halves.  int16 holds 2^14, and at most eight splits
+    happen within the vertex bound (4096 rows down to 16; K_4096 reaches
+    256), so every block is exact.
     """
     b = adjacency.view(np.int8)[None]
     bound = 1  # every |entry| of b is at most bound
     while b.shape[1] > _BLOCK_ROWS:
-        h = b.shape[1] // 2
+        k, h = len(b), b.shape[1] // 2
         b11, b12 = b[:, :h, :h], b[:, :h, h:]
-        if not (np.array_equal(b11, b[:, h:, h:]) and np.array_equal(b12, b[:, h:, :h])):
+        if not (_halves_equal(b11, b[:, h:, h:]) and _halves_equal(b12, b[:, h:, :h])):
             break
-        if 2 * bound > np.iinfo(b.dtype).max:
-            b11, b12 = b11.astype(np.int16), b12.astype(np.int16)
-        b = np.concatenate((b11 + b12, b11 - b12))
         bound *= 2
+        dtype = b.dtype if bound <= np.iinfo(b.dtype).max else np.int16
+        split = np.empty((2 * k, h, h), dtype=dtype)
+        np.add(b11, b12, out=split[:k], dtype=dtype)
+        np.subtract(b11, b12, out=split[k:], dtype=dtype)
+        b = split
     return b
 
 

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 from qsym import (
     CapacityError,
     DimensionError,
+    GraphFormatError,
     UsageError,
     folded_cube,
     tau_generators,
     walsh_matrix,
 )
+from qsym import boolean_group
 from qsym.boolean_group import walsh_rows
 from walsh_oracle import walsh_transform
 
@@ -57,6 +59,13 @@ def test_folded_cube_bounds():
     assert folded_cube(13).n_vertices == 4096
     with pytest.raises(CapacityError):
         folded_cube(14)  # 8192 vertices > 4096
+
+
+def test_folded_cube_checks_its_shift_pairs(monkeypatch):
+    words = boolean_group._connection_words
+    monkeypatch.setattr(boolean_group, "_connection_words", lambda n: np.append(words(n), np.int32(0)))
+    with pytest.raises(GraphFormatError, match="loops are not allowed"):
+        folded_cube(5)
 
 
 def distance_folded_cube(n: int) -> np.ndarray:

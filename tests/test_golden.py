@@ -25,6 +25,8 @@ GOLDEN = Path(__file__).with_name("golden")
 STDOUT = {
     "spectra_n5": ("spectra", "--n", "5"),
     "spectra_n9": ("spectra", "--n", "9"),
+    "spectra_n11": ("spectra", "--n", "11"),
+    "spectra_n13": ("spectra", "--n", "13"),
     "autos_k4": ("autos", "--graph", "k4"),
     "disjoint_clebsch": ("disjoint", "--graph", "clebsch"),
     "disjoint_c5": ("disjoint", "--graph", "c5"),

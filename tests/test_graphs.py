@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from itertools import permutations
 from math import factorial, prod
@@ -22,6 +23,7 @@ from qsym import (
     folded_cube,
     is_automorphism,
 )
+from qsym.fixtures import fixture_names, fixture_path
 from graph_oracle import PENTAGONAL_SIGMA, PENTAGONAL_TAU, compose, from_cycles
 
 
@@ -104,6 +106,36 @@ def test_short_bad_edges_are_quoted_in_full(edges, message):
     with pytest.raises(GraphFormatError) as exc:
         Graph.from_edges(3, edges)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows, cols, message",
+    [
+        ([0, 2], [1, 2], "loops are not allowed"),
+        ([0, -1], [1, 2], "out of range for n=3"),
+        ([0, 1], [1, 3], "out of range for n=3"),
+    ],
+    ids=["loop", "endpoint-minus-1", "endpoint-n"],
+)
+def test_pairs_are_checked_before_the_adjacency_is_written(rows, cols, message):
+    with pytest.raises(GraphFormatError, match=message):
+        Graph._from_pairs(3, np.array(rows), np.array(cols))
+
+
+def test_pairs_write_both_orientations_into_a_frozen_matrix():
+    g = Graph._from_pairs(4, np.array([0, 1, 0]), np.array([1, 2, 1]))
+    assert g == Graph(np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]]))
+    assert g.adjacency.dtype == np.uint8 and not g.adjacency.flags.writeable
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_from_edges_equals_a_dense_fill_of_every_fixture(name):
+    obj = json.loads(fixture_path(name).read_text())
+    dense = np.zeros((obj["n"], obj["n"]), dtype=np.uint8)
+    for i, j in obj["edges"]:
+        dense[i, j] = dense[j, i] = 1
+    adjacency = Graph.from_json(obj).adjacency
+    assert adjacency.dtype == np.uint8 and np.array_equal(adjacency, dense)
 
 
 def test_bad_json_keys_rejected():

@@ -518,6 +518,48 @@ def test_int8_split_equals_the_int16_split(make, largest):
     assert int(np.abs(want).max()) == largest
 
 
+def _two_copies(b):
+    return np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]])
+
+
+def _random_graph(size, seed):
+    upper = np.triu(np.random.default_rng(seed).integers(0, 2, (size, size), dtype=np.uint8), 1)
+    return upper | upper.T
+
+
+@pytest.mark.parametrize(
+    "b, shape",
+    [
+        # x -> x ^ 12 is a symmetry of every even circulant: 12-byte halves split
+        pytest.param(_two_copies(Graph.from_edges(24, [(i, (i + d) % 24) for i in range(24) for d in (1, 5)]).adjacency),
+                     (4, 12, 12), id="circulant-24"),
+        # and not of a random graph: the 12-byte compare stops the split
+        pytest.param(_two_copies(_random_graph(24, 5)), (2, 24, 24), id="random-24"),
+    ],
+)
+def test_split_of_rows_that_are_not_whole_words(b, shape):
+    got = qsym.spectral._decoupled_blocks(b)
+    want = _int64_blocks(b)
+    assert got.shape == want.shape == shape
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_a_fault_in_the_last_byte_of_a_word_stops_the_split(level):
+    """Entries (7, 15) and (15, 7) are each the last byte of an 8-byte word
+    of their row.  Flipped in B11 only, they stop the first split; flipped
+    in B11 and B22, they pass the first split and stop the second."""
+    a = np.array(folded_cube(9).adjacency)
+    faults = [(7, 15)] if level == 1 else [(7, 15), (135, 143)]
+    for i, j in faults:
+        a[i, j] ^= 1
+        a[j, i] ^= 1
+    got = qsym.spectral._decoupled_blocks(a)
+    rows = 256 >> (level - 1)
+    assert got.shape == (1 << (level - 1), rows, rows)
+    assert np.array_equal(got, _int64_blocks(a))
+
+
 def test_spectrum_report_json_shape():
     js = verify_spectrum(5).to_json()
     assert set(js) >= {"n", "levels", "numeric_match", "max_residual", "pass"}
