@@ -115,15 +115,15 @@ def folded_cube(n: int) -> Graph:
 
     The graph is built from its pairs (y, y ^ s), one (n, 2^{n-1}) int32
     array of shifted words against a broadcast view of the words, so the
-    pair arrays stay at about 4 bytes per edge end.  ``Graph._from_pairs``
-    checks them (a zero word would be a loop) and writes the adjacency; the
+    pair arrays stay at about 4 bytes per edge end.  ``Graph(...)`` checks
+    them (a zero word would be a loop) and writes the adjacency; the
     dense matrix is never read back.
     """
     n = check_integer(n, "n", 2, need="folded cube needs an integer n >= 2")
     size = _cube_size(n)
     ii = np.arange(size, dtype=np.int32)
     shifted = ii ^ _connection_words(n)[:, None]
-    return Graph._from_pairs(size, np.broadcast_to(ii, shifted.shape), shifted)
+    return Graph(size, np.broadcast_to(ii, shifted.shape), shifted)
 
 
 def tau_generators(n: int) -> tuple[int, ...]:

@@ -58,11 +58,15 @@ def check_tolerance(tol, name: str = "tol"):
     """Return tol unchanged if it is a usable pass/fail threshold.
 
     A NaN threshold would pass every ``defect <= tol`` test as False, a
-    negative one would fail exact results and an infinite one would pass
-    any defect, so all three are usage errors, as are bools and
-    non-numbers.
+    negative one would fail exact results and an infinite one, or one past
+    the float range, would pass any defect, so all of them are usage
+    errors, as are bools and non-numbers.
     """
-    if isinstance(tol, bool) or not isinstance(tol, Real) or not isfinite(tol) or tol < 0:
+    try:
+        usable = not isinstance(tol, bool) and isinstance(tol, Real) and isfinite(tol) and tol >= 0
+    except OverflowError:  # an integer past the float range
+        usable = False
+    if not usable:
         raise UsageError(f"{name} must be a non-negative number, got {tol!r}")
     return tol
 

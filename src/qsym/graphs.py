@@ -1,9 +1,10 @@
 """Finite simple graphs, permutations, and automorphism-group search.
 
-Graphs are stored as dense 0/1 adjacency matrices; everything here targets
-the classical symmetry side of the toolkit: exhaustive enumeration of the
-automorphism group and the search for a pair of non-trivial automorphisms
-with disjoint supports.
+A graph is built from vertex pairs, checked as arrays, and stored as the
+dense 0/1 adjacency they write; there is no other way to make one.  The
+rest targets the classical symmetry side of the toolkit: exhaustive
+enumeration of the automorphism group and the search for a pair of
+non-trivial automorphisms with disjoint supports.
 
 The enumeration places vertices in a connectivity order (next comes the
 unplaced vertex with the most placed neighbours, ties broken by label) and
@@ -20,6 +21,7 @@ built.
 from __future__ import annotations
 
 import json
+import re
 import reprlib
 from dataclasses import dataclass
 from math import lcm
@@ -41,8 +43,8 @@ __all__ = [
     "GRAPH_VERTEX_BOUND",
 ]
 
-#: cap on the vertex count of a graph built from an edge list: the dense
-#: N x N adjacency and the dense spectral checks are sized for it
+#: cap on the vertex count of every graph: the dense N x N adjacency and
+#: the dense spectral checks are sized for it
 GRAPH_VERTEX_BOUND = 4096
 
 #: cap for exhaustive automorphism enumeration
@@ -57,9 +59,12 @@ _SEARCH_BLOCK = 1 << 11
 #: float64) unless one permutation's gather alone is larger
 _GATHER_BLOCK = 1 << 20
 
-#: block side for Graph's validation passes: at 4096 vertices whole-matrix
-#: temporaries and a strided a.T are several times slower than 256 x 256 tiles
-_TILE = 256
+#: deepest nesting of arrays and objects ``Graph.load`` parses; a graph
+#: file needs 3 (the object, its edge list, an edge)
+_NESTING_BOUND = 64
+
+#: a JSON string, or a run of characters that are neither brackets nor quotes
+_NOT_A_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[^][{}"]+')
 
 
 def _is_int(x) -> bool:
@@ -72,59 +77,49 @@ def _quote(value) -> str:
     return reprlib.repr(value)[:80]
 
 
-def _is_symmetric(a: np.ndarray) -> bool:
-    """a == a.T, each tile above the diagonal against its mirror tile."""
-    size, t = a.shape[0], _TILE
-    for r in range(0, size, t):
-        for c in range(r, size, t):
-            if not np.array_equal(a[r : r + t, c : c + t], a[c : c + t, r : r + t].T):
-                return False
-    return True
+def _check_vertex_count(n) -> None:
+    """n is a positive integer of at most ``GRAPH_VERTEX_BOUND``: else a
+    ``GraphFormatError``, or a ``CapacityError`` past the bound."""
+    if not _is_int(n) or n <= 0:
+        raise GraphFormatError(f"vertex count must be a positive integer, got {_quote(n)}")
+    if n > GRAPH_VERTEX_BOUND:
+        raise CapacityError(f"graph has {_quote(n)} > {GRAPH_VERTEX_BOUND} vertices")
 
 
-def _check_entries(a: np.ndarray) -> None:
-    """A square, non-empty matrix of zeros and ones, read in row stripes."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise GraphFormatError("adjacency matrix must be square and non-empty")
-    stripes = (a[r : r + _TILE] for r in range(0, a.shape[0], _TILE))
-    if not all(np.all((s == 0) | (s == 1)) for s in stripes):
-        raise GraphFormatError("adjacency entries must be 0 or 1")
+def _nesting_depth(text: str) -> int:
+    """How deep arrays and objects nest in JSON text, brackets inside
+    strings skipped: one regex pass and a running sum, no recursion.  The
+    scan ends at an unterminated string, where the parser stops too."""
+    bare = _NOT_A_BRACKET.sub("", text).partition('"')[0]
+    brackets = np.frombuffer(bare.encode(), dtype=np.uint8)
+    steps = np.where((brackets == ord("[")) | (brackets == ord("{")), 1, -1)
+    return int(np.cumsum(steps).max(initial=0))
 
 
 class Graph:
-    """Undirected simple graph (no loops, no multiple edges).
+    """Undirected simple graph (no loops, no multiple edges) on 0..n-1,
+    held as a read-only uint8 adjacency matrix.
 
-    ``Graph(adjacency)`` takes a caller's dense array as outside input: it
-    checks that the matrix is square, non-empty, 0/1, symmetric and
-    loop-free, and keeps a uint8 copy.  ``from_edges`` and the folded cube
-    build from vertex pairs instead (``_from_pairs``), which are checked
-    before the adjacency is written; the written matrix is symmetric and 0/1
-    by construction, so it is never read back.
+    ``Graph(n, rows, cols)`` is the one constructor, with the edges
+    {rows[k], cols[k]}.  n must be a positive integer, at most
+    ``GRAPH_VERTEX_BOUND`` (else ``CapacityError``), and rows and cols
+    integer arrays of one shape (broadcast views too) with every endpoint
+    in 0..n-1 and no loop, else ``GraphFormatError``.  Only then is
+    a[rows, cols] = a[cols, rows] = 1 written into a fresh zero matrix,
+    which makes it symmetric and 0/1; repeated pairs write the same 1
+    again.  ``from_edges`` (graph files) and ``folded_cube`` make their
+    pairs and call it.
     """
 
-    def __init__(self, adjacency):
-        a = np.asarray(adjacency)
-        _check_entries(a)
-        # a fresh copy: the graph never aliases or freezes the caller's array
-        a = a.astype(np.uint8)
-        if not _is_symmetric(a):
-            raise GraphFormatError("adjacency matrix must be symmetric")
-        if np.any(np.diag(a) != 0):
-            raise GraphFormatError("loops are not allowed")
-        a.setflags(write=False)
-        self.adjacency = a
-
-    @classmethod
-    def _from_pairs(cls, n: int, rows, cols) -> "Graph":
-        """Graph on n vertices with the edges {rows[k], cols[k]}.
-
-        The integer index arrays (any one shape, broadcast views included)
-        are checked as a whole: every endpoint lies in 0..n-1 and
-        no pair is a loop, else ``GraphFormatError``.  Then
-        a[rows, cols] = a[cols, rows] = 1 is written into a fresh uint8
-        zero matrix, which makes it symmetric with 0/1 entries, and it is
-        frozen; repeated pairs write the same 1 again.
-        """
+    def __init__(self, n: int, rows, cols):
+        _check_vertex_count(n)
+        try:
+            rows, cols = np.asarray(rows), np.asarray(cols)
+            arrays = rows.dtype.kind in "iu" and cols.dtype.kind in "iu" and rows.shape == cols.shape
+        except ValueError:  # ragged nested sequences
+            arrays = False
+        if not arrays:
+            raise GraphFormatError("edge endpoints must be integer arrays of one shape")
         if rows.size and (min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
             raise GraphFormatError(f"edge endpoint out of range for n={n}")
         if np.any(rows == cols):
@@ -133,9 +128,7 @@ class Graph:
         a[rows, cols] = 1
         a[cols, rows] = 1
         a.setflags(write=False)
-        g = cls.__new__(cls)
-        g.adjacency = a
-        return g
+        self.adjacency = a
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -143,15 +136,10 @@ class Graph:
 
         Duplicate unordered pairs, loops and out-of-range endpoints are
         rejected, edge by edge, with a message that quotes the edge;
-        isolated vertices are fine.  More than ``GRAPH_VERTEX_BOUND``
-        vertices is a ``CapacityError``, raised before the adjacency is
-        allocated.  The checked pairs go to ``_from_pairs``, which writes
-        the adjacency.
+        isolated vertices are fine.  n is checked first, by the
+        constructor's rule, and the checked pairs go to the constructor.
         """
-        if not _is_int(n) or n <= 0:
-            raise GraphFormatError(f"vertex count must be a positive integer, got {_quote(n)}")
-        if n > GRAPH_VERTEX_BOUND:
-            raise CapacityError(f"graph has {_quote(n)} > {GRAPH_VERTEX_BOUND} vertices")
+        _check_vertex_count(n)
         seen = set()
         for e in edges:
             try:
@@ -169,7 +157,7 @@ class Graph:
                 raise GraphFormatError(f"duplicate edge {key}")
             seen.add(key)
         pairs = np.array(list(seen), dtype=np.intp).reshape(-1, 2)
-        return cls._from_pairs(n, pairs[:, 0], pairs[:, 1])
+        return cls(n, pairs[:, 0], pairs[:, 1])
 
     @classmethod
     def from_json(cls, obj) -> "Graph":
@@ -182,14 +170,18 @@ class Graph:
 
     @classmethod
     def load(cls, path) -> "Graph":
+        """Read a graph file, refusing nesting past ``_NESTING_BOUND`` before
+        parsing: the verdict never depends on the caller's stack depth."""
         try:
-            obj = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"{path}: invalid JSON ({exc})") from None
-        except RecursionError:
-            raise GraphFormatError(f"{path}: JSON nested too deeply to be a graph") from None
+            text = Path(path).read_text()
         except (OSError, UnicodeDecodeError) as exc:
             raise GraphFormatError(f"{path}: cannot read a graph file ({exc})") from None
+        if _nesting_depth(text) > _NESTING_BOUND:
+            raise GraphFormatError(f"{path}: JSON nested too deeply to be a graph")
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"{path}: invalid JSON ({exc})") from None
         return cls.from_json(obj)
 
     @property
@@ -237,7 +229,7 @@ class Permutation:
         return out
 
     def order(self) -> int:
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*(len(c) for c in self.cycles()))
 
     def support(self) -> frozenset[int]:
         return frozenset(i for i, j in enumerate(self.images) if i != j)

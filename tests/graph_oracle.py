@@ -14,8 +14,10 @@ adjacency, and max |P E_k - E_k P| for each eigenprojection E_k, with P
 from ``permutation_matrix``.  The library's defects and booleans must be
 bit-equal to these.
 
-``from_cycles`` and ``compose`` build and multiply permutations for the
-tests; the library itself reads permutations only as image tuples.
+``dense_graph`` builds a graph from a dense 0/1 matrix, which the tests
+edit to make corrupted graphs; the library builds graphs only from vertex
+pairs.  ``from_cycles`` and ``compose`` build and multiply permutations
+for the tests; the library itself reads permutations only as image tuples.
 ``PENTAGONAL_SIGMA`` and ``PENTAGONAL_TAU`` are a disjoint pair of
 automorphisms of the ``clebsch_pentagonal`` fixture.
 """
@@ -29,6 +31,15 @@ import numpy as np
 from qsym import CapacityError, DimensionError, Graph, Permutation, UsageError
 from qsym.graphs import AUTOMORPHISM_VERTEX_BOUND
 from qsym.spectral import eigenprojections
+
+
+def dense_graph(a) -> Graph:
+    """The graph with adjacency matrix a, which must be symmetric, 0/1 and
+    loop-free: ``Graph`` built from the pairs above the diagonal."""
+    a = np.asarray(a)
+    assert a.ndim == 2 and a.shape[0] == a.shape[1] and np.array_equal(a, a.T)
+    assert np.all((a == 0) | (a == 1)) and not np.any(np.diag(a))
+    return Graph(len(a), *np.nonzero(np.triu(a)))
 
 
 def from_cycles(n: int, cycles) -> Permutation:

@@ -246,16 +246,17 @@ def test_exit_2_on_a_graph_file_nested_too_deeply(capsys, tmp_path):
     assert err.count("\n") == 1 and err.startswith("error: ") and "nested too deeply" in err
 
 
-def test_exit_2_on_an_edge_nested_980_deep_with_one_short_error_line(tmp_path):
-    """A cold process parses the edge (in-process, the test runner's own
-    stack can make the parser give up first) and quotes it capped."""
+def test_exit_2_on_an_edge_nested_980_deep_with_one_short_error_line(capsys, tmp_path):
+    """The nesting bound is read from the file, not from the caller's
+    stack: a cold process and an in-process call give the same line."""
     deep = tmp_path / "deep.json"
     deep.write_text('{"n": 3, "edges": [' + "[" * 980 + "0" + "]" * 980 + "]}")
     env = {**os.environ, "PYTHONPATH": str(Path(qsym.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-m", "qsym.cli", "autos", "--graph", str(deep)],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr == "error: edge [[[[[[[...]]]]]]] is not a pair\n"
+    code, out, err = run(capsys, "autos", "--graph", str(deep))
+    assert proc.returncode == code == 2 and proc.stdout == out == ""
+    assert proc.stderr == err == f"error: {deep}: JSON nested too deeply to be a graph\n"
 
 
 def test_exit_3_on_an_unexpected_exception(capsys, monkeypatch):

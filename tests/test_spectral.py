@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graph_oracle as oracle
+from graph_oracle import dense_graph
 import spectral_oracle
 import qsym.spectral
 from qsym import (
@@ -179,7 +180,7 @@ def test_verify_spectrum_rejects_n_below_3(n):
 def _fq7_edge_removed():
     a = np.array(folded_cube(7).adjacency)
     a[0, 1] = a[1, 0] = 0
-    return Graph(a)
+    return dense_graph(a)
 
 
 def _fq7_edges_swapped():
@@ -191,7 +192,7 @@ def _fq7_edges_swapped():
             break
     a[0, u] = a[u, 0] = a[x, y] = a[y, x] = 0
     a[0, y] = a[y, 0] = a[x, u] = a[u, x] = 1
-    return Graph(a)
+    return dense_graph(a)
 
 
 @pytest.mark.parametrize(
@@ -211,7 +212,7 @@ def test_corrupted_adjacency_fails(monkeypatch, capsys, corrupt, regular):
 
 def test_residual_exact_at_high_degree(monkeypatch):
     """K_1024 in place of FQ_11: the constant character psi(T_e) has residual 1023 - 11."""
-    complete = Graph(1 - np.eye(1024, dtype=np.uint8))
+    complete = dense_graph(1 - np.eye(1024, dtype=np.uint8))
     monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: complete)
     rep = verify_spectrum(11)
     assert rep.to_json() == dense_spectrum_report(11, complete)
@@ -231,7 +232,7 @@ def _fq11_thinned(*cuts):
         x = np.arange(lo, hi)
         assert a[x, x ^ s].all() and set((x ^ s).tolist()) == set(x.tolist())
         a[x, x ^ s] = 0
-    return Graph(a)
+    return dense_graph(a)
 
 
 # (degree, vertices) classes in falling degree; the row-by-row oracle takes
@@ -274,7 +275,7 @@ def _rewired_to_even_words(n, degree):
     a[0, :] = a[:, 0] = 0
     even = [u for u in range(1, len(a)) if bin(u).count("1") % 2 == 0][:degree]
     a[0, even] = a[even, 0] = 1
-    return Graph(a)
+    return dense_graph(a)
 
 
 # (n, degree of vertex 0, largest residual, accumulator dtype): int8 holds
@@ -322,12 +323,12 @@ def _flipped_pairs(n, count, seed):
     for _ in range(count):
         x, y = rng.choice(len(a), size=2, replace=False)
         a[x, y] = a[y, x] = 1 - a[x, y]
-    return Graph(a)
+    return dense_graph(a)
 
 
 def _fq11_minus_edge_twice():
     b = _fq11_without_edge(0, 1).adjacency
-    return Graph(np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]]))
+    return dense_graph(np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]]))
 
 
 @pytest.mark.parametrize("n", range(3, 14))
@@ -347,7 +348,7 @@ def test_residual_classes_equal_the_row_oracle_on_folded_cubes(n):
 _CORRUPTED_GRAPHS = [
     pytest.param(7, _fq7_edge_removed, id="FQ_7-edge_removed"),
     pytest.param(7, _fq7_edges_swapped, id="FQ_7-edges_swapped"),
-    pytest.param(11, lambda: Graph(1 - np.eye(1024, dtype=np.uint8)), id="K_1024"),
+    pytest.param(11, lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)), id="K_1024"),
     *(pytest.param(11, p.values[0], id=f"thinned-{p.id}") for p in _ROW_BLOCK_CASES),
     *(
         pytest.param(p.values[0], lambda p=p: _rewired_to_even_words(*p.values[:2]), id=f"rewired-{p.id}")
@@ -379,7 +380,7 @@ def test_residual_classes_equal_the_row_oracle_on_random_graphs(width, density, 
     rng = np.random.default_rng(seed)
     size = 1 << width
     upper = np.triu(rng.random((size, size)) < density, 1)
-    adjacency = Graph((upper | upper.T).astype(np.uint8)).adjacency
+    adjacency = dense_graph((upper | upper.T).astype(np.uint8)).adjacency
     _assert_residuals_equal_the_oracle(adjacency, rng.integers(-lam_bound, lam_bound + 1, size))
 
 
@@ -446,14 +447,14 @@ def _fq11_without_edge(u, v):
     a = np.array(folded_cube(11).adjacency)
     assert a[u, v]
     a[u, v] = a[v, u] = 0
-    return Graph(a)
+    return dense_graph(a)
 
 
 def test_graph_that_decouples_once_gets_two_dense_blocks(monkeypatch):
     """Two disjoint copies of FQ_11 minus an edge: x -> x ^ 1024 is a symmetry,
     x -> x ^ 512 is not, so eigvalsh gets two full 1024-row blocks."""
     b = _fq11_without_edge(0, 1).adjacency
-    twice = Graph(np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]]))
+    twice = dense_graph(np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]]))
     monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: twice)
     shapes = _record_eigvalsh_shapes(monkeypatch)
     rep = verify_spectrum(12)
@@ -468,7 +469,7 @@ def test_graph_that_decouples_once_gets_two_dense_blocks(monkeypatch):
 _BLOCK_SPLIT_CASES = [
     *(pytest.param(lambda n=n: folded_cube(n), 1 << max(0, n - 5), None, id=f"FQ_{n}") for n in range(3, 12)),
     pytest.param(
-        lambda: Graph(1 - np.eye(1024, dtype=np.uint8)), 64, np.r_[1023.0, -np.ones(1023)], id="K_1024"
+        lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)), 64, np.r_[1023.0, -np.ones(1023)], id="K_1024"
     ),
     # B11 != B22 at the first level: no split
     pytest.param(lambda: _fq11_without_edge(0, 1), 1, None, id="FQ_11-edge_0_1"),
@@ -506,7 +507,7 @@ def _int64_blocks(adjacency):
     [
         pytest.param(lambda: folded_cube(13), 8, id="FQ_13"),
         # entries double at each of the eight levels: 256, the most within the bound
-        pytest.param(lambda: Graph(1 - np.eye(4096, dtype=np.uint8)), 256, id="K_4096"),
+        pytest.param(lambda: dense_graph(1 - np.eye(4096, dtype=np.uint8)), 256, id="K_4096"),
     ],
 )
 def test_int8_split_equals_the_int16_split(make, largest):
