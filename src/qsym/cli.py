@@ -151,6 +151,7 @@ def _run_so_points(args) -> tuple[dict, bool]:
     auto_set = set(map(tuple, _automorphism_images(cube).tolist()))
     all_autos = bool((_adjacency_defects(cube, actions) == 0).all())
     preserved = bool((_eigenspace_defects(n, actions) <= tol).all())
+    ok = all_autos and preserved and distinct == auto_set
     report = {
         "n": n,
         "count": len(points),
@@ -161,8 +162,8 @@ def _run_so_points(args) -> tuple[dict, bool]:
         "automorphism_group_order": len(auto_set),
         "bijective_onto_automorphism_group": distinct == auto_set,
         "points": [sp.to_json() for sp in points] if n <= 3 else None,
+        "pass": ok,
     }
-    ok = all_autos and preserved and distinct == auto_set
     return report, ok
 
 

@@ -411,15 +411,12 @@ def twisted_relation_check(
     pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1)  # pairs[i, j] = (i, j)
     # the column relations are the row relations of the transposed samples
     columns = so.transpose(0, 2, 1)
-    # sums over k, per (sample, i, j), of u_ik u_jk and of u_ki u_kj; both
-    # chains carry the sign T[i, j] T[k, k]
-    d72 = 0.0
-    for u in (so, columns):
-        total = np.zeros((n_samples, n, n))
-        for k in range(n):
-            total += chain_signs(pairs, [k, k], twist) * u[:, :, None, k] * u[:, None, :, k]
-        total -= np.eye(n)
-        d72 = max(d72, float(np.abs(total).max()))
+    # sums over k of u_ki u_kj and of u_ik u_jk, per column tuple (i, j) and
+    # sample: row tuples (k, k) of sign r = T[k, k], column sign c = T[i, j]
+    diag, ij = pairs[idx, idx], pairs.reshape(-1, 2)
+    c, r = _index_signs(ij, twist)[:, None], _index_signs(diag, twist)
+    delta = np.eye(n).reshape(-1, 1)
+    d72 = max(float(np.abs(c * _bucket_sums(u, diag, ij, r) - delta).max()) for u in (so, columns))
     reports.append(Report(relation="7.2", max_defect=d72, tol=tol, passed=d72 <= tol, **base))
 
     # Sign tensors for all leading indices, zeroed where two indices
@@ -441,8 +438,7 @@ def twisted_relation_check(
     d74 = float(np.abs(comm[i, k, j, l] * so[:, i, j] * so[:, k, l]).max(initial=0.0))
     reports.append(Report(relation="7.4", max_defect=d74, tol=tol, passed=d74 <= tol, **base))
 
-    # the sign of sigma is r(sigma) c(1..n); one kernel call per sample set,
-    # as a joined copy of both stacks made the 7.2 loop above slower
+    # the sign of sigma is r(sigma) c(1..n); one kernel call per sample set
     perms = _permutations(n)
     row_signs, col_sign = _index_signs(perms, twist), _index_signs(idx, twist)
     total, total_refl = (col_sign * _bucket_sums(u, perms, idx[None], row_signs)[0] for u in (so, refl))

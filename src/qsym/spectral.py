@@ -12,10 +12,9 @@ or k-1, so its dimension is C(n-1, k) + C(n-1, k-1) = C(n, k).  Everything
 here is cross-validated numerically against a dense symmetric eigensolver.
 The residuals A psi(T_w) - lambda(w) psi(T_w) are computed exactly from the
 graph's own adjacency: psi(T_w) is a character, so the residual at vertex
-v depends only on v's XOR-difference set {u ^ v : u ~ v}, and one int8
-accumulator row per distinct set (int16 when the degree and eigenvalue
-bound exceeds 127) gives every per-word maximum.  FQ_n has a single set,
-its n generators.
+v depends only on v's XOR-difference set {u ^ v : u ~ v}, and one int16
+accumulator row per distinct set, all sets summed at once, gives every
+per-word maximum.  FQ_n has a single set, its n generators.
 
 That eigensolver runs on blocks, not on the whole adjacency: FQ_n is a
 Cayley graph of Z_2^(n-1), so each XOR translation x -> x ^ h is an
@@ -51,10 +50,6 @@ __all__ = [
 ]
 
 
-#: distinct difference sets per block of the residual accumulator
-_RESIDUAL_ROWS = 128
-
-
 def _difference_sets(adjacency: np.ndarray) -> np.ndarray:
     """The distinct sets D(v) = {u ^ v : u ~ v}, one row each, read from the
     adjacency's nonzeros.
@@ -62,7 +57,6 @@ def _difference_sets(adjacency: np.ndarray) -> np.ndarray:
     Each row lists its differences in falling order, padded with 0 on the
     right; 0 is never a difference, since a graph has no loops.  Rows equal
     as bytes are equal as sets, so grouping by the rows' bytes is exact.
-    The rows come in order of falling degree.
     """
     size = adjacency.shape[0]
     # the uint8 adjacency read as bool: nonzero then needs no compare pass
@@ -73,8 +67,7 @@ def _difference_sets(adjacency: np.ndarray) -> np.ndarray:
     diffs[rows, slot] = rows ^ cols
     diffs = np.ascontiguousarray(np.sort(diffs, axis=1)[:, ::-1])
     keys = diffs.view(np.dtype((np.void, diffs.itemsize * diffs.shape[1]))).ravel()
-    sets = np.unique(keys).view(np.uint16).reshape(-1, diffs.shape[1])
-    return sets[np.argsort(-np.count_nonzero(sets, axis=1), kind="stable")]
+    return np.unique(keys).view(np.uint16).reshape(-1, diffs.shape[1])
 
 
 def _max_residuals(adjacency: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -91,32 +84,19 @@ def _max_residuals(adjacency: np.ndarray, lams: np.ndarray) -> np.ndarray:
     distinct set (``_difference_sets``) gives the exact per-word maxima,
     from the Walsh rows of the differences only.  FQ_n has the single set
     of its n generators; a corrupted graph gets more sets, each checked.
-    Sets are taken in order of falling degree, ``_RESIDUAL_ROWS`` at a
-    time: within a block the sets with a j-th difference form a prefix, so
-    each slot j is one gather-add and the 0 padding is never read.  Every
-    partial sum is bounded by deg(v) + |lambda|, so the accumulator is int8
-    when that bound is at most 127 (FQ_n: 2n) and int16 otherwise (<= 4095
-    + 13 within the vertex bound).
+    Every row starts at -lams and slot j adds the Walsh row of each set's
+    j-th difference, all sets in one gather-add; the padding word 0 gets a
+    zero row, so it adds nothing.  Every partial sum is bounded by deg(v) +
+    |lambda| <= 4095 + 13 within the vertex bound, so int16 is exact.
     """
     sets = _difference_sets(adjacency)
-    degree = np.count_nonzero(sets, axis=1)
     words, index = np.unique(sets, return_inverse=True)
-    index = index.reshape(sets.shape)
     signs = walsh_rows(words, adjacency.shape[0].bit_length() - 1)
-    bound = int(degree.max()) + int(np.abs(lams).max())
-    dtype = np.int8 if bound <= np.iinfo(np.int8).max else np.int16
-    neg_lams = -lams.astype(dtype)
-    block_residual = np.empty((min(_RESIDUAL_ROWS, len(sets)), len(lams)), dtype=dtype)
-    peak = np.zeros(len(lams), dtype=dtype)
-    for start in range(0, len(sets), _RESIDUAL_ROWS):
-        block_degree = degree[start : start + _RESIDUAL_ROWS]
-        residual = block_residual[: len(block_degree)]
-        residual[:] = neg_lams
-        for j in range(int(block_degree[0])):
-            count = int(np.count_nonzero(block_degree > j))
-            residual[:count] += signs[index[start : start + count, j]]
-        np.maximum(peak, np.abs(residual, out=residual).max(axis=0), out=peak)
-    return peak
+    signs[words == 0] = 0
+    residual = np.tile(-lams.astype(np.int16), (len(sets), 1))
+    for slot in index.reshape(sets.shape).T:
+        residual += signs[slot]
+    return np.abs(residual, out=residual).max(axis=0)
 
 
 #: rows at which the XOR-translation splits stop (FQ_5's size); each block

@@ -8,7 +8,7 @@
   used before it grouped vertices by their XOR-difference sets, kept
   unchanged: it gathers the Walsh rows of every vertex's neighbours from
   the whole int8 Walsh table.  ``spectral._max_residuals`` must return
-  bit-equal per-word maxima in the same dtype.
+  equal per-word maxima.
 """
 
 from __future__ import annotations

@@ -82,7 +82,7 @@ def test_witness(capsys):
 
 def test_so_points(capsys):
     code, report, _ = run_json(capsys, "so-points", "--n", "3")
-    assert code == 0
+    assert code == 0 and report["pass"] is True
     assert report["count"] == 24
     assert report["bijective_onto_automorphism_group"] is True
     assert len(report["points"]) == 24
@@ -205,7 +205,7 @@ def test_so_points_reads_its_tolerance(capsys, monkeypatch):
     code, report, _ = run_json(capsys, "so-points", "--n", "3")
     assert code == 0 and report["eigenspaces_preserved"] is True
     code, report, _ = run_json(capsys, "so-points", "--n", "3", "--tol", "1e-13")
-    assert code == 1 and report["eigenspaces_preserved"] is False
+    assert code == 1 and report["eigenspaces_preserved"] is False and report["pass"] is False
     assert report["actions_are_automorphisms"] is True
 
 

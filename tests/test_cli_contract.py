@@ -12,8 +12,7 @@ no value is left to the draw.  Whatever runs:
 * exit 2 leaves stdout empty and writes exactly one stderr line with
   ``error:``;
 * exit 0 and exit 1 write one JSON report; exit 1's report holds a
-  verdict that is false ("pass", or one of so-points' three verdicts),
-  exit 0's holds none.
+  verdict that is false ("pass"), exit 0's holds none.
 """
 
 import io
@@ -115,7 +114,7 @@ def _argv(data, graphs):
     return argv
 
 
-VERDICTS = {"pass", "actions_are_automorphisms", "eigenspaces_preserved", "bijective_onto_automorphism_group"}
+VERDICTS = {"pass"}
 
 
 def _verdicts(report):

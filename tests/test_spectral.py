@@ -220,7 +220,7 @@ def test_residual_exact_at_high_degree(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the residual's row blocks and accumulator dtype
+# the residual on the row-by-row oracle's row blocks and dtype boundary
 # ---------------------------------------------------------------------------
 
 
@@ -278,22 +278,20 @@ def _rewired_to_even_words(n, degree):
     return dense_graph(a)
 
 
-# (n, degree of vertex 0, largest residual, accumulator dtype): int8 holds
-# the accumulator exactly when max degree + max |lambda| <= 127; at 1024
-# vertices max |lambda| = 11 comes only from the all-zero word, whose
-# residual is degree - 11, so 127 itself is reached at 512 vertices
+# (n, degree of vertex 0, largest residual): the oracle's int8 accumulator
+# holds exactly when max degree + max |lambda| <= 127; at 1024 vertices
+# max |lambda| = 11 comes only from the all-zero word, whose residual is
+# degree - 11, so 127 itself is reached at 512 vertices
 _DTYPE_BOUNDARY_CASES = [
-    pytest.param(10, 117, 117 + 10, np.int8, id="512-residual-127-int8"),
-    pytest.param(11, 116, 116 + 9, np.int8, id="1024-bound-127-int8"),
-    pytest.param(11, 119, 119 + 9, np.int16, id="1024-residual-128-int16"),
+    pytest.param(10, 117, 117 + 10, id="512-residual-127-int8"),
+    pytest.param(11, 116, 116 + 9, id="1024-bound-127-int8"),
+    pytest.param(11, 119, 119 + 9, id="1024-residual-128-int16"),
 ]
 
 
-@pytest.mark.parametrize("n, degree, residual, dtype", _DTYPE_BOUNDARY_CASES)
-def test_residual_exact_at_the_int8_boundary(monkeypatch, n, degree, residual, dtype):
+@pytest.mark.parametrize("n, degree, residual", _DTYPE_BOUNDARY_CASES)
+def test_residual_exact_at_the_int8_boundary(monkeypatch, n, degree, residual):
     g = _rewired_to_even_words(n, degree)
-    lams = np.array([eigenvalue_of_bits(w, n) for w in range(1 << (n - 1))])
-    assert qsym.spectral._max_residuals(g.adjacency, lams).dtype == dtype
     monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: g)
     rep = verify_spectrum(n)
     assert rep.max_residual == residual
@@ -311,9 +309,7 @@ def _closed_form_lams(n):
 
 def _assert_residuals_equal_the_oracle(adjacency, lams):
     got = qsym.spectral._max_residuals(adjacency, lams)
-    want = spectral_oracle.max_residuals(adjacency, lams)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, spectral_oracle.max_residuals(adjacency, lams))
 
 
 def _flipped_pairs(n, count, seed):
@@ -343,6 +339,12 @@ def test_residual_classes_equal_the_row_oracle_on_folded_cubes(n):
     _assert_residuals_equal_the_oracle(folded_cube(n).adjacency, _closed_form_lams(n))
 
 
+def _fq7_isolated(v):
+    a = np.array(folded_cube(7).adjacency)
+    a[v, :] = a[:, v] = 0
+    return dense_graph(a)
+
+
 # every corrupted graph of this file, with the n whose closed form it stands
 # in for; K_1024 is a Cayley graph too, with the one set of all non-zero words
 _CORRUPTED_GRAPHS = [
@@ -357,8 +359,13 @@ _CORRUPTED_GRAPHS = [
     pytest.param(11, lambda: _fq11_without_edge(0, 1), id="FQ_11-edge_0_1"),
     pytest.param(11, lambda: _fq11_without_edge(0, 1023), id="FQ_11-edge_0_1023"),
     pytest.param(12, _fq11_minus_edge_twice, id="FQ_11-edge_0_1-twice"),
-    # 159 difference sets: two blocks of the accumulator
+    # 159 difference sets
     pytest.param(11, lambda: _flipped_pairs(11, 150, 0), id="FQ_11-150_flipped_pairs"),
+    # the padding word 0 at its edges: a set row of padding only, a graph
+    # with no other row, and 52 sets at the vertex bound
+    pytest.param(7, lambda: _fq7_isolated(5), id="FQ_7-isolated_vertex"),
+    pytest.param(7, lambda: dense_graph(np.zeros((64, 64), dtype=np.uint8)), id="edgeless-64"),
+    pytest.param(13, lambda: _flipped_pairs(13, 50, 0), id="FQ_13-50_flipped_pairs"),
 ]
 
 
@@ -376,7 +383,7 @@ def test_residual_classes_equal_the_row_oracle_on_corrupted_graphs(n, make):
 )
 def test_residual_classes_equal_the_row_oracle_on_random_graphs(width, density, lam_bound, seed):
     """Random graphs on 2^width vertices with random integer lambdas; a
-    bound past 127 takes the int16 accumulator."""
+    bound past 127 takes the oracle's int16 accumulator."""
     rng = np.random.default_rng(seed)
     size = 1 << width
     upper = np.triu(rng.random((size, size)) < density, 1)
@@ -410,8 +417,9 @@ def _traced_peak_mib(f, *args):
 
 
 def test_spectrum_check_memory_at_n13():
-    """The residual holds the Walsh table plus row blocks and edge lists;
-    verify_spectrum adds the uint8 adjacency, the same size as the table."""
+    """The residual holds edge lists and one int16 row per difference set,
+    never the 16 MiB Walsh table; verify_spectrum adds the uint8 adjacency,
+    the same size as the table."""
     g = folded_cube(13)
     lams = np.array([eigenvalue_of_bits(w, 13) for w in range(1 << 12)])
     assert _traced_peak_mib(qsym.spectral._max_residuals, g.adjacency, lams) <= 1.5 * _WALSH_13_MIB
