@@ -10,19 +10,15 @@ For odd n the eigenvalues are exactly lambda_k = n - 2k over even k in
 [0, n], the eigenspace of lambda_k being spanned by the words of length k
 or k-1, so its dimension is C(n-1, k) + C(n-1, k-1) = C(n, k).  Everything
 here is cross-validated numerically against a dense symmetric eigensolver.
-The residuals A psi(T_w) - lambda(w) psi(T_w) are computed exactly from the
-graph's own adjacency: psi(T_w) is a character, so the residual at vertex
-v depends only on v's XOR-difference set {u ^ v : u ~ v}, and one int16
-accumulator row per distinct set, all sets summed at once, gives every
-per-word maximum.  FQ_n has a single set, its n generators.
 
-That eigensolver runs on blocks, not on the whole adjacency: FQ_n is a
-Cayley graph of Z_2^(n-1), so each XOR translation x -> x ^ h is an
-automorphism, and A is block diagonalized by the orthogonal splits
-(1/sqrt 2)[[I, I], [I, -I]], exact in int8 and then int16, down to 16-row
-blocks.  Each split is taken only after the symmetry it uses is checked on
-the matrix itself, so the block eigenvalues are those of A for every input
-graph.
+The check first certifies the graph as the XOR Cayley graph Cay(Z_2^w,
+S) with S = N(0), so A = sum_{s in S} P_s (``_connection_set``); FQ_n
+does, with S its n connecting words.  The residuals A psi(T_w) - lambda(w)
+psi(T_w) are then exact integer sums over S, and the eigensolver gets
+16-row blocks built from S (``_cayley_blocks``), with no N x N
+intermediate.  A graph that fails the certificate, which only a broken
+``folded_cube`` could give, gets the residual over every XOR-difference
+set of its adjacency and one eigensolve of the whole adjacency.
 
 Since each projection onto an eigenspace is a polynomial in the adjacency
 matrix, a vertex permutation is an automorphism exactly when its matrix
@@ -70,7 +66,7 @@ def _difference_sets(adjacency: np.ndarray) -> np.ndarray:
     return np.unique(keys).view(np.uint16).reshape(-1, diffs.shape[1])
 
 
-def _max_residuals(adjacency: np.ndarray, lams: np.ndarray) -> np.ndarray:
+def _max_residuals(sets: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Per word w, max_v |(A H)[v, w] - lams[w] H[v, w]|, exact in integers.
 
     H is the Walsh matrix (column w = psi(T_w) in the point basis), with
@@ -79,19 +75,19 @@ def _max_residuals(adjacency: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
         |(A H)[v, w] - lams[w] H[v, w]| = |sum_{d in D(v)} H[d, w] - lams[w]|
 
-    with D(v) = {u ^ v : u ~ v} read from the 0/1 adjacency itself.  The
-    residual depends on v only through D(v): one accumulator row per
-    distinct set (``_difference_sets``) gives the exact per-word maxima,
-    from the Walsh rows of the differences only.  FQ_n has the single set
-    of its n generators; a corrupted graph gets more sets, each checked.
-    Every row starts at -lams and slot j adds the Walsh row of each set's
-    j-th difference, all sets in one gather-add; the padding word 0 gets a
-    zero row, so it adds nothing.  Every partial sum is bounded by deg(v) +
-    |lambda| <= 4095 + 13 within the vertex bound, so int16 is exact.
+    with D(v) = {u ^ v : u ~ v}.  The residual depends on v only through
+    D(v): one accumulator row per distinct set, one set per row of
+    ``sets`` padded with the word 0, gives the exact per-word maxima, from
+    the Walsh rows of the differences only.  A Cayley graph Cay(Z_2^w, S)
+    has the single set S; a corrupted graph gets more sets
+    (``_difference_sets``), each checked.  Every row starts at -lams and
+    slot j adds the Walsh row of each set's j-th difference, all sets in
+    one gather-add; the padding word 0 gets a zero row, so it adds
+    nothing.  Every partial sum is bounded by deg(v) + |lambda| <= 4095 +
+    13 within the vertex bound, so int16 is exact.
     """
-    sets = _difference_sets(adjacency)
     words, index = np.unique(sets, return_inverse=True)
-    signs = walsh_rows(words, adjacency.shape[0].bit_length() - 1)
+    signs = walsh_rows(words, len(lams).bit_length() - 1)
     signs[words == 0] = 0
     residual = np.tile(-lams.astype(np.int16), (len(sets), 1))
     for slot in index.reshape(sets.shape).T:
@@ -99,55 +95,48 @@ def _max_residuals(adjacency: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return np.abs(residual, out=residual).max(axis=0)
 
 
-#: rows at which the XOR-translation splits stop (FQ_5's size); each block
-#: left is still a dense eigenproblem, so the closed form is never assumed
+#: rows of each eigensolver block (FQ_5's size); each block is still a
+#: dense eigenproblem, so the closed form is never assumed
 _BLOCK_ROWS = 16
 
 
-def _halves_equal(x: np.ndarray, y: np.ndarray) -> bool:
-    """x == y for two quarters of a block stack, each row read as 8-byte
-    words when its bytes allow it and bytewise otherwise."""
-    if x.shape == y.shape and x.shape[-1] * x.itemsize % 8 == 0:
-        x, y = x.view(np.uint64), y.view(np.uint64)
-    return np.array_equal(x, y)
+def _connection_set(adjacency: np.ndarray) -> np.ndarray | None:
+    """S = N(0) if the adjacency is that of Cay(Z_2^w, S), else None.
 
-
-def _decoupled_blocks(adjacency: np.ndarray) -> np.ndarray:
-    """Stack of integer blocks whose joint spectrum is that of ``adjacency``.
-
-    Starting from the (1, N, N) stack, a level with M = 2h rows splits when
-    every block B = [[B11, B12], [B21, B22]] has B11 == B22 and B12 == B21,
-    i.e. x -> x ^ h is a symmetry of every block; B is then orthogonally
-    similar to diag(B11 + B12, B11 - B12).  The splits stop at the first
-    level that fails this test (an odd M always does: the diagonal blocks
-    differ in shape), or once blocks have at most ``_BLOCK_ROWS`` rows.
-    The test reads the quarters' rows as 8-byte words where their width
-    allows (``_halves_equal``).  Each split writes its halves into one new
-    (2k, h, h) stack, the k sums before the k differences, with no
-    concatenation buffer.
-
-    The 0/1 uint8 adjacency is read as int8 without a copy.  Each entry
-    after a split is a sum or difference of two entries before it, so after
-    L splits every |entry| <= 2^L.  int8 holds 2^6 = 64 but not 2^7 = 128,
-    so the seventh split, the first whose entries could pass 127, writes
-    int16 from int8 halves.  int16 holds 2^14, and at most eight splits
-    happen within the vertex bound (4096 rows down to 16; K_4096 reaches
-    256), so every block is exact.
+    The certificate: N is a power of two, A has N |S| nonzeros, and
+    A[x, x ^ s] = 1 for every vertex x and s in S.  Those N |S| entries
+    are distinct, so they are all of A's nonzeros: A = sum_{s in S} P_s,
+    with P_s the XOR shift x -> x ^ s.
     """
-    b = adjacency.view(np.int8)[None]
-    bound = 1  # every |entry| of b is at most bound
-    while b.shape[1] > _BLOCK_ROWS:
-        k, h = len(b), b.shape[1] // 2
-        b11, b12 = b[:, :h, :h], b[:, :h, h:]
-        if not (_halves_equal(b11, b[:, h:, h:]) and _halves_equal(b12, b[:, h:, :h])):
-            break
-        bound *= 2
-        dtype = b.dtype if bound <= np.iinfo(b.dtype).max else np.int16
-        split = np.empty((2 * k, h, h), dtype=dtype)
-        np.add(b11, b12, out=split[:k], dtype=dtype)
-        np.subtract(b11, b12, out=split[k:], dtype=dtype)
-        b = split
-    return b
+    size = adjacency.shape[0]
+    connection = np.flatnonzero(adjacency[0])
+    if size & (size - 1) or np.count_nonzero(adjacency) != size * len(connection):
+        return None
+    x = np.arange(size)
+    return connection if all(adjacency[x, x ^ s].all() for s in connection) else None
+
+
+def _cayley_blocks(connection: np.ndarray, size: int) -> np.ndarray:
+    """Float64 blocks of R = min(N, ``_BLOCK_ROWS``) rows whose joint
+    spectrum is that of Cay(Z_2^w, S) on N = 2^w vertices, built from S.
+
+    With x = (high, low), low its R-row index, P_s = P_{s_high} (x) P_{s_low},
+    and the characters e of the high words diagonalize every P_{s_high}.
+    So A is orthogonally similar to the sum over e of the blocks
+    sum_s (-1)^{popcount(e & s_high)} P_{s_low}: entry [r, c] sums the
+    signs of the s with s_low = r ^ c, an exact small integer.  Block j is
+    e = j with its bits reversed, the order of halving [[B11, B12], [B12,
+    B11]] into B11 + B12 and B11 - B12 from the top bit down.
+    """
+    rows = min(size, _BLOCK_ROWS)
+    shift = rows.bit_length() - 1
+    width = size.bit_length() - 1 - shift
+    bits = (connection[:, None] >> (shift + np.arange(width))) & 1
+    signs = walsh_rows(bits @ (1 << np.arange(width)[::-1]), width)
+    coefficients = np.zeros((1 << width, rows))
+    np.add.at(coefficients.T, connection & (rows - 1), signs)
+    r = np.arange(rows)
+    return np.take(coefficients, r[:, None] ^ r, axis=1)
 
 
 def _eigenvalues(n: int) -> np.ndarray:
@@ -166,19 +155,26 @@ def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> Report:
     """Check every closed-form eigenpair of the folded n-cube numerically.
 
     For each word w the residual ||A psi(T_w) - lambda(w) psi(T_w)||_inf is
-    computed exactly in integers (A the adjacency matrix), once per distinct
-    XOR-difference set of the graph's vertices (see ``_max_residuals``), and
-    the closed-form eigenvalue multiset is compared with a dense symmetric
-    eigensolver, run in one batch on the blocks of ``_decoupled_blocks(A)``
-    (256 blocks of 16 rows at n = 13).  Needs n >= 3, where the closed form
-    holds; levels are grouped by eigenvalue.
+    computed exactly in integers (``_max_residuals``) from the connecting
+    set S of the certified graph (``_connection_set``), and the closed-form
+    eigenvalue multiset is compared with a dense symmetric eigensolver, run
+    in one batch on the blocks ``_cayley_blocks(S)`` (256 of 16 rows at
+    n = 13).  A graph that fails the certificate gets every difference set
+    of its adjacency and one eigensolve of all of it.  Needs n >= 3, where
+    the closed form holds; levels are grouped by eigenvalue.
     """
     n = check_integer(n, "n", 3, need="verify_spectrum needs an integer n >= 3 (the closed form assumes it)")
     check_tolerance(tol)
-    g = folded_cube(n)
+    adjacency = folded_cube(n).adjacency
     lams = _eigenvalues(n)
-    per_word = _max_residuals(g.adjacency, lams)
-    numeric = np.sort(np.linalg.eigvalsh(_decoupled_blocks(g.adjacency).astype(float)), axis=None)
+    connection = _connection_set(adjacency)
+    if connection is None:
+        per_word = _max_residuals(_difference_sets(adjacency), lams)
+        blocks = adjacency[None].astype(float)
+    else:
+        per_word = _max_residuals(connection[None], lams)
+        blocks = _cayley_blocks(connection, adjacency.shape[0])
+    numeric = np.sort(np.linalg.eigvalsh(blocks), axis=None)
     closed = np.sort(lams.astype(float))
     numeric_match = bool(np.max(np.abs(numeric - closed)) <= tol)
 

@@ -23,9 +23,13 @@ GOLDEN = Path(__file__).with_name("golden")
 
 #: exact reports, pinned byte for byte
 STDOUT = {
+    "spectra_n3": ("spectra", "--n", "3"),
+    "spectra_n4": ("spectra", "--n", "4"),
     "spectra_n5": ("spectra", "--n", "5"),
+    "spectra_n7": ("spectra", "--n", "7"),
     "spectra_n9": ("spectra", "--n", "9"),
     "spectra_n11": ("spectra", "--n", "11"),
+    "spectra_n12": ("spectra", "--n", "12"),
     "spectra_n13": ("spectra", "--n", "13"),
     "autos_k4": ("autos", "--graph", "k4"),
     "disjoint_clebsch": ("disjoint", "--graph", "clebsch"),

@@ -183,15 +183,16 @@ def _fq7_edge_removed():
     return dense_graph(a)
 
 
-def _fq7_edges_swapped():
-    """FQ_7 with edges {0, u}, {x, y} replaced by {0, y}, {x, u}: still 7-regular."""
+def _fq7_edges_swapped(v=0, u=1):
+    """FQ_7 with edges {v, u}, {x, y} replaced by {v, y}, {x, u}, with x and
+    y other than 0: still 7-regular."""
     a = np.array(folded_cube(7).adjacency)
-    u = 1
+    assert a[v, u]
     for x, y in zip(*np.nonzero(a)):
-        if len({0, u, x, y}) == 4 and not a[0, y] and not a[x, u]:
+        if 0 not in (x, y) and len({v, u, x, y}) == 4 and not a[v, y] and not a[x, u]:
             break
-    a[0, u] = a[u, 0] = a[x, y] = a[y, x] = 0
-    a[0, y] = a[y, 0] = a[x, u] = a[u, x] = 1
+    a[v, u] = a[u, v] = a[x, y] = a[y, x] = 0
+    a[v, y] = a[y, v] = a[x, u] = a[u, x] = 1
     return dense_graph(a)
 
 
@@ -307,8 +308,11 @@ def _closed_form_lams(n):
     return np.array([eigenvalue_of_bits(w, n) for w in range(1 << (n - 1))])
 
 
-def _assert_residuals_equal_the_oracle(adjacency, lams):
-    got = qsym.spectral._max_residuals(adjacency, lams)
+def _assert_residuals_equal_the_oracle(adjacency, lams, sets=None):
+    """The residual over ``sets``, by default every difference set of the
+    adjacency, against the row-by-row oracle on the adjacency itself."""
+    sets = qsym.spectral._difference_sets(adjacency) if sets is None else sets
+    got = qsym.spectral._max_residuals(sets, lams)
     assert np.array_equal(got, spectral_oracle.max_residuals(adjacency, lams))
 
 
@@ -329,14 +333,20 @@ def _fq11_minus_edge_twice():
 
 @pytest.mark.parametrize("n", range(3, 14))
 def test_folded_cube_has_one_difference_set(n):
-    sets = qsym.spectral._difference_sets(folded_cube(n).adjacency)
+    """FQ_n certifies as a Cayley graph with S its n connecting words, the
+    one difference set that the adjacency's nonzeros give as well."""
+    a = folded_cube(n).adjacency
     generators = sorted([1 << s for s in range(n - 1)] + [(1 << (n - 1)) - 1], reverse=True)
-    assert sets.tolist() == [generators]
+    assert qsym.spectral._difference_sets(a).tolist() == [generators]
+    assert qsym.spectral._connection_set(a).tolist() == generators[::-1]
 
 
 @pytest.mark.parametrize("n", range(3, 14))
 def test_residual_classes_equal_the_row_oracle_on_folded_cubes(n):
-    _assert_residuals_equal_the_oracle(folded_cube(n).adjacency, _closed_form_lams(n))
+    a = folded_cube(n).adjacency
+    lams = _closed_form_lams(n)
+    _assert_residuals_equal_the_oracle(a, lams)
+    _assert_residuals_equal_the_oracle(a, lams, qsym.spectral._connection_set(a)[None])
 
 
 def _fq7_isolated(v):
@@ -417,33 +427,41 @@ def _traced_peak_mib(f, *args):
 
 
 def test_spectrum_check_memory_at_n13():
-    """The residual holds edge lists and one int16 row per difference set,
-    never the 16 MiB Walsh table; verify_spectrum adds the uint8 adjacency,
-    the same size as the table."""
-    g = folded_cube(13)
+    """The residual over the adjacency's difference sets holds edge lists
+    and one int16 row per set, never the 16 MiB Walsh table.
+    verify_spectrum holds the 16 MiB uint8 adjacency and the 0.5 MiB of
+    float64 blocks built from S, and no N x N intermediate: 17.5 MiB, where
+    the dense halving split reached 28.1 MiB."""
+    a = folded_cube(13).adjacency
     lams = np.array([eigenvalue_of_bits(w, 13) for w in range(1 << 12)])
-    assert _traced_peak_mib(qsym.spectral._max_residuals, g.adjacency, lams) <= 1.5 * _WALSH_13_MIB
-    assert _traced_peak_mib(verify_spectrum, 13) <= 2.5 * _WALSH_13_MIB
+    residual = qsym.spectral._max_residuals
+    assert _traced_peak_mib(lambda: residual(qsym.spectral._difference_sets(a), lams)) <= 1.5 * _WALSH_13_MIB
+    assert _traced_peak_mib(verify_spectrum, 13) <= 17.5
 
 
 # ---------------------------------------------------------------------------
-# the XOR-translation block split behind the eigensolver cross-check
+# the Cayley certificate and the eigensolver blocks built from S
 # ---------------------------------------------------------------------------
 
 
-def _record_eigvalsh_shapes(monkeypatch):
-    shapes = []
+def _record_eigvalsh(monkeypatch, keep):
+    """Append keep(a) to the returned list at each np.linalg.eigvalsh(a)."""
+    kept = []
     real = np.linalg.eigvalsh
 
     def recording(a):
-        shapes.append(a.shape)
+        kept.append(keep(a))
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    return shapes
+    return kept
 
 
-# the splits stop at 16 rows, FQ_5's size
+def _record_eigvalsh_shapes(monkeypatch):
+    return _record_eigvalsh(monkeypatch, np.shape)
+
+
+# the blocks have 16 rows, FQ_5's size
 @pytest.mark.parametrize("n, shape", [(9, (16, 16, 16)), (11, (64, 16, 16)), (13, (256, 16, 16))])
 def test_eigensolver_gets_256_row_blocks(monkeypatch, n, shape):
     shapes = _record_eigvalsh_shapes(monkeypatch)
@@ -458,48 +476,63 @@ def _fq11_without_edge(u, v):
     return dense_graph(a)
 
 
-def test_graph_that_decouples_once_gets_two_dense_blocks(monkeypatch):
-    """Two disjoint copies of FQ_11 minus an edge: x -> x ^ 1024 is a symmetry,
-    x -> x ^ 512 is not, so eigvalsh gets two full 1024-row blocks."""
+def test_graph_that_decouples_once_gets_one_dense_block(monkeypatch):
+    """Two disjoint copies of FQ_11 minus an edge: x -> x ^ 1024 is a
+    symmetry, but the graph is no Cayley graph of Z_2^11, so eigvalsh gets
+    the whole 2048-row adjacency."""
     b = _fq11_without_edge(0, 1).adjacency
     twice = dense_graph(np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]]))
     monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: twice)
     shapes = _record_eigvalsh_shapes(monkeypatch)
     rep = verify_spectrum(12)
-    assert shapes == [(2, 1024, 1024)]
+    assert shapes == [(1, 2048, 2048)]
     assert not rep.passed
     assert rep.to_json() == dense_spectrum_report(12, twice)
 
 
-# (graph, block count, exact spectrum or None for the full eigvalsh); the
-# full eigvalsh of K_1024 is itself 1.7e-12 off {1023, -1 x 1023}, so the
-# blocks are held to the exact spectrum there, under the same bound
-_BLOCK_SPLIT_CASES = [
-    *(pytest.param(lambda n=n: folded_cube(n), 1 << max(0, n - 5), None, id=f"FQ_{n}") for n in range(3, 12)),
+# (graph, n it stands in for, block count, exact spectrum or None for the
+# full eigvalsh); the full eigvalsh of K_1024 is itself 1.7e-12 off
+# {1023, -1 x 1023}, so the blocks are held to the exact spectrum there,
+# under the same bound
+_BLOCK_CASES = [
+    *(pytest.param(lambda n=n: folded_cube(n), n, 1 << max(0, n - 5), None, id=f"FQ_{n}") for n in range(3, 12)),
     pytest.param(
-        lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)), 64, np.r_[1023.0, -np.ones(1023)], id="K_1024"
+        lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)), 11, 64, np.r_[1023.0, -np.ones(1023)], id="K_1024"
     ),
-    # B11 != B22 at the first level: no split
-    pytest.param(lambda: _fq11_without_edge(0, 1), 1, None, id="FQ_11-edge_0_1"),
-    # B11 == B22 but B12 != B21, since the edge {512, 511} stays: no split
-    pytest.param(lambda: _fq11_without_edge(0, 1023), 1, None, id="FQ_11-edge_0_1023"),
+    # an edge removed: the count fails, and the whole adjacency is one block
+    pytest.param(lambda: _fq11_without_edge(0, 1), 11, 1, None, id="FQ_11-edge_0_1"),
+    pytest.param(lambda: _fq11_without_edge(0, 1023), 11, 1, None, id="FQ_11-edge_0_1023"),
 ]
 
 
-@pytest.mark.parametrize("make, count, exact", _BLOCK_SPLIT_CASES)
-def test_block_eigenvalues_equal_the_full_spectrum(make, count, exact):
-    a = make().adjacency
-    blocks = qsym.spectral._decoupled_blocks(a)
+@pytest.mark.parametrize("make, n, count, exact", _BLOCK_CASES)
+def test_block_eigenvalues_equal_the_full_spectrum(monkeypatch, make, n, count, exact):
+    """The stack verify_spectrum hands to eigvalsh has the spectrum of A."""
+    g = make()
+    a = g.adjacency
+    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: g)
+    inputs = _record_eigvalsh(monkeypatch, np.array)
+    verify_spectrum(n)
+    [blocks] = inputs
     rows = a.shape[0] // count
-    assert blocks.dtype == np.int8 and blocks.shape == (count, rows, rows)
-    got = np.sort(np.linalg.eigvalsh(blocks.astype(float)), axis=None)
+    assert blocks.dtype == np.float64 and blocks.shape == (count, rows, rows)
+    got = np.sort(np.linalg.eigvalsh(blocks), axis=None)
     want = np.linalg.eigvalsh(a.astype(float)) if exact is None else np.sort(exact)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def _cayley_graph(width, connection):
+    """Cay(Z_2^width, S): x ~ x ^ s for every word x and s in S."""
+    x = np.arange(1 << width)
+    shifted = x ^ np.array(connection)[:, None]
+    return Graph(1 << width, np.broadcast_to(x, shifted.shape), shifted)
+
+
 def _int64_blocks(adjacency):
-    """The split on an int64 copy of the adjacency: the oracle for the
-    int8 stack that widens to int16."""
+    """The halving split on an int64 copy of the adjacency: while every
+    block [[B11, B12], [B21, B22]] has B11 == B22 and B12 == B21, replace
+    it by B11 + B12 and B11 - B12, all sums before all differences.  The
+    oracle for ``_cayley_blocks``, block for block."""
     b = adjacency.astype(np.int64)[None]
     while b.shape[1] > qsym.spectral._BLOCK_ROWS:
         h = b.shape[1] // 2
@@ -513,60 +546,80 @@ def _int64_blocks(adjacency):
 @pytest.mark.parametrize(
     "make, largest",
     [
-        pytest.param(lambda: folded_cube(13), 8, id="FQ_13"),
+        *(pytest.param(lambda n=n: folded_cube(n), max(1, n - 5), id=f"FQ_{n}") for n in range(3, 14)),
+        pytest.param(lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)), 64, id="K_1024"),
         # entries double at each of the eight levels: 256, the most within the bound
         pytest.param(lambda: dense_graph(1 - np.eye(4096, dtype=np.uint8)), 256, id="K_4096"),
+        # high parts 1, 3 and 12, which bit reversal moves: unlike FQ_n and
+        # K_N, this graph tells the split's block order from j's own order
+        pytest.param(lambda: _cayley_graph(8, [1, 16, 48, 200]), 2, id="Cay_256-1_16_48_200"),
     ],
 )
-def test_int8_split_equals_the_int16_split(make, largest):
+def test_cayley_blocks_equal_the_dense_split(make, largest):
     a = make().adjacency
-    got = qsym.spectral._decoupled_blocks(a)
+    connection = qsym.spectral._connection_set(a)
+    got = qsym.spectral._cayley_blocks(connection, a.shape[0])
     want = _int64_blocks(a)
-    assert got.dtype == np.int16 and got.shape == want.shape == (256, 16, 16)
+    rows = min(a.shape[0], 16)
+    assert got.dtype == np.float64 and got.shape == want.shape == (a.shape[0] // rows, rows, rows)
     assert np.array_equal(got, want)
     assert int(np.abs(want).max()) == largest
 
 
-def _two_copies(b):
-    return np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]])
+# faults that each break one part of the certificate: (graph, the count
+# N |S| holds, row 0 is FQ_7's)
+_CERTIFICATE_FAULTS = [
+    pytest.param(_fq7_edge_removed, False, False, id="edge_removed"),
+    pytest.param(_fq7_edges_swapped, True, False, id="edges_swapped"),
+    pytest.param(lambda: _fq7_edges_swapped(1, 3), True, True, id="edges_swapped_away_from_0"),
+]
 
 
-def _random_graph(size, seed):
-    upper = np.triu(np.random.default_rng(seed).integers(0, 2, (size, size), dtype=np.uint8), 1)
-    return upper | upper.T
+@pytest.mark.parametrize("corrupt, count_holds, row_0_intact", _CERTIFICATE_FAULTS)
+def test_graph_that_fails_the_certificate_takes_the_dense_route(monkeypatch, corrupt, count_holds, row_0_intact):
+    bad = corrupt()
+    a = bad.adjacency
+    assert (np.count_nonzero(a) == 64 * np.count_nonzero(a[0])) == count_holds
+    assert np.array_equal(a[0], folded_cube(7).adjacency[0]) == row_0_intact
+    assert qsym.spectral._connection_set(a) is None
+    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: bad)
+    shapes = _record_eigvalsh_shapes(monkeypatch)
+    rep = verify_spectrum(7)
+    assert shapes == [(1, 64, 64)]
+    assert not rep.passed
+    assert rep.to_json() == dense_spectrum_report(7, bad)
 
 
 @pytest.mark.parametrize(
-    "b, shape",
+    "g",
     [
-        # x -> x ^ 12 is a symmetry of every even circulant: 12-byte halves split
-        pytest.param(_two_copies(Graph.from_edges(24, [(i, (i + d) % 24) for i in range(24) for d in (1, 5)]).adjacency),
-                     (4, 12, 12), id="circulant-24"),
-        # and not of a random graph: the 12-byte compare stops the split
-        pytest.param(_two_copies(_random_graph(24, 5)), (2, 24, 24), id="random-24"),
+        # a Cayley graph of Z_48, not of a Boolean group
+        pytest.param(Graph.from_edges(48, [(i, (i + d) % 48) for i in range(48) for d in (1, 5)]), id="circulant-48"),
+        # x ~ x ^ 1 on 0..5: the count and the gather hold, and only the
+        # vertex count shows that 0..5 is no group
+        pytest.param(Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]), id="matching-6"),
     ],
 )
-def test_split_of_rows_that_are_not_whole_words(b, shape):
-    got = qsym.spectral._decoupled_blocks(b)
-    want = _int64_blocks(b)
-    assert got.shape == want.shape == shape
-    assert np.array_equal(got, want)
+def test_certificate_needs_a_power_of_two_vertices(g):
+    assert qsym.spectral._connection_set(g.adjacency) is None
 
 
-@pytest.mark.parametrize("level", [1, 2])
-def test_a_fault_in_the_last_byte_of_a_word_stops_the_split(level):
-    """Entries (7, 15) and (15, 7) are each the last byte of an 8-byte word
-    of their row.  Flipped in B11 only, they stop the first split; flipped
-    in B11 and B22, they pass the first split and stop the second."""
-    a = np.array(folded_cube(9).adjacency)
-    faults = [(7, 15)] if level == 1 else [(7, 15), (135, 143)]
-    for i, j in faults:
-        a[i, j] ^= 1
-        a[j, i] ^= 1
-    got = qsym.spectral._decoupled_blocks(a)
-    rows = 256 >> (level - 1)
-    assert got.shape == (1 << (level - 1), rows, rows)
-    assert np.array_equal(got, _int64_blocks(a))
+def test_edgeless_graph_is_the_cayley_graph_of_the_empty_set(monkeypatch):
+    edgeless = dense_graph(np.zeros((64, 64), dtype=np.uint8))
+    assert qsym.spectral._connection_set(edgeless.adjacency).tolist() == []
+    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: edgeless)
+    shapes = _record_eigvalsh_shapes(monkeypatch)
+    rep = verify_spectrum(7)
+    assert shapes == [(4, 16, 16)]
+    assert rep.to_json() == dense_spectrum_report(7, edgeless)
+
+
+def test_folded_cubes_never_read_their_difference_sets(monkeypatch):
+    calls = []
+    monkeypatch.setattr(qsym.spectral, "_difference_sets", calls.append)
+    for n in range(3, 14):
+        assert verify_spectrum(n).passed
+    assert calls == []
 
 
 def test_spectrum_report_json_shape():
