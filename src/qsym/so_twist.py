@@ -15,7 +15,9 @@ gives SO_n^{-1}.  Two concrete models are certified here:
 
 * the abelian model: commuting scalar solutions of (7.1)-(7.4) are exactly
   the signed permutation matrices, and (7.5) picks the ones whose entry
-  product d is +1 (``abelian_points``);
+  product d is +1 (``abelian_points``).  It is the twist by the trivial
+  (all-ones) table, so one evaluator, ``_relation_defects``, checks
+  (7.1)-(7.4) in both models;
 
 * the twisted model: for n = 2m+1 there is a unique +-1 bicharacter on
   Z_2^{2m} whose cocycle deformation of the function algebra of SO_{2m+1}
@@ -46,8 +48,10 @@ stack of column tuples I in one kernel call (``relation_kernel``).  A chain's tw
 splits into a row and a column part, chain_signs(J, I) = r(J) c(I)
 (``_index_signs``): r(J) is computed once, c(I) = +-1 applied after the
 sum or dropped where only |lhs - rhs| or |total| is read.  Every sum runs
-in the order of its tuples, bit for bit a plain loop.  (7.3) and (7.4)
-multiply sample entries only where a twist sign survives.
+in the order of its tuples, bit for bit a plain loop.  (7.3) and (7.4) are
+one commutation rule, u_ij u_kl = eps u_kl u_ij, read from one int8
+coefficient tensor; sample entries are multiplied only where it is
+non-zero.
 
 Finally, every abelian point acts on the folded n-cube: the generators
 tau_i of Z_2^{n-1} are sent to sign * tau_{perm(i)}, which (precisely
@@ -95,20 +99,9 @@ __all__ = [
 SIGNED_PERM_BOUND = 6
 SO_BRUTEFORCE_BOUND = 5
 
-#: cap on sample counts: the (S, n, n) float64 sample stack at n = 5 is 200 MiB
+#: cap on sample counts: the (S, n, n) float64 sample stack at n = 5 is 200 MiB,
+#: at n = 7 (``twisted_relation_check`` at m = 3) 392 MiB
 SAMPLE_BOUND = 1 << 20
-
-#: elements per temporary array in the batched checks (128 KB of float64);
-#: the checks work through their index tuples in blocks of this size
-_BLOCK = 1 << 14
-
-
-def _blocks(count: int, width: int) -> list[slice]:
-    """Consecutive slices of range(count), each covering about _BLOCK
-    elements when one item spans ``width`` elements."""
-    step = max(1, _BLOCK // max(1, width))
-    return [slice(a, a + step) for a in range(0, count, step)]
-
 
 @lru_cache(maxsize=None)
 def _permutations(n: int, l: int | None = None) -> np.ndarray:
@@ -209,42 +202,20 @@ def _stack_points(stack: _SignedPermStack, keep: np.ndarray) -> list[SignedPermM
     ]
 
 
-def _scalar_relations_defects(mats: np.ndarray) -> np.ndarray:
-    """Worst violation of (7.1)-(7.4) by each scalar (commuting) matrix of
-    an (N, n, n) stack.
-
-    (7.1) is realness, (7.2) orthogonality of rows and columns, (7.3)
-    degenerates to vanishing products within a row or column, and (7.4) is
-    automatic for scalars.  Integer arithmetic, so 0 means exact.
-    """
-    n = mats.shape[-1]
-    eye = np.eye(n, dtype=np.int64)
-    off_diagonal = 1 - eye
-    out = np.empty(len(mats), dtype=np.int64)
-    for blk in _blocks(len(mats), n**3):
-        m = np.asarray(mats[blk], dtype=np.int64)
-        mt = m.swapaxes(1, 2)
-        parts = [np.abs(m @ mt - eye), np.abs(mt @ m - eye)]
-        # products of two entries within a row (m) or within a column (mt)
-        for v in (m, mt):
-            parts.append(np.abs(v[:, :, :, None] * v[:, :, None, :]) * off_diagonal)
-        out[blk] = np.max([p.reshape(len(m), -1).max(axis=1) for p in parts], axis=0)
-    return out
-
-
 def abelian_points(n: int) -> list[SignedPermMatrix]:
     """Commutative solutions of (7.1)-(7.5): signed permutations with d = +1.
 
     Exactly half of the 2^n n! signed permutation matrices survive the
     quantum determinant condition.  Each survivor is also checked against
-    (7.1)-(7.4) literally.
+    (7.1)-(7.4) literally, by the evaluator of the twisted check under the
+    trivial (all-ones) sign table (``_relation_defects``).
     """
     n = check_integer(n, "n", 1)
     if n > SIGNED_PERM_BOUND:
         raise CapacityError(f"n={n} exceeds the signed-permutation bound {SIGNED_PERM_BOUND}")
     stack = _signed_perm_stack(n)
     keep = stack.determinants == 1
-    if _scalar_relations_defects(stack.matrices[keep]).any():  # pragma: no cover
+    if any(_relation_defects(stack.matrices[keep], np.ones((n, n), np.int8))):
         raise RuntimeError(f"an abelian point of size {n} violates the scalar relations")
     return _stack_points(stack, keep)
 
@@ -372,8 +343,48 @@ def _stack_samples(n: int, count: int, rng: np.random.Generator, negative: bool)
 
 
 # ---------------------------------------------------------------------------
-# relation certification in the twisted model
+# relation certification: one evaluator, and the twisted model
 # ---------------------------------------------------------------------------
+
+
+def _relation_defects(stack: np.ndarray, table: np.ndarray) -> tuple[float, float, float, float]:
+    """Worst violations (d71, d72, d73, d74) of (7.1)-(7.4) by an (S, n, n)
+    stack of commuting samples, each monomial carrying its ``chain_signs``
+    sign under the generator ``table`` (``bicharacter(m)``, or all ones for
+    the abelian model).
+
+    (7.3) and (7.4) are one rule, u_ij u_kl = eps u_kl u_ij with eps = -1
+    where exactly one of i = k, j = l holds, else +1.  On samples it reads
+    coef u_ij u_kl = 0, coef = chain_signs((i,k),(j,l)) - eps
+    chain_signs((k,i),(l,j)): (7.3), rows and columns alike, where one
+    index pair coincides, (7.4) where neither does.  Entries are multiplied
+    only where coef is non-zero: nowhere for the bicharacter, on (7.3)
+    (coef = 2) for the all-ones table.
+    """
+    n = stack.shape[-1]
+    d71 = float(np.abs(stack.imag).max()) if np.iscomplexobj(stack) else 0.0
+
+    idx = np.arange(n)
+    pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1)  # pairs[i, j] = (i, j)
+    # sums over k of u_ki u_kj on the stack and of u_ik u_jk on its
+    # transpose, per column tuple (i, j) and sample: row tuples (k, k) of
+    # sign r = T[k, k], column sign c = T[i, j]
+    diag, ij = pairs[idx, idx], pairs.reshape(-1, 2)
+    c, r = _index_signs(ij, table)[:, None], _index_signs(diag, table)
+    delta = np.eye(n).reshape(-1, 1)
+    sums = (c * _bucket_sums(u, diag, ij, r) for u in (stack, stack.transpose(0, 2, 1)))
+    d72 = max(float(np.abs(total - delta).max()) for total in sums)
+
+    same = idx[:, None] == idx
+    one = same[:, :, None, None] != same  # one[i, k, j, l]: exactly one of i = k, j = l
+    flip = pairs[:, :, ::-1]
+    swapped = chain_signs(flip[:, :, None, None], flip, table)
+    coef = chain_signs(pairs[:, :, None, None], pairs, table) - np.where(one, -swapped, swapped)
+    i, k, j, l = np.nonzero(coef)
+    terms = np.abs(coef[i, k, j, l] * stack[:, i, j] * stack[:, k, l])
+    part = one[i, k, j, l]
+    d73, d74 = (float(terms[:, cut].max(initial=0)) for cut in (part, ~part))
+    return d71, d72, d73, d74
 
 
 def twisted_relation_check(
@@ -393,8 +404,8 @@ def twisted_relation_check(
     m = check_integer(m, "m", 1)
     n_samples = _check_samples(n_samples, "n_samples")
     seed = check_integer(seed, "seed")
-    if m not in (1, 2):
-        raise UsageError(f"twisted relation check supports m in {{1, 2}}, got {m}")
+    if m > 3:
+        raise UsageError(f"twisted relation check supports m in 1..3, got {m}")
     check_tolerance(tol)
     n = 2 * m + 1
     twist = bicharacter(m)
@@ -402,43 +413,13 @@ def twisted_relation_check(
     so = _stack_samples(n, n_samples, rng, negative=False)
     refl = _stack_samples(n, n_samples, rng, negative=True)
     base = {"m": m, "n": n, "samples": n_samples, "seed": seed}
-    reports = []
-
-    d71 = float(np.abs(so.imag).max()) if np.iscomplexobj(so) else 0.0
-    reports.append(Report(relation="7.1", max_defect=d71, tol=tol, passed=d71 <= tol, **base))
-
-    idx = np.arange(n)
-    pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1)  # pairs[i, j] = (i, j)
-    # the column relations are the row relations of the transposed samples
-    columns = so.transpose(0, 2, 1)
-    # sums over k of u_ki u_kj and of u_ik u_jk, per column tuple (i, j) and
-    # sample: row tuples (k, k) of sign r = T[k, k], column sign c = T[i, j]
-    diag, ij = pairs[idx, idx], pairs.reshape(-1, 2)
-    c, r = _index_signs(ij, twist)[:, None], _index_signs(diag, twist)
-    delta = np.eye(n).reshape(-1, 1)
-    d72 = max(float(np.abs(c * _bucket_sums(u, diag, ij, r) - delta).max()) for u in (so, columns))
-    reports.append(Report(relation="7.2", max_defect=d72, tol=tol, passed=d72 <= tol, **base))
-
-    # Sign tensors for all leading indices, zeroed where two indices
-    # coincide; entries are multiplied only where a sign survives (nowhere,
-    # for the correct bicharacter).  anti[i, j, k]: the anticommutator
-    # signs of u_ij, u_ik (row) and of u_ji, u_ki (column).
-    same = np.eye(n, dtype=bool)
-    lead, flip = pairs[idx, idx, None, None], pairs[:, :, ::-1]  # lead[i, 0, 0] = (i, i)
-    anti = chain_signs(lead, pairs, twist) + chain_signs(lead, flip, twist)
-    anti[:, same] = 0
-    i, j, k = np.nonzero(anti)
-    d73 = max(float(np.abs(anti[i, j, k] * u[:, i, j] * u[:, i, k]).max(initial=0.0)) for u in (so, columns))
-    reports.append(Report(relation="7.3", max_defect=d73, tol=tol, passed=d73 <= tol, **base))
-
-    # comm[i, k, j, l]: the commutator signs of u_ij and u_kl
-    comm = chain_signs(pairs[:, :, None, None], pairs, twist) - chain_signs(flip[:, :, None, None], flip, twist)
-    comm[same] = comm[:, :, same] = 0
-    i, k, j, l = np.nonzero(comm)
-    d74 = float(np.abs(comm[i, k, j, l] * so[:, i, j] * so[:, k, l]).max(initial=0.0))
-    reports.append(Report(relation="7.4", max_defect=d74, tol=tol, passed=d74 <= tol, **base))
+    reports = [
+        Report(relation=relation, max_defect=defect, tol=tol, passed=defect <= tol, **base)
+        for relation, defect in zip(("7.1", "7.2", "7.3", "7.4"), _relation_defects(so, twist))
+    ]
 
     # the sign of sigma is r(sigma) c(1..n); one kernel call per sample set
+    idx = np.arange(n)
     perms = _permutations(n)
     row_signs, col_sign = _index_signs(perms, twist), _index_signs(idx, twist)
     total, total_refl = (col_sign * _bucket_sums(u, perms, idx[None], row_signs)[0] for u in (so, refl))

@@ -141,7 +141,7 @@ def test_exit_1_on_witness_with_impossible_tol(capsys):
         ("spectra", "--n", "1"),  # invalid n
         ("so-points", "--n", "4"),  # even n
         ("so-check", "--n", "7"),  # capacity
-        ("twist-check", "--m", "3"),  # unsupported m
+        ("twist-check", "--m", "4"),  # unsupported m
     ],
 )
 def test_exit_2_on_usage_errors(capsys, argv):

@@ -38,7 +38,7 @@ FLAGS = {
 
 VALID = {
     "--n": ("3", "5"),
-    "--m": ("1", "2"),
+    "--m": ("1", "2", "3"),
     "--samples": ("1", "5"),
     "--seed": ("0", "7"),
     "--tol": ("1e-9", "0.5", "1e-30", "0"),

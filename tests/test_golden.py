@@ -42,6 +42,7 @@ KEYS = {
     "witness_clebsch": ("witness", "--graph", "clebsch"),
     "so_check_n3": ("so-check", "--n", "3"),
     "twist_check_m1": ("twist-check", "--m", "1"),
+    "twist_check_m3": ("twist-check", "--m", "3"),
 }
 
 

@@ -30,7 +30,7 @@ from qsym import (
     is_automorphism,
     twisted_relation_check,
 )
-from qsym import relation_kernel, so_twist
+from qsym import cli, relation_kernel, so_twist
 from twist_oracle import GradedMonomial, TwistedElement, twisted_chain, twisted_product
 
 
@@ -117,13 +117,39 @@ def test_abelian_points_form_a_group():
             assert point_of(a @ b) in keys
 
 
-def test_scalar_relations_hold_on_all_signed_perms():
-    defects = so_twist._scalar_relations_defects(matrix_stack(oracle.loop_signed_perm_matrices(3)))
-    assert defects.shape == (48,) and not defects.any()
+def test_all_signed_perms_satisfy_the_relations_under_the_trivial_table():
+    mats = matrix_stack(oracle.loop_signed_perm_matrices(3))
+    assert len(mats) == 48 and set(np.rint(np.linalg.det(mats)).tolist()) == {-1.0, 1.0}
+    assert so_twist._relation_defects(mats, np.ones((3, 3), np.int8)) == (0.0, 0.0, 0.0, 0.0)
 
 
-def test_scalar_relations_defect_detects_violations():
-    assert so_twist._scalar_relations_defects(np.array([[[1, 1], [0, 1]]]))[0] > 0
+def test_relation_defects_detect_a_matrix_that_is_no_point():
+    # row 1 has norm 2 and meets row 2 (7.2: 1), and u_11 u_12 = 1 breaks (7.3)
+    assert so_twist._relation_defects(np.array([[[1, 1], [0, 1]]]), np.ones((2, 2), np.int8)) == (0.0, 1.0, 2.0, 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_the_table_is_all_that_the_twist_changes(m):
+    # special orthogonal samples break (7.3) under the trivial table, where
+    # it reads u_ij u_ik = 0 (max |2 u_ij u_ik| is 1 at u_ij = u_ik = 2^-1/2),
+    # and satisfy (7.1)-(7.4) under the bicharacter
+    n = 2 * m + 1
+    samples = so_twist._stack_samples(n, 2000, np.random.default_rng(m), negative=False)
+    d71, d72, d73, d74 = so_twist._relation_defects(samples, np.ones((n, n), np.int8))
+    assert d71 == d74 == 0.0 and d72 <= 1e-9 and 0.9 < d73 <= 1 + 1e-9
+    assert max(so_twist._relation_defects(samples, bicharacter(m))) <= 1e-9
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_swapping_two_generators_costs_the_commutation_sign(m):
+    # chain_signs((i,k),(j,l)) chain_signs((k,i),(l,j)) = (-1)^([i!=k] + [j!=l]):
+    # the bicharacter turns u_ij u_kl = eps u_kl u_ij into commutativity, so
+    # the coefficient of (7.3) and (7.4) vanishes on every index quadruple
+    n = 2 * m + 1
+    i, k, j, l = np.indices((n,) * 4).reshape(4, -1)
+    ik, ki, jl, lj = (np.stack(pair, axis=-1) for pair in ((i, k), (k, i), (j, l), (l, j)))
+    product = chain_signs(ik, jl, bicharacter(m)) * chain_signs(ki, lj, bicharacter(m))
+    assert np.array_equal(product, (-1) ** ((i != k).astype(int) + (j != l)))
 
 
 def test_capacity_bound():
@@ -453,7 +479,7 @@ def test_batched_samples_are_byte_identical_to_one_at_a_time(n, negative):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_twisted_relations_hold(m):
     reports = twisted_relation_check(m, n_samples=50, seed=42)
     assert [r.relation for r in reports] == ["7.1", "7.2", "7.3", "7.4", "7.5"]
@@ -464,14 +490,14 @@ def test_twisted_relations_hold(m):
     assert control <= 1e-9  # the determinant-(-1) control lands on -1
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_twisted_relations_equal_the_per_tuple_loops(m):
     assert twisted_relation_check(m, n_samples=200, seed=5) == oracle.loop_twisted_relation_check(m, 200, seed=5)
 
 
 def test_twisted_relations_reject_large_m():
     with pytest.raises(UsageError):
-        twisted_relation_check(3)
+        twisted_relation_check(4)
 
 
 # ---------------------------------------------------------------------------
@@ -708,6 +734,17 @@ def test_a_collapsed_permutation_fails_like_the_dense_oracle(monkeypatch, n):
     assert as_json(lemma_sumzero_check(n, "abelian")) == as_json(oracle.dense_lemma_sumzero_check(n))
 
 
+def test_a_collapsed_permutation_fails_the_abelian_self_check(monkeypatch, capsys):
+    # matrices of perms[1] put two entries in row 0: no point, so (7.2) fails
+    perms = so_twist._signed_perm_stack(3).perms.copy()
+    perms[1, 1] = perms[1, 0]
+    plant(monkeypatch, 3, perms=perms)
+    with pytest.raises(RuntimeError, match="violates the scalar relations"):
+        abelian_points(3)
+    assert cli.main(["so-points", "--n", "3"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_lemma_P_abelian_n5_l5_is_fast():
     start = time.perf_counter()
     report = lemma_P_check(5, 5, "abelian")
@@ -739,7 +776,7 @@ def test_twisted_relation_reports_are_pinned(m, seed):
     assert json.dumps(got) == json.dumps(expected)
 
 
-@pytest.mark.parametrize("m, a, b", [(1, 0, 1), (1, 1, 0), (2, 0, 3), (2, 1, 2), (2, 3, 1)])
+@pytest.mark.parametrize("m, a, b", [(1, 0, 1), (1, 1, 0), (2, 0, 3), (2, 1, 2), (2, 3, 1), (3, 0, 5), (3, 2, 4)])
 def test_a_flipped_bicharacter_entry_fails_like_the_loops(monkeypatch, m, a, b):
     # an off-diagonal flip breaks the antisymmetry behind 7.3 and 7.4
     wrong = oracle.flipped_bicharacter(m, a, b)

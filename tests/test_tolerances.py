@@ -212,6 +212,7 @@ def test_the_sample_bound_itself_is_accepted(name, monkeypatch):
 
 
 def test_the_sample_stack_at_the_bound_stays_under_256_mib():
-    # the twisted checks run at n <= SO_BRUTEFORCE_BOUND = 5 (twist-check: n = 2m + 1 = 5)
+    # the lemma checks run at n <= SO_BRUTEFORCE_BOUND = 5; twist-check reaches n = 2m + 1 = 7
+    # (392 MiB per stack at the bound), which this bound does not cover
     n = so_twist.SO_BRUTEFORCE_BOUND
     assert so_twist.SAMPLE_BOUND * n * n * np.dtype(np.float64).itemsize <= 256 * 2**20
