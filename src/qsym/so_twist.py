@@ -93,15 +93,19 @@ __all__ = [
     "SIGNED_PERM_BOUND",
     "SO_BRUTEFORCE_BOUND",
     "SAMPLE_BOUND",
+    "SAMPLE_STACK_BYTES",
 ]
 
 #: enumeration caps: 2^n n! signed permutation matrices
 SIGNED_PERM_BOUND = 6
 SO_BRUTEFORCE_BOUND = 5
 
-#: cap on sample counts: the (S, n, n) float64 sample stack at n = 5 is 200 MiB,
-#: at n = 7 (``twisted_relation_check`` at m = 3) 392 MiB
+#: caps on sample counts: at most SAMPLE_BOUND samples, and an (S, n, n)
+#: float64 sample stack of at most SAMPLE_STACK_BYTES (200 MiB at n = 5 and
+#: the SAMPLE_BOUND; at n = 7, m = 3 of ``twisted_relation_check``, the
+#: byte cap holds S to 684,784)
 SAMPLE_BOUND = 1 << 20
+SAMPLE_STACK_BYTES = 256 << 20
 
 @lru_cache(maxsize=None)
 def _permutations(n: int, l: int | None = None) -> np.ndarray:
@@ -324,10 +328,16 @@ def chain_sign(pairs: Iterable[tuple[int, int]], table: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_samples(samples, name: str) -> int:
-    """samples as an int in 1..``SAMPLE_BOUND``, checked before any draw."""
-    if check_integer(samples, name, 1) > SAMPLE_BOUND:
-        raise CapacityError(f"{name}={samples} exceeds the sample bound {SAMPLE_BOUND}")
+def _sample_bound(n: int) -> int:
+    """The most samples an (S, n, n) float64 stack may hold."""
+    return min(SAMPLE_BOUND, SAMPLE_STACK_BYTES // (n * n * np.dtype(np.float64).itemsize))
+
+
+def _check_samples(samples, name: str, n: int) -> int:
+    """samples as an int in 1..``_sample_bound(n)``, checked before any draw."""
+    bound = _sample_bound(n)
+    if check_integer(samples, name, 1) > bound:
+        raise CapacityError(f"{name}={samples} exceeds the sample bound {bound} at n={n}")
     return int(samples)
 
 
@@ -402,12 +412,12 @@ def twisted_relation_check(
     orthogonal samples and -1 on the determinant-(-1) control samples.
     """
     m = check_integer(m, "m", 1)
-    n_samples = _check_samples(n_samples, "n_samples")
-    seed = check_integer(seed, "seed")
     if m > 3:
         raise UsageError(f"twisted relation check supports m in 1..3, got {m}")
-    check_tolerance(tol)
     n = 2 * m + 1
+    n_samples = _check_samples(n_samples, "n_samples", n)
+    seed = check_integer(seed, "seed")
+    check_tolerance(tol)
     twist = bicharacter(m)
     rng = np.random.default_rng(seed)
     so = _stack_samples(n, n_samples, rng, negative=False)
@@ -449,7 +459,6 @@ def lemma_sumzero_check(
     orthogonal samples in the twisted model).  The n column tuples
     (1..n-1, k) are read in one call."""
     n = check_integer(n, "n", 1)
-    samples = _check_samples(samples, "samples")
     seed = check_integer(seed, "seed")
     check_tolerance(tol)
     if model not in ("abelian", "twisted"):
@@ -458,6 +467,7 @@ def lemma_sumzero_check(
         raise UsageError("twisted model needs odd n >= 3")
     if n > SO_BRUTEFORCE_BOUND:
         raise CapacityError(f"n={n} exceeds the {model} bound {SO_BRUTEFORCE_BOUND}")
+    samples = _check_samples(samples, "samples", n)
 
     perms = _permutations(n)
     cols = np.tile(np.arange(n), (n, 1))
@@ -514,12 +524,12 @@ def lemma_P_check(
     """
     n = check_integer(n, "n", 1)
     l = check_integer(l, "l", 1)
-    samples = _check_samples(samples, "samples")
     seed = check_integer(seed, "seed")
     if n % 2 == 0 or n < 3:
         raise UsageError("lemma_P needs odd n >= 3 (tau generators)")
     if n > SO_BRUTEFORCE_BOUND:
         raise CapacityError(f"n={n} exceeds the bound {SO_BRUTEFORCE_BOUND}")
+    samples = _check_samples(samples, "samples", n)
     if not 1 <= l <= n:
         raise UsageError(f"l must lie in 1..{n}, got {l}")
     check_tolerance(tol)

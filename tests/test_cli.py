@@ -170,10 +170,12 @@ def test_exit_2_on_usage_errors(capsys, argv):
         ("disjoint", "--n", "100000000000"),
         ("witness", "--n", "100000000001"),
         ("so-points", "--n", "100000000001"),
-        # samples are held to SAMPLE_BOUND before any is drawn: no MemoryError
+        # samples are held to the sample bound before any is drawn: no MemoryError
         ("so-check", "--n", "5", "--samples", "100000000"),
         ("so-check", "--n", "3", "--samples", "100000000"),
         ("twist-check", "--m", "2", "--samples", "100000000"),
+        # at n = 7 a stack of 2^20 samples would take 392 MiB
+        ("twist-check", "--m", "3", "--samples", "1048576"),
     ],
 )
 def test_exit_2_on_bad_values(capsys, argv):

@@ -211,8 +211,23 @@ def test_the_sample_bound_itself_is_accepted(name, monkeypatch):
         OVER_THE_SAMPLE_BOUND[name](4)
 
 
-def test_the_sample_stack_at_the_bound_stays_under_256_mib():
-    # the lemma checks run at n <= SO_BRUTEFORCE_BOUND = 5; twist-check reaches n = 2m + 1 = 7
-    # (392 MiB per stack at the bound), which this bound does not cover
+class _Drawn(Exception):
+    """Raised in place of a sample draw, with the bytes the stack would take."""
+
+
+def test_the_sample_stack_at_the_bound_stays_under_256_mib(monkeypatch):
+    # the lemma checks run at n <= SO_BRUTEFORCE_BOUND = 5, twist-check at n = 2m + 1 <= 7
     n = so_twist.SO_BRUTEFORCE_BOUND
     assert so_twist.SAMPLE_BOUND * n * n * np.dtype(np.float64).itemsize <= 256 * 2**20
+
+    # at n = 7 the largest count within 256 MiB reaches the draw, and one more is refused before it
+    def draw(n, count, rng, negative):
+        raise _Drawn(count * n * n * np.dtype(np.float64).itemsize)
+
+    monkeypatch.setattr(so_twist, "_stack_samples", draw)
+    bound = 256 * 2**20 // (7 * 7 * 8)
+    with pytest.raises(_Drawn) as drawn:
+        twisted_relation_check(3, n_samples=bound)
+    assert drawn.value.args[0] <= 256 * 2**20
+    with pytest.raises(CapacityError, match=f"n_samples={bound + 1} exceeds the sample bound {bound} at n=7"):
+        twisted_relation_check(3, n_samples=bound + 1)
