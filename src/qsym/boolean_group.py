@@ -116,8 +116,9 @@ def folded_cube(n: int) -> Graph:
     The graph is built from its pairs (y, y ^ s), one (n, 2^{n-1}) int32
     array of shifted words against a broadcast view of the words, so the
     pair arrays stay at about 4 bytes per edge end.  ``Graph(...)`` checks
-    them (a zero word would be a loop) and writes the adjacency; the
-    dense matrix is never read back.
+    them (a zero word would be a loop) and keeps a copy; the dense matrix
+    is written only when something reads it, which ``verify_spectrum``
+    does not.
     """
     n = check_integer(n, "n", 2, need="folded cube needs an integer n >= 2")
     size = _cube_size(n)

@@ -1,7 +1,9 @@
 """Finite simple graphs, permutations, and automorphism-group search.
 
-A graph is built from vertex pairs, checked as arrays, and stored as the
-dense 0/1 adjacency they write; there is no other way to make one.  The
+A graph is built from vertex pairs, checked as arrays, and keeps a copy of
+them; there is no other way to make one.  The dense 0/1 adjacency is
+written from the pairs on first read, so code that only needs the pairs
+(the Cayley certificate in ``spectral``) never forms an N x N array.  The
 rest targets the classical symmetry side of the toolkit: exhaustive
 enumeration of the automorphism group and the search for a pair of
 non-trivial automorphisms with disjoint supports.
@@ -24,6 +26,7 @@ import json
 import re
 import reprlib
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from pathlib import Path
 from typing import Optional
@@ -98,23 +101,27 @@ def _nesting_depth(text: str) -> int:
 
 class Graph:
     """Undirected simple graph (no loops, no multiple edges) on 0..n-1,
-    held as a read-only uint8 adjacency matrix.
+    held as its checked vertex pairs, with a read-only uint8 adjacency
+    matrix written from them on first read.
 
     ``Graph(n, rows, cols)`` is the one constructor, with the edges
     {rows[k], cols[k]}.  n must be a positive integer, at most
     ``GRAPH_VERTEX_BOUND`` (else ``CapacityError``), and rows and cols
     integer arrays of one shape (broadcast views too) with every endpoint
-    in 0..n-1 and no loop, else ``GraphFormatError``.  Only then is
-    a[rows, cols] = a[cols, rows] = 1 written into a fresh zero matrix,
-    which makes it symmetric and 0/1; repeated pairs write the same 1
-    again.  ``from_edges`` (graph files) and ``folded_cube`` make their
-    pairs and call it.
+    in 0..n-1 and no loop, else ``GraphFormatError``.  The pairs are
+    copied before they are checked and kept, flattened, as the read-only
+    int32 arrays ``rows`` and ``cols``; a later change to the caller's
+    arrays reaches neither the graph nor its checks.  ``adjacency`` writes
+    a[rows, cols] = a[cols, rows] = 1 into a fresh zero matrix, which
+    makes it symmetric and 0/1; repeated pairs write the same 1 again.
+    ``from_edges`` (graph files) and ``folded_cube`` make their pairs and
+    call it.
     """
 
     def __init__(self, n: int, rows, cols):
         _check_vertex_count(n)
         try:
-            rows, cols = np.asarray(rows), np.asarray(cols)
+            rows, cols = np.array(rows), np.array(cols)
             arrays = rows.dtype.kind in "iu" and cols.dtype.kind in "iu" and rows.shape == cols.shape
         except ValueError:  # ragged nested sequences
             arrays = False
@@ -124,11 +131,21 @@ class Graph:
             raise GraphFormatError(f"edge endpoint out of range for n={n}")
         if np.any(rows == cols):
             raise GraphFormatError("loops are not allowed")
-        a = np.zeros((n, n), dtype=np.uint8)
-        a[rows, cols] = 1
-        a[cols, rows] = 1
+        self._n = int(n)
+        # every endpoint is below n <= 4096, so int32 holds it exactly
+        self.rows, self.cols = (x.astype(np.int32, copy=False).ravel() for x in (rows, cols))
+        for x in (self.rows, self.cols):
+            x.setflags(write=False)
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """The dense uint8 adjacency, written from the pairs on first read
+        and read-only."""
+        a = np.zeros((self._n, self._n), dtype=np.uint8)
+        a[self.rows, self.cols] = 1
+        a[self.cols, self.rows] = 1
         a.setflags(write=False)
-        self.adjacency = a
+        return a
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -186,7 +203,7 @@ class Graph:
 
     @property
     def n_vertices(self) -> int:
-        return int(self.adjacency.shape[0])
+        return self._n
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and np.array_equal(self.adjacency, other.adjacency)

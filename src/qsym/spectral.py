@@ -12,13 +12,15 @@ or k-1, so its dimension is C(n-1, k) + C(n-1, k-1) = C(n, k).  Everything
 here is cross-validated numerically against a dense symmetric eigensolver.
 
 The check first certifies the graph as the XOR Cayley graph Cay(Z_2^w,
-S) with S = N(0), so A = sum_{s in S} P_s (``_connection_set``); FQ_n
-does, with S its n connecting words.  The residuals A psi(T_w) - lambda(w)
-psi(T_w) are then exact integer sums over S, and the eigensolver gets
-16-row blocks built from S (``_cayley_blocks``), with no N x N
-intermediate.  A graph that fails the certificate, which only a broken
-``folded_cube`` could give, gets the residual over every XOR-difference
-set of its adjacency and one eigensolve of the whole adjacency.
+S) with S = N(0), so A = sum_{s in S} P_s (``_connection_set``), reading
+the graph's vertex pairs in O(N |S|) and never its dense adjacency; FQ_n
+certifies, with S its n connecting words.  The residuals A psi(T_w) -
+lambda(w) psi(T_w) are then exact integer sums over S, and the
+eigensolver gets 16-row blocks built from S (``_cayley_blocks``), with no
+N x N intermediate.  A graph that fails the certificate, which only a broken
+``folded_cube`` could give, is the only one whose dense adjacency is
+written: it gets the residual over every XOR-difference set of that
+adjacency and one eigensolve of all of it.
 
 Since each projection onto an eigenspace is a polynomial in the adjacency
 matrix, a vertex permutation is an automorphism exactly when its matrix
@@ -37,7 +39,7 @@ import numpy as np
 from .boolean_group import _cube_size, _word_bits, folded_cube, walsh_matrix, walsh_rows
 from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
 from .errors import DimensionError
-from .graphs import Permutation, _permutation_defects
+from .graphs import Graph, Permutation, _permutation_defects
 
 __all__ = [
     "verify_spectrum",
@@ -100,20 +102,38 @@ def _max_residuals(sets: np.ndarray, lams: np.ndarray) -> np.ndarray:
 _BLOCK_ROWS = 16
 
 
-def _connection_set(adjacency: np.ndarray) -> np.ndarray | None:
-    """S = N(0) if the adjacency is that of Cay(Z_2^w, S), else None.
+def _connection_set(g: Graph) -> np.ndarray | None:
+    """S = N(0), as intp, if g is Cay(Z_2^w, S), else None; read from g's
+    pairs in O(N |S|), with no N x N array.
 
-    The certificate: N is a power of two, A has N |S| nonzeros, and
-    A[x, x ^ s] = 1 for every vertex x and s in S.  Those N |S| entries
-    are distinct, so they are all of A's nonzeros: A = sum_{s in S} P_s,
-    with P_s the XOR shift x -> x ^ s.
+    The certificate: N is a power of two, every pair's difference r ^ c
+    has a slot in S (an N-entry slot table), and an (N, |S|) bool grid
+    marked at both endpoints of every pair, entry x |S| + slot(r ^ c) of
+    the flat grid, is all True.  The first says A <= sum_{s in S} P_s,
+    with P_s the XOR shift x -> x ^ s; the second that A[x, x ^ s] = 1
+    for every vertex x and s in S, so A >= that sum.  The flat int32
+    indices stay below N |S| < 2^24 and gather and scatter faster than
+    intp or 2-D ones.
     """
-    size = adjacency.shape[0]
-    connection = np.flatnonzero(adjacency[0])
-    if size & (size - 1) or np.count_nonzero(adjacency) != size * len(connection):
+    size = g.n_vertices
+    if size & (size - 1):
         return None
-    x = np.arange(size)
-    return connection if all(adjacency[x, x ^ s].all() for s in connection) else None
+    rows, cols = g.rows, g.cols
+    # a mask, not np.unique, whose first call in a process costs about
+    # 14 ms (numpy 2.4), more than the whole certificate at n = 13
+    neighbour = np.zeros(size, dtype=bool)
+    neighbour[cols[rows == 0]] = neighbour[rows[cols == 0]] = True
+    connection = np.flatnonzero(neighbour)
+    width = len(connection)
+    slot = np.full(size, -1, dtype=np.int32)
+    slot[connection] = np.arange(width)
+    slots = slot.take(rows ^ cols)
+    if np.any(slots < 0):
+        return None
+    marked = np.zeros(size * width, dtype=bool)
+    marked[rows * width + slots] = True
+    marked[cols * width + slots] = True
+    return connection if marked.all() else None
 
 
 def _cayley_blocks(connection: np.ndarray, size: int) -> np.ndarray:
@@ -159,21 +179,22 @@ def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> Report:
     set S of the certified graph (``_connection_set``), and the closed-form
     eigenvalue multiset is compared with a dense symmetric eigensolver, run
     in one batch on the blocks ``_cayley_blocks(S)`` (256 of 16 rows at
-    n = 13).  A graph that fails the certificate gets every difference set
-    of its adjacency and one eigensolve of all of it.  Needs n >= 3, where
-    the closed form holds; levels are grouped by eigenvalue.
+    n = 13).  Only a graph that fails the certificate has its dense
+    adjacency written: it gets every difference set of the adjacency and
+    one eigensolve of all of it.  Needs n >= 3, where the closed form
+    holds; levels are grouped by eigenvalue.
     """
     n = check_integer(n, "n", 3, need="verify_spectrum needs an integer n >= 3 (the closed form assumes it)")
     check_tolerance(tol)
-    adjacency = folded_cube(n).adjacency
+    g = folded_cube(n)
     lams = _eigenvalues(n)
-    connection = _connection_set(adjacency)
+    connection = _connection_set(g)
     if connection is None:
-        per_word = _max_residuals(_difference_sets(adjacency), lams)
-        blocks = adjacency[None].astype(float)
+        per_word = _max_residuals(_difference_sets(g.adjacency), lams)
+        blocks = g.adjacency[None].astype(float)
     else:
         per_word = _max_residuals(connection[None], lams)
-        blocks = _cayley_blocks(connection, adjacency.shape[0])
+        blocks = _cayley_blocks(connection, g.n_vertices)
     numeric = np.sort(np.linalg.eigvalsh(blocks), axis=None)
     closed = np.sort(lams.astype(float))
     numeric_match = bool(np.max(np.abs(numeric - closed)) <= tol)

@@ -9,6 +9,11 @@
   unchanged: it gathers the Walsh rows of every vertex's neighbours from
   the whole int8 Walsh table.  ``spectral._max_residuals`` must return
   equal per-word maxima.
+* ``connection_set`` is the dense Cayley certificate that
+  ``spectral._connection_set`` used before it read the graph's pairs:
+  S = N(0) from row 0 of the adjacency, the nonzero count N |S| and the
+  N |S| entries a[x, x ^ s].  The pair certificate must return the same
+  S, or None exactly when this does.
 """
 
 from __future__ import annotations
@@ -127,3 +132,19 @@ def max_residuals(adjacency: np.ndarray, lams: np.ndarray) -> np.ndarray:
             residual[:count] += h[cols[first[block[:count]] + j]]
         np.maximum(peak, np.abs(residual, out=residual).max(axis=0), out=peak)
     return peak
+
+
+def connection_set(adjacency: np.ndarray) -> np.ndarray | None:
+    """S = N(0) if the adjacency is that of Cay(Z_2^w, S), else None.
+
+    The certificate: N is a power of two, A has N |S| nonzeros, and
+    A[x, x ^ s] = 1 for every vertex x and s in S.  Those N |S| entries
+    are distinct, so they are all of A's nonzeros: A = sum_{s in S} P_s,
+    with P_s the XOR shift x -> x ^ s.
+    """
+    size = adjacency.shape[0]
+    connection = np.flatnonzero(adjacency[0])
+    if size & (size - 1) or np.count_nonzero(adjacency) != size * len(connection):
+        return None
+    x = np.arange(size)
+    return connection if all(adjacency[x, x ^ s].all() for s in connection) else None

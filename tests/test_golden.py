@@ -26,8 +26,11 @@ STDOUT = {
     "spectra_n3": ("spectra", "--n", "3"),
     "spectra_n4": ("spectra", "--n", "4"),
     "spectra_n5": ("spectra", "--n", "5"),
+    "spectra_n6": ("spectra", "--n", "6"),
     "spectra_n7": ("spectra", "--n", "7"),
+    "spectra_n8": ("spectra", "--n", "8"),
     "spectra_n9": ("spectra", "--n", "9"),
+    "spectra_n10": ("spectra", "--n", "10"),
     "spectra_n11": ("spectra", "--n", "11"),
     "spectra_n12": ("spectra", "--n", "12"),
     "spectra_n13": ("spectra", "--n", "13"),

@@ -267,17 +267,32 @@ def test_graph_copies_and_never_freezes_the_callers_array(dtype):
 
 
 def test_folded_cube_hands_its_adjacency_over_without_a_copy():
-    """The 16 MiB FQ_13 adjacency, plus its 0.2 MiB int32 pair array and
-    numpy's index buffers (16.35 MiB in all), and no copy: a stray copy of
-    even a sixteenth of the adjacency would pass 17 MiB."""
+    """The 16 MiB FQ_13 adjacency, written on first read, plus its two
+    0.2 MiB int32 pair arrays and numpy's index buffers, and no copy: a
+    stray copy of even a sixteenth of the adjacency would pass 17 MiB."""
     tracemalloc.start()
     try:
         g = folded_cube(13)
+        assert g.adjacency.nbytes == 16 * 2**20
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert g.adjacency.nbytes == 16 * 2**20
     assert peak <= 17
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_graph_keeps_its_own_copy_of_the_checked_pairs(dtype):
+    """The adjacency is written from the pairs on first read, so the graph
+    must not share them with the caller: a loop and an out-of-range
+    endpoint written into the caller's arrays afterwards change nothing.
+    int32 pairs are kept in their own dtype, so no conversion copies them."""
+    rows, cols = np.array([0, 1], dtype=dtype), np.array([1, 2], dtype=dtype)
+    g = Graph(4, rows, cols)
+    assert g.n_vertices == 4 and "adjacency" not in vars(g)
+    rows[0], cols[1] = 1, 9
+    assert np.array_equal(g.adjacency, [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]])
+    assert g.rows.tolist() == [0, 1] and g.cols.tolist() == [1, 2]
+    assert not (g.rows.flags.writeable or g.cols.flags.writeable)
 
 
 def test_permutation_order_is_lcm():

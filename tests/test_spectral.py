@@ -335,18 +335,18 @@ def _fq11_minus_edge_twice():
 def test_folded_cube_has_one_difference_set(n):
     """FQ_n certifies as a Cayley graph with S its n connecting words, the
     one difference set that the adjacency's nonzeros give as well."""
-    a = folded_cube(n).adjacency
+    g = folded_cube(n)
     generators = sorted([1 << s for s in range(n - 1)] + [(1 << (n - 1)) - 1], reverse=True)
-    assert qsym.spectral._difference_sets(a).tolist() == [generators]
-    assert qsym.spectral._connection_set(a).tolist() == generators[::-1]
+    assert qsym.spectral._difference_sets(g.adjacency).tolist() == [generators]
+    assert qsym.spectral._connection_set(g).tolist() == generators[::-1]
 
 
 @pytest.mark.parametrize("n", range(3, 14))
 def test_residual_classes_equal_the_row_oracle_on_folded_cubes(n):
-    a = folded_cube(n).adjacency
+    g = folded_cube(n)
     lams = _closed_form_lams(n)
-    _assert_residuals_equal_the_oracle(a, lams)
-    _assert_residuals_equal_the_oracle(a, lams, qsym.spectral._connection_set(a)[None])
+    _assert_residuals_equal_the_oracle(g.adjacency, lams)
+    _assert_residuals_equal_the_oracle(g.adjacency, lams, qsym.spectral._connection_set(g)[None])
 
 
 def _fq7_isolated(v):
@@ -429,14 +429,15 @@ def _traced_peak_mib(f, *args):
 def test_spectrum_check_memory_at_n13():
     """The residual over the adjacency's difference sets holds edge lists
     and one int16 row per set, never the 16 MiB Walsh table.
-    verify_spectrum holds the 16 MiB uint8 adjacency and the 0.5 MiB of
-    float64 blocks built from S, and no N x N intermediate: 17.5 MiB, where
-    the dense halving split reached 28.1 MiB."""
+    verify_spectrum holds FQ_13's pairs (0.4 MiB of int32), the certificate's
+    index arrays and (N, |S|) bool grid, and the 0.5 MiB of float64 blocks
+    built from S, and no N x N array: about 1.3 MiB, where the 16 MiB uint8
+    adjacency alone would pass the bound."""
     a = folded_cube(13).adjacency
     lams = np.array([eigenvalue_of_bits(w, 13) for w in range(1 << 12)])
     residual = qsym.spectral._max_residuals
     assert _traced_peak_mib(lambda: residual(qsym.spectral._difference_sets(a), lams)) <= 1.5 * _WALSH_13_MIB
-    assert _traced_peak_mib(verify_spectrum, 13) <= 17.5
+    assert _traced_peak_mib(verify_spectrum, 13) <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +464,7 @@ def _record_eigvalsh_shapes(monkeypatch):
 
 # the blocks have 16 rows, FQ_5's size
 @pytest.mark.parametrize("n, shape", [(9, (16, 16, 16)), (11, (64, 16, 16)), (13, (256, 16, 16))])
-def test_eigensolver_gets_256_row_blocks(monkeypatch, n, shape):
+def test_eigensolver_gets_16_row_blocks(monkeypatch, n, shape):
     shapes = _record_eigvalsh_shapes(monkeypatch)
     assert verify_spectrum(n).passed
     assert shapes == [shape]
@@ -556,8 +557,9 @@ def _int64_blocks(adjacency):
     ],
 )
 def test_cayley_blocks_equal_the_dense_split(make, largest):
-    a = make().adjacency
-    connection = qsym.spectral._connection_set(a)
+    g = make()
+    a = g.adjacency
+    connection = qsym.spectral._connection_set(g)
     got = qsym.spectral._cayley_blocks(connection, a.shape[0])
     want = _int64_blocks(a)
     rows = min(a.shape[0], 16)
@@ -581,7 +583,7 @@ def test_graph_that_fails_the_certificate_takes_the_dense_route(monkeypatch, cor
     a = bad.adjacency
     assert (np.count_nonzero(a) == 64 * np.count_nonzero(a[0])) == count_holds
     assert np.array_equal(a[0], folded_cube(7).adjacency[0]) == row_0_intact
-    assert qsym.spectral._connection_set(a) is None
+    assert qsym.spectral._connection_set(bad) is None
     monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: bad)
     shapes = _record_eigvalsh_shapes(monkeypatch)
     rep = verify_spectrum(7)
@@ -601,17 +603,112 @@ def test_graph_that_fails_the_certificate_takes_the_dense_route(monkeypatch, cor
     ],
 )
 def test_certificate_needs_a_power_of_two_vertices(g):
-    assert qsym.spectral._connection_set(g.adjacency) is None
+    assert qsym.spectral._connection_set(g) is None
 
 
 def test_edgeless_graph_is_the_cayley_graph_of_the_empty_set(monkeypatch):
     edgeless = dense_graph(np.zeros((64, 64), dtype=np.uint8))
-    assert qsym.spectral._connection_set(edgeless.adjacency).tolist() == []
+    assert qsym.spectral._connection_set(edgeless).tolist() == []
     monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: edgeless)
     shapes = _record_eigvalsh_shapes(monkeypatch)
     rep = verify_spectrum(7)
     assert shapes == [(4, 16, 16)]
     assert rep.to_json() == dense_spectrum_report(7, edgeless)
+
+
+def _record_folded_cubes(monkeypatch, change=lambda g: g):
+    """The graphs verify_spectrum builds, each passed through change."""
+    built = []
+
+    def recording(n):
+        built.append(change(folded_cube(n)))
+        return built[-1]
+
+    monkeypatch.setattr(qsym.spectral, "folded_cube", recording)
+    return built
+
+
+def _without_edge_0_1(g):
+    """g with both orientations of the pair {0, 1} taken out of its pairs."""
+    keep = ~(((g.rows == 0) & (g.cols == 1)) | ((g.rows == 1) & (g.cols == 0)))
+    return Graph(g.n_vertices, g.rows[keep], g.cols[keep])
+
+
+def test_cayley_route_never_builds_the_dense_adjacency(monkeypatch):
+    built = _record_folded_cubes(monkeypatch)
+    assert verify_spectrum(13).passed
+    [g] = built
+    assert "adjacency" not in vars(g)
+
+
+def test_a_graph_that_fails_the_certificate_builds_its_dense_adjacency(monkeypatch):
+    built = _record_folded_cubes(monkeypatch, _without_edge_0_1)
+    assert not verify_spectrum(7).passed
+    [g] = built
+    assert "adjacency" in vars(g)
+
+
+def _random_cayley(rng, both_orientations, drop):
+    """Cay(Z_2^w, S) for a random w in 2..8 and S, from pairs (x, x ^ s)
+    with x < x ^ s, or every x; with drop, its first pair taken out."""
+    width = int(rng.integers(2, 9))
+    words = np.arange(1, 1 << width)
+    connection = words[rng.random(len(words)) < rng.choice([0.05, 0.3, 0.8])]
+    x = np.arange(1 << width)
+    rows = np.broadcast_to(x, (len(connection), len(x))).ravel()
+    cols = (x ^ connection[:, None]).ravel()
+    keep = slice(None) if both_orientations else rows < cols
+    rows, cols = rows[keep], cols[keep]
+    if drop:
+        rows, cols = rows[1:], cols[1:]
+    return Graph(len(x), rows, cols)
+
+
+def _swapped_folded_cube(rng):
+    """FQ_n for a random n in 3..11, each pair's endpoints swapped at random."""
+    g = folded_cube(int(rng.integers(3, 12)))
+    swap = rng.random(len(g.rows)) < 0.5
+    return Graph(g.n_vertices, np.where(swap, g.cols, g.rows), np.where(swap, g.rows, g.cols))
+
+
+def _circulant(rng):
+    """A circulant on N in 5..300 vertices, N not a power of two."""
+    size = int(rng.choice([m for m in range(5, 301) if m & (m - 1)]))
+    offsets = rng.choice(np.arange(1, size), size=int(rng.integers(1, 4)), replace=False)
+    x = np.arange(size)
+    return Graph(size, np.repeat(x, len(offsets)), (x[:, None] + offsets).ravel() % size)
+
+
+def _random_graph(rng):
+    """Random pairs on N in 1..256 vertices, any N."""
+    size = int(rng.integers(1, 257))
+    rows, cols = rng.integers(0, size, size=(2, int(rng.integers(0, 4 * size))))
+    return Graph(size, rows[rows != cols], cols[rows != cols])
+
+
+_CERTIFIED_GRAPHS = {
+    "cayley-one_orientation": lambda rng: _random_cayley(rng, False, False),
+    "cayley-both_orientations": lambda rng: _random_cayley(rng, True, False),
+    "cayley-one_orientation-edge_dropped": lambda rng: _random_cayley(rng, False, True),
+    "cayley-both_orientations-pair_dropped": lambda rng: _random_cayley(rng, True, True),
+    "folded_cube-swapped_endpoints": _swapped_folded_cube,
+    "circulant": _circulant,
+    "random": _random_graph,
+    "edgeless": lambda rng: Graph(int(rng.integers(1, 257)), np.empty(0, int), np.empty(0, int)),
+}
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("family", sorted(_CERTIFIED_GRAPHS))
+def test_pair_certificate_equals_the_dense_oracle(family, seed):
+    """The same S, or None from both, on each family of graphs."""
+    g = _CERTIFIED_GRAPHS[family](np.random.default_rng(seed))
+    got = qsym.spectral._connection_set(g)
+    want = spectral_oracle.connection_set(g.adjacency)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == np.intp and got.tolist() == want.tolist()
 
 
 def test_folded_cubes_never_read_their_difference_sets(monkeypatch):
