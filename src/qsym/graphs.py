@@ -3,16 +3,19 @@
 A graph is built from vertex pairs, checked as arrays, and keeps a copy of
 them; there is no other way to make one.  The dense 0/1 adjacency is
 written from the pairs on first read, so code that only needs the pairs
-(the Cayley certificate in ``spectral``) never forms an N x N array.  The
-rest targets the classical symmetry side of the toolkit: exhaustive
-enumeration of the automorphism group and the search for a pair of
-non-trivial automorphisms with disjoint supports.
+(the Cayley certificate in ``spectral``, ``==`` and ``repr``) never forms
+an N x N array.  The rest targets the classical symmetry side of the
+toolkit: exhaustive enumeration of the automorphism group and the search
+for a pair of non-trivial automorphisms with disjoint supports.
 
 The enumeration places vertices in a connectivity order (next comes the
-unplaced vertex with the most placed neighbours, ties broken by label) and
-extends a frontier of partial maps, held as one numpy array, a depth at a
-time.  Both ``automorphisms`` and ``find_disjoint_pair`` read the one
-(|Aut|, n) image array it returns.
+unplaced vertex with the most placed neighbours, ties broken by label).
+Its frontier is one numpy array of candidate masks, an n-bit word of
+possible images per vertex and partial map; placing a vertex is one AND
+per mask.  A block of maps stops branching once every unplaced vertex has
+at most one candidate, and its rows are then checked as whole maps.  Both
+``automorphisms`` and ``find_disjoint_pair`` read the one (|Aut|, n) image
+array it returns.
 
 Whether permutations preserve a table (the adjacency here, the
 eigenprojections in ``spectral``) is asked of a whole (P, n) image array at
@@ -54,8 +57,7 @@ GRAPH_VERTEX_BOUND = 4096
 AUTOMORPHISM_VERTEX_BOUND = 32
 
 #: partial maps the automorphism search expands together; at the 32-vertex
-#: bound a block grows into at most 2^11 * 32 maps of at most 32 intp images
-#: (16 MB)
+#: bound a block grows into at most 2^11 * 32 maps of 32 uint64 masks (16 MB)
 _SEARCH_BLOCK = 1 << 11
 
 #: gathered table entries per block of ``_permutation_defects`` (8 MB of
@@ -205,12 +207,20 @@ class Graph:
     def n_vertices(self) -> int:
         return self._n
 
+    def _edge_keys(self) -> np.ndarray:
+        """The edges as sorted distinct int64 keys min * n + max, read from
+        the pairs: equal for equal graphs, however their pairs are ordered,
+        oriented or repeated."""
+        lo, hi = np.minimum(self.rows, self.cols), np.maximum(self.rows, self.cols)
+        keys = np.sort(lo.astype(np.int64) * self._n + hi)
+        return keys[np.diff(keys, prepend=-1) != 0]
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and np.array_equal(self.adjacency, other.adjacency)
+        return (isinstance(other, Graph) and self._n == other._n
+                and np.array_equal(self._edge_keys(), other._edge_keys()))
 
     def __repr__(self) -> str:
-        n_edges = int(self.adjacency.sum()) // 2
-        return f"Graph(n={self.n_vertices}, edges={n_edges})"
+        return f"Graph(n={self.n_vertices}, edges={len(self._edge_keys())})"
 
 
 @dataclass(frozen=True)
@@ -370,56 +380,93 @@ def _automorphism_images(g: Graph) -> np.ndarray:
     """The automorphism group as an (|Aut|, n) intp array of image rows,
     sorted by image tuple.
 
-    A frontier holds partial maps as a (k, d) array: row i sends
-    ``order[j]`` to ``maps[i, j]``.  Neighbourhoods are n-bit words, so at
-    depth d the images allowed for ``v = order[d]`` come for all k maps from
-    one comparison of the words ``rows[maps]`` (k, d) with the pattern
-    ``adjacency[v, order[:d]]``: an image must be adjacent to ``maps[i, j]``
-    exactly where v is adjacent to ``order[j]``.  They are then masked by
-    degree and by the images already used, and each allowed image extends
-    its map (``_set_bits``).  Frontiers are expanded depth-first in blocks
-    of at most ``_SEARCH_BLOCK`` maps.
+    A frontier is a (k, n) uint64 array of candidate masks: bit w of
+    ``masks[i, v]`` is set when v may still go to w in map i.  A placed
+    vertex holds one bit.  Vertices are placed in ``_search_order``; placing
+    v -> w ANDs every column u with w's neighbour word where v is adjacent
+    to u, with its complement where not, and clears w's bit, all as one
+    row ``place[v, w]``, and the children of a block are read off its
+    column v (``_set_bits``).  Masks start as the vertices of equal degree.
+    A block stops branching once no unplaced vertex has more than one
+    candidate: ``_forced_maps`` then reads the images and keeps the rows
+    that are automorphisms.  Frontiers are expanded depth-first in blocks
+    of at most ``_SEARCH_BLOCK`` maps.  The rows are sorted by packed keys
+    (``_sort_keys``).
     """
     n = g.n_vertices
     if n > AUTOMORPHISM_VERTEX_BOUND:
         raise CapacityError(f"graph has {n} > {AUTOMORPHISM_VERTEX_BOUND} vertices")
     a = g.adjacency
     bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
-    rows = a.astype(np.uint64) @ bits
+    words = a.astype(np.uint64) @ bits
     degree = a.sum(axis=1)
     same_degree = (degree[:, None] == degree).astype(np.uint64) @ bits
     order = _search_order(a)
+    # place[v, w, u]: the mask of u after v -> w, applied by one AND
+    place = np.where(a[:, None, :] == 1, words[:, None], ~words[:, None]) & ~bits[:, None]
+    place[np.arange(n), :, np.arange(n)] = bits
     full = []
-    stack = [np.zeros((1, 0), dtype=np.intp)]
+    stack = [(0, same_degree[None])]
     while stack:
-        maps = stack.pop()
-        depth = maps.shape[1]
-        if depth == n:
-            full.append(maps)
+        depth, masks = stack.pop()
+        tail = masks[:, order[depth:]]
+        if not np.any(tail & (tail - np.uint64(1))):
+            full.append(_forced_maps(g, masks, words, order[depth:]))
             continue
         v = order[depth]
-        neighbours = rows[maps]
-        words = np.where(a[v, order[:depth]] == 1, neighbours, ~neighbours)
-        allowed = np.bitwise_and.reduce(words, axis=1) & same_degree[v]
-        allowed &= ~np.bitwise_or.reduce(bits[maps], axis=1)
-        parent, image = _set_bits(allowed)
-        grown = np.concatenate([maps[parent], image[:, None]], axis=1)
-        blocks = np.split(grown, range(_SEARCH_BLOCK, len(grown), _SEARCH_BLOCK))
-        stack.extend(reversed(blocks))
-    maps = np.concatenate(full)
-    images = np.empty_like(maps)
-    images[:, order] = maps
-    return images[np.lexsort(images.T[::-1])]
+        parent, image = _set_bits(masks[:, v])
+        grown = masks[parent]
+        grown &= place[v, image]
+        stack.extend((depth + 1, grown[s : s + _SEARCH_BLOCK])
+                     for s in reversed(range(0, len(grown), _SEARCH_BLOCK)))
+    images = np.concatenate(full)
+    return images[np.lexsort(_sort_keys(images)[::-1])]
+
+
+def _forced_maps(g: Graph, masks: np.ndarray, words: np.ndarray, tail: list[int]) -> np.ndarray:
+    """The automorphisms among a block of masks in which every vertex of
+    ``tail`` (the unplaced ones) has at most one candidate, as image rows.
+
+    A row is dropped if a mask is empty.  Its images are read by log2 and
+    kept only if the tail images are distinct (the masks' sum equals
+    their OR) and every pair of g with both ends in the tail maps to an
+    edge.  The placed images are distinct, every tail mask excludes them,
+    and every pair with a placed end was matched when that end was
+    placed, so a kept row is a bijection that maps E into E: an
+    automorphism.
+    """
+    masks = masks[(masks != 0).all(axis=1)]
+    ends = masks[:, tail]
+    distinct = ends.sum(axis=1) == np.bitwise_or.reduce(ends, axis=1)
+    inside = np.zeros(g.n_vertices, dtype=bool)
+    inside[tail] = True
+    both = inside[g.rows] & inside[g.cols]
+    images = np.log2(masks).astype(np.intp)
+    rows, cols = g.rows[both], g.cols[both]
+    edges = (words[images[:, rows]] & masks[:, cols] != 0).all(axis=1)
+    return images[distinct & edges]
+
+
+def _sort_keys(images: np.ndarray) -> list[np.ndarray]:
+    """Row keys of a (P, n) image array, n <= 32, in lexsort order (the
+    first key the most significant): images are 5-bit digits, packed 12 to
+    an int64, so at most 3 keys order the rows as their image tuples."""
+    width = 12
+    keys = []
+    for start in range(0, images.shape[1], width):
+        digits = images[:, start : start + width]
+        keys.append((digits << (5 * np.arange(digits.shape[1] - 1, -1, -1))).sum(axis=1))
+    return keys
 
 
 def automorphisms(g: Graph) -> list[Permutation]:
     """Enumerate the full automorphism group, sorted by image tuple.
 
     The search places vertices in a connectivity order (the next vertex is
-    the unplaced one with the most placed neighbours) and extends a whole
-    frontier of partial maps at once with numpy; see
-    ``_automorphism_images``.  More than ``AUTOMORPHISM_VERTEX_BOUND``
-    vertices is a ``CapacityError``.
+    the unplaced one with the most placed neighbours) and narrows a whole
+    frontier of candidate masks at once with numpy, until every image is
+    forced; see ``_automorphism_images``.  More than
+    ``AUTOMORPHISM_VERTEX_BOUND`` vertices is a ``CapacityError``.
     """
     return _permutation_rows(_bijections(_automorphism_images(g)))
 

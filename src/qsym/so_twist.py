@@ -58,9 +58,11 @@ tau_i of Z_2^{n-1} are sent to sign * tau_{perm(i)}, which (precisely
 because d = 1) extends to an algebra map of the group algebra.  That map
 is affine on exponent vectors, t_k -> s_k s_n tau_{perm(k)} tau_{perm(n)},
 so its point-basis matrix is the vertex permutation inverse to
-y -> c + Phi^T y, read off by XOR arithmetic on the vertex indices
-(``classical_point_action``; ``_point_action_images`` does a whole list of
-points as one (points, 2^(n-1)) image array).
+y -> c + L_pi y.  Only the shift c depends on the signs, so the inverse
+linear parts of all n! permutations are one cached table, and the action
+of (pi, s) is row pi of it read at x + c, by XOR on the vertex indices
+(``classical_point_action`` for one point; ``_point_action_images`` for a
+whole list, as one (points, 2^(n-1)) image array).
 """
 
 from __future__ import annotations
@@ -106,6 +108,12 @@ SO_BRUTEFORCE_BOUND = 5
 #: byte cap holds S to 684,784)
 SAMPLE_BOUND = 1 << 20
 SAMPLE_STACK_BYTES = 256 << 20
+
+#: largest n of ``classical_point_action``: its table of inverse linear
+#: parts has n! rows of 2^(n-1) words, 2.6 MB of intp at n = 7 and 743 MB
+#: at n = 9
+_POINT_TABLE_BOUND = 7
+
 
 @lru_cache(maxsize=None)
 def _permutations(n: int, l: int | None = None) -> np.ndarray:
@@ -568,31 +576,53 @@ def lemma_P_check(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _linear_inverses(n: int) -> tuple[np.ndarray, dict[tuple[int, ...], int]]:
+    """For odd n in 3..``_POINT_TABLE_BOUND``: the (n!, 2^(n-1)) intp table
+    of the inverses of the linear maps y -> L_pi y, bit k of L_pi y being
+    y_{pi(k)} + y_{pi(n)} (y_n = 0), one row per permutation pi in
+    itertools order, and a dict from pi's image tuple to its row.
+
+    The maps are read for every permutation and word at once from the bit
+    table and checked once, as one array, to be bijections; their inverses
+    are then their argsorts.
+    """
+    perms = _permutations(n)
+    bits, weights = _word_bits(n)
+    moved = bits[perms]  # exponent y_{pi(k)} of every word y: (n!, n, words)
+    linear = weights @ (moved[:, :-1] ^ moved[:, -1:])
+    inverses = np.argsort(_bijections(linear), axis=1)
+    inverses.setflags(write=False)
+    return inverses, {perm: row for row, perm in enumerate(map(tuple, perms.tolist()))}
+
+
 def _point_action_images(points: list[SignedPermMatrix]) -> np.ndarray:
     """The vertex permutations of ``classical_point_action`` for a list of
     abelian points of one size n, as a (points, 2^(n-1)) image array.
 
-    Row i is the inverse of y -> c + Phi^T y for point i, where bit k of
-    Phi^T y is y_{pi(k)} + y_{pi(n)} and bit k of c is set when s_k s_n =
-    -1: read for every point and word at once from the cached bit table.
-    The maps y -> c + Phi^T y are checked once, as one array, to be
-    bijections; their inverses are then their argsorts.
+    Point (pi, s) acts as the inverse of y -> c + L_pi y, where bit k of c
+    is set when s_k s_n = -1: row x of its action is L_pi^{-1}(x + c),
+    read from the cached table of inverse linear parts
+    (``_linear_inverses``).  Points of another size than the first are a
+    ``DimensionError``; sizes past ``_POINT_TABLE_BOUND`` a
+    ``CapacityError``.
     """
     n = points[0].n
+    if any(p.n != n for p in points):
+        raise DimensionError("points of different sizes act on different folded cubes")
     if n % 2 == 0 or n < 3:
         raise UsageError("classical point action needs odd n >= 3")
+    if n > _POINT_TABLE_BOUND:
+        raise CapacityError(f"n={n} exceeds the point-action table bound {_POINT_TABLE_BOUND}")
     if any(p.quantum_determinant != 1 for p in points):
         raise UsageError(
             "quantum determinant is -1: the sign pattern does not respect "
             "tau_n = tau_1...tau_{n-1}, so no vertex action exists"
         )
-    bits, weights = _word_bits(n)
-    # exponent y_{pi(k)} of every word y, k = 1..n: (points, n, words)
-    moved = bits.take([p.perm.images for p in points], axis=0)
+    inverses, rows = _linear_inverses(n)
     shifts = [sum(1 << k for k, s in enumerate(p.signs[:-1]) if s != p.signs[-1]) for p in points]
-    sources = weights @ (moved[:, :-1] ^ moved[:, -1:])
-    sources ^= np.array(shifts)[:, None]
-    return np.argsort(_bijections(sources), axis=1)
+    words = np.arange(inverses.shape[1]) ^ np.array(shifts)[:, None]
+    return inverses[np.array([rows[p.perm.images] for p in points])[:, None], words]
 
 
 def classical_point_action(point: SignedPermMatrix) -> Permutation:
@@ -610,10 +640,12 @@ def classical_point_action(point: SignedPermMatrix) -> Permutation:
     set when s_k s_n = -1.  The Fourier pair turns this into the point
     permutation sending e_x to e_y where x = c + Phi^T y, the inverse of
     y -> c + Phi^T y.  As tau_a tau_b = t_a t_b once t_n is read as the
-    identity, bit k of Phi^T y is y_{pi(k)} + y_{pi(n)} with y_n = 0
-    (``_point_action_images``).  That the result is a graph automorphism
-    preserving every eigenspace is the caller's to check
-    (``is_automorphism``, ``preserves_eigenspaces``); ``qsym so-points``
-    reports both.
+    identity, bit k of L_pi y = Phi^T y is y_{pi(k)} + y_{pi(n)} with
+    y_n = 0, so the action is x -> L_pi^{-1}(x + c): one row of the cached
+    table of inverse linear parts, read at x + c (``_point_action_images``
+    on a one-point list; n is held to ``_POINT_TABLE_BOUND``).  That the
+    result is a graph automorphism preserving every eigenspace is the
+    caller's to check (``is_automorphism``, ``preserves_eigenspaces``);
+    ``qsym so-points`` reports both.
     """
     return _permutation_rows(_point_action_images([point]))[0]

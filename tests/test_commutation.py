@@ -1,6 +1,8 @@
 """The index-gather commutation kernel against the dense permutation-matrix
 products of ``graph_oracle``: defects bit-equal, booleans equal."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,12 +158,15 @@ def test_one_non_bijective_row_fails_the_whole_stack():
 
 
 def test_point_actions_of_a_stack_are_checked_as_bijections(monkeypatch):
-    """A map y -> c + Phi^T y that is not one-to-one is refused, not inverted."""
+    """A map y -> c + Phi^T y that is not one-to-one is refused, not
+    inverted, when the table of inverse linear parts is built: a fresh
+    cache builds it from the corrupted bit table."""
     points = abelian_points(3)[:2]
     real = so_twist._word_bits(3)
     bits = real[0].copy()
     bits[1] = 0  # bit 1 of every word reads as zero: two words collide
     monkeypatch.setattr(so_twist, "_word_bits", lambda n: (bits, real[1]))
+    monkeypatch.setattr(so_twist, "_linear_inverses", lru_cache(so_twist._linear_inverses.__wrapped__))
     with pytest.raises(UsageError, match="not a bijection"):
         so_twist._point_action_images(points)
     with pytest.raises(UsageError, match="not a bijection"):

@@ -17,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
+from graph_oracle import automorphisms as oracle_automorphisms
 from qsym.cli import main
+from qsym.fixtures import load_graph
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -35,9 +37,12 @@ STDOUT = {
     "spectra_n12": ("spectra", "--n", "12"),
     "spectra_n13": ("spectra", "--n", "13"),
     "autos_k4": ("autos", "--graph", "k4"),
+    "autos_c5": ("autos", "--graph", "c5"),
     "disjoint_clebsch": ("disjoint", "--graph", "clebsch"),
     "disjoint_c5": ("disjoint", "--graph", "c5"),
+    "disjoint_clebsch_pentagonal": ("disjoint", "--graph", "clebsch_pentagonal"),
     "so_points_n3": ("so-points", "--n", "3"),
+    "so_points_n5": ("so-points", "--n", "5"),
 }
 
 #: reports with LAPACK floats, pinned by their key paths
@@ -47,6 +52,17 @@ KEYS = {
     "twist_check_m1": ("twist-check", "--m", "1"),
     "twist_check_m3": ("twist-check", "--m", "3"),
 }
+
+
+def test_autos_report_on_clebsch_pentagonal_is_the_oracle_group(capsys):
+    """The 1920-row report is too large for a golden file, so it is built
+    from the oracle search, in the CLI's layout."""
+    group = oracle_automorphisms(load_graph("clebsch_pentagonal"))
+    report = {"n_vertices": 16, "count": len(group), "automorphisms": [p.to_json() for p in group],
+              "command": "autos"}
+    assert main(["autos", "--graph", "clebsch_pentagonal"]) == 0
+    assert len(group) == 1920
+    assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def key_paths(value, prefix=""):

@@ -295,6 +295,44 @@ def test_graph_keeps_its_own_copy_of_the_checked_pairs(dtype):
     assert not (g.rows.flags.writeable or g.cols.flags.writeable)
 
 
+def test_equality_and_repr_read_the_pairs_without_the_adjacency():
+    """FQ_13's dense adjacency is 16 MiB; comparing two cubes and printing
+    one read their 53,248 pairs only."""
+    g, h = folded_cube(13), folded_cube(13)
+    tracemalloc.start()
+    try:
+        assert g == h
+        equal_peak = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.reset_peak()
+        assert repr(g) == "Graph(n=4096, edges=26624)"
+        repr_peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert equal_peak < 4 and repr_peak < 4
+    assert "adjacency" not in vars(g) and "adjacency" not in vars(h)
+
+
+def test_reordered_flipped_and_repeated_pairs_give_an_equal_graph():
+    g = Graph(5, [0, 1, 2], [1, 2, 3])
+    same = Graph(5, [3, 1, 1, 0, 2, 1], [2, 0, 2, 1, 3, 2])
+    assert g == same and same == g
+    assert repr(same) == repr(g) == "Graph(n=5, edges=3)"
+    assert g == oracle.dense_graph(g.adjacency)
+
+
+def test_another_vertex_count_or_a_missing_edge_compares_unequal(c5):
+    assert c5 != Graph(6, c5.rows, c5.cols)
+    assert c5 != Graph(5, c5.rows[1:], c5.cols[1:])
+    assert c5 != Graph(5, np.zeros(0, np.intp), np.zeros(0, np.intp))
+    assert c5 != c5.adjacency
+
+
+def test_repr_counts_distinct_edges(c5, k4, clebsch):
+    assert [repr(g) for g in (c5, k4, clebsch)] == [
+        "Graph(n=5, edges=5)", "Graph(n=4, edges=6)", "Graph(n=16, edges=40)"]
+    assert repr(Graph.from_edges(3, [])) == "Graph(n=3, edges=0)"
+
+
 def test_permutation_order_is_lcm():
     p = from_cycles(6, [(0, 1), (2, 3, 4)])
     assert p.order() == 6
@@ -522,6 +560,71 @@ def test_relabeled_clebsch_and_fq5_keep_group_and_pair(name, seed, clebsch):
     assert [p.images for p in relabeled] == conjugated(autos, perm)
     sigma, tau = find_disjoint_pair(h)
     assert is_automorphism(h, sigma) and is_automorphism(h, tau) and are_disjoint(sigma, tau)
+
+
+def _cycle(n: int) -> list[list[int]]:
+    return [[i, (i + 1) % n] for i in range(n)]
+
+
+def _petersen() -> Graph:
+    spokes = [[i, i + 5] for i in range(5)]
+    inner = [[5 + i, 5 + (i + 2) % 5] for i in range(5)]
+    return Graph.from_edges(10, _cycle(5) + spokes + inner)
+
+
+def _hypercube(d: int) -> Graph:
+    return Graph.from_edges(1 << d, [[v, v ^ (1 << k)] for v in range(1 << d) for k in range(d) if v < v ^ (1 << k)])
+
+
+def _clebsch_and_c5() -> Graph:
+    clebsch = folded_cube(5)
+    return Graph(21, np.append(clebsch.rows, np.arange(16, 21)), np.append(clebsch.cols, 16 + (np.arange(1, 6) % 5)))
+
+
+def _relabeled_clebsch(seed: int) -> Graph:
+    return relabel(folded_cube(5), np.random.default_rng(seed).permutation(16))
+
+
+#: graphs past the hypothesis strategy's 10 vertices, with their group orders
+LARGER_GRAPHS = {
+    "petersen": (_petersen, 120),
+    "q4": (lambda: _hypercube(4), 384),
+    "k44_fq4": (lambda: folded_cube(4), 1152),
+    "c32": (lambda: Graph.from_edges(32, _cycle(32)), 64),
+    "clebsch_and_c5": (_clebsch_and_c5, 19200),
+    "clebsch_seed_11": (lambda: _relabeled_clebsch(11), 1920),
+    "clebsch_seed_23": (lambda: _relabeled_clebsch(23), 1920),
+    "clebsch_seed_57": (lambda: _relabeled_clebsch(57), 1920),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGER_GRAPHS))
+def test_group_and_pair_equal_the_oracle_on_larger_graphs(name):
+    build, order = LARGER_GRAPHS[name]
+    g = build()
+    group = oracle.automorphisms(g)
+    assert len(group) == order
+    assert automorphisms(g) == group
+    assert find_disjoint_pair(g) == oracle.find_disjoint_pair(g)
+
+
+def test_fq4_is_k44():
+    parity = np.array([bin(v).count("1") & 1 for v in range(8)])
+    assert np.array_equal(folded_cube(4).adjacency, parity[:, None] != parity)
+
+
+#: a rigid graph on 10 vertices: a search that skips the pairs inside the
+#: forced tail accepts the non-automorphism (4, 9, 2, 8, 0, 5, 7, 6, 3, 1)
+RIGID_EDGES = [[0, 1], [0, 4], [0, 5], [0, 7], [0, 8], [0, 9], [1, 2], [1, 3], [1, 4], [1, 6], [1, 9],
+               [2, 3], [2, 5], [2, 6], [2, 7], [2, 9], [3, 4], [3, 6], [4, 5], [4, 6], [4, 9], [5, 7],
+               [6, 8], [7, 8], [7, 9], [8, 9]]
+
+
+def test_rigid_graph_has_the_identity_alone():
+    g = Graph.from_edges(10, RIGID_EDGES)
+    assert not is_automorphism(g, Permutation((4, 9, 2, 8, 0, 5, 7, 6, 3, 1)))
+    assert automorphisms(g) == oracle.automorphisms(g) == [identity(10)]
+    assert find_disjoint_pair(g) is None
 
 
 def test_edgeless_graph_gives_every_permutation_in_order():

@@ -1,6 +1,6 @@
 import json
 import time
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -863,6 +863,27 @@ def test_negative_determinant_rejected():
 def test_even_n_rejected():
     with pytest.raises(UsageError):
         classical_point_action(diag_point(1, 1, 1, 1))
+
+
+def test_points_of_mixed_sizes_are_a_dimension_error():
+    points = [diag_point(1, 1, 1), diag_point(1, 1, 1, 1, 1)]
+    with pytest.raises(DimensionError, match="different sizes"):
+        so_twist._point_action_images(points)
+    with pytest.raises(DimensionError, match="different sizes"):
+        so_twist._point_action_images(points[::-1])
+
+
+def test_point_actions_past_the_table_bound_are_a_capacity_error():
+    with pytest.raises(CapacityError, match="table bound 7"):
+        classical_point_action(diag_point(*[1] * 9))
+
+
+def test_the_point_table_holds_one_read_only_inverse_per_permutation():
+    inverses, rows = so_twist._linear_inverses(5)
+    assert inverses.shape == (120, 16) and not inverses.flags.writeable
+    assert list(rows) == list(permutations(range(5))) and list(rows.values()) == list(range(120))
+    # the identity permutation's linear part is the identity on words
+    assert inverses[rows[(0, 1, 2, 3, 4)]].tolist() == list(range(16))
 
 
 def test_n5_sample_points_act_on_clebsch():
