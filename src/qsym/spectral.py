@@ -17,10 +17,13 @@ the graph's vertex pairs in O(N |S|) and never its dense adjacency; FQ_n
 certifies, with S its n connecting words.  The residuals A psi(T_w) -
 lambda(w) psi(T_w) are then exact integer sums over S, and the
 eigensolver gets 16-row blocks built from S (``_cayley_blocks``), with no
-N x N intermediate.  A graph that fails the certificate, which only a broken
-``folded_cube`` could give, is the only one whose dense adjacency is
-written: it gets the residual over every XOR-difference set of that
-adjacency and one eigensolve of all of it.
+N x N intermediate.  Blocks repeat, so each distinct block is solved once
+(n - 4 of them for FQ_n, n >= 5) and its eigenvalues are taken once per
+block it stands for; the blocks are found equal from their integer
+entries alone, never from the closed form.  A graph that fails the
+certificate, which only a broken ``folded_cube`` could give, is the only
+one whose dense adjacency is written: it gets the residual over every
+XOR-difference set of that adjacency and one eigensolve of all of it.
 
 Since each projection onto an eigenspace is a polynomial in the adjacency
 matrix, a vertex permutation is an automorphism exactly when its matrix
@@ -97,8 +100,8 @@ def _max_residuals(sets: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return np.abs(residual, out=residual).max(axis=0)
 
 
-#: rows of each eigensolver block (FQ_5's size); each block is still a
-#: dense eigenproblem, so the closed form is never assumed
+#: rows of each eigensolver block (FQ_5's size); each distinct block is
+#: still a dense eigenproblem, so the closed form is never assumed
 _BLOCK_ROWS = 16
 
 
@@ -136,27 +139,41 @@ def _connection_set(g: Graph) -> np.ndarray | None:
     return connection if marked.all() else None
 
 
-def _cayley_blocks(connection: np.ndarray, size: int) -> np.ndarray:
-    """Float64 blocks of R = min(N, ``_BLOCK_ROWS``) rows whose joint
-    spectrum is that of Cay(Z_2^w, S) on N = 2^w vertices, built from S.
+def _cayley_blocks(connection: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks, inverse): the distinct float64 blocks of R = min(N,
+    ``_BLOCK_ROWS``) rows built from S, and an index of N / R rows into
+    them, such that Cay(Z_2^w, S) on N = 2^w vertices is orthogonally
+    similar to the direct sum of blocks[inverse].
 
     With x = (high, low), low its R-row index, P_s = P_{s_high} (x) P_{s_low},
     and the characters e of the high words diagonalize every P_{s_high}.
     So A is orthogonally similar to the sum over e of the blocks
     sum_s (-1)^{popcount(e & s_high)} P_{s_low}: entry [r, c] sums the
-    signs of the s with s_low = r ^ c, an exact small integer.  Block j is
-    e = j with its bits reversed, the order of halving [[B11, B12], [B12,
-    B11]] into B11 + B12 and B11 - B12 from the top bit down.
+    signs of the s with s_low = r ^ c, an exact small integer, so block e
+    is row e of an (N / R, R) coefficient table read at r ^ c, and equal
+    rows are equal blocks.  Block j is e = j with its bits reversed, the
+    order of halving [[B11, B12], [B12, B11]] into B11 + B12 and B11 - B12
+    from the top bit down; inverse[j] is its row in the distinct stack.
+    FQ_n has n - 4 distinct blocks for n >= 5, 9 of the 256 at n = 13.
     """
     rows = min(size, _BLOCK_ROWS)
     shift = rows.bit_length() - 1
     width = size.bit_length() - 1 - shift
     bits = (connection[:, None] >> (shift + np.arange(width))) & 1
     signs = walsh_rows(bits @ (1 << np.arange(width)[::-1]), width)
-    coefficients = np.zeros((1 << width, rows))
-    np.add.at(coefficients.T, connection & (rows - 1), signs)
+    # an integer product, |entries| <= |S| < 2^15: a first float one would
+    # touch about 0.27 MiB more of BLAS's buffers
+    low = (connection & (rows - 1))[:, None] == np.arange(rows)
+    coefficients = signs.T @ low.astype(np.int16)
+    # lexsort and an adjacent compare find the distinct rows, without
+    # np.unique's first-call cost (see _connection_set)
+    order = np.lexsort(coefficients.T[::-1])
+    ranked = coefficients[order]
+    first = np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
     r = np.arange(rows)
-    return np.take(coefficients, r[:, None] ^ r, axis=1)
+    return np.take(ranked[first], r[:, None] ^ r, axis=1).astype(float), inverse
 
 
 def _eigenvalues(n: int) -> np.ndarray:
@@ -178,11 +195,13 @@ def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> Report:
     computed exactly in integers (``_max_residuals``) from the connecting
     set S of the certified graph (``_connection_set``), and the closed-form
     eigenvalue multiset is compared with a dense symmetric eigensolver, run
-    in one batch on the blocks ``_cayley_blocks(S)`` (256 of 16 rows at
-    n = 13).  Only a graph that fails the certificate has its dense
-    adjacency written: it gets every difference set of the adjacency and
-    one eigensolve of all of it.  Needs n >= 3, where the closed form
-    holds; levels are grouped by eigenvalue.
+    in one batch on the distinct blocks ``_cayley_blocks(S)`` (9 of 16 rows
+    at n = 13, standing for 256), whose eigenvalue rows are gathered
+    through the inverse index before the sort.  Only a graph that fails
+    the certificate has its dense adjacency written: it gets every
+    difference set of the adjacency and one eigensolve of all of it.
+    Needs n >= 3, where the closed form holds; levels are grouped by
+    eigenvalue.
     """
     n = check_integer(n, "n", 3, need="verify_spectrum needs an integer n >= 3 (the closed form assumes it)")
     check_tolerance(tol)
@@ -191,11 +210,11 @@ def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> Report:
     connection = _connection_set(g)
     if connection is None:
         per_word = _max_residuals(_difference_sets(g.adjacency), lams)
-        blocks = g.adjacency[None].astype(float)
+        blocks, inverse = g.adjacency[None].astype(float), [0]
     else:
         per_word = _max_residuals(connection[None], lams)
-        blocks = _cayley_blocks(connection, g.n_vertices)
-    numeric = np.sort(np.linalg.eigvalsh(blocks), axis=None)
+        blocks, inverse = _cayley_blocks(connection, g.n_vertices)
+    numeric = np.sort(np.linalg.eigvalsh(blocks)[inverse], axis=None)
     closed = np.sort(lams.astype(float))
     numeric_match = bool(np.max(np.abs(numeric - closed)) <= tol)
 

@@ -430,9 +430,9 @@ def test_spectrum_check_memory_at_n13():
     """The residual over the adjacency's difference sets holds edge lists
     and one int16 row per set, never the 16 MiB Walsh table.
     verify_spectrum holds FQ_13's pairs (0.4 MiB of int32), the certificate's
-    index arrays and (N, |S|) bool grid, and the 0.5 MiB of float64 blocks
-    built from S, and no N x N array: about 1.3 MiB, where the 16 MiB uint8
-    adjacency alone would pass the bound."""
+    index arrays and (N, |S|) bool grid, and the 18 KiB of distinct float64
+    blocks built from S, and no N x N array: about 1.3 MiB, where the
+    16 MiB uint8 adjacency alone would pass the bound."""
     a = folded_cube(13).adjacency
     lams = np.array([eigenvalue_of_bits(w, 13) for w in range(1 << 12)])
     residual = qsym.spectral._max_residuals
@@ -462,8 +462,8 @@ def _record_eigvalsh_shapes(monkeypatch):
     return _record_eigvalsh(monkeypatch, np.shape)
 
 
-# the blocks have 16 rows, FQ_5's size
-@pytest.mark.parametrize("n, shape", [(9, (16, 16, 16)), (11, (64, 16, 16)), (13, (256, 16, 16))])
+# n - 4 distinct blocks of 16 rows, FQ_5's size
+@pytest.mark.parametrize("n, shape", [(9, (5, 16, 16)), (11, (7, 16, 16)), (13, (9, 16, 16))])
 def test_eigensolver_gets_16_row_blocks(monkeypatch, n, shape):
     shapes = _record_eigvalsh_shapes(monkeypatch)
     assert verify_spectrum(n).passed
@@ -491,35 +491,54 @@ def test_graph_that_decouples_once_gets_one_dense_block(monkeypatch):
     assert rep.to_json() == dense_spectrum_report(12, twice)
 
 
-# (graph, n it stands in for, block count, exact spectrum or None for the
-# full eigvalsh); the full eigvalsh of K_1024 is itself 1.7e-12 off
-# {1023, -1 x 1023}, so the blocks are held to the exact spectrum there,
-# under the same bound
+# (graph, n it stands in for, shape of the distinct stack, exact spectrum
+# or None for the full eigvalsh); the full eigvalsh of K_1024 is itself
+# 1.7e-12 off {1023, -1 x 1023}, so the blocks are held to the exact
+# spectrum there, under the same bound
 _BLOCK_CASES = [
-    *(pytest.param(lambda n=n: folded_cube(n), n, 1 << max(0, n - 5), None, id=f"FQ_{n}") for n in range(3, 12)),
+    *(
+        pytest.param(lambda n=n: folded_cube(n), n, (max(1, n - 4),) + 2 * (min(1 << n - 1, 16),), None, id=f"FQ_{n}")
+        for n in range(3, 12)
+    ),
     pytest.param(
-        lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)), 11, 64, np.r_[1023.0, -np.ones(1023)], id="K_1024"
+        lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)),
+        11,
+        (2, 16, 16),
+        np.r_[1023.0, -np.ones(1023)],
+        id="K_1024",
     ),
     # an edge removed: the count fails, and the whole adjacency is one block
-    pytest.param(lambda: _fq11_without_edge(0, 1), 11, 1, None, id="FQ_11-edge_0_1"),
-    pytest.param(lambda: _fq11_without_edge(0, 1023), 11, 1, None, id="FQ_11-edge_0_1023"),
+    pytest.param(lambda: _fq11_without_edge(0, 1), 11, (1, 1024, 1024), None, id="FQ_11-edge_0_1"),
+    pytest.param(lambda: _fq11_without_edge(0, 1023), 11, (1, 1024, 1024), None, id="FQ_11-edge_0_1023"),
 ]
 
 
-@pytest.mark.parametrize("make, n, count, exact", _BLOCK_CASES)
-def test_block_eigenvalues_equal_the_full_spectrum(monkeypatch, make, n, count, exact):
-    """The stack verify_spectrum hands to eigvalsh has the spectrum of A."""
+@pytest.mark.parametrize("make, n, shape, exact", _BLOCK_CASES)
+def test_block_eigenvalues_equal_the_full_spectrum(monkeypatch, make, n, shape, exact):
+    """The stack verify_spectrum hands to eigvalsh, each block taken as
+    often as the inverse index names it, has the spectrum of A; and its
+    eigenvalues are bit for bit those of the halving split's every block."""
     g = make()
     a = g.adjacency
     monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: g)
+    inverses = []
+    real_blocks = qsym.spectral._cayley_blocks
+
+    def recording(connection, size):
+        blocks, inverse = real_blocks(connection, size)
+        inverses.append(inverse)
+        return blocks, inverse
+
+    monkeypatch.setattr(qsym.spectral, "_cayley_blocks", recording)
     inputs = _record_eigvalsh(monkeypatch, np.array)
     verify_spectrum(n)
     [blocks] = inputs
-    rows = a.shape[0] // count
-    assert blocks.dtype == np.float64 and blocks.shape == (count, rows, rows)
-    got = np.sort(np.linalg.eigvalsh(blocks), axis=None)
+    [inverse] = inverses or [[0]]
+    assert blocks.dtype == np.float64 and blocks.shape == shape
+    got = np.sort(np.linalg.eigvalsh(blocks)[inverse], axis=None)
     want = np.linalg.eigvalsh(a.astype(float)) if exact is None else np.sort(exact)
     assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.array_equal(got, np.sort(np.linalg.eigvalsh(_int64_blocks(a).astype(float)), axis=None))
 
 
 def _cayley_graph(width, connection):
@@ -544,27 +563,40 @@ def _int64_blocks(adjacency):
     return b
 
 
+def _fq_counts(n):
+    """How often each of FQ_n's distinct blocks occurs: the blocks depend on
+    e only through its length k, C(n - 5, k) of them each, for n >= 5."""
+    return [comb(n - 5, k) for k in range(n - 4)] if n >= 5 else [1]
+
+
 @pytest.mark.parametrize(
-    "make, largest",
+    "make, largest, counts",
     [
-        *(pytest.param(lambda n=n: folded_cube(n), max(1, n - 5), id=f"FQ_{n}") for n in range(3, 14)),
-        pytest.param(lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)), 64, id="K_1024"),
+        *(pytest.param(lambda n=n: folded_cube(n), max(1, n - 5), _fq_counts(n), id=f"FQ_{n}") for n in range(3, 14)),
+        pytest.param(lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)), 64, [63, 1], id="K_1024"),
         # entries double at each of the eight levels: 256, the most within the bound
-        pytest.param(lambda: dense_graph(1 - np.eye(4096, dtype=np.uint8)), 256, id="K_4096"),
+        pytest.param(lambda: dense_graph(1 - np.eye(4096, dtype=np.uint8)), 256, [255, 1], id="K_4096"),
         # high parts 1, 3 and 12, which bit reversal moves: unlike FQ_n and
         # K_N, this graph tells the split's block order from j's own order
-        pytest.param(lambda: _cayley_graph(8, [1, 16, 48, 200]), 2, id="Cay_256-1_16_48_200"),
+        pytest.param(lambda: _cayley_graph(8, [1, 16, 48, 200]), 2, [2, 2, 4, 4, 2, 2], id="Cay_256-1_16_48_200"),
+        pytest.param(lambda: dense_graph(np.zeros((64, 64), dtype=np.uint8)), 0, [4], id="edgeless_64"),
     ],
 )
-def test_cayley_blocks_equal_the_dense_split(make, largest):
+def test_cayley_blocks_equal_the_dense_split(make, largest, counts):
+    """The distinct blocks, read through the inverse index, are the split's
+    blocks in its order; no two distinct blocks are equal."""
     g = make()
     a = g.adjacency
     connection = qsym.spectral._connection_set(g)
-    got = qsym.spectral._cayley_blocks(connection, a.shape[0])
+    got, inverse = qsym.spectral._cayley_blocks(connection, a.shape[0])
     want = _int64_blocks(a)
     rows = min(a.shape[0], 16)
-    assert got.dtype == np.float64 and got.shape == want.shape == (a.shape[0] // rows, rows, rows)
-    assert np.array_equal(got, want)
+    assert got.dtype == np.float64 and got.shape == (len(counts), rows, rows)
+    assert want.shape == (a.shape[0] // rows, rows, rows)
+    assert inverse.shape == want.shape[:1]
+    assert np.array_equal(got[inverse], want)
+    assert np.bincount(inverse).tolist() == counts
+    assert len(np.unique(got.reshape(len(got), -1), axis=0)) == len(got)
     assert int(np.abs(want).max()) == largest
 
 
@@ -612,7 +644,7 @@ def test_edgeless_graph_is_the_cayley_graph_of_the_empty_set(monkeypatch):
     monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: edgeless)
     shapes = _record_eigvalsh_shapes(monkeypatch)
     rep = verify_spectrum(7)
-    assert shapes == [(4, 16, 16)]
+    assert shapes == [(1, 16, 16)]
     assert rep.to_json() == dense_spectrum_report(7, edgeless)
 
 
