@@ -1,13 +1,13 @@
 """The batched array kernel of the twisted relation checks in ``so_twist``.
 
-Relation (7.2), every twisted vanishing lemma and the quantum determinant
-reduce to per-sample sums of signed entry products r(J) u_{j_1 i_1} ...
-u_{j_l i_l} over row tuples J, grouped into buckets, for every column
-tuple I of a check.  ``_product_sums`` forms them for all column tuples
-in one call, and adds each bucket in the order of its tuples, so the
-reports built on it are byte-stable.  (The abelian checks read their one
-non-zero product per column tuple directly, in
-``so_twist._support_terms``.)
+Every twisted vanishing lemma and the quantum determinant reduce to
+per-sample sums of signed entry products r(J) u_{j_1 i_1} ... u_{j_l i_l}
+over row tuples J, grouped into buckets, for every column tuple I of a
+check.  ``_product_sums`` forms them for all column tuples in one call,
+and adds each bucket in the order of its tuples, so the reports built on
+it are byte-stable.  (The abelian checks read their one non-zero product
+per column tuple directly, in ``so_twist._support_terms``; (7.2) is a
+running sum over k in ``so_twist._relation_defects``.)
 """
 
 from __future__ import annotations

@@ -42,13 +42,15 @@ Only terms that can be non-zero are formed.  Signed permutation (pi, s)
 has entry s_i at (pi(i), i) and zeros elsewhere, so for a column tuple I
 its one non-zero product u_{j_1 i_1} ... u_{j_l i_l} sits at J = pi(I),
 with value prod_a s_{i_a}: the abelian checks read that term for all
-2^n n! matrices at once (``_support_terms``).  The twisted checks sum
-signed products over the samples per bucket of row tuples J, for a (C, l)
-stack of column tuples I in one kernel call (``relation_kernel``).  A chain's twist sign
-splits into a row and a column part, chain_signs(J, I) = r(J) c(I)
-(``_index_signs``): r(J) is computed once, c(I) = +-1 applied after the
-sum or dropped where only |lhs - rhs| or |total| is read.  Every sum runs
-in the order of its tuples, bit for bit a plain loop.  (7.3) and (7.4) are
+2^n n! matrices at once (``_support_terms``).  (7.2) is a running sum
+over k, in the stack's dtype.  The other twisted checks sum signed
+products over the samples per bucket of row tuples J, for a (C, l) stack
+of column tuples I in one kernel call (``relation_kernel``); (7.5) and the
+vanishing lemma share one determinant sum (``_determinant_sums``).  A
+chain's twist sign splits into a row and a column part, chain_signs(J, I)
+= r(J) c(I) (``_index_signs``): r(J) is computed once, c(I) = +-1 applied
+after the sum or dropped where only |lhs - rhs| is read.  Every sum runs
+in the order of its terms, bit for bit a plain loop.  (7.3) and (7.4) are
 one commutation rule, u_ij u_kl = eps u_kl u_ij, read from one int8
 coefficient tensor; sample entries are multiplied only where it is
 non-zero.
@@ -70,6 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
+from math import prod
 from typing import Iterable
 
 import numpy as np
@@ -152,10 +155,7 @@ class SignedPermMatrix:
     @property
     def quantum_determinant(self) -> int:
         """Product of the non-zero entries (sign-free determinant)."""
-        out = 1
-        for s in self.signs:
-            out *= s
-        return out
+        return prod(self.signs)
 
     def to_json(self) -> dict:
         return {"n": self.n, "perm": list(self.perm.images), "signs": list(self.signs)}
@@ -382,17 +382,18 @@ def _relation_defects(stack: np.ndarray, table: np.ndarray) -> tuple[float, floa
     n = stack.shape[-1]
     d71 = float(np.abs(stack.imag).max()) if np.iscomplexobj(stack) else 0.0
 
+    # (7.2), per orientation: T[i, j] times the running sum of T[k, k] u_ki u_kj
+    defects = []
+    for u in (stack, stack.transpose(0, 2, 1)):
+        total = np.zeros_like(stack)
+        for k in range(n):
+            total += table[k, k] * u[:, k, :, None] * u[:, k, None, :]
+        defects.append(float(np.abs(table * total - np.eye(n, dtype=stack.dtype)).max()))
+    d72 = max(defects)
+    del total  # one (S, n, n) array less under the (7.3) products
+
     idx = np.arange(n)
     pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1)  # pairs[i, j] = (i, j)
-    # sums over k of u_ki u_kj on the stack and of u_ik u_jk on its
-    # transpose, per column tuple (i, j) and sample: row tuples (k, k) of
-    # sign r = T[k, k], column sign c = T[i, j]
-    diag, ij = pairs[idx, idx], pairs.reshape(-1, 2)
-    c, r = _index_signs(ij, table)[:, None], _index_signs(diag, table)
-    delta = np.eye(n).reshape(-1, 1)
-    sums = (c * _bucket_sums(u, diag, ij, r) for u in (stack, stack.transpose(0, 2, 1)))
-    d72 = max(float(np.abs(total - delta).max()) for total in sums)
-
     same = idx[:, None] == idx
     one = same[:, :, None, None] != same  # one[i, k, j, l]: exactly one of i = k, j = l
     flip = pairs[:, :, ::-1]
@@ -403,6 +404,14 @@ def _relation_defects(stack: np.ndarray, table: np.ndarray) -> tuple[float, floa
     part = one[i, k, j, l]
     d73, d74 = (float(terms[:, cut].max(initial=0)) for cut in (part, ~part))
     return d71, d72, d73, d74
+
+
+def _determinant_sums(stack: np.ndarray, cols: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """c(I) sum_sigma r(sigma) u_{sigma(1) i_1} ... u_{sigma(n) i_n} under the
+    twist ``table``, per column tuple I of the (C, n) ``cols`` and sample of
+    the (S, n, n) ``stack``: a (C, S) array, the determinant at I = 1..n."""
+    perms = _permutations(stack.shape[-1])
+    return _index_signs(cols, table)[:, None] * _bucket_sums(stack, perms, cols, _index_signs(perms, table))
 
 
 def twisted_relation_check(
@@ -436,11 +445,7 @@ def twisted_relation_check(
         for relation, defect in zip(("7.1", "7.2", "7.3", "7.4"), _relation_defects(so, twist))
     ]
 
-    # the sign of sigma is r(sigma) c(1..n); one kernel call per sample set
-    idx = np.arange(n)
-    perms = _permutations(n)
-    row_signs, col_sign = _index_signs(perms, twist), _index_signs(idx, twist)
-    total, total_refl = (col_sign * _bucket_sums(u, perms, idx[None], row_signs)[0] for u in (so, refl))
+    total, total_refl = (_determinant_sums(u, np.arange(n)[None], twist)[0] for u in (so, refl))
     d75 = float(np.abs(total - 1.0).max())
     control = float(np.abs(total_refl + 1.0).max())
     passed = d75 <= tol and control <= tol
@@ -477,22 +482,18 @@ def lemma_sumzero_check(
         raise CapacityError(f"n={n} exceeds the {model} bound {SO_BRUTEFORCE_BOUND}")
     samples = _check_samples(samples, "samples", n)
 
-    perms = _permutations(n)
     cols = np.tile(np.arange(n), (n, 1))
     cols[:, -1] = np.arange(n)  # row k: (1..n-1, k)
     if model == "abelian":
         stack = _signed_perm_stack(n)
         # a total is its support term where that is a permutation, else 0
-        hit, value = _support_terms(stack, perms, cols)
+        hit, value = _support_terms(stack, _permutations(n), cols)
         totals = np.where(hit[:, None, :] >= 0, value[None], 0).reshape(-1, n).T
         target = stack.determinants
         details = {"model": "abelian", "n": n, "matrices": len(stack.matrices)}
     else:
-        twist = bicharacter((n - 1) // 2)
         values = _stack_samples(n, samples, np.random.default_rng(seed), negative=False)
-        totals = _bucket_sums(values, perms, cols, _index_signs(perms, twist))
-        # the column sign c(1..n-1, k) cannot change |total|; the control needs it
-        totals[-1] *= _index_signs(cols[-1], twist)
+        totals = _determinant_sums(values, cols, bicharacter((n - 1) // 2))
         target = 1.0
         details = {"model": "twisted", "n": n, "samples": samples, "seed": seed}
     max_defect = float(np.abs(totals[:-1]).max(initial=0.0))
@@ -610,18 +611,17 @@ def _point_action_images(points: list[SignedPermMatrix]) -> np.ndarray:
     n = points[0].n
     if any(p.n != n for p in points):
         raise DimensionError("points of different sizes act on different folded cubes")
+    signs = np.array([p.signs for p in points], dtype=np.int8)
     if n % 2 == 0 or n < 3:
         raise UsageError("classical point action needs odd n >= 3")
     if n > _POINT_TABLE_BOUND:
         raise CapacityError(f"n={n} exceeds the point-action table bound {_POINT_TABLE_BOUND}")
-    if any(p.quantum_determinant != 1 for p in points):
-        raise UsageError(
-            "quantum determinant is -1: the sign pattern does not respect "
-            "tau_n = tau_1...tau_{n-1}, so no vertex action exists"
-        )
+    if np.count_nonzero(signs.prod(axis=1) != 1):
+        raise UsageError("quantum determinant is -1: the sign pattern does not respect "
+                         "tau_n = tau_1...tau_{n-1}, so no vertex action exists")
     inverses, rows = _linear_inverses(n)
-    shifts = [sum(1 << k for k, s in enumerate(p.signs[:-1]) if s != p.signs[-1]) for p in points]
-    words = np.arange(inverses.shape[1]) ^ np.array(shifts)[:, None]
+    shifts = (signs[:, :-1] != signs[:, -1:]) @ _word_bits(n)[1]
+    words = np.arange(inverses.shape[1]) ^ shifts[:, None]
     return inverses[np.array([rows[p.perm.images] for p in points])[:, None], words]
 
 

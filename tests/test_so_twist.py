@@ -140,6 +140,18 @@ def test_the_table_is_all_that_the_twist_changes(m):
     assert max(so_twist._relation_defects(samples, bicharacter(m))) <= 1e-9
 
 
+def test_the_relation_evaluator_makes_no_kernel_call(monkeypatch):
+    # (7.2) is a running sum over k; the kernel serves (7.5) and the lemmas
+    def refuse(*args):
+        raise AssertionError("relation_kernel called")
+
+    for name in ("_bucket_sums", "_product_sums"):
+        monkeypatch.setattr(so_twist, name, refuse)
+    assert len(abelian_points(5)) == 1920
+    samples = so_twist._stack_samples(5, 20, np.random.default_rng(0), negative=False)
+    assert max(so_twist._relation_defects(samples, bicharacter(2))) <= 1e-9
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_swapping_two_generators_costs_the_commutation_sign(m):
     # chain_signs((i,k),(j,l)) chain_signs((k,i),(l,j)) = (-1)^([i!=k] + [j!=l]):
@@ -734,15 +746,17 @@ def test_a_collapsed_permutation_fails_like_the_dense_oracle(monkeypatch, n):
     assert as_json(lemma_sumzero_check(n, "abelian")) == as_json(oracle.dense_lemma_sumzero_check(n))
 
 
-def test_a_collapsed_permutation_fails_the_abelian_self_check(monkeypatch, capsys):
-    # matrices of perms[1] put two entries in row 0: no point, so (7.2) fails
-    perms = so_twist._signed_perm_stack(3).perms.copy()
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_a_collapsed_permutation_fails_the_abelian_self_check(monkeypatch, capsys, n):
+    # matrices of perms[1] put two entries in one row: no point, so (7.2) fails
+    perms = so_twist._signed_perm_stack(n).perms.copy()
     perms[1, 1] = perms[1, 0]
-    plant(monkeypatch, 3, perms=perms)
+    plant(monkeypatch, n, perms=perms)
     with pytest.raises(RuntimeError, match="violates the scalar relations"):
-        abelian_points(3)
-    assert cli.main(["so-points", "--n", "3"]) == 3
-    assert capsys.readouterr().out == ""
+        abelian_points(n)
+    if n % 2:
+        assert cli.main(["so-points", "--n", str(n)]) == 3
+        assert capsys.readouterr().out == ""
 
 
 def test_lemma_P_abelian_n5_l5_is_fast():
@@ -786,6 +800,18 @@ def test_a_flipped_bicharacter_entry_fails_like_the_loops(monkeypatch, m, a, b):
     assert [as_json(r) for r in reports] == [as_json(r) for r in oracle.loop_twisted_relation_check(m, 50, seed=3)]
     failed = {r.relation for r in reports if not r.passed}
     assert failed & {"7.3", "7.4"}
+
+
+@pytest.mark.parametrize("m, a", [(1, 0), (1, 1), (2, 0), (2, 3), (3, 2), (3, 5)])
+def test_a_flipped_bicharacter_diagonal_fails_like_the_loops(monkeypatch, m, a):
+    # a diagonal flip keeps the off-diagonal antisymmetry, so 7.3 and 7.4
+    # hold; only the row signs T[k, k] of the (7.2) running sum see it
+    wrong = oracle.flipped_bicharacter(m, a, a)
+    for module in (so_twist, oracle):
+        monkeypatch.setattr(module, "bicharacter", lambda _m: wrong)
+    reports = twisted_relation_check(m, n_samples=50, seed=3)
+    assert [as_json(r) for r in reports] == [as_json(r) for r in oracle.loop_twisted_relation_check(m, 50, seed=3)]
+    assert {r.relation for r in reports if not r.passed} == {"7.2"}
 
 
 def test_lemma_P_twisted_n5_l5():
@@ -876,6 +902,18 @@ def test_points_of_mixed_sizes_are_a_dimension_error():
 def test_point_actions_past_the_table_bound_are_a_capacity_error():
     with pytest.raises(CapacityError, match="table bound 7"):
         classical_point_action(diag_point(*[1] * 9))
+
+
+def test_point_action_errors_come_in_order_size_parity_bound_determinant():
+    with pytest.raises(DimensionError, match="different sizes"):
+        so_twist._point_action_images([diag_point(-1, 1, 1, 1), diag_point(1, 1, 1)])
+    with pytest.raises(UsageError, match="odd n"):
+        classical_point_action(diag_point(-1, 1, 1, 1))
+    with pytest.raises(CapacityError, match="table bound 7"):
+        classical_point_action(diag_point(-1, *[1] * 8))
+    # the determinant is read for every point of the list, not the first only
+    with pytest.raises(UsageError, match="determinant"):
+        so_twist._point_action_images(abelian_points(3)[:5] + [diag_point(-1, 1, 1)])
 
 
 def test_the_point_table_holds_one_read_only_inverse_per_permutation():
