@@ -9,7 +9,7 @@ headroom over float64 round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import copysign, isfinite
 from numbers import Integral, Real
 
 from .errors import UsageError
@@ -55,7 +55,8 @@ class Report:
 
 
 def check_tolerance(tol, name: str = "tol"):
-    """Return tol unchanged if it is a usable pass/fail threshold.
+    """Return tol unchanged if it is a usable pass/fail threshold, and a
+    negative zero as 0.0, so that no report prints a tolerance of -0.0.
 
     A NaN threshold would pass every ``defect <= tol`` test as False, a
     negative one would fail exact results and an infinite one, or one past
@@ -68,7 +69,7 @@ def check_tolerance(tol, name: str = "tol"):
         usable = False
     if not usable:
         raise UsageError(f"{name} must be a non-negative number, got {tol!r}")
-    return tol
+    return 0.0 if tol == 0 and copysign(1, tol) < 0 else tol
 
 
 def check_integer(value, name: str, minimum: int = 0, *, odd: bool = False, need: str | None = None) -> int:

@@ -434,7 +434,7 @@ def twisted_relation_check(
     n = 2 * m + 1
     n_samples = _check_samples(n_samples, "n_samples", n)
     seed = check_integer(seed, "seed")
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     twist = bicharacter(m)
     rng = np.random.default_rng(seed)
     so = _stack_samples(n, n_samples, rng, negative=False)
@@ -473,7 +473,7 @@ def lemma_sumzero_check(
     (1..n-1, k) are read in one call."""
     n = check_integer(n, "n", 1)
     seed = check_integer(seed, "seed")
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     if model not in ("abelian", "twisted"):
         raise UsageError(f'model must be "abelian" or "twisted", got {model!r}')
     if model == "twisted" and (n % 2 == 0 or n < 3):
@@ -541,7 +541,7 @@ def lemma_P_check(
     samples = _check_samples(samples, "samples", n)
     if not 1 <= l <= n:
         raise UsageError(f"l must lie in 1..{n}, got {l}")
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     if model not in ("abelian", "twisted"):
         raise UsageError(f'model must be "abelian" or "twisted", got {model!r}')
 

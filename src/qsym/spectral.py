@@ -21,9 +21,8 @@ N x N intermediate.  Blocks repeat, so each distinct block is solved once
 (n - 4 of them for FQ_n, n >= 5) and its eigenvalues are taken once per
 block it stands for; the blocks are found equal from their integer
 entries alone, never from the closed form.  A graph that fails the
-certificate, which only a broken ``folded_cube`` could give, is the only
-one whose dense adjacency is written: it gets the residual over every
-XOR-difference set of that adjacency and one eigensolve of all of it.
+certificate, which only a broken ``folded_cube`` could give, is an
+internal error (``RuntimeError``), so no adjacency is ever written here.
 
 Since each projection onto an eigenspace is a polynomial in the adjacency
 matrix, a vertex permutation is an automorphism exactly when its matrix
@@ -51,53 +50,20 @@ __all__ = [
 ]
 
 
-def _difference_sets(adjacency: np.ndarray) -> np.ndarray:
-    """The distinct sets D(v) = {u ^ v : u ~ v}, one row each, read from the
-    adjacency's nonzeros.
-
-    Each row lists its differences in falling order, padded with 0 on the
-    right; 0 is never a difference, since a graph has no loops.  Rows equal
-    as bytes are equal as sets, so grouping by the rows' bytes is exact.
-    """
-    size = adjacency.shape[0]
-    # the uint8 adjacency read as bool: nonzero then needs no compare pass
-    rows, cols = np.divmod(np.flatnonzero(adjacency.view(bool)), size)
-    degree = np.bincount(rows, minlength=size)
-    slot = np.arange(len(rows)) - np.repeat(np.cumsum(degree) - degree, degree)
-    diffs = np.zeros((size, max(1, int(degree.max()))), dtype=np.uint16)
-    diffs[rows, slot] = rows ^ cols
-    diffs = np.ascontiguousarray(np.sort(diffs, axis=1)[:, ::-1])
-    keys = diffs.view(np.dtype((np.void, diffs.itemsize * diffs.shape[1]))).ravel()
-    return np.unique(keys).view(np.uint16).reshape(-1, diffs.shape[1])
-
-
-def _max_residuals(sets: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Per word w, max_v |(A H)[v, w] - lams[w] H[v, w]|, exact in integers.
+def _max_residuals(connection: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Per word w, max_v |(A H)[v, w] - lams[w] H[v, w]| for A the
+    adjacency of Cay(Z_2^w, S), S = ``connection``, exact in integers.
 
     H is the Walsh matrix (column w = psi(T_w) in the point basis), with
     H[v, w] = chi_w(v) = +-1 a character of Z_2^(n-1).  Row v of A H sums
-    chi_w over v's neighbours u, and chi_w(u) = chi_w(u ^ v) chi_w(v), so
+    chi_w over v's neighbours v ^ s, and chi_w(v ^ s) = chi_w(s) chi_w(v), so
 
-        |(A H)[v, w] - lams[w] H[v, w]| = |sum_{d in D(v)} H[d, w] - lams[w]|
+        |(A H)[v, w] - lams[w] H[v, w]| = |sum_{s in S} H[s, w] - lams[w]|
 
-    with D(v) = {u ^ v : u ~ v}.  The residual depends on v only through
-    D(v): one accumulator row per distinct set, one set per row of
-    ``sets`` padded with the word 0, gives the exact per-word maxima, from
-    the Walsh rows of the differences only.  A Cayley graph Cay(Z_2^w, S)
-    has the single set S; a corrupted graph gets more sets
-    (``_difference_sets``), each checked.  Every row starts at -lams and
-    slot j adds the Walsh row of each set's j-th difference, all sets in
-    one gather-add; the padding word 0 gets a zero row, so it adds
-    nothing.  Every partial sum is bounded by deg(v) + |lambda| <= 4095 +
-    13 within the vertex bound, so int16 is exact.
+    at every vertex v: the sum of S's Walsh rows minus lambda.  Within
+    the vertex bound |S| <= 4095, so the int16 sum is exact.
     """
-    words, index = np.unique(sets, return_inverse=True)
-    signs = walsh_rows(words, len(lams).bit_length() - 1)
-    signs[words == 0] = 0
-    residual = np.tile(-lams.astype(np.int16), (len(sets), 1))
-    for slot in index.reshape(sets.shape).T:
-        residual += signs[slot]
-    return np.abs(residual, out=residual).max(axis=0)
+    return np.abs(walsh_rows(connection, len(lams).bit_length() - 1).sum(axis=0, dtype=np.int16) - lams)
 
 
 #: rows of each eigensolver block (FQ_5's size); each distinct block is
@@ -197,23 +163,20 @@ def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> Report:
     eigenvalue multiset is compared with a dense symmetric eigensolver, run
     in one batch on the distinct blocks ``_cayley_blocks(S)`` (9 of 16 rows
     at n = 13, standing for 256), whose eigenvalue rows are gathered
-    through the inverse index before the sort.  Only a graph that fails
-    the certificate has its dense adjacency written: it gets every
-    difference set of the adjacency and one eigensolve of all of it.
-    Needs n >= 3, where the closed form holds; levels are grouped by
-    eigenvalue.
+    through the inverse index before the sort.  A graph that fails the
+    certificate is a defect of ``folded_cube``, not a failed check: it
+    raises ``RuntimeError`` before any residual is formed.  Needs n >= 3,
+    where the closed form holds; levels are grouped by eigenvalue.
     """
     n = check_integer(n, "n", 3, need="verify_spectrum needs an integer n >= 3 (the closed form assumes it)")
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     g = folded_cube(n)
-    lams = _eigenvalues(n)
     connection = _connection_set(g)
     if connection is None:
-        per_word = _max_residuals(_difference_sets(g.adjacency), lams)
-        blocks, inverse = g.adjacency[None].astype(float), [0]
-    else:
-        per_word = _max_residuals(connection[None], lams)
-        blocks, inverse = _cayley_blocks(connection, g.n_vertices)
+        raise RuntimeError(f"folded_cube({n}) is not a Cayley graph of Z_2^{n - 1}")
+    lams = _eigenvalues(n)
+    per_word = _max_residuals(connection, lams)
+    blocks, inverse = _cayley_blocks(connection, g.n_vertices)
     numeric = np.sort(np.linalg.eigvalsh(blocks)[inverse], axis=None)
     closed = np.sort(lams.astype(float))
     numeric_match = bool(np.max(np.abs(numeric - closed)) <= tol)
@@ -296,7 +259,7 @@ def preserves_eigenspaces(
     adjacency matrix, so for permutations this is equivalent to being a
     graph automorphism; non-automorphisms simply return False.
     """
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     stack = _projection_stack(n)  # checks n before its size is read
     if p.size != stack.shape[-1]:
         raise DimensionError(f"permutation on {p.size} points vs {stack.shape[-1]} vertices")

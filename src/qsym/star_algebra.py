@@ -207,7 +207,7 @@ def certify_witness(
     formed: the commutator is the d^2 stacked r x r products U_ab A - A U_ab,
     U_ab the matrix of component (a, b) of every entry, laid out rd x rd.
     """
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     if u.r != g.n_vertices:
         raise DimensionError(f"witness on {u.r} vertices vs graph on {g.n_vertices}")
     e = u.entries
@@ -272,7 +272,7 @@ def recovery_products(
 
     and likewise for tau and the q_l.
     """
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     sigma_reps, sigma_res = _recovery_side(u, sigma, p)
     tau_reps, tau_res = _recovery_side(u, tau, q)
     max_residual = max(sigma_res + tau_res)

@@ -5,10 +5,10 @@
   levels.  ``spectral._eigenvalues`` and ``spectral._projection_stack``
   must agree with them exactly.
 * ``max_residuals`` is the row-by-row residual that ``qsym.spectral``
-  used before it grouped vertices by their XOR-difference sets, kept
+  used before it read the residual from the connection set S alone, kept
   unchanged: it gathers the Walsh rows of every vertex's neighbours from
-  the whole int8 Walsh table.  ``spectral._max_residuals`` must return
-  equal per-word maxima.
+  the whole int8 Walsh table, for any graph.  On a certified Cayley graph
+  ``spectral._max_residuals(S, lams)`` must return equal per-word maxima.
 * ``connection_set`` is the dense Cayley certificate that
   ``spectral._connection_set`` used before it read the graph's pairs:
   S = N(0) from row 0 of the adjacency, the nonzero count N |S| and the

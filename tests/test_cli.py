@@ -212,6 +212,18 @@ def test_so_points_reads_its_tolerance(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv", [("spectra", "--n", "5"), ("witness", "--graph", "k4"), ("twist-check", "--m", "1")]
+)
+def test_a_negative_zero_tolerance_reports_like_zero(capsys, argv):
+    """--tol -0.0 is the threshold 0: the same exit code and the same
+    report bytes, with "tol": 0.0 and never -0.0."""
+    negative = run(capsys, *argv, "--tol", "-0.0")
+    zero = run(capsys, *argv, "--tol", "0")
+    assert negative == zero
+    assert '"tol": 0.0' in zero[1] and "-0.0" not in zero[1]
+
+
+@pytest.mark.parametrize(
     "content", ['{"n": true, "edges": []}', '{"n": 3, "edges": [[0, true]]}']
 )
 def test_exit_2_on_bool_integers_in_graph_file(capsys, tmp_path, content):

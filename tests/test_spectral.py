@@ -196,19 +196,27 @@ def _fq7_edges_swapped(v=0, u=1):
     return dense_graph(a)
 
 
+def _assert_internal_error(monkeypatch, capsys, n, g):
+    """g, in place of FQ_n, fails the certificate: verify_spectrum raises
+    RuntimeError, ``spectra`` exits 3 with no report, and g's dense
+    adjacency is never written."""
+    assert qsym.spectral._connection_set(g) is None
+    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: g)
+    with pytest.raises(RuntimeError, match=rf"folded_cube\({n}\) is not a Cayley graph"):
+        verify_spectrum(n)
+    assert main(["spectra", "--n", str(n)]) == 3
+    assert capsys.readouterr().out == ""
+    assert "adjacency" not in vars(g)
+
+
 @pytest.mark.parametrize(
     "corrupt, regular", [(_fq7_edge_removed, False), (_fq7_edges_swapped, True)]
 )
 def test_corrupted_adjacency_fails(monkeypatch, capsys, corrupt, regular):
     bad = corrupt()
-    assert (len(set(bad.adjacency.sum(axis=1).tolist())) == 1) == regular
-    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: bad)
-    rep = verify_spectrum(7)
-    assert not rep.passed
-    assert rep.max_residual >= 1
-    assert rep.to_json() == dense_spectrum_report(7, bad)
-    assert main(["spectra", "--n", "7"]) == 1
-    assert '"pass": false' in capsys.readouterr().out
+    degrees = np.bincount(np.r_[bad.rows, bad.cols], minlength=bad.n_vertices)
+    assert (len(set(degrees.tolist())) == 1) == regular
+    _assert_internal_error(monkeypatch, capsys, 7, bad)
 
 
 def test_residual_exact_at_high_degree(monkeypatch):
@@ -221,8 +229,68 @@ def test_residual_exact_at_high_degree(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the residual on the row-by-row oracle's row blocks and dtype boundary
+# the residual from S, against the row-by-row oracle
 # ---------------------------------------------------------------------------
+
+
+def _closed_form_lams(n):
+    return np.array([eigenvalue_of_bits(w, n) for w in range(1 << (n - 1))])
+
+
+def _assert_residuals_equal_the_oracle(g, lams):
+    """The residual from g's certified connection set against the
+    row-by-row oracle on g's adjacency."""
+    connection = qsym.spectral._connection_set(g)
+    assert connection is not None
+    got = qsym.spectral._max_residuals(connection, lams)
+    assert np.array_equal(got, spectral_oracle.max_residuals(g.adjacency, lams))
+
+
+def _even_words(n, count):
+    """The first ``count`` non-zero words of width n - 1 and even popcount."""
+    return [u for u in range(1, 1 << (n - 1)) if bin(u).count("1") % 2 == 0][:count]
+
+
+def _even_word_cayley(n, degree):
+    """Cay(Z_2^(n-1), S), S = ``_even_words(n, degree)``.  The all-ones
+    word w has psi_w(s) = (-1)^|s| = 1 on S and lambda_w = -n (n even) or
+    -(n - 2) (n odd), so its residual is degree + |lambda_w|, the largest
+    of all words."""
+    return _cayley_graph(n - 1, _even_words(n, degree))
+
+
+# (n, degree, largest residual): the oracle's int8 accumulator holds
+# exactly when degree + max |lambda| <= 127; at 1024 vertices max |lambda|
+# = 11 comes only from the all-zero word, whose residual is degree - 11,
+# so 127 itself is reached at 512 vertices
+_DTYPE_BOUNDARY_CASES = [
+    pytest.param(10, 117, 117 + 10, id="512-residual-127-int8"),
+    pytest.param(11, 116, 116 + 9, id="1024-bound-127-int8"),
+    pytest.param(11, 119, 119 + 9, id="1024-residual-128-int16"),
+]
+
+
+@pytest.mark.parametrize("n, degree, residual", _DTYPE_BOUNDARY_CASES)
+def test_residual_exact_at_the_int8_boundary(monkeypatch, n, degree, residual):
+    g = _even_word_cayley(n, degree)
+    _assert_residuals_equal_the_oracle(g, _closed_form_lams(n))
+    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: g)
+    rep = verify_spectrum(n)
+    assert rep.max_residual == residual
+    assert rep.to_json() == dense_spectrum_report(n, g)
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_folded_cube_has_one_difference_set(n):
+    """FQ_n certifies as a Cayley graph with S its n connecting words, the
+    one XOR-difference set u ^ v of its edges."""
+    generators = [1 << s for s in range(n - 1)] + [(1 << (n - 1)) - 1]
+    assert qsym.spectral._connection_set(folded_cube(n)).tolist() == sorted(generators)
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_residual_classes_equal_the_row_oracle_on_folded_cubes(n):
+    _assert_residuals_equal_the_oracle(folded_cube(n), _closed_form_lams(n))
 
 
 def _fq11_thinned(*cuts):
@@ -236,84 +304,14 @@ def _fq11_thinned(*cuts):
     return dense_graph(a)
 
 
-# (degree, vertices) classes in falling degree; the row-by-row oracle takes
-# rows in that order, 128 at a time, so FQ_11 is 8 row blocks for it
-_ROW_BLOCK_CASES = [
-    # labels [924, 1024) keep degree 11, [0, 52) drop to 9: the order is not
-    # the labels, and degrees differ inside the first and the last block
-    pytest.param(
-        lambda: _fq11_thinned((1, 0, 924), (2, 0, 52)),
-        [(11, 100), (10, 872), (9, 52)],
-        id="first-and-last-block-mixed",
-    ),
-    # the degree-10 class takes rows 120..135, across the boundary at 128
-    pytest.param(
-        lambda: _fq11_thinned((1, 120, 1024), (2, 136, 1024)),
-        [(11, 120), (10, 16), (9, 888)],
-        id="class-straddles-row-128",
-    ),
-]
-
-
-@pytest.mark.parametrize("make, classes", _ROW_BLOCK_CASES)
-def test_residual_row_blocks_match_dense_oracle(monkeypatch, make, classes):
-    g = make()
-    degrees, counts = np.unique(g.adjacency.sum(axis=1), return_counts=True)
-    assert list(zip(degrees[::-1].tolist(), counts[::-1].tolist())) == classes
-    assert g.n_vertices == 8 * spectral_oracle.RESIDUAL_ROWS
-    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: g)
-    rep = verify_spectrum(11)
-    assert not rep.passed
-    assert rep.to_json() == dense_spectrum_report(11, g)
-
-
 def _rewired_to_even_words(n, degree):
-    """FQ_n with vertex 0 joined to the first ``degree`` non-zero vertices of
-    even popcount instead.  The all-ones word w has psi_w(u) = (-1)^|u| and
-    lambda_w = -n (n even) or -(n - 2) (n odd), so the residual at (0, w) is
-    degree + |lambda_w|, the largest entry of the whole residual."""
+    """FQ_n with vertex 0 joined to the first ``degree`` non-zero vertices
+    of even popcount instead: ``_even_word_cayley``'s neighbours of 0 only."""
     a = np.array(folded_cube(n).adjacency)
     a[0, :] = a[:, 0] = 0
-    even = [u for u in range(1, len(a)) if bin(u).count("1") % 2 == 0][:degree]
+    even = _even_words(n, degree)
     a[0, even] = a[even, 0] = 1
     return dense_graph(a)
-
-
-# (n, degree of vertex 0, largest residual): the oracle's int8 accumulator
-# holds exactly when max degree + max |lambda| <= 127; at 1024 vertices
-# max |lambda| = 11 comes only from the all-zero word, whose residual is
-# degree - 11, so 127 itself is reached at 512 vertices
-_DTYPE_BOUNDARY_CASES = [
-    pytest.param(10, 117, 117 + 10, id="512-residual-127-int8"),
-    pytest.param(11, 116, 116 + 9, id="1024-bound-127-int8"),
-    pytest.param(11, 119, 119 + 9, id="1024-residual-128-int16"),
-]
-
-
-@pytest.mark.parametrize("n, degree, residual", _DTYPE_BOUNDARY_CASES)
-def test_residual_exact_at_the_int8_boundary(monkeypatch, n, degree, residual):
-    g = _rewired_to_even_words(n, degree)
-    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: g)
-    rep = verify_spectrum(n)
-    assert rep.max_residual == residual
-    assert rep.to_json() == dense_spectrum_report(n, g)
-
-
-# ---------------------------------------------------------------------------
-# the residual by XOR-difference set, against the row-by-row oracle
-# ---------------------------------------------------------------------------
-
-
-def _closed_form_lams(n):
-    return np.array([eigenvalue_of_bits(w, n) for w in range(1 << (n - 1))])
-
-
-def _assert_residuals_equal_the_oracle(adjacency, lams, sets=None):
-    """The residual over ``sets``, by default every difference set of the
-    adjacency, against the row-by-row oracle on the adjacency itself."""
-    sets = qsym.spectral._difference_sets(adjacency) if sets is None else sets
-    got = qsym.spectral._max_residuals(sets, lams)
-    assert np.array_equal(got, spectral_oracle.max_residuals(adjacency, lams))
 
 
 def _flipped_pairs(n, count, seed):
@@ -326,27 +324,18 @@ def _flipped_pairs(n, count, seed):
     return dense_graph(a)
 
 
+def _fq11_without_edge(u, v):
+    a = np.array(folded_cube(11).adjacency)
+    assert a[u, v]
+    a[u, v] = a[v, u] = 0
+    return dense_graph(a)
+
+
 def _fq11_minus_edge_twice():
+    """Two disjoint copies of FQ_11 minus an edge: x -> x ^ 1024 is a
+    symmetry, but the graph is no Cayley graph of Z_2^11."""
     b = _fq11_without_edge(0, 1).adjacency
     return dense_graph(np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]]))
-
-
-@pytest.mark.parametrize("n", range(3, 14))
-def test_folded_cube_has_one_difference_set(n):
-    """FQ_n certifies as a Cayley graph with S its n connecting words, the
-    one difference set that the adjacency's nonzeros give as well."""
-    g = folded_cube(n)
-    generators = sorted([1 << s for s in range(n - 1)] + [(1 << (n - 1)) - 1], reverse=True)
-    assert qsym.spectral._difference_sets(g.adjacency).tolist() == [generators]
-    assert qsym.spectral._connection_set(g).tolist() == generators[::-1]
-
-
-@pytest.mark.parametrize("n", range(3, 14))
-def test_residual_classes_equal_the_row_oracle_on_folded_cubes(n):
-    g = folded_cube(n)
-    lams = _closed_form_lams(n)
-    _assert_residuals_equal_the_oracle(g.adjacency, lams)
-    _assert_residuals_equal_the_oracle(g.adjacency, lams, qsym.spectral._connection_set(g)[None])
 
 
 def _fq7_isolated(v):
@@ -356,65 +345,82 @@ def _fq7_isolated(v):
 
 
 # every corrupted graph of this file, with the n whose closed form it stands
-# in for; K_1024 is a Cayley graph too, with the one set of all non-zero words
+# in for and whether it is a Cayley graph of Z_2^(n-1): K_1024 is, with S
+# every non-zero word, and so is the edgeless graph, with S empty
 _CORRUPTED_GRAPHS = [
-    pytest.param(7, _fq7_edge_removed, id="FQ_7-edge_removed"),
-    pytest.param(7, _fq7_edges_swapped, id="FQ_7-edges_swapped"),
-    pytest.param(11, lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)), id="K_1024"),
-    *(pytest.param(11, p.values[0], id=f"thinned-{p.id}") for p in _ROW_BLOCK_CASES),
+    pytest.param(7, _fq7_edge_removed, False, id="FQ_7-edge_removed"),
+    pytest.param(7, _fq7_edges_swapped, False, id="FQ_7-edges_swapped"),
+    pytest.param(11, lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)), True, id="K_1024"),
+    # degrees 11, 10 and 9 on 100, 872 and 52 vertices, and on 120, 16 and 888
+    pytest.param(11, lambda: _fq11_thinned((1, 0, 924), (2, 0, 52)), False, id="thinned-first-and-last-block-mixed"),
+    pytest.param(11, lambda: _fq11_thinned((1, 120, 1024), (2, 136, 1024)), False,
+                 id="thinned-class-straddles-row-128"),
     *(
-        pytest.param(p.values[0], lambda p=p: _rewired_to_even_words(*p.values[:2]), id=f"rewired-{p.id}")
+        pytest.param(p.values[0], lambda p=p: _rewired_to_even_words(*p.values[:2]), False, id=f"rewired-{p.id}")
         for p in _DTYPE_BOUNDARY_CASES
     ),
-    pytest.param(11, lambda: _fq11_without_edge(0, 1), id="FQ_11-edge_0_1"),
-    pytest.param(11, lambda: _fq11_without_edge(0, 1023), id="FQ_11-edge_0_1023"),
-    pytest.param(12, _fq11_minus_edge_twice, id="FQ_11-edge_0_1-twice"),
-    # 159 difference sets
-    pytest.param(11, lambda: _flipped_pairs(11, 150, 0), id="FQ_11-150_flipped_pairs"),
-    # the padding word 0 at its edges: a set row of padding only, a graph
-    # with no other row, and 52 sets at the vertex bound
-    pytest.param(7, lambda: _fq7_isolated(5), id="FQ_7-isolated_vertex"),
-    pytest.param(7, lambda: dense_graph(np.zeros((64, 64), dtype=np.uint8)), id="edgeless-64"),
-    pytest.param(13, lambda: _flipped_pairs(13, 50, 0), id="FQ_13-50_flipped_pairs"),
+    pytest.param(11, lambda: _fq11_without_edge(0, 1), False, id="FQ_11-edge_0_1"),
+    pytest.param(11, lambda: _fq11_without_edge(0, 1023), False, id="FQ_11-edge_0_1023"),
+    pytest.param(12, _fq11_minus_edge_twice, False, id="FQ_11-edge_0_1-twice"),
+    pytest.param(11, lambda: _flipped_pairs(11, 150, 0), False, id="FQ_11-150_flipped_pairs"),
+    pytest.param(7, lambda: _fq7_isolated(5), False, id="FQ_7-isolated_vertex"),
+    pytest.param(7, lambda: dense_graph(np.zeros((64, 64), dtype=np.uint8)), True, id="edgeless-64"),
+    pytest.param(13, lambda: _flipped_pairs(13, 50, 0), False, id="FQ_13-50_flipped_pairs"),
 ]
 
 
-@pytest.mark.parametrize("n, make", _CORRUPTED_GRAPHS)
+@pytest.mark.parametrize("n, make, cayley", _CORRUPTED_GRAPHS)
+def test_corrupted_graphs_fail_the_certificate_or_the_check(monkeypatch, capsys, n, make, cayley):
+    """No corruption passes: each fails the certificate, an internal error,
+    or is a Cayley graph whose report is the dense oracle's and fails."""
+    g = make()
+    if not cayley:
+        _assert_internal_error(monkeypatch, capsys, n, g)
+        return
+    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: g)
+    rep = verify_spectrum(n)
+    assert rep.to_json() == dense_spectrum_report(n, g)
+    assert not rep.passed
+    assert main(["spectra", "--n", str(n)]) == 1
+
+
+@pytest.mark.parametrize("n, make", [pytest.param(*p.values[:2], id=p.id) for p in _CORRUPTED_GRAPHS if p.values[2]])
 def test_residual_classes_equal_the_row_oracle_on_corrupted_graphs(n, make):
-    _assert_residuals_equal_the_oracle(make().adjacency, _closed_form_lams(n))
+    _assert_residuals_equal_the_oracle(make(), _closed_form_lams(n))
 
 
 @settings(max_examples=150)
-@given(
-    st.integers(0, 9),
-    st.sampled_from([0.0, 0.02, 0.3, 0.7, 1.0]),
-    st.integers(0, 200),
-    st.integers(0, 2**32 - 1),
-)
-def test_residual_classes_equal_the_row_oracle_on_random_graphs(width, density, lam_bound, seed):
-    """Random graphs on 2^width vertices with random integer lambdas; a
-    bound past 127 takes the oracle's int16 accumulator."""
+@given(st.integers(0, 2**32 - 1), st.integers(0, 200))
+def test_residual_classes_equal_the_row_oracle_on_random_graphs(seed, lam_bound):
+    """Random Cayley graphs (``_random_cayley``) with random integer
+    lambdas; a bound past 127 takes the oracle's int16 accumulator."""
     rng = np.random.default_rng(seed)
-    size = 1 << width
-    upper = np.triu(rng.random((size, size)) < density, 1)
-    adjacency = dense_graph((upper | upper.T).astype(np.uint8)).adjacency
-    _assert_residuals_equal_the_oracle(adjacency, rng.integers(-lam_bound, lam_bound + 1, size))
+    g = _random_cayley(rng, bool(rng.integers(2)), False)
+    _assert_residuals_equal_the_oracle(g, rng.integers(-lam_bound, lam_bound + 1, g.n_vertices))
 
 
 @settings(max_examples=60)
 @given(st.integers(3, 11), st.integers(1, 80), st.integers(0, 2**32 - 1))
-def test_residual_classes_equal_the_row_oracle_on_perturbed_folded_cubes(n, count, seed):
-    adjacency = _flipped_pairs(n, count, seed).adjacency
-    _assert_residuals_equal_the_oracle(adjacency, _closed_form_lams(n))
+def test_perturbed_folded_cubes_fail_the_certificate_or_the_check(n, count, seed):
+    """A perturbed FQ_n is an internal error or a Cayley graph whose report
+    is the dense oracle's, and passes only if the flips cancel: a zero
+    residual on every Walsh character pins A to FQ_n's adjacency."""
+    g = _flipped_pairs(n, count, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qsym.spectral, "folded_cube", lambda n: g)
+        if qsym.spectral._connection_set(g) is None:
+            with pytest.raises(RuntimeError):
+                verify_spectrum(n)
+            return
+        rep = verify_spectrum(n)
+    assert rep.to_json() == dense_spectrum_report(n, g)
+    assert rep.passed == np.array_equal(g.adjacency, folded_cube(n).adjacency)
 
 
 @pytest.mark.parametrize("n", range(3, 14))
 def test_vectorized_eigenvalues_equal_the_per_word_formula(n):
     got = qsym.spectral._eigenvalues(n)
     assert got.tolist() == _closed_form_lams(n).tolist()
-
-
-_WALSH_13_MIB = (1 << 12) ** 2 / 2**20  # the int8 Walsh table of FQ_13: 16 MiB
 
 
 def _traced_peak_mib(f, *args):
@@ -427,16 +433,11 @@ def _traced_peak_mib(f, *args):
 
 
 def test_spectrum_check_memory_at_n13():
-    """The residual over the adjacency's difference sets holds edge lists
-    and one int16 row per set, never the 16 MiB Walsh table.
-    verify_spectrum holds FQ_13's pairs (0.4 MiB of int32), the certificate's
-    index arrays and (N, |S|) bool grid, and the 18 KiB of distinct float64
-    blocks built from S, and no N x N array: about 1.3 MiB, where the
-    16 MiB uint8 adjacency alone would pass the bound."""
-    a = folded_cube(13).adjacency
-    lams = np.array([eigenvalue_of_bits(w, 13) for w in range(1 << 12)])
-    residual = qsym.spectral._max_residuals
-    assert _traced_peak_mib(lambda: residual(qsym.spectral._difference_sets(a), lams)) <= 1.5 * _WALSH_13_MIB
+    """verify_spectrum holds FQ_13's pairs (0.4 MiB of int32), the
+    certificate's index arrays and (N, |S|) bool grid, the 13 Walsh rows of
+    S, and the 18 KiB of distinct float64 blocks built from S, and no N x N
+    array: about 1.3 MiB, where the 16 MiB uint8 adjacency or int8 Walsh
+    table alone would pass the bound."""
     assert _traced_peak_mib(verify_spectrum, 13) <= 4
 
 
@@ -470,29 +471,8 @@ def test_eigensolver_gets_16_row_blocks(monkeypatch, n, shape):
     assert shapes == [shape]
 
 
-def _fq11_without_edge(u, v):
-    a = np.array(folded_cube(11).adjacency)
-    assert a[u, v]
-    a[u, v] = a[v, u] = 0
-    return dense_graph(a)
-
-
-def test_graph_that_decouples_once_gets_one_dense_block(monkeypatch):
-    """Two disjoint copies of FQ_11 minus an edge: x -> x ^ 1024 is a
-    symmetry, but the graph is no Cayley graph of Z_2^11, so eigvalsh gets
-    the whole 2048-row adjacency."""
-    b = _fq11_without_edge(0, 1).adjacency
-    twice = dense_graph(np.block([[b, np.zeros_like(b)], [np.zeros_like(b), b]]))
-    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: twice)
-    shapes = _record_eigvalsh_shapes(monkeypatch)
-    rep = verify_spectrum(12)
-    assert shapes == [(1, 2048, 2048)]
-    assert not rep.passed
-    assert rep.to_json() == dense_spectrum_report(12, twice)
-
-
 # (graph, n it stands in for, shape of the distinct stack, exact spectrum
-# or None for the full eigvalsh); the full eigvalsh of K_1024 is itself
+# or None for the full eigvalsh of A); the full eigvalsh of K_1024 is itself
 # 1.7e-12 off {1023, -1 x 1023}, so the blocks are held to the exact
 # spectrum there, under the same bound
 _BLOCK_CASES = [
@@ -507,9 +487,6 @@ _BLOCK_CASES = [
         np.r_[1023.0, -np.ones(1023)],
         id="K_1024",
     ),
-    # an edge removed: the count fails, and the whole adjacency is one block
-    pytest.param(lambda: _fq11_without_edge(0, 1), 11, (1, 1024, 1024), None, id="FQ_11-edge_0_1"),
-    pytest.param(lambda: _fq11_without_edge(0, 1023), 11, (1, 1024, 1024), None, id="FQ_11-edge_0_1023"),
 ]
 
 
@@ -533,7 +510,7 @@ def test_block_eigenvalues_equal_the_full_spectrum(monkeypatch, make, n, shape, 
     inputs = _record_eigvalsh(monkeypatch, np.array)
     verify_spectrum(n)
     [blocks] = inputs
-    [inverse] = inverses or [[0]]
+    [inverse] = inverses
     assert blocks.dtype == np.float64 and blocks.shape == shape
     got = np.sort(np.linalg.eigvalsh(blocks)[inverse], axis=None)
     want = np.linalg.eigvalsh(a.astype(float)) if exact is None else np.sort(exact)
@@ -610,18 +587,15 @@ _CERTIFICATE_FAULTS = [
 
 
 @pytest.mark.parametrize("corrupt, count_holds, row_0_intact", _CERTIFICATE_FAULTS)
-def test_graph_that_fails_the_certificate_takes_the_dense_route(monkeypatch, corrupt, count_holds, row_0_intact):
+def test_graph_that_fails_the_certificate_is_an_internal_error(monkeypatch, capsys, corrupt, count_holds, row_0_intact):
+    """Whichever part of the certificate fails, no eigensolve runs."""
     bad = corrupt()
+    shapes = _record_eigvalsh_shapes(monkeypatch)
+    _assert_internal_error(monkeypatch, capsys, 7, bad)
+    assert shapes == []
     a = bad.adjacency
     assert (np.count_nonzero(a) == 64 * np.count_nonzero(a[0])) == count_holds
     assert np.array_equal(a[0], folded_cube(7).adjacency[0]) == row_0_intact
-    assert qsym.spectral._connection_set(bad) is None
-    monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: bad)
-    shapes = _record_eigvalsh_shapes(monkeypatch)
-    rep = verify_spectrum(7)
-    assert shapes == [(1, 64, 64)]
-    assert not rep.passed
-    assert rep.to_json() == dense_spectrum_report(7, bad)
 
 
 @pytest.mark.parametrize(
@@ -673,11 +647,12 @@ def test_cayley_route_never_builds_the_dense_adjacency(monkeypatch):
     assert "adjacency" not in vars(g)
 
 
-def test_a_graph_that_fails_the_certificate_builds_its_dense_adjacency(monkeypatch):
+def test_a_graph_that_fails_the_certificate_never_builds_its_dense_adjacency(monkeypatch):
     built = _record_folded_cubes(monkeypatch, _without_edge_0_1)
-    assert not verify_spectrum(7).passed
+    with pytest.raises(RuntimeError, match=r"folded_cube\(7\)"):
+        verify_spectrum(7)
     [g] = built
-    assert "adjacency" in vars(g)
+    assert "adjacency" not in vars(g)
 
 
 def _random_cayley(rng, both_orientations, drop):
@@ -741,14 +716,6 @@ def test_pair_certificate_equals_the_dense_oracle(family, seed):
     assert (got is None) == (want is None)
     if want is not None:
         assert got.dtype == np.intp and got.tolist() == want.tolist()
-
-
-def test_folded_cubes_never_read_their_difference_sets(monkeypatch):
-    calls = []
-    monkeypatch.setattr(qsym.spectral, "_difference_sets", calls.append)
-    for n in range(3, 14):
-        assert verify_spectrum(n).passed
-    assert calls == []
 
 
 def test_spectrum_report_json_shape():

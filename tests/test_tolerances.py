@@ -76,6 +76,14 @@ def test_good_tolerances_pass_through_unchanged(tol):
     assert check_tolerance(tol) is tol
 
 
+@pytest.mark.parametrize("tol", [-0.0, np.float64(-0.0), np.float32(-0.0)], ids=repr)
+def test_a_negative_zero_tolerance_comes_back_as_zero(k4, tol):
+    """Every check reports the threshold it was given as 0.0, not -0.0."""
+    assert math.copysign(1, check_tolerance(tol)) == 1.0 and check_tolerance(tol) == 0
+    assert math.copysign(1, verify_spectrum(3, tol=tol).tol) == 1.0
+    assert math.copysign(1, twisted_relation_check(1, n_samples=2, tol=tol)[0].tol) == 1.0
+
+
 @pytest.mark.parametrize("tol", [1e-10, 0])
 def test_good_tolerances_are_accepted_by_every_check(k4, tol):
     for check in CHECKS.values():

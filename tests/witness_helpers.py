@@ -22,7 +22,7 @@ from qsym.star_algebra import adjoint, op_norm
 
 def is_projection(x: np.ndarray, tol: float = DEFAULT_TOLERANCES.projector) -> bool:
     """True iff x is self-adjoint and idempotent within tol (operator norm)."""
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     return op_norm(x - adjoint(x)) <= tol and op_norm(x - x @ x) <= tol
 
 
