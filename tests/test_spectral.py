@@ -237,13 +237,27 @@ def _closed_form_lams(n):
     return np.array([eigenvalue_of_bits(w, n) for w in range(1 << (n - 1))])
 
 
+def _row_classes(adjacency):
+    """The distinct XOR-difference sets {v ^ u : u ~ v} of the rows v, each
+    an intp word array.  chi_w(v ^ s) = chi_w(s) chi_w(v), so the residual
+    at row v is ``_max_residuals`` of v's set: any graph's residual is the
+    largest over its classes, and a Cayley graph has the one class S."""
+    sets = {tuple(np.sort(np.flatnonzero(row) ^ v).tolist()) for v, row in enumerate(adjacency)}
+    return [np.array(s, dtype=np.intp) for s in sorted(sets)]
+
+
 def _assert_residuals_equal_the_oracle(g, lams):
-    """The residual from g's certified connection set against the
-    row-by-row oracle on g's adjacency."""
+    """The residual over g's row classes against the row-by-row oracle on
+    g's adjacency; g certifies exactly when it has one class, and then
+    that class is its connection set.  Returns whether g certifies."""
     connection = qsym.spectral._connection_set(g)
-    assert connection is not None
-    got = qsym.spectral._max_residuals(connection, lams)
+    classes = _row_classes(g.adjacency)
+    assert (connection is not None) == (len(classes) == 1)
+    if connection is not None:
+        assert classes[0].tolist() == connection.tolist()
+    got = np.max([qsym.spectral._max_residuals(c, lams) for c in classes], axis=0)
     assert np.array_equal(got, spectral_oracle.max_residuals(g.adjacency, lams))
+    return connection is not None
 
 
 def _even_words(n, count):
@@ -273,7 +287,7 @@ _DTYPE_BOUNDARY_CASES = [
 @pytest.mark.parametrize("n, degree, residual", _DTYPE_BOUNDARY_CASES)
 def test_residual_exact_at_the_int8_boundary(monkeypatch, n, degree, residual):
     g = _even_word_cayley(n, degree)
-    _assert_residuals_equal_the_oracle(g, _closed_form_lams(n))
+    assert _assert_residuals_equal_the_oracle(g, _closed_form_lams(n))
     monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: g)
     rep = verify_spectrum(n)
     assert rep.max_residual == residual
@@ -290,7 +304,7 @@ def test_folded_cube_has_one_difference_set(n):
 
 @pytest.mark.parametrize("n", range(3, 14))
 def test_residual_classes_equal_the_row_oracle_on_folded_cubes(n):
-    _assert_residuals_equal_the_oracle(folded_cube(n), _closed_form_lams(n))
+    assert _assert_residuals_equal_the_oracle(folded_cube(n), _closed_form_lams(n))
 
 
 def _fq11_thinned(*cuts):
@@ -302,6 +316,38 @@ def _fq11_thinned(*cuts):
         assert a[x, x ^ s].all() and set((x ^ s).tolist()) == set(x.tolist())
         a[x, x ^ s] = 0
     return dense_graph(a)
+
+
+# (degree, vertices) classes in falling degree; the row-by-row oracle takes
+# rows in that order, 128 at a time, so FQ_11 is 8 row blocks for it
+_ROW_BLOCK_CASES = [
+    # labels [924, 1024) keep degree 11, [0, 52) drop to 9: the order is not
+    # the labels, and degrees differ inside the first and the last block
+    pytest.param(
+        lambda: _fq11_thinned((1, 0, 924), (2, 0, 52)),
+        [(11, 100), (10, 872), (9, 52)],
+        id="first-and-last-block-mixed",
+    ),
+    # the degree-10 class takes rows 120..135, across the boundary at 128
+    pytest.param(
+        lambda: _fq11_thinned((1, 120, 1024), (2, 136, 1024)),
+        [(11, 120), (10, 16), (9, 888)],
+        id="class-straddles-row-128",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, classes", _ROW_BLOCK_CASES)
+def test_residual_row_blocks_match_dense_oracle(monkeypatch, capsys, make, classes):
+    """The thinned FQ_11 is no Cayley graph, so the spectrum check is an
+    internal error; its residual over the row classes still equals the
+    oracle's, whose row blocks of 128 cut across the degree classes."""
+    g = make()
+    _assert_internal_error(monkeypatch, capsys, 11, g)
+    degrees, counts = np.unique(g.adjacency.sum(axis=1), return_counts=True)
+    assert list(zip(degrees[::-1].tolist(), counts[::-1].tolist())) == classes
+    assert g.n_vertices == 8 * spectral_oracle.RESIDUAL_ROWS
+    assert not _assert_residuals_equal_the_oracle(g, _closed_form_lams(11))
 
 
 def _rewired_to_even_words(n, degree):
@@ -351,10 +397,7 @@ _CORRUPTED_GRAPHS = [
     pytest.param(7, _fq7_edge_removed, False, id="FQ_7-edge_removed"),
     pytest.param(7, _fq7_edges_swapped, False, id="FQ_7-edges_swapped"),
     pytest.param(11, lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)), True, id="K_1024"),
-    # degrees 11, 10 and 9 on 100, 872 and 52 vertices, and on 120, 16 and 888
-    pytest.param(11, lambda: _fq11_thinned((1, 0, 924), (2, 0, 52)), False, id="thinned-first-and-last-block-mixed"),
-    pytest.param(11, lambda: _fq11_thinned((1, 120, 1024), (2, 136, 1024)), False,
-                 id="thinned-class-straddles-row-128"),
+    *(pytest.param(11, p.values[0], False, id=f"thinned-{p.id}") for p in _ROW_BLOCK_CASES),
     *(
         pytest.param(p.values[0], lambda p=p: _rewired_to_even_words(*p.values[:2]), False, id=f"rewired-{p.id}")
         for p in _DTYPE_BOUNDARY_CASES
@@ -384,9 +427,9 @@ def test_corrupted_graphs_fail_the_certificate_or_the_check(monkeypatch, capsys,
     assert main(["spectra", "--n", str(n)]) == 1
 
 
-@pytest.mark.parametrize("n, make", [pytest.param(*p.values[:2], id=p.id) for p in _CORRUPTED_GRAPHS if p.values[2]])
-def test_residual_classes_equal_the_row_oracle_on_corrupted_graphs(n, make):
-    _assert_residuals_equal_the_oracle(make(), _closed_form_lams(n))
+@pytest.mark.parametrize("n, make, cayley", _CORRUPTED_GRAPHS)
+def test_residual_classes_equal_the_row_oracle_on_corrupted_graphs(n, make, cayley):
+    assert _assert_residuals_equal_the_oracle(make(), _closed_form_lams(n)) == cayley
 
 
 @settings(max_examples=150)
@@ -396,7 +439,13 @@ def test_residual_classes_equal_the_row_oracle_on_random_graphs(seed, lam_bound)
     lambdas; a bound past 127 takes the oracle's int16 accumulator."""
     rng = np.random.default_rng(seed)
     g = _random_cayley(rng, bool(rng.integers(2)), False)
-    _assert_residuals_equal_the_oracle(g, rng.integers(-lam_bound, lam_bound + 1, g.n_vertices))
+    assert _assert_residuals_equal_the_oracle(g, rng.integers(-lam_bound, lam_bound + 1, g.n_vertices))
+
+
+@settings(max_examples=60)
+@given(st.integers(3, 11), st.integers(1, 80), st.integers(0, 2**32 - 1))
+def test_residual_classes_equal_the_row_oracle_on_perturbed_folded_cubes(n, count, seed):
+    _assert_residuals_equal_the_oracle(_flipped_pairs(n, count, seed), _closed_form_lams(n))
 
 
 @settings(max_examples=60)
@@ -471,6 +520,21 @@ def test_eigensolver_gets_16_row_blocks(monkeypatch, n, shape):
     assert shapes == [shape]
 
 
+def test_graph_that_decouples_once_gets_one_dense_block(monkeypatch, capsys):
+    """Two disjoint copies of FQ_11 minus an edge: x -> x ^ 1024 is a
+    symmetry, so the halving split decouples A once, into one dense
+    1024-row block twice; but the graph is no Cayley graph of Z_2^11, so
+    verify_spectrum raises and no block reaches eigvalsh."""
+    twice = _fq11_minus_edge_twice()
+    shapes = _record_eigvalsh_shapes(monkeypatch)
+    _assert_internal_error(monkeypatch, capsys, 12, twice)
+    assert shapes == []
+    blocks = _int64_blocks(twice.adjacency)
+    assert blocks.shape == (2, 1024, 1024)
+    assert np.array_equal(blocks[0], blocks[1])
+    assert np.array_equal(blocks[0], _fq11_without_edge(0, 1).adjacency)
+
+
 # (graph, n it stands in for, shape of the distinct stack, exact spectrum
 # or None for the full eigvalsh of A); the full eigvalsh of K_1024 is itself
 # 1.7e-12 off {1023, -1 x 1023}, so the blocks are held to the exact
@@ -487,6 +551,9 @@ _BLOCK_CASES = [
         np.r_[1023.0, -np.ones(1023)],
         id="K_1024",
     ),
+    # an edge removed: no Cayley graph, and no stack (shape None)
+    pytest.param(lambda: _fq11_without_edge(0, 1), 11, None, None, id="FQ_11-edge_0_1"),
+    pytest.param(lambda: _fq11_without_edge(0, 1023), 11, None, None, id="FQ_11-edge_0_1023"),
 ]
 
 
@@ -494,7 +561,9 @@ _BLOCK_CASES = [
 def test_block_eigenvalues_equal_the_full_spectrum(monkeypatch, make, n, shape, exact):
     """The stack verify_spectrum hands to eigvalsh, each block taken as
     often as the inverse index names it, has the spectrum of A; and its
-    eigenvalues are bit for bit those of the halving split's every block."""
+    eigenvalues are bit for bit those of the halving split's every block.
+    A graph that fails the certificate gets no stack: the halving split
+    cannot split it, and the blocks of its row 0's set miss its spectrum."""
     g = make()
     a = g.adjacency
     monkeypatch.setattr(qsym.spectral, "folded_cube", lambda n: g)
@@ -508,6 +577,15 @@ def test_block_eigenvalues_equal_the_full_spectrum(monkeypatch, make, n, shape, 
 
     monkeypatch.setattr(qsym.spectral, "_cayley_blocks", recording)
     inputs = _record_eigvalsh(monkeypatch, np.array)
+    if shape is None:
+        with pytest.raises(RuntimeError, match=rf"folded_cube\({n}\) is not a Cayley graph"):
+            verify_spectrum(n)
+        assert inputs == [] and inverses == []
+        assert _int64_blocks(a).shape == (1,) + a.shape
+        blocks, inverse = real_blocks(np.flatnonzero(a[0]), len(a))
+        got = np.sort(np.linalg.eigvalsh(blocks)[inverse], axis=None)
+        assert np.max(np.abs(got - np.linalg.eigvalsh(a.astype(float)))) > 0.1
+        return
     verify_spectrum(n)
     [blocks] = inputs
     [inverse] = inverses
