@@ -68,10 +68,10 @@ def walsh_rows(words: np.ndarray, width: int) -> np.ndarray:
 
 
 def walsh_matrix(width: int) -> np.ndarray:
-    """The 2^width Walsh matrix H[g, h] = (-1)^{g.h} as int8.
-
-    int8 keeps the 4096 x 4096 table at 16 MB; cast it before a matrix
-    product, whose int8 sums would wrap.
+    """The 2^width Walsh matrix H[g, h] = (-1)^{g.h} as int8, 16 MB at
+    width 12; cast it before a matrix product, whose int8 sums would wrap.
+    Deliberate public API with no library caller (the library reads
+    ``walsh_rows``): the benchmark traces it and the tests' oracles use it.
     """
     return walsh_rows(np.arange(1 << width), width)
 

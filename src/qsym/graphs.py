@@ -60,8 +60,8 @@ AUTOMORPHISM_VERTEX_BOUND = 32
 #: bound a block grows into at most 2^11 * 32 maps of 32 uint64 masks (16 MB)
 _SEARCH_BLOCK = 1 << 11
 
-#: gathered table entries per block of ``_permutation_defects`` (8 MB of
-#: float64) unless one permutation's gather alone is larger
+#: gathered table entries per block of ``_permutation_defects`` (2 MB of
+#: int16) unless one permutation's gather alone is larger
 _GATHER_BLOCK = 1 << 20
 
 #: deepest nesting of arrays and objects ``Graph.load`` parses; a graph
@@ -300,9 +300,9 @@ def _permutation_defects(images: np.ndarray, tables: np.ndarray) -> np.ndarray:
     For the permutation matrix P (P e_x = e_{p(x)}) these are exactly the
     entries of P T_l - T_l P, since (P T_l - T_l P)[p(x), y] = T_l[x, y] -
     T_l[p(x), p(y)] and a permutation-matrix product only copies entries;
-    so a defect is 0 exactly when p commutes with every table, and float
-    defects are bit-identical to those of the dense products.  Tables of
-    0/1 entries must come in a signed dtype (the uint8 adjacency as int8).
+    so a defect is 0 exactly when p commutes with every table.  Tables are
+    signed integers (the uint8 adjacency as int8, FQ_n's scaled
+    eigenprojections N E_k as int16), so every defect is exact.
     Permutations are gathered in blocks of as many as fit in
     ``_GATHER_BLOCK`` entries.  A block of several reads the flattened
     tables at p(x) N + p(y), an index no larger than the block; a block of

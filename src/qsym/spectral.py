@@ -27,9 +27,9 @@ internal error (``RuntimeError``), so no adjacency is ever written here.
 Since each projection onto an eigenspace is a polynomial in the adjacency
 matrix, a vertex permutation is an automorphism exactly when its matrix
 commutes with every eigenprojection.  ``preserves_eigenspaces`` asks this
-without building the matrix: E_k[p(x), p(y)] = E_k[x, y] for every level k
-and pair (x, y), one index gather of the cached (levels, N, N) projection
-stack, whose defects are exactly the entries of P E_k - E_k P.
+without building the matrix: N E_k[x, y] = F[k, x ^ y] for one cached
+(levels, N) int16 table F, and the integer defects of F[:, x ^ y] under p,
+gathered per call, are N times the entries of P E_k - E_k P.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .boolean_group import _cube_size, _word_bits, folded_cube, walsh_matrix, walsh_rows
+from .boolean_group import _cube_size, _word_bits, folded_cube, walsh_rows
 from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
 from .errors import DimensionError
 from .graphs import Graph, Permutation, _permutation_defects
@@ -203,64 +203,63 @@ def verify_spectrum(n: int, tol: float = DEFAULT_TOLERANCES.residual) -> Report:
     )
 
 
-def _projection_stack(n: int) -> np.ndarray:
-    """The folded n-cube eigenprojections as one read-only (levels, N, N)
-    stack, one level per distinct eigenvalue, in falling order.
-
-    n is checked before the cache is read, so an unhashable n is a
-    ``UsageError``, and held to the vertex bound before 2^(n-1) is formed.
-    Odd n only: for even n distinct levels can share an eigenvalue, and
-    that regime is out of scope here.
-    """
-    n = check_integer(n, "n", 3, odd=True, need="eigenprojections need an odd n >= 3")
-    return _cached_projection_stack(n, _cube_size(n))
-
-
 @lru_cache(maxsize=None)
-def _cached_projection_stack(n: int, size: int) -> np.ndarray:
-    """P = V V^T / 2^{n-1} per level, with V the Walsh columns of the
-    level's words, in word order; the columns are orthogonal with squared
-    norm 2^{n-1} = ``size``."""
+def _level_table(n: int) -> np.ndarray:
+    """F[k, d] = sum of chi_w(d) over the words w at level k, as one
+    read-only (levels, N) int16 table, levels in falling eigenvalue order;
+    n is checked by the caller.  The Walsh columns are orthogonal with
+    squared norm N, so N E_k[x, y] = sum_w chi_w(x) chi_w(y) = F[k, x ^ y],
+    an exact integer with |F| <= N <= 4096."""
     lams = _eigenvalues(n)
-    h = walsh_matrix(n - 1)
-    levels = sorted(set(lams.tolist()), reverse=True)
-    stack = np.empty((len(levels), size, size))
-    for proj, lam in zip(stack, levels):
-        cols = h[:, lams == lam].astype(float)
-        np.divide(cols @ cols.T, size, out=proj)
-    stack.setflags(write=False)
-    return stack
+    table = np.stack([walsh_rows(np.flatnonzero(lams == lam), n - 1).sum(axis=0, dtype=np.int16)
+                      for lam in sorted(set(lams.tolist()), reverse=True)])
+    table.setflags(write=False)
+    return table
+
+
+def _scaled_projections(n: int, points: int | None = None) -> tuple[np.ndarray, int]:
+    """(F[:, x ^ y], N): every N E_k as one (levels, N, N) int16 array,
+    built per call.  n is checked before the cache is read (an unhashable n
+    is a ``UsageError``) and held to the vertex bound, and a permutation
+    size ``points`` is compared with N, before any table is built.  Odd n
+    only: for even n distinct levels can share an eigenvalue."""
+    n = check_integer(n, "n", 3, odd=True, need="eigenprojections need an odd n >= 3")
+    size = _cube_size(n)
+    if points not in (None, size):
+        raise DimensionError(f"permutation on {points} points vs {size} vertices")
+    vertices = np.arange(size)
+    return _level_table(n).take(vertices[:, None] ^ vertices, axis=1), size
 
 
 def eigenprojections(n: int) -> tuple[tuple[int, np.ndarray], ...]:
     """Orthogonal projections onto the folded n-cube eigenspaces, as
     (level k, projection) pairs with eigenvalue n - 2k, k rising:
-    read-only views into one cached stack.  For odd n the levels are
-    k = 0, 2, ..., n-1."""
-    stack = _projection_stack(n)  # checks n before range reads it
-    return tuple(zip(range(0, n, 2), stack))
+    read-only levels of F[:, x ^ y] / N, exact integers over a power of
+    two, built per call.  For odd n the levels are k = 0, 2, ..., n-1."""
+    scaled, size = _scaled_projections(n)
+    stack = scaled / size
+    stack.setflags(write=False)
+    return tuple(zip(range(0, 2 * len(stack), 2), stack))
 
 
 def _eigenspace_defects(n: int, images: np.ndarray) -> np.ndarray:
     """Per row p of a (P, 2^{n-1}) image array, max_k |P E_k - E_k P| over
-    the eigenprojections E_k of FQ_n, by index gathers."""
-    return _permutation_defects(images, _projection_stack(n))
+    the eigenprojections E_k of FQ_n: the integer defects of the N E_k by
+    index gathers, over N, so equal to the float products' defects."""
+    scaled, size = _scaled_projections(n, images.shape[1])
+    return _permutation_defects(images, scaled) / size
 
 
-def preserves_eigenspaces(
-    n: int, p: Permutation, tol: float = DEFAULT_TOLERANCES.projector
-) -> bool:
+def preserves_eigenspaces(n: int, p: Permutation, tol: float = DEFAULT_TOLERANCES.projector) -> bool:
     """True iff p's matrix commutes with every eigenprojection of FQ_n
     within tol.
 
     The check is E_k[p(x), p(y)] = E_k[x, y] for every level k, read by
-    index gathers from the cached projection stack; no permutation matrix
-    is built.  The eigenprojections generate the same commutant as the
-    adjacency matrix, so for permutations this is equivalent to being a
-    graph automorphism; non-automorphisms simply return False.
+    index gathers (``_eigenspace_defects``) once p's size is checked; no
+    permutation matrix is built.  The eigenprojections generate the same
+    commutant as the adjacency matrix, so for permutations this is
+    equivalent to being a graph automorphism; non-automorphisms simply
+    return False.
     """
     tol = check_tolerance(tol)
-    stack = _projection_stack(n)  # checks n before its size is read
-    if p.size != stack.shape[-1]:
-        raise DimensionError(f"permutation on {p.size} points vs {stack.shape[-1]} vertices")
-    return bool(_permutation_defects(np.array([p.images]), stack)[0] <= tol)
+    return bool(_eigenspace_defects(n, np.array([p.images]))[0] <= tol)

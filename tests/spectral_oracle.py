@@ -2,7 +2,7 @@
 
 * ``eigenvalue_of_bits`` and ``eigen_data`` are the closed form word by
   word: the eigenvalue of one word, an int of width n-1, and the words grouped into
-  levels.  ``spectral._eigenvalues`` and ``spectral._projection_stack``
+  levels.  ``spectral._eigenvalues`` and ``spectral.eigenprojections``
   must agree with them exactly.
 * ``max_residuals`` is the row-by-row residual that ``qsym.spectral``
   used before it read the residual from the connection set S alone, kept

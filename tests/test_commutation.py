@@ -28,9 +28,10 @@ def _images(perms) -> np.ndarray:
 
 
 def _level_defects(n: int, images: np.ndarray) -> np.ndarray:
-    """(levels, P) kernel defects, one eigenprojection at a time."""
-    stack = spectral._projection_stack(n)
-    return np.array([graphs._permutation_defects(images, stack[k : k + 1]) for k in range(len(stack))])
+    """(levels, P) kernel defects, one scaled eigenprojection N E_k at a
+    time, its integer defects divided by N."""
+    scaled, size = spectral._scaled_projections(n)
+    return np.array([graphs._permutation_defects(images, scaled[k : k + 1]) / size for k in range(len(scaled))])
 
 
 def _assert_matches_oracle(n: int, perms) -> None:
@@ -125,28 +126,33 @@ def test_gather_blocks_give_the_same_defects(monkeypatch, block):
     assert spectral._eigenspace_defects(5, images).tolist() == want
 
 
-def test_projection_stack_is_read_only_and_shared_with_eigenprojections():
-    stack = spectral._projection_stack(5)
-    assert stack.shape == (3, 16, 16) and not stack.flags.writeable
-    assert stack.nbytes < 100_000
-    for (k, proj), level in zip(spectral.eigenprojections(5), stack):
-        assert np.shares_memory(proj, stack) and np.array_equal(proj, level)
-        assert not proj.flags.writeable
+def test_level_table_and_eigenprojections_are_read_only():
+    """The cache holds one (levels, N) int16 table; each call's projections
+    are its rows read at x ^ y, over N, in memory of their own."""
+    table = spectral._level_table(5)
+    assert table.shape == (3, 16) and table.dtype == np.int16 and not table.flags.writeable
+    assert spectral._level_table(5) is table
+    xor = np.arange(16)[:, None] ^ np.arange(16)
+    for (k, proj), row in zip(spectral.eigenprojections(5), table):
+        assert not proj.flags.writeable and not np.shares_memory(proj, table)
+        assert np.array_equal(proj * 16, row[xor])
 
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_eigenspace_defects_read_every_level(monkeypatch, n):
     """The projections sum to I and E_0 commutes with every permutation, so
-    one level dropped changes no boolean; the stack passed must be whole."""
+    one level dropped changes no boolean; the stack passed must be whole:
+    the int16 tables N E_k, summing to N I exactly."""
     seen = []
     real = spectral._permutation_defects
     monkeypatch.setattr(spectral, "_permutation_defects", lambda images, tables: seen.append(tables) or real(images, tables))
     spectral._eigenspace_defects(n, np.arange(1 << (n - 1))[None])
     (tables,) = seen
     levels = spectral.eigenprojections(n)
-    assert len(tables) == len(levels) == (n + 1) // 2
-    assert all(np.array_equal(t, proj) for t, (_, proj) in zip(tables, levels))
-    assert np.allclose(tables.sum(axis=0), np.eye(1 << (n - 1)), atol=1e-12)
+    size = 1 << (n - 1)
+    assert tables.dtype == np.int16 and len(tables) == len(levels) == (n + 1) // 2
+    assert all(np.array_equal(t, proj * size) for t, (_, proj) in zip(tables, levels))
+    assert np.array_equal(tables.sum(axis=0), size * np.eye(size, dtype=int))
 
 
 def test_one_non_bijective_row_fails_the_whole_stack():

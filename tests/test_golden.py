@@ -45,6 +45,13 @@ STDOUT = {
     "so_points_n5": ("so-points", "--n", "5"),
 }
 
+#: other argv whose report must be a golden file's bytes: so-points has no
+#: tol key, and its defects are exactly 0, so any tolerance prints the same
+SAME_BYTES = [
+    (name, ("so-points", "--n", n, "--tol", tol))
+    for name, n in (("so_points_n3", "3"), ("so_points_n5", "5")) for tol in ("0", "1")
+]
+
 #: reports with LAPACK floats, pinned by their key paths
 KEYS = {
     "witness_clebsch": ("witness", "--graph", "clebsch"),
@@ -80,6 +87,12 @@ def key_paths(value, prefix=""):
 @pytest.mark.parametrize("name", sorted(STDOUT))
 def test_exact_reports_match_their_golden_bytes(capsys, name):
     assert main(list(STDOUT[name])) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name, argv", SAME_BYTES, ids=[" ".join(argv) for _, argv in SAME_BYTES])
+def test_other_argv_match_their_golden_bytes(capsys, name, argv):
+    assert main(list(argv)) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 

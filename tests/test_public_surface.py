@@ -21,7 +21,8 @@ PUBLIC_NAMES = {
     "CapacityError", "DimensionError", "GraphFormatError", "QsymError", "UsageError",
     # graphs
     "Graph", "Permutation", "are_disjoint", "automorphisms", "find_disjoint_pair", "is_automorphism",
-    # boolean_group
+    # boolean_group; walsh_matrix has no library caller and stays public on
+    # purpose: the benchmark's tracer times it and the tests' oracles use it
     "folded_cube", "tau_generators", "walsh_matrix",
     # spectral
     "eigenprojections", "preserves_eigenspaces", "verify_spectrum",
@@ -66,3 +67,11 @@ def test_the_attributes_the_benchmark_reads():
     assert g.adjacency.shape == (4, 4)
     report = verify_spectrum(3)
     assert report.passed and report.levels and report.to_json()["pass"] is True
+
+
+def test_walsh_matrix_is_public_but_no_module_calls_it():
+    """The library reads Walsh rows (``walsh_rows``); only the package
+    namespace and its home module bind the whole table."""
+    for name in ("qsym.graphs", "qsym.spectral", "qsym.star_algebra", "qsym.so_twist", "qsym.cli"):
+        assert "walsh_matrix" not in vars(importlib.import_module(name)), name
+    assert qsym.walsh_matrix is importlib.import_module("qsym.boolean_group").walsh_matrix

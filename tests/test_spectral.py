@@ -855,12 +855,12 @@ def test_invalid_level_rejected():
     assert 1 not in dict(eigenprojections(5))
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 9])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
 def test_projection_stack_equals_the_per_word_oracle(n):
-    got = qsym.spectral._projection_stack(n)
-    assert not got.flags.writeable
-    assert np.array_equal(got, spectral_oracle.projection_stack(n))
-    assert [k for k, _ in eigenprojections(n)] == [lvl.k for lvl in eigen_data(n).levels]
+    levels = eigenprojections(n)
+    assert not any(proj.flags.writeable for _, proj in levels)
+    assert np.array_equal(np.stack([proj for _, proj in levels]), spectral_oracle.projection_stack(n))
+    assert [k for k, _ in levels] == [lvl.k for lvl in eigen_data(n).levels]
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -896,6 +896,39 @@ def test_non_automorphism_fails_with_visible_commutator():
     assert max(oracle.eigenspace_defects(5, bad)) > 0.1
 
 
+def test_the_swap_defect_is_the_dense_oracles():
+    """tol = d passes and the float just below fails, so the defect read
+    from the integer tables is the oracle's value, not only nonzero."""
+    bad = oracle.from_cycles(16, [(0, 1)])
+    d = max(oracle.eigenspace_defects(5, bad))
+    assert preserves_eigenspaces(5, bad, tol=d)
+    assert not preserves_eigenspaces(5, bad, tol=np.nextafter(d, 0))
+
+
 def test_preserves_size_mismatch():
     with pytest.raises(DimensionError):
         preserves_eigenspaces(5, Permutation(tuple(range(8))))
+
+
+def test_a_size_mismatch_at_n13_is_refused_before_any_table():
+    def check():
+        with pytest.raises(DimensionError, match="8 points vs 4096 vertices"):
+            preserves_eigenspaces(13, Permutation(tuple(range(8))))
+
+    assert _traced_peak_mib(check) < 1
+
+
+def test_eigenspace_check_memory_at_n11():
+    """One call gathers the (6, 1024, 1024) int16 tables F[:, x ^ y] and
+    their two axis takes, 36 MiB, and keeps only the 12 KiB level table,
+    not a float (levels, N, N) stack (48 MiB)."""
+    p = Permutation(tuple(np.random.default_rng(11).permutation(1024).tolist()))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert not preserves_eigenspaces(11, p)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 <= 48
+    assert (kept - before) / 2**20 < 1
