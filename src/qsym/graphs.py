@@ -17,10 +17,11 @@ at most one candidate, and its rows are then checked as whole maps.  Both
 ``automorphisms`` and ``find_disjoint_pair`` read the one (|Aut|, n) image
 array it returns.
 
-Whether permutations preserve a table (the adjacency here, the
-eigenprojections in ``spectral``) is asked of a whole (P, n) image array at
-once by index gathers (``_permutation_defects``); no permutation matrix is
-built.
+Whether permutations preserve the adjacency, read as an int8 table, is
+asked by index gathers: of one permutation by two axis takes
+(``is_automorphism``), of a whole (P, n) image array in blocks
+(``_adjacency_defects``); no permutation matrix is built.  The
+eigenprojections have their own class-table gather in ``spectral``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
+from numbers import Integral
 from pathlib import Path
 from typing import Optional
 
@@ -60,8 +62,9 @@ AUTOMORPHISM_VERTEX_BOUND = 32
 #: bound a block grows into at most 2^11 * 32 maps of 32 uint64 masks (16 MB)
 _SEARCH_BLOCK = 1 << 11
 
-#: gathered table entries per block of ``_permutation_defects`` (2 MB of
-#: int16) unless one permutation's gather alone is larger
+#: gathered int8 table entries per block of ``_adjacency_defects`` (1 MB)
+#: unless one permutation's gather alone is larger; the eigenspace check in
+#: ``spectral`` gathers an eighth as many, its intp indices taking 1 MiB
 _GATHER_BLOCK = 1 << 20
 
 #: deepest nesting of arrays and objects ``Graph.load`` parses; a graph
@@ -75,6 +78,17 @@ _NOT_A_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[^][{}"]+')
 def _is_int(x) -> bool:
     """A JSON integer: int but not bool (JSON true/false load as bool)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints.  Python and numpy integers pass; a bool,
+    a float (1.7, and 2.0 too) or any other value is a ``UsageError``,
+    never silently truncated."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, Integral)):
+            raise UsageError(f"{what} must be integers, got {_quote(v)}")
+    return tuple(map(int, values))
 
 
 def _quote(value) -> str:
@@ -225,12 +239,13 @@ class Graph:
 
 @dataclass(frozen=True)
 class Permutation:
-    """Bijection on {0..n-1}, stored as the tuple of images."""
+    """Bijection on {0..n-1}, stored as the tuple of images: integers
+    (Python or numpy), else a ``UsageError``."""
 
     images: tuple[int, ...]
 
     def __post_init__(self):
-        imgs = tuple(map(int, self.images))
+        imgs = _integers(self.images, "permutation images")
         object.__setattr__(self, "images", imgs)
         if sorted(imgs) != list(range(len(imgs))):
             raise UsageError(f"{imgs!r} is not a bijection on 0..{len(imgs) - 1}")
@@ -293,52 +308,44 @@ def _permutation_rows(images: np.ndarray) -> list[Permutation]:
     return [_without_checks(Permutation, images=tuple(row)) for row in images.tolist()]
 
 
-def _permutation_defects(images: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """Per row p of the (P, N) image array, max |T[l, p(x), p(y)] - T[l, x, y]|
-    over every level l and pair (x, y) of the (L, N, N) table stack.
+def _adjacency_defects(g: Graph, images: np.ndarray) -> np.ndarray:
+    """Per row p of the (P, n) image array, max |A[p(x), p(y)] - A[x, y]|
+    over every pair (x, y) of g's adjacency A, read as int8: 0 iff p is an
+    automorphism of g.
 
     For the permutation matrix P (P e_x = e_{p(x)}) these are exactly the
-    entries of P T_l - T_l P, since (P T_l - T_l P)[p(x), y] = T_l[x, y] -
-    T_l[p(x), p(y)] and a permutation-matrix product only copies entries;
-    so a defect is 0 exactly when p commutes with every table.  Tables are
-    signed integers (the uint8 adjacency as int8, FQ_n's scaled
-    eigenprojections N E_k as int16), so every defect is exact.
+    entries of P A - A P, since (P A - A P)[p(x), y] = A[x, y] - A[p(x),
+    p(y)] and a permutation-matrix product only copies entries.
     Permutations are gathered in blocks of as many as fit in
-    ``_GATHER_BLOCK`` entries.  A block of several reads the flattened
-    tables at p(x) N + p(y), an index no larger than the block; a block of
-    one takes T[:, p][:, :, p] by two axis takes, which needs no N x N
-    index.  Both beat one broadcast fancy index T[:, p[:, None], p[None, :]]:
-    the axis takes by 1.5-2.5x for one permutation on FQ_5 and FQ_7, the
-    flat read by 1.9-3x on the 1920 FQ_5 point actions.
+    ``_GATHER_BLOCK`` entries, each block reading the flattened table at
+    p(x) n + p(y), 1.9-3x faster than one broadcast fancy index A[p[:,
+    None], p[None, :]] on the 1920 FQ_5 point actions.  This is the path
+    for many permutations (``qsym so-points``, n <= 32 vertices); one
+    permutation is ``is_automorphism``'s two axis takes.
     """
-    step = max(1, _GATHER_BLOCK // tables.size)
-    levels, size = len(tables), images.shape[1]
+    table = g.adjacency.view(np.int8)
+    size = len(table)
+    step = max(1, _GATHER_BLOCK // table.size)
     defects = []
     for block in (images[s : s + step] for s in range(0, len(images), step)):
-        if len(block) == 1:
-            gathered = tables.take(block[0], axis=1).take(block[0], axis=2)[:, None]
-        else:
-            index = block[:, :, None] * size + block[:, None, :]
-            gathered = tables.reshape(levels, size * size).take(index, axis=1)
-        gathered -= tables[:, None]
-        defects.append(np.abs(gathered, out=gathered).max(axis=(0, 2, 3)))
+        gathered = table.ravel().take(block[:, :, None] * size + block[:, None, :])
+        gathered -= table
+        defects.append(np.abs(gathered, out=gathered).max(axis=(1, 2)))
     return np.concatenate(defects)
-
-
-def _adjacency_defects(g: Graph, images: np.ndarray) -> np.ndarray:
-    """Per row of a (P, n) image array, 0 iff it is an automorphism of g."""
-    return _permutation_defects(images, g.adjacency.view(np.int8)[None])
 
 
 def is_automorphism(g: Graph, p: Permutation) -> bool:
     """True iff p preserves adjacency, i.e. A[p(x), p(y)] = A[x, y] for all
-    x, y: one index gather of the adjacency (``_permutation_defects``),
-    equivalent to P A = A P for p's matrix P."""
+    x, y, equivalent to P A = A P for p's matrix P: two axis takes
+    A[p][:, p], compared with A.  They need no n x n index and beat a
+    broadcast fancy index A[p[:, None], p[None, :]] by 1.5-2.5x on FQ_5
+    and FQ_7 (``_adjacency_defects`` gathers many permutations)."""
     if p.size != g.n_vertices:
         raise DimensionError(
             f"permutation on {p.size} points vs graph on {g.n_vertices} vertices"
         )
-    return bool(_adjacency_defects(g, np.array([p.images]))[0] == 0)
+    a, images = g.adjacency, np.array(p.images)
+    return bool((a.take(images, axis=0).take(images, axis=1) == a).all())
 
 
 def _search_order(a: np.ndarray) -> list[int]:
@@ -448,14 +455,17 @@ def _forced_maps(g: Graph, masks: np.ndarray, words: np.ndarray, tail: list[int]
 
 
 def _sort_keys(images: np.ndarray) -> list[np.ndarray]:
-    """Row keys of a (P, n) image array, n <= 32, in lexsort order (the
-    first key the most significant): images are 5-bit digits, packed 12 to
-    an int64, so at most 3 keys order the rows as their image tuples."""
-    width = 12
+    """Row keys of a (P, n) image array in lexsort order (the first key the
+    most significant): images are digits as wide as the image range needs,
+    but at least 5 bits (6 bits from 33 to 64 vertices), packed 63 // width
+    to an int64, so the keys order the rows as their image tuples; 3 keys
+    at 32 vertices, 7 at 64."""
+    bits = max(5, (images.shape[1] - 1).bit_length())
+    width = 63 // bits
     keys = []
     for start in range(0, images.shape[1], width):
         digits = images[:, start : start + width]
-        keys.append((digits << (5 * np.arange(digits.shape[1] - 1, -1, -1))).sum(axis=1))
+        keys.append((digits << (bits * np.arange(digits.shape[1] - 1, -1, -1))).sum(axis=1))
     return keys
 
 

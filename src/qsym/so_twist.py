@@ -80,7 +80,7 @@ import numpy as np
 from .boolean_group import _word_bits, tau_generators
 from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
 from .errors import CapacityError, DimensionError, UsageError
-from .graphs import Permutation, _bijections, _permutation_rows, _without_checks
+from .graphs import Permutation, _bijections, _integers, _permutation_rows, _without_checks
 from .relation_kernel import _bucket_sums, _product_sums, _slot_table
 
 __all__ = [
@@ -141,7 +141,7 @@ class SignedPermMatrix:
     signs: tuple[int, ...]
 
     def __post_init__(self):
-        signs = tuple(int(s) for s in self.signs)
+        signs = _integers(self.signs, "signs")
         object.__setattr__(self, "signs", signs)
         if len(signs) != self.perm.size:
             raise DimensionError("sign vector length != permutation size")
@@ -597,6 +597,20 @@ def _linear_inverses(n: int) -> tuple[np.ndarray, dict[tuple[int, ...], int]]:
     return inverses, {perm: row for row, perm in enumerate(map(tuple, perms.tolist()))}
 
 
+def _check_action_size(n: int) -> None:
+    """n is odd, at least 3 and at most ``_POINT_TABLE_BOUND``: else a
+    ``UsageError``, or a ``CapacityError`` past the bound."""
+    if n % 2 == 0 or n < 3:
+        raise UsageError("classical point action needs odd n >= 3")
+    if n > _POINT_TABLE_BOUND:
+        raise CapacityError(f"n={n} exceeds the point-action table bound {_POINT_TABLE_BOUND}")
+
+
+#: the error of a point whose quantum determinant is -1, on either path
+_DETERMINANT_ERROR = ("quantum determinant is -1: the sign pattern does not respect "
+                      "tau_n = tau_1...tau_{n-1}, so no vertex action exists")
+
+
 def _point_action_images(points: list[SignedPermMatrix]) -> np.ndarray:
     """The vertex permutations of ``classical_point_action`` for a list of
     abelian points of one size n, as a (points, 2^(n-1)) image array.
@@ -604,21 +618,18 @@ def _point_action_images(points: list[SignedPermMatrix]) -> np.ndarray:
     Point (pi, s) acts as the inverse of y -> c + L_pi y, where bit k of c
     is set when s_k s_n = -1: row x of its action is L_pi^{-1}(x + c),
     read from the cached table of inverse linear parts
-    (``_linear_inverses``).  Points of another size than the first are a
-    ``DimensionError``; sizes past ``_POINT_TABLE_BOUND`` a
-    ``CapacityError``.
+    (``_linear_inverses``).  The shifts and the determinant test are one
+    array operation each, so this is the path for many points (the CLI).
+    Points of another size than the first are a ``DimensionError``; sizes
+    past ``_POINT_TABLE_BOUND`` a ``CapacityError``.
     """
     n = points[0].n
     if any(p.n != n for p in points):
         raise DimensionError("points of different sizes act on different folded cubes")
     signs = np.array([p.signs for p in points], dtype=np.int8)
-    if n % 2 == 0 or n < 3:
-        raise UsageError("classical point action needs odd n >= 3")
-    if n > _POINT_TABLE_BOUND:
-        raise CapacityError(f"n={n} exceeds the point-action table bound {_POINT_TABLE_BOUND}")
+    _check_action_size(n)
     if np.count_nonzero(signs.prod(axis=1) != 1):
-        raise UsageError("quantum determinant is -1: the sign pattern does not respect "
-                         "tau_n = tau_1...tau_{n-1}, so no vertex action exists")
+        raise UsageError(_DETERMINANT_ERROR)
     inverses, rows = _linear_inverses(n)
     shifts = (signs[:, :-1] != signs[:, -1:]) @ _word_bits(n)[1]
     words = np.arange(inverses.shape[1]) ^ shifts[:, None]
@@ -642,10 +653,19 @@ def classical_point_action(point: SignedPermMatrix) -> Permutation:
     y -> c + Phi^T y.  As tau_a tau_b = t_a t_b once t_n is read as the
     identity, bit k of L_pi y = Phi^T y is y_{pi(k)} + y_{pi(n)} with
     y_n = 0, so the action is x -> L_pi^{-1}(x + c): one row of the cached
-    table of inverse linear parts, read at x + c (``_point_action_images``
-    on a one-point list; n is held to ``_POINT_TABLE_BOUND``).  That the
+    table of inverse linear parts (``_linear_inverses``), read at x ^ c,
+    with c and the determinant taken from the sign tuple in Python; n is
+    held to ``_POINT_TABLE_BOUND``, and the errors are those of
+    ``_point_action_images``, the array path for many points.  That the
     result is a graph automorphism preserving every eigenspace is the
     caller's to check (``is_automorphism``, ``preserves_eigenspaces``);
     ``qsym so-points`` reports both.
     """
-    return _permutation_rows(_point_action_images([point]))[0]
+    n, signs = point.n, point.signs
+    _check_action_size(n)
+    if prod(signs) != 1:
+        raise UsageError(_DETERMINANT_ERROR)
+    inverses, rows = _linear_inverses(n)
+    shift = sum(1 << k for k, s in enumerate(signs[:-1]) if s != signs[-1])
+    row = inverses[rows[point.perm.images]]
+    return _without_checks(Permutation, images=tuple(row[np.arange(len(row)) ^ shift].tolist()))

@@ -28,8 +28,14 @@ Since each projection onto an eigenspace is a polynomial in the adjacency
 matrix, a vertex permutation is an automorphism exactly when its matrix
 commutes with every eigenprojection.  ``preserves_eigenspaces`` asks this
 without building the matrix: N E_k[x, y] = F[k, x ^ y] for one cached
-(levels, N) int16 table F, and the integer defects of F[:, x ^ y] under p,
-gathered per call, are N times the entries of P E_k - E_k P.
+(levels, N) int16 table F, whose distinct columns are FQ_n's (n+1)/2
+distance classes.  So the largest level difference of N E_k at (p(x),
+p(y)) and at (x, y) is read from one small per-n class table
+(``_class_table``) at p(x) ^ p(y) and x ^ y; these integer defects are N
+times the entries of P E_k - E_k P, gathered in bounded blocks, and no
+(levels, N, N) array is ever built for the check.  F comes from the Walsh
+characters and the level rule, never from the adjacency, so the check
+stays independent of ``graphs.is_automorphism``.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 from .boolean_group import _cube_size, _word_bits, folded_cube, walsh_rows
 from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
 from .errors import DimensionError
-from .graphs import Graph, Permutation, _permutation_defects
+from .graphs import _GATHER_BLOCK, Graph, Permutation
 
 __all__ = [
     "verify_spectrum",
@@ -217,18 +223,16 @@ def _level_table(n: int) -> np.ndarray:
     return table
 
 
-def _scaled_projections(n: int, points: int | None = None) -> tuple[np.ndarray, int]:
-    """(F[:, x ^ y], N): every N E_k as one (levels, N, N) int16 array,
-    built per call.  n is checked before the cache is read (an unhashable n
-    is a ``UsageError``) and held to the vertex bound, and a permutation
-    size ``points`` is compared with N, before any table is built.  Odd n
+def _cube_points(n, points: int | None = None) -> tuple[int, int]:
+    """(n, N) for an odd n >= 3 held to the vertex bound, N = 2^(n-1),
+    before any cache is read (an unhashable n is a ``UsageError``) or any
+    table is built; a permutation size ``points`` must equal N.  Odd n
     only: for even n distinct levels can share an eigenvalue."""
     n = check_integer(n, "n", 3, odd=True, need="eigenprojections need an odd n >= 3")
     size = _cube_size(n)
     if points not in (None, size):
         raise DimensionError(f"permutation on {points} points vs {size} vertices")
-    vertices = np.arange(size)
-    return _level_table(n).take(vertices[:, None] ^ vertices, axis=1), size
+    return n, size
 
 
 def eigenprojections(n: int) -> tuple[tuple[int, np.ndarray], ...]:
@@ -236,30 +240,94 @@ def eigenprojections(n: int) -> tuple[tuple[int, np.ndarray], ...]:
     (level k, projection) pairs with eigenvalue n - 2k, k rising:
     read-only levels of F[:, x ^ y] / N, exact integers over a power of
     two, built per call.  For odd n the levels are k = 0, 2, ..., n-1."""
-    scaled, size = _scaled_projections(n)
-    stack = scaled / size
+    n, size = _cube_points(n)
+    vertices = np.arange(size)
+    stack = _level_table(n)[:, vertices[:, None] ^ vertices] / size
     stack.setflags(write=False)
     return tuple(zip(range(0, 2 * len(stack), 2), stack))
 
 
+@lru_cache(maxsize=None)
+def _class_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, gaps) of the level table F, n checked by the caller.
+
+    cls[d] numbers the distinct column F[:, d] among F's C distinct
+    columns F[:, c], FQ_n's C = (n+1)/2 distance classes; offsets[d] =
+    cls[d] N, as intp, and gaps is the flat (C, N) int16 table gaps[c N +
+    e] = max_k |F[k, c] - F[k, e]|.  So gaps[offsets[x ^ y] + (p(x) ^
+    p(y))] is the largest level difference of N E_k at (p(x), p(y)) and at
+    (x, y).  Both are read-only, 0.09 MiB together at n = 13.  A lexsort
+    and an adjacent compare find the distinct columns, without np.unique's
+    first-call cost (see ``_connection_set``)."""
+    table = _level_table(n)
+    order = np.lexsort(table[::-1])
+    ranked = table[:, order]
+    first = np.r_[True, np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)]
+    cls = np.empty(len(order), dtype=np.intp)
+    cls[order] = np.cumsum(first) - 1
+    columns = ranked[:, first].astype(np.int32)
+    gaps = np.abs(columns[:, :, None] - table[:, None, :]).max(axis=0).astype(np.int16).ravel()
+    offsets = cls * table.shape[1]
+    for arr in (offsets, gaps):
+        arr.setflags(write=False)
+    return offsets, gaps
+
+
+def _gap_maxima(images: np.ndarray, shifted: np.ndarray, offsets: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Per image row p of ``images``, one (N,) row or a (B, N) block, the
+    largest gaps[offsets[d] + (p(x ^ d) ^ p(x))] over the rows d of the
+    (D, N) table shifted[d, x] = x ^ d and every x, ``offsets`` being those
+    rows' slice."""
+    gathered = images.take(shifted, axis=-1)
+    gathered ^= images[..., None, :]
+    gathered += offsets[:, None]
+    return gaps.take(gathered).max(axis=(-2, -1))
+
+
 def _eigenspace_defects(n: int, images: np.ndarray) -> np.ndarray:
     """Per row p of a (P, 2^{n-1}) image array, max_k |P E_k - E_k P| over
-    the eigenprojections E_k of FQ_n: the integer defects of the N E_k by
-    index gathers, over N, so equal to the float products' defects."""
-    scaled, size = _scaled_projections(n, images.shape[1])
-    return _permutation_defects(images, scaled) / size
+    the eigenprojections E_k of FQ_n; one (2^{n-1},) row gives a 0-d array.
+
+    N E_k[x, y] = F[k, x ^ y], so with y = x ^ d the integer defect is the
+    largest gaps[offsets[d] + (p(x) ^ p(x ^ d))] over every d and x
+    (``_class_table``): the largest entry of the gathered N E_k, divided by
+    N, so equal to the float products' defects.  Each gather holds at most
+    an eighth of ``_GATHER_BLOCK`` entries, 1 MiB of intp indices (intp,
+    because ``take`` would copy any other index dtype whole): one row, or
+    blocks of rows, whole up to n = 9; past it one row at a time in blocks
+    of d-rows, so one permutation at n = 13 peaks near 2.3 MiB.  A single
+    row skips the block loop: 1-D gathers cost less per call than (1, N, N)
+    ones.
+    """
+    n, size = _cube_points(n, images.shape[-1])
+    offsets, gaps = _class_table(n)
+    words = np.arange(size)
+    entries = max(1, _GATHER_BLOCK // 8)
+    if size * size > entries:
+        rows = max(1, entries // size)
+        maxima = [max(_gap_maxima(row, words[d : d + rows, None] ^ words, offsets[d : d + rows], gaps)
+                      for d in range(0, size, rows))
+                  for row in images.reshape(-1, size)]
+        return np.array(maxima).reshape(images.shape[:-1]) / size
+    shifted = words[:, None] ^ words
+    if images.ndim == 1:
+        return _gap_maxima(images, shifted, offsets, gaps) / size
+    step = entries // (size * size)
+    return np.concatenate([_gap_maxima(images[s : s + step], shifted, offsets, gaps)
+                           for s in range(0, len(images), step)]) / size
 
 
 def preserves_eigenspaces(n: int, p: Permutation, tol: float = DEFAULT_TOLERANCES.projector) -> bool:
     """True iff p's matrix commutes with every eigenprojection of FQ_n
     within tol.
 
-    The check is E_k[p(x), p(y)] = E_k[x, y] for every level k, read by
-    index gathers (``_eigenspace_defects``) once p's size is checked; no
-    permutation matrix is built.  The eigenprojections generate the same
-    commutant as the adjacency matrix, so for permutations this is
-    equivalent to being a graph automorphism; non-automorphisms simply
-    return False.
+    The check is E_k[p(x), p(y)] = E_k[x, y] for every level k, read from
+    the cached class table at p(x) ^ p(y) and x ^ y
+    (``_eigenspace_defects``) once p's size is checked; no permutation
+    matrix and no N x N projection is built, so the call at n = 13 peaks
+    near 2.3 MiB.  The eigenprojections generate the same commutant as
+    the adjacency matrix, so for permutations this is equivalent to being
+    a graph automorphism; non-automorphisms simply return False.
     """
     tol = check_tolerance(tol)
-    return bool(_eigenspace_defects(n, np.array([p.images]))[0] <= tol)
+    return bool(_eigenspace_defects(n, np.array(p.images)) <= tol)

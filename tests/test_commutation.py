@@ -15,6 +15,7 @@ from qsym import (
     UsageError,
     abelian_points,
     classical_point_action,
+    eigenprojections,
     folded_cube,
     is_automorphism,
     preserves_eigenspaces,
@@ -28,10 +29,11 @@ def _images(perms) -> np.ndarray:
 
 
 def _level_defects(n: int, images: np.ndarray) -> np.ndarray:
-    """(levels, P) kernel defects, one scaled eigenprojection N E_k at a
-    time, its integer defects divided by N."""
-    scaled, size = spectral._scaled_projections(n)
-    return np.array([graphs._permutation_defects(images, scaled[k : k + 1]) / size for k in range(len(scaled))])
+    """(levels, P): max |E_k[p(x), p(y)] - E_k[x, y]| per row p of the
+    image array, by index gathers of each projection of
+    ``eigenprojections(n)``, level by level."""
+    return np.array([np.abs(proj[images[:, :, None], images[:, None, :]] - proj).max(axis=(1, 2))
+                     for _, proj in eigenprojections(n)])
 
 
 def _assert_matches_oracle(n: int, perms) -> None:
@@ -44,7 +46,7 @@ def _assert_matches_oracle(n: int, perms) -> None:
         dense = oracle.eigenspace_defects(n, p)
         assert adjacency[i] == oracle.adjacency_defect(g, p)
         assert levels[:, i].tolist() == dense
-        assert eigen[i] == max(dense)
+        assert eigen[i] == spectral._eigenspace_defects(n, images[i]) == max(dense)
         assert is_automorphism(g, p) == oracle.commutes_with_adjacency(g, p)
         assert preserves_eigenspaces(n, p) == (max(dense) <= DEFAULT_TOLERANCES.projector)
 
@@ -116,14 +118,20 @@ def test_adjacency_defects_match_the_dense_oracle_on_random_graphs(case):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("block", [1, 256 * 3 * 5, 1 << 20])
+@pytest.mark.parametrize("block", [1, 256 * 3 * 5, 256 * 8 * 5, 1 << 20])
 def test_gather_blocks_give_the_same_defects(monkeypatch, block):
-    """One permutation per gather, five per gather, and all at once."""
+    """The eigenspace check gathers an eighth of the block: one d-row per
+    gather, one permutation, five permutations and all at once; the
+    adjacency gathers one permutation, 3840 // 256 = 15 and all at once."""
     rng = np.random.default_rng(3)
     images = np.array([rng.permutation(16) for _ in range(12)] + [np.arange(16)])
-    want = [max(oracle.eigenspace_defects(5, Permutation(tuple(r)))) for r in images.tolist()]
+    perms = [Permutation(tuple(r)) for r in images.tolist()]
+    want = [max(oracle.eigenspace_defects(5, p)) for p in perms]
+    monkeypatch.setattr(spectral, "_GATHER_BLOCK", block)
     monkeypatch.setattr(graphs, "_GATHER_BLOCK", block)
     assert spectral._eigenspace_defects(5, images).tolist() == want
+    g = folded_cube(5)
+    assert graphs._adjacency_defects(g, images).tolist() == [oracle.adjacency_defect(g, p) for p in perms]
 
 
 def test_level_table_and_eigenprojections_are_read_only():
@@ -140,19 +148,30 @@ def test_level_table_and_eigenprojections_are_read_only():
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_eigenspace_defects_read_every_level(monkeypatch, n):
-    """The projections sum to I and E_0 commutes with every permutation, so
-    one level dropped changes no boolean; the stack passed must be whole:
-    the int16 tables N E_k, summing to N I exactly."""
-    seen = []
-    real = spectral._permutation_defects
-    monkeypatch.setattr(spectral, "_permutation_defects", lambda images, tables: seen.append(tables) or real(images, tables))
-    spectral._eigenspace_defects(n, np.arange(1 << (n - 1))[None])
-    (tables,) = seen
-    levels = spectral.eigenprojections(n)
+    """The class table is built from every row of the level table F: with
+    row k tripled, the defects are the per-level oracle's with level k
+    tripled, and some permutation's defect changes.  Row 0 is the constant
+    all-ones row (E_0 = J / N commutes with every permutation), so no
+    permutation can read it.  Zeroing a row would not tell: at n = 5 the
+    rows 1 and 2 sum to -1 off d = 0, so their defects are always equal."""
+    rng = np.random.default_rng(n)
     size = 1 << (n - 1)
-    assert tables.dtype == np.int16 and len(tables) == len(levels) == (n + 1) // 2
-    assert all(np.array_equal(t, proj * size) for t, (_, proj) in zip(tables, levels))
-    assert np.array_equal(tables.sum(axis=0), size * np.eye(size, dtype=int))
+    images = np.array([rng.permutation(size) for _ in range(20)] + [np.arange(size)])
+    per_level = _level_defects(n, images)
+    real = spectral._level_table(n)
+    assert (real[0] == 1).all() and len(real) == (n + 1) // 2
+    defects = spectral._eigenspace_defects(n, images)
+    assert defects.tolist() == per_level.max(axis=0).tolist()
+    for k in range(1, len(real)):
+        table = real.copy()
+        table[k] *= 3
+        monkeypatch.setattr(spectral, "_level_table", lambda m: table)
+        monkeypatch.setattr(spectral, "_class_table", lru_cache(spectral._class_table.__wrapped__))
+        scaled = per_level.copy()
+        scaled[k] *= 3
+        tripled = spectral._eigenspace_defects(n, images)
+        assert tripled.tolist() == scaled.max(axis=0).tolist()
+        assert (tripled != defects).any()
 
 
 def test_one_non_bijective_row_fails_the_whole_stack():

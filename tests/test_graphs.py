@@ -249,6 +249,18 @@ def test_permutation_validation():
         from_cycles(4, [(0, 1), (1, 2)])  # reuses 1
 
 
+@pytest.mark.parametrize("images", [(0, 1.7, 2), (0, 2.0, 1), (True, False), (np.True_, np.False_), ("0", "1")])
+def test_permutation_images_must_be_integers(images):
+    """Neither truncated (1.7 -> 1) nor read as 0/1: a usage error."""
+    with pytest.raises(UsageError, match="permutation images must be integers"):
+        Permutation(images)
+
+
+def test_numpy_integer_images_are_kept_as_ints():
+    p = Permutation((np.int64(1), np.int8(0), np.uint16(2)))
+    assert p.images == (1, 0, 2) and all(type(i) is int for i in p.images)
+
+
 def test_rows_of_a_checked_stack_equal_validated_permutations():
     rows = graphs._permutation_rows(graphs._bijections(np.array([[1, 0, 2], [2, 0, 1]], dtype=np.int8)))
     assert rows == [Permutation((1, 0, 2)), Permutation((2, 0, 1))]
@@ -596,6 +608,26 @@ LARGER_GRAPHS = {
     "clebsch_seed_23": (lambda: _relabeled_clebsch(23), 1920),
     "clebsch_seed_57": (lambda: _relabeled_clebsch(57), 1920),
 }
+
+
+def test_sort_keys_order_64_point_rows_as_tuples():
+    """Images of 32..63 need 6-bit digits: with 5 bits the digit 32 would
+    carry into its neighbour and misorder the rows."""
+    rng = np.random.default_rng(64)
+    images = np.array([rng.permutation(64) for _ in range(300)])
+    images[1::3, :40] = images[0, :40]  # long shared prefixes
+    want = np.lexsort(images.T[::-1])
+    assert np.array_equal(np.lexsort(graphs._sort_keys(images)[::-1]), want)
+    assert len(graphs._sort_keys(images)) == 7
+
+
+def test_sort_keys_order_the_images_of_c32():
+    g = Graph.from_edges(32, _cycle(32))
+    images = graphs._automorphism_images(g)
+    assert [tuple(r) for r in images.tolist()] == sorted(tuple(r) for r in images.tolist())
+    shuffled = images[np.random.default_rng(32).permutation(len(images))]
+    assert np.array_equal(shuffled[np.lexsort(graphs._sort_keys(shuffled)[::-1])], images)
+    assert len(graphs._sort_keys(images)) == 3
 
 
 @pytest.mark.parametrize("name", sorted(LARGER_GRAPHS))

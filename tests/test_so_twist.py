@@ -84,6 +84,18 @@ def test_signed_perm_validation():
         SignedPermMatrix(Permutation((0, 1)), (1,))
 
 
+@pytest.mark.parametrize("signs", [(True, -1), (1.0, -1), (-1.5, 1), ("1", "-1")])
+def test_signs_must_be_integers(signs):
+    """True is not read as +1, nor 1.0 or -1.5 truncated to an integer."""
+    with pytest.raises(UsageError, match="signs must be integers"):
+        SignedPermMatrix(Permutation((1, 0)), signs)
+
+
+def test_numpy_integer_signs_are_kept_as_ints():
+    sp = SignedPermMatrix(Permutation((1, 0)), tuple(np.array([1, -1], dtype=np.int8)))
+    assert sp.signs == (1, -1) and all(type(s) is int for s in sp.signs)
+
+
 # ---------------------------------------------------------------------------
 # abelian points
 # ---------------------------------------------------------------------------
@@ -938,6 +950,38 @@ def test_point_action_matches_the_fourier_oracle_on_every_point(n, count):
     assert len(pts) == count
     for sp in pts:
         assert classical_point_action(sp) == oracle.fourier_point_action(sp)
+
+
+def _seeded_points(n: int, count: int, seed: int) -> list[SignedPermMatrix]:
+    """count points of SO_n^{-1} built directly: random permutations and
+    signs, the last sign making the quantum determinant one."""
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        signs = rng.choice((-1, 1), size=n)
+        signs[-1] = signs[:-1].prod()
+        points.append(SignedPermMatrix(Permutation(tuple(rng.permutation(n).tolist())), tuple(signs.tolist())))
+    return points
+
+
+def test_one_point_and_the_array_path_give_the_same_actions_at_n7():
+    points = _seeded_points(7, 300, 77)
+    images = so_twist._point_action_images(points)
+    assert [classical_point_action(sp).images for sp in points] == list(map(tuple, images.tolist()))
+
+
+@pytest.mark.parametrize("point, error", [
+    (diag_point(-1, 1, 1), UsageError),  # quantum determinant -1
+    (diag_point(1, 1, 1, 1), UsageError),  # even n
+    (diag_point(*[1] * 9), CapacityError),  # past the table bound
+    (diag_point(-1, *[1] * 8), CapacityError),  # past the bound before the determinant
+])
+def test_one_point_and_the_array_path_raise_the_same_error(point, error):
+    with pytest.raises(error) as one:
+        classical_point_action(point)
+    with pytest.raises(error) as many:
+        so_twist._point_action_images([point])
+    assert str(one.value) == str(many.value)
 
 
 def test_point_action_matches_the_fourier_oracle_on_seeded_n7_points():

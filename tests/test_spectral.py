@@ -919,9 +919,10 @@ def test_a_size_mismatch_at_n13_is_refused_before_any_table():
 
 
 def test_eigenspace_check_memory_at_n11():
-    """One call gathers the (6, 1024, 1024) int16 tables F[:, x ^ y] and
-    their two axis takes, 36 MiB, and keeps only the 12 KiB level table,
-    not a float (levels, N, N) stack (48 MiB)."""
+    """One call gathers the class table in blocks of 2^17 intp indices,
+    about 2.3 MiB at its peak, and keeps only the level and class tables,
+    no (levels, N, N) stack: neither the float one (48 MiB) nor the int16
+    expansion F[:, x ^ y] with its axis takes (36 MiB)."""
     p = Permutation(tuple(np.random.default_rng(11).permutation(1024).tolist()))
     tracemalloc.start()
     try:
@@ -930,5 +931,21 @@ def test_eigenspace_check_memory_at_n11():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / 2**20 <= 48
+    assert peak / 2**20 <= 10
     assert (kept - before) / 2**20 < 1
+
+
+@pytest.mark.parametrize("shift, preserved", [(0b101_0110_0011, True), (None, False)])
+def test_eigenspace_check_memory_at_n13(shift, preserved):
+    """At the 4096-vertex cap one permutation is gathered in blocks of 32
+    d-rows: an XOR shift (an automorphism of the Cayley graph) passes and
+    a seeded random permutation fails, each under 10 MiB of tracemalloc,
+    where a (7, 4096, 4096) int16 expansion would take 672 MiB."""
+    words = np.arange(4096)
+    images = words ^ shift if shift is not None else np.random.default_rng(13).permutation(4096)
+    p = Permutation(tuple(images.tolist()))
+
+    def check():
+        assert preserves_eigenspaces(13, p) is preserved
+
+    assert _traced_peak_mib(check) <= 10
