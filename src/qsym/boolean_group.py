@@ -88,15 +88,13 @@ def _cube_size(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _word_bits(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only tables for the folded n-cube's 2^(n-1) words y, n checked
-    by the caller: their (n, N) uint8 bits, row k holding bit k of every
-    word (row n-1, y_n, is zero), and the weights 2^k that pack words."""
+def _word_bits(n: int) -> np.ndarray:
+    """The folded n-cube's 2^(n-1) words y as a read-only (n, N) uint8 bit
+    table, n checked by the caller: row k holds bit k of every word (row
+    n-1, y_n, is zero)."""
     bits = ((np.arange(1 << (n - 1)) >> np.arange(n)[:, None]) & 1).astype(np.uint8)
-    weights = 1 << np.arange(n - 1)
-    for arr in (bits, weights):
-        arr.setflags(write=False)
-    return bits, weights
+    bits.setflags(write=False)
+    return bits
 
 
 def _connection_words(n: int) -> np.ndarray:

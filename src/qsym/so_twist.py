@@ -60,9 +60,10 @@ tau_i of Z_2^{n-1} are sent to sign * tau_{perm(i)}, which (precisely
 because d = 1) extends to an algebra map of the group algebra.  That map
 is affine on exponent vectors, t_k -> s_k s_n tau_{perm(k)} tau_{perm(n)},
 so its point-basis matrix is the vertex permutation inverse to
-y -> c + L_pi y.  Only the shift c depends on the signs, so the inverse
-linear parts of all n! permutations are one cached table, and the action
-of (pi, s) is row pi of it read at x + c, by XOR on the vertex indices
+y -> c + L_pi y.  The inverse linear part permutes the connecting words,
+e_k -> t_{pi(k)} with t_n the all-ones word, so the action of (pi, s) is
+x -> L(x) + L(c), and its row is built from FQ_n's connecting words
+(``boolean_group._connection_words``) by doubling over the n-1 bits of x
 (``classical_point_action`` for one point; ``_point_action_images`` for a
 whole list, as one (points, 2^(n-1)) image array).
 """
@@ -77,7 +78,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .boolean_group import _word_bits, tau_generators
+from .boolean_group import _connection_words, _cube_size, tau_generators
 from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
 from .errors import CapacityError, DimensionError, UsageError
 from .graphs import Permutation, _bijections, _integers, _permutation_rows, _without_checks
@@ -111,11 +112,6 @@ SO_BRUTEFORCE_BOUND = 5
 #: byte cap holds S to 684,784)
 SAMPLE_BOUND = 1 << 20
 SAMPLE_STACK_BYTES = 256 << 20
-
-#: largest n of ``classical_point_action``: its table of inverse linear
-#: parts has n! rows of 2^(n-1) words, 2.6 MB of intp at n = 7 and 743 MB
-#: at n = 9
-_POINT_TABLE_BOUND = 7
 
 
 @lru_cache(maxsize=None)
@@ -577,33 +573,12 @@ def lemma_P_check(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _linear_inverses(n: int) -> tuple[np.ndarray, dict[tuple[int, ...], int]]:
-    """For odd n in 3..``_POINT_TABLE_BOUND``: the (n!, 2^(n-1)) intp table
-    of the inverses of the linear maps y -> L_pi y, bit k of L_pi y being
-    y_{pi(k)} + y_{pi(n)} (y_n = 0), one row per permutation pi in
-    itertools order, and a dict from pi's image tuple to its row.
-
-    The maps are read for every permutation and word at once from the bit
-    table and checked once, as one array, to be bijections; their inverses
-    are then their argsorts.
-    """
-    perms = _permutations(n)
-    bits, weights = _word_bits(n)
-    moved = bits[perms]  # exponent y_{pi(k)} of every word y: (n!, n, words)
-    linear = weights @ (moved[:, :-1] ^ moved[:, -1:])
-    inverses = np.argsort(_bijections(linear), axis=1)
-    inverses.setflags(write=False)
-    return inverses, {perm: row for row, perm in enumerate(map(tuple, perms.tolist()))}
-
-
-def _check_action_size(n: int) -> None:
-    """n is odd, at least 3 and at most ``_POINT_TABLE_BOUND``: else a
-    ``UsageError``, or a ``CapacityError`` past the bound."""
+def _check_action_size(n: int) -> int:
+    """FQ_n's vertex count 2^(n-1) for odd n >= 3: else a ``UsageError``,
+    or the ``CapacityError`` of ``_cube_size`` past the vertex bound."""
     if n % 2 == 0 or n < 3:
         raise UsageError("classical point action needs odd n >= 3")
-    if n > _POINT_TABLE_BOUND:
-        raise CapacityError(f"n={n} exceeds the point-action table bound {_POINT_TABLE_BOUND}")
+    return _cube_size(n)
 
 
 #: the error of a point whose quantum determinant is -1, on either path
@@ -615,25 +590,29 @@ def _point_action_images(points: list[SignedPermMatrix]) -> np.ndarray:
     """The vertex permutations of ``classical_point_action`` for a list of
     abelian points of one size n, as a (points, 2^(n-1)) image array.
 
-    Point (pi, s) acts as the inverse of y -> c + L_pi y, where bit k of c
-    is set when s_k s_n = -1: row x of its action is L_pi^{-1}(x + c),
-    read from the cached table of inverse linear parts
-    (``_linear_inverses``).  The shifts and the determinant test are one
-    array operation each, so this is the path for many points (the CLI).
-    Points of another size than the first are a ``DimensionError``; sizes
-    past ``_POINT_TABLE_BOUND`` a ``CapacityError``.
+    Row x of point (pi, s)'s action is L(x) + L(c), where L sends e_k to
+    the connecting word t_{pi(k)} and bit k of c is set when s_k s_n = -1.
+    The rows start at L(c) and double over the n-1 bits of x, every point
+    at once, one XOR per bit; the shifts, the determinant test and the
+    bijection check (``_bijections``) are one array operation each, so
+    this is the path for many points (the CLI).  Points of another size
+    than the first are a ``DimensionError``; sizes past the folded cube's
+    vertex bound a ``CapacityError``.
     """
     n = points[0].n
     if any(p.n != n for p in points):
         raise DimensionError("points of different sizes act on different folded cubes")
     signs = np.array([p.signs for p in points], dtype=np.int8)
-    _check_action_size(n)
+    size = _check_action_size(n)
     if np.count_nonzero(signs.prod(axis=1) != 1):
         raise UsageError(_DETERMINANT_ERROR)
-    inverses, rows = _linear_inverses(n)
-    shifts = (signs[:, :-1] != signs[:, -1:]) @ _word_bits(n)[1]
-    words = np.arange(inverses.shape[1]) ^ shifts[:, None]
-    return inverses[np.array([rows[p.perm.images] for p in points])[:, None], words]
+    moved = _connection_words(n)[np.array([p.perm.images for p in points])]  # t_{pi(k)}: (points, n)
+    images = np.empty((len(points), size), dtype=np.intp)
+    images[:, 0] = np.bitwise_xor.reduce(moved[:, :-1] * (signs[:, :-1] != signs[:, -1:]), axis=1)
+    for k in range(n - 1):
+        low = 1 << k
+        np.bitwise_xor(images[:, :low], moved[:, k, None], out=images[:, low : 2 * low])
+    return _bijections(images)
 
 
 def classical_point_action(point: SignedPermMatrix) -> Permutation:
@@ -649,23 +628,31 @@ def classical_point_action(point: SignedPermMatrix) -> Permutation:
     which is affine in the exponents: T_g -> (-1)^{c.g} T_{Phi g}, where
     column k of Phi is the word tau_{pi(k)} tau_{pi(n)} and bit k of c is
     set when s_k s_n = -1.  The Fourier pair turns this into the point
-    permutation sending e_x to e_y where x = c + Phi^T y, the inverse of
-    y -> c + Phi^T y.  As tau_a tau_b = t_a t_b once t_n is read as the
-    identity, bit k of L_pi y = Phi^T y is y_{pi(k)} + y_{pi(n)} with
-    y_n = 0, so the action is x -> L_pi^{-1}(x + c): one row of the cached
-    table of inverse linear parts (``_linear_inverses``), read at x ^ c,
-    with c and the determinant taken from the sign tuple in Python; n is
-    held to ``_POINT_TABLE_BOUND``, and the errors are those of
-    ``_point_action_images``, the array path for many points.  That the
+    permutation sending e_x to e_y where x = c + Phi^T y.  Bit k of
+    L_pi y = Phi^T y is y_{pi(k)} + y_{pi(n)} (y_n = 0), so L_pi sends the
+    connecting word t_{pi(k)} to e_k (t_n the all-ones word), and the
+    action is x -> L(x) + L(c) with L = L_pi^{-1}: e_k -> t_{pi(k)}.  Its
+    row starts at L(c) and doubles over the n-1 bits of x, from
+    ``boolean_group._connection_words``, and is checked to be a bijection;
+    n is held to the folded cube's vertex bound, and the errors are those
+    of ``_point_action_images``, the array path for many points.  That the
     result is a graph automorphism preserving every eigenspace is the
     caller's to check (``is_automorphism``, ``preserves_eigenspaces``);
     ``qsym so-points`` reports both.
     """
     n, signs = point.n, point.signs
-    _check_action_size(n)
+    size = _check_action_size(n)
     if prod(signs) != 1:
         raise UsageError(_DETERMINANT_ERROR)
-    inverses, rows = _linear_inverses(n)
-    shift = sum(1 << k for k, s in enumerate(signs[:-1]) if s != signs[-1])
-    row = inverses[rows[point.perm.images]]
-    return _without_checks(Permutation, images=tuple(row[np.arange(len(row)) ^ shift].tolist()))
+    words = _connection_words(n).tolist()
+    shift = 0  # L(c)
+    for i, s in zip(point.perm.images, signs):
+        if s != signs[-1]:
+            shift ^= words[i]
+    row = [shift]
+    for i in point.perm.images[:-1]:
+        word = words[i]
+        row += [r ^ word for r in row]
+    if sorted(row) != list(range(size)):
+        _bijections(np.array([row]))
+    return _without_checks(Permutation, images=tuple(row))

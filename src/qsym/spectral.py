@@ -156,7 +156,7 @@ def _eigenvalues(n: int) -> np.ndarray:
     lengths are the column sums of the word-bit table ``_word_bits``, taken
     as int64: a uint8 sum would wrap in n - 2 * (...).
     """
-    length = _word_bits(n)[0].sum(axis=0, dtype=np.int64)
+    length = _word_bits(n).sum(axis=0, dtype=np.int64)
     return n - 2 * (length + (length & 1))
 
 

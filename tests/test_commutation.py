@@ -183,16 +183,16 @@ def test_one_non_bijective_row_fails_the_whole_stack():
 
 
 def test_point_actions_of_a_stack_are_checked_as_bijections(monkeypatch):
-    """A map y -> c + Phi^T y that is not one-to-one is refused, not
-    inverted, when the table of inverse linear parts is built: a fresh
-    cache builds it from the corrupted bit table."""
+    """A map x -> L(x) + L(c) that is not one-to-one is refused, not
+    returned, on both paths, with the same error: here t_2 reads as t_1,
+    so the rows built from the connecting words repeat a vertex."""
     points = abelian_points(3)[:2]
-    real = so_twist._word_bits(3)
-    bits = real[0].copy()
-    bits[1] = 0  # bit 1 of every word reads as zero: two words collide
-    monkeypatch.setattr(so_twist, "_word_bits", lambda n: (bits, real[1]))
-    monkeypatch.setattr(so_twist, "_linear_inverses", lru_cache(so_twist._linear_inverses.__wrapped__))
+    real = so_twist._connection_words
+    monkeypatch.setattr(so_twist, "_connection_words", lambda n: real(n)[[0, 0, 2]])
+    with pytest.raises(UsageError, match="not a bijection") as many:
+        so_twist._point_action_images(points[1:])
+    with pytest.raises(UsageError, match="not a bijection") as one:
+        classical_point_action(points[1])
+    assert str(one.value) == str(many.value)
     with pytest.raises(UsageError, match="not a bijection"):
         so_twist._point_action_images(points)
-    with pytest.raises(UsageError, match="not a bijection"):
-        classical_point_action(points[1])

@@ -911,9 +911,11 @@ def test_points_of_mixed_sizes_are_a_dimension_error():
         so_twist._point_action_images(points[::-1])
 
 
-def test_point_actions_past_the_table_bound_are_a_capacity_error():
-    with pytest.raises(CapacityError, match="table bound 7"):
-        classical_point_action(diag_point(*[1] * 9))
+def test_point_actions_past_the_vertex_bound_are_a_capacity_error():
+    with pytest.raises(CapacityError, match=r"folded 15-cube has 2\^14 > 4096 vertices"):
+        classical_point_action(diag_point(*[1] * 15))
+    with pytest.raises(CapacityError, match=r"folded 15-cube has 2\^14 > 4096 vertices"):
+        so_twist._point_action_images([diag_point(*[1] * 15)])
 
 
 def test_point_action_errors_come_in_order_size_parity_bound_determinant():
@@ -921,19 +923,23 @@ def test_point_action_errors_come_in_order_size_parity_bound_determinant():
         so_twist._point_action_images([diag_point(-1, 1, 1, 1), diag_point(1, 1, 1)])
     with pytest.raises(UsageError, match="odd n"):
         classical_point_action(diag_point(-1, 1, 1, 1))
-    with pytest.raises(CapacityError, match="table bound 7"):
-        classical_point_action(diag_point(-1, *[1] * 8))
+    with pytest.raises(CapacityError, match="2\\^14 > 4096 vertices"):
+        classical_point_action(diag_point(-1, *[1] * 14))
     # the determinant is read for every point of the list, not the first only
     with pytest.raises(UsageError, match="determinant"):
         so_twist._point_action_images(abelian_points(3)[:5] + [diag_point(-1, 1, 1)])
 
 
-def test_the_point_table_holds_one_read_only_inverse_per_permutation():
-    inverses, rows = so_twist._linear_inverses(5)
-    assert inverses.shape == (120, 16) and not inverses.flags.writeable
-    assert list(rows) == list(permutations(range(5))) and list(rows.values()) == list(range(120))
-    # the identity permutation's linear part is the identity on words
-    assert inverses[rows[(0, 1, 2, 3, 4)]].tolist() == list(range(16))
+def test_both_point_action_paths_equal_the_inverse_table_on_every_n7_permutation():
+    rng = np.random.default_rng(5040)
+    points = []
+    for perm in permutations(range(7)):
+        signs = rng.choice((-1, 1), size=7)
+        signs[-1] = signs[:-1].prod()  # quantum determinant one
+        points.append(SignedPermMatrix(Permutation(perm), tuple(signs.tolist())))
+    table = oracle.table_point_images(points)
+    assert so_twist._point_action_images(points).tolist() == table.tolist()
+    assert [classical_point_action(sp).images for sp in points] == list(map(tuple, table.tolist()))
 
 
 def test_n5_sample_points_act_on_clebsch():
@@ -973,8 +979,8 @@ def test_one_point_and_the_array_path_give_the_same_actions_at_n7():
 @pytest.mark.parametrize("point, error", [
     (diag_point(-1, 1, 1), UsageError),  # quantum determinant -1
     (diag_point(1, 1, 1, 1), UsageError),  # even n
-    (diag_point(*[1] * 9), CapacityError),  # past the table bound
-    (diag_point(-1, *[1] * 8), CapacityError),  # past the bound before the determinant
+    (diag_point(*[1] * 15), CapacityError),  # past the vertex bound
+    (diag_point(-1, *[1] * 14), CapacityError),  # past the bound before the determinant
 ])
 def test_one_point_and_the_array_path_raise_the_same_error(point, error):
     with pytest.raises(error) as one:
@@ -995,3 +1001,20 @@ def test_point_action_matches_the_fourier_oracle_on_seeded_n7_points():
         assert action == oracle.fourier_point_action(sp)
         assert is_automorphism(cube, action)
         assert preserves_eigenspaces(7, action)
+
+
+@pytest.mark.parametrize("n, count, checked", [(9, 60, 20), (11, 40, 6), (13, 20, 2)])
+def test_point_actions_past_n7_are_automorphisms_on_both_paths(n, count, checked):
+    points = _seeded_points(n, count, n)
+    images = so_twist._point_action_images(points)
+    actions = [classical_point_action(sp) for sp in points]
+    assert [a.images for a in actions] == list(map(tuple, images.tolist()))
+    cube = folded_cube(n)
+    assert all(is_automorphism(cube, a) for a in actions)
+    # one eigenspace check takes about 0.1 s at n = 13
+    assert all(preserves_eigenspaces(n, a) for a in actions[:checked])
+
+
+def test_point_action_matches_the_fourier_oracle_on_seeded_n9_points():
+    for sp in _seeded_points(9, 12, 99):
+        assert classical_point_action(sp) == oracle.fourier_point_action(sp)
