@@ -27,8 +27,8 @@ from .config import DEFAULT_TOLERANCES, Report, check_tolerance
 from .errors import QsymError, UsageError
 from .graphs import Graph, _adjacency_defects, _automorphism_images, automorphisms, find_disjoint_pair
 from .so_twist import (
+    _abelian_point_rows,
     _point_action_images,
-    abelian_points,
     lemma_P_check,
     lemma_SO_mismatches,
     lemma_sumzero_check,
@@ -140,12 +140,12 @@ def _run_so_points(args) -> tuple[dict, bool]:
     n = args.n
     if n is None:
         raise UsageError("so-points needs --n")
-    if n % 2 == 0:
-        raise UsageError("so-points needs odd n (tau generators)")
+    if n % 2 == 0 or n < 3:
+        raise UsageError("so-points needs odd n >= 3 (tau generators)")
     tol = _resolve_tol(args, DEFAULT_TOLERANCES.projector)
-    points = abelian_points(n)
+    perms, signs = _abelian_point_rows(n)
     # every action checked in one gather each: adjacency and eigenprojections
-    actions = _point_action_images(points)
+    actions = _point_action_images(perms, signs)
     cube = folded_cube(n)
     distinct = set(map(tuple, actions.tolist()))
     auto_set = set(map(tuple, _automorphism_images(cube).tolist()))
@@ -154,14 +154,14 @@ def _run_so_points(args) -> tuple[dict, bool]:
     ok = all_autos and preserved and distinct == auto_set
     report = {
         "n": n,
-        "count": len(points),
+        "count": len(perms),
         "candidates": 2 ** n * factorial(n),
         "actions_are_automorphisms": all_autos,
         "eigenspaces_preserved": preserved,
         "distinct_actions": len(distinct),
         "automorphism_group_order": len(auto_set),
         "bijective_onto_automorphism_group": distinct == auto_set,
-        "points": [sp.to_json() for sp in points] if n <= 3 else None,
+        "points": [{"n": n, "perm": p, "signs": s} for p, s in zip(perms.tolist(), signs.tolist())] if n <= 3 else None,
         "pass": ok,
     }
     return report, ok

@@ -64,8 +64,8 @@ y -> c + L_pi y.  The inverse linear part permutes the connecting words,
 e_k -> t_{pi(k)} with t_n the all-ones word, so the action of (pi, s) is
 x -> L(x) + L(c), and its row is built from FQ_n's connecting words
 (``boolean_group._connection_words``) by doubling over the n-1 bits of x
-(``classical_point_action`` for one point; ``_point_action_images`` for a
-whole list, as one (points, 2^(n-1)) image array).
+(``classical_point_action`` for one point; ``_point_action_images`` for the
+(points, n) arrays of ``_abelian_point_rows``, as one image array).
 """
 
 from __future__ import annotations
@@ -148,11 +148,6 @@ class SignedPermMatrix:
     def n(self) -> int:
         return self.perm.size
 
-    @property
-    def quantum_determinant(self) -> int:
-        """Product of the non-zero entries (sign-free determinant)."""
-        return prod(self.signs)
-
     def to_json(self) -> dict:
         return {"n": self.n, "perm": list(self.perm.images), "signs": list(self.signs)}
 
@@ -197,21 +192,10 @@ def _support_terms(stack: _SignedPermStack, rows: np.ndarray, cols: np.ndarray) 
     return hit, value
 
 
-def _stack_points(stack: _SignedPermStack, keep: np.ndarray) -> list[SignedPermMatrix]:
-    """The selected matrices of the stack as SignedPermMatrix objects, in
-    order.  The permutations are checked once per array; the sign vectors
-    are +-1 by construction.  Neither is checked again per matrix."""
-    perms = _permutation_rows(_bijections(stack.perms))
-    signs = [tuple(s) for s in stack.signs.tolist()]
-    width = len(signs)
-    return [
-        _without_checks(SignedPermMatrix, perm=perms[i // width], signs=signs[i % width])
-        for i in np.flatnonzero(keep).tolist()
-    ]
-
-
-def abelian_points(n: int) -> list[SignedPermMatrix]:
-    """Commutative solutions of (7.1)-(7.5): signed permutations with d = +1.
+def _abelian_point_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Commutative solutions of (7.1)-(7.5) as (P, n) arrays: row i of
+    ``perms`` holds the images of point i's permutation and row i of
+    ``signs`` its +-1 signs, in enumeration order.
 
     Exactly half of the 2^n n! signed permutation matrices survive the
     quantum determinant condition.  Each survivor is also checked against
@@ -222,10 +206,31 @@ def abelian_points(n: int) -> list[SignedPermMatrix]:
     if n > SIGNED_PERM_BOUND:
         raise CapacityError(f"n={n} exceeds the signed-permutation bound {SIGNED_PERM_BOUND}")
     stack = _signed_perm_stack(n)
-    keep = stack.determinants == 1
+    keep = np.flatnonzero(stack.determinants == 1)
     if any(_relation_defects(stack.matrices[keep], np.ones((n, n), np.int8))):
         raise RuntimeError(f"an abelian point of size {n} violates the scalar relations")
-    return _stack_points(stack, keep)
+    return stack.perms[keep // len(stack.signs)], stack.signs[keep % len(stack.signs)]
+
+
+def _stack_points(perms: np.ndarray, signs: np.ndarray) -> list[SignedPermMatrix]:
+    """The rows of (P, n) ``perms`` and ``signs`` as SignedPermMatrix
+    objects, in order, sharing one Permutation per distinct permutation
+    (found by its base-n code) and one tuple per sign vector.  The
+    permutations are checked once per array; the sign vectors are +-1 by
+    construction.  Neither is checked again per matrix."""
+    n = perms.shape[1]
+    _, first, which = np.unique(_bijections(perms) @ n ** np.arange(n), return_index=True, return_inverse=True)
+    shared, sign_tuples = _permutation_rows(perms[first]), {}
+    return [
+        _without_checks(SignedPermMatrix, perm=shared[p], signs=sign_tuples.setdefault(s, s))
+        for p, s in zip(which.tolist(), map(tuple, signs.tolist()))
+    ]
+
+
+def abelian_points(n: int) -> list[SignedPermMatrix]:
+    """Commutative solutions of (7.1)-(7.5): signed permutations with d = +1,
+    the rows of ``_abelian_point_rows`` as SignedPermMatrix objects."""
+    return _stack_points(*_abelian_point_rows(n))
 
 
 # ---------------------------------------------------------------------------
@@ -573,46 +578,33 @@ def lemma_P_check(
 # ---------------------------------------------------------------------------
 
 
-def _check_action_size(n: int) -> int:
-    """FQ_n's vertex count 2^(n-1) for odd n >= 3: else a ``UsageError``,
-    or the ``CapacityError`` of ``_cube_size`` past the vertex bound."""
-    if n % 2 == 0 or n < 3:
-        raise UsageError("classical point action needs odd n >= 3")
-    return _cube_size(n)
-
-
-#: the error of a point whose quantum determinant is -1, on either path
-_DETERMINANT_ERROR = ("quantum determinant is -1: the sign pattern does not respect "
-                      "tau_n = tau_1...tau_{n-1}, so no vertex action exists")
-
-
-def _point_action_images(points: list[SignedPermMatrix]) -> np.ndarray:
-    """The vertex permutations of ``classical_point_action`` for a list of
-    abelian points of one size n, as a (points, 2^(n-1)) image array.
+def _point_action_images(perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The vertex permutations of ``classical_point_action`` for the (P, n)
+    ``perms`` and ``signs`` rows of abelian points of one odd n >= 3 (such
+    as ``_abelian_point_rows``), as a (P, 2^(n-1)) image array.
 
     Row x of point (pi, s)'s action is L(x) + L(c), where L sends e_k to
     the connecting word t_{pi(k)} and bit k of c is set when s_k s_n = -1.
     The rows start at L(c) and double over the n-1 bits of x, every point
-    at once, one XOR per bit; the shifts, the determinant test and the
-    bijection check (``_bijections``) are one array operation each, so
-    this is the path for many points (the CLI).  Points of another size
-    than the first are a ``DimensionError``; sizes past the folded cube's
-    vertex bound a ``CapacityError``.
+    at once, one XOR per bit; the shifts and the bijection check
+    (``_bijections``) are one array operation each, so this is the path
+    for many points (the CLI).
     """
-    n = points[0].n
-    if any(p.n != n for p in points):
-        raise DimensionError("points of different sizes act on different folded cubes")
-    signs = np.array([p.signs for p in points], dtype=np.int8)
-    size = _check_action_size(n)
-    if np.count_nonzero(signs.prod(axis=1) != 1):
-        raise UsageError(_DETERMINANT_ERROR)
-    moved = _connection_words(n)[np.array([p.perm.images for p in points])]  # t_{pi(k)}: (points, n)
-    images = np.empty((len(points), size), dtype=np.intp)
+    n = perms.shape[1]
+    moved = _connection_words(n)[perms]  # t_{pi(k)}: (P, n)
+    images = np.empty((len(perms), 1 << (n - 1)), dtype=np.intp)
     images[:, 0] = np.bitwise_xor.reduce(moved[:, :-1] * (signs[:, :-1] != signs[:, -1:]), axis=1)
     for k in range(n - 1):
         low = 1 << k
         np.bitwise_xor(images[:, :low], moved[:, k, None], out=images[:, low : 2 * low])
     return _bijections(images)
+
+
+@lru_cache(maxsize=None)
+def _connection_ints(n: int) -> tuple[int, ...]:
+    """``_connection_words(n)`` as Python ints, for the one-point path;
+    n is checked against the vertex bound by the caller."""
+    return tuple(_connection_words(n).tolist())
 
 
 def classical_point_action(point: SignedPermMatrix) -> Permutation:
@@ -634,17 +626,20 @@ def classical_point_action(point: SignedPermMatrix) -> Permutation:
     action is x -> L(x) + L(c) with L = L_pi^{-1}: e_k -> t_{pi(k)}.  Its
     row starts at L(c) and doubles over the n-1 bits of x, from
     ``boolean_group._connection_words``, and is checked to be a bijection;
-    n is held to the folded cube's vertex bound, and the errors are those
-    of ``_point_action_images``, the array path for many points.  That the
-    result is a graph automorphism preserving every eigenspace is the
-    caller's to check (``is_automorphism``, ``preserves_eigenspaces``);
-    ``qsym so-points`` reports both.
+    n is held to odd n >= 3 and the folded cube's vertex bound, in that
+    order, before the determinant.  That the result is a graph automorphism
+    preserving every eigenspace is the caller's to check
+    (``is_automorphism``, ``preserves_eigenspaces``); ``qsym so-points``
+    reports both.
     """
     n, signs = point.n, point.signs
-    size = _check_action_size(n)
+    if n % 2 == 0 or n < 3:
+        raise UsageError("classical point action needs odd n >= 3")
+    size = _cube_size(n)
     if prod(signs) != 1:
-        raise UsageError(_DETERMINANT_ERROR)
-    words = _connection_words(n).tolist()
+        raise UsageError("quantum determinant is -1: the sign pattern does not respect "
+                         "tau_n = tau_1...tau_{n-1}, so no vertex action exists")
+    words = _connection_ints(n)
     shift = 0  # L(c)
     for i, s in zip(point.perm.images, signs):
         if s != signs[-1]:

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qsym.cli
+from qsym import so_twist
 from qsym.cli import main
 from qsym.fixtures import fixture_path
 
@@ -182,6 +184,36 @@ def test_exit_2_on_bad_values(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1 and out == ""
+
+
+def _refuse(*args):
+    raise AssertionError("this run must not get here")
+
+
+@pytest.mark.parametrize("n, message", [
+    ("1", "needs odd n >= 3"),
+    ("4", "needs odd n >= 3"),
+    ("7", "signed-permutation bound 6"),
+    ("100000000001", "signed-permutation bound 6"),
+])
+def test_so_points_checks_n_before_any_stack_is_built(capsys, monkeypatch, n, message):
+    monkeypatch.setattr(so_twist, "_signed_perm_stack", _refuse)
+    code, out, err = run(capsys, "so-points", "--n", n)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+def test_so_points_n5_reads_its_points_as_arrays(capsys, monkeypatch):
+    """No SignedPermMatrix is built, and the abelian self-check and the
+    bijection check of the actions run once each."""
+    monkeypatch.setattr(so_twist, "_stack_points", _refuse)
+    calls = Counter()
+    for name in ("_relation_defects", "_bijections"):
+        real = getattr(so_twist, name)
+        monkeypatch.setattr(so_twist, name, lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+    code, report, _ = run_json(capsys, "so-points", "--n", "5")
+    assert code == 0 and report["pass"] is True and report["count"] == 1920
+    assert calls == {"_relation_defects": 1, "_bijections": 1}
 
 
 @pytest.mark.parametrize(

@@ -58,7 +58,7 @@ def _assert_matches_oracle(n: int, perms) -> None:
 
 def test_all_1920_fq5_point_actions_match_the_dense_oracle():
     points = abelian_points(5)
-    images = so_twist._point_action_images(points)
+    images = so_twist._point_action_images(*so_twist._abelian_point_rows(5))
     actions = [classical_point_action(sp) for sp in points]
     assert [p.images for p in actions] == list(map(tuple, images.tolist()))
     _assert_matches_oracle(5, actions)
@@ -186,13 +186,16 @@ def test_point_actions_of_a_stack_are_checked_as_bijections(monkeypatch):
     """A map x -> L(x) + L(c) that is not one-to-one is refused, not
     returned, on both paths, with the same error: here t_2 reads as t_1,
     so the rows built from the connecting words repeat a vertex."""
-    points = abelian_points(3)[:2]
+    perms, signs = so_twist._abelian_point_rows(3)
+    point = abelian_points(3)[1]
     real = so_twist._connection_words
     monkeypatch.setattr(so_twist, "_connection_words", lambda n: real(n)[[0, 0, 2]])
+    # a fresh cache of the one-point path's words, dropped with the patch
+    monkeypatch.setattr(so_twist, "_connection_ints", lru_cache(so_twist._connection_ints.__wrapped__))
     with pytest.raises(UsageError, match="not a bijection") as many:
-        so_twist._point_action_images(points[1:])
+        so_twist._point_action_images(perms[1:2], signs[1:2])
     with pytest.raises(UsageError, match="not a bijection") as one:
-        classical_point_action(points[1])
+        classical_point_action(point)
     assert str(one.value) == str(many.value)
     with pytest.raises(UsageError, match="not a bijection"):
-        so_twist._point_action_images(points)
+        so_twist._point_action_images(perms[:2], signs[:2])

@@ -1,6 +1,7 @@
 import json
 import time
 from itertools import permutations, product
+from math import prod
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ def diag_point(*signs):
     return SignedPermMatrix(Permutation(tuple(range(len(signs)))), signs)
 
 
+def rows_of(points) -> tuple[np.ndarray, np.ndarray]:
+    """The (P, n) ``perms`` and ``signs`` arrays of a list of points, as
+    ``_point_action_images`` reads them."""
+    return np.array([sp.perm.images for sp in points]), np.array([sp.signs for sp in points])
+
+
 def point_of(m: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(perm images, signs) of a dense signed permutation matrix."""
     rows = np.abs(m).argmax(axis=0)
@@ -66,7 +73,7 @@ def test_signed_perm_matrix_basics():
     m = oracle.dense_matrix(sp)
     assert m.tolist() == [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
     assert point_of(m) == (sp.perm.images, sp.signs)
-    assert sp.quantum_determinant == -1
+    assert prod(sp.signs) == -1
     assert np.array_equal(m @ m.T, np.eye(3, dtype=np.int64))
 
 
@@ -565,7 +572,7 @@ def test_sumzero_abelian_against_naive_oracle():
                 term = int(m[sigma[0], 0]) * int(m[sigma[1], 1]) * int(m[sigma[2], k])
                 total += term
             if k == 2:
-                assert total == sp.quantum_determinant
+                assert total == prod(sp.signs)
             else:
                 assert total == 0
 
@@ -839,10 +846,21 @@ def test_lemma_P_abelian_exact_n5_l3():
 
 def test_abelian_points_keep_the_enumeration_order():
     points = abelian_points(4)
-    expected = [sp for sp in oracle.loop_signed_perm_matrices(4) if sp.quantum_determinant == 1]
+    expected = [sp for sp in oracle.loop_signed_perm_matrices(4) if prod(sp.signs) == 1]
     assert points == expected
-    stack = so_twist._signed_perm_stack(3)
-    assert so_twist._stack_points(stack, np.ones(48, dtype=bool)) == oracle.loop_signed_perm_matrices(3)
+    every = oracle.loop_signed_perm_matrices(3)
+    assert so_twist._stack_points(*rows_of(every)) == every
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_the_point_rows_are_abelian_points_row_for_row(n):
+    perms, signs = so_twist._abelian_point_rows(n)
+    points = abelian_points(n)
+    assert perms.shape == signs.shape == (len(points), n)
+    assert [(sp.perm.images, sp.signs) for sp in points] == list(zip(map(tuple, perms.tolist()),
+                                                                     map(tuple, signs.tolist())))
+    # one Permutation per permutation, shared by its 2^(n-1) sign vectors
+    assert len({id(sp.perm) for sp in points}) == len({sp.perm for sp in points}) == len(points) >> (n - 1)
 
 
 def test_lemma_P_repeated_adjacent_subsum_vanishes():
@@ -903,31 +921,20 @@ def test_even_n_rejected():
         classical_point_action(diag_point(1, 1, 1, 1))
 
 
-def test_points_of_mixed_sizes_are_a_dimension_error():
-    points = [diag_point(1, 1, 1), diag_point(1, 1, 1, 1, 1)]
-    with pytest.raises(DimensionError, match="different sizes"):
-        so_twist._point_action_images(points)
-    with pytest.raises(DimensionError, match="different sizes"):
-        so_twist._point_action_images(points[::-1])
-
-
 def test_point_actions_past_the_vertex_bound_are_a_capacity_error():
     with pytest.raises(CapacityError, match=r"folded 15-cube has 2\^14 > 4096 vertices"):
         classical_point_action(diag_point(*[1] * 15))
-    with pytest.raises(CapacityError, match=r"folded 15-cube has 2\^14 > 4096 vertices"):
-        so_twist._point_action_images([diag_point(*[1] * 15)])
 
 
 def test_point_action_errors_come_in_order_size_parity_bound_determinant():
-    with pytest.raises(DimensionError, match="different sizes"):
-        so_twist._point_action_images([diag_point(-1, 1, 1, 1), diag_point(1, 1, 1)])
+    # a point's size is its permutation's (SignedPermMatrix checks the
+    # signs against it), so one point's errors start at the parity
     with pytest.raises(UsageError, match="odd n"):
         classical_point_action(diag_point(-1, 1, 1, 1))
     with pytest.raises(CapacityError, match="2\\^14 > 4096 vertices"):
         classical_point_action(diag_point(-1, *[1] * 14))
-    # the determinant is read for every point of the list, not the first only
     with pytest.raises(UsageError, match="determinant"):
-        so_twist._point_action_images(abelian_points(3)[:5] + [diag_point(-1, 1, 1)])
+        classical_point_action(diag_point(-1, 1, 1))
 
 
 def test_both_point_action_paths_equal_the_inverse_table_on_every_n7_permutation():
@@ -938,7 +945,7 @@ def test_both_point_action_paths_equal_the_inverse_table_on_every_n7_permutation
         signs[-1] = signs[:-1].prod()  # quantum determinant one
         points.append(SignedPermMatrix(Permutation(perm), tuple(signs.tolist())))
     table = oracle.table_point_images(points)
-    assert so_twist._point_action_images(points).tolist() == table.tolist()
+    assert so_twist._point_action_images(*rows_of(points)).tolist() == table.tolist()
     assert [classical_point_action(sp).images for sp in points] == list(map(tuple, table.tolist()))
 
 
@@ -972,22 +979,8 @@ def _seeded_points(n: int, count: int, seed: int) -> list[SignedPermMatrix]:
 
 def test_one_point_and_the_array_path_give_the_same_actions_at_n7():
     points = _seeded_points(7, 300, 77)
-    images = so_twist._point_action_images(points)
+    images = so_twist._point_action_images(*rows_of(points))
     assert [classical_point_action(sp).images for sp in points] == list(map(tuple, images.tolist()))
-
-
-@pytest.mark.parametrize("point, error", [
-    (diag_point(-1, 1, 1), UsageError),  # quantum determinant -1
-    (diag_point(1, 1, 1, 1), UsageError),  # even n
-    (diag_point(*[1] * 15), CapacityError),  # past the vertex bound
-    (diag_point(-1, *[1] * 14), CapacityError),  # past the bound before the determinant
-])
-def test_one_point_and_the_array_path_raise_the_same_error(point, error):
-    with pytest.raises(error) as one:
-        classical_point_action(point)
-    with pytest.raises(error) as many:
-        so_twist._point_action_images([point])
-    assert str(one.value) == str(many.value)
 
 
 def test_point_action_matches_the_fourier_oracle_on_seeded_n7_points():
@@ -1006,7 +999,7 @@ def test_point_action_matches_the_fourier_oracle_on_seeded_n7_points():
 @pytest.mark.parametrize("n, count, checked", [(9, 60, 20), (11, 40, 6), (13, 20, 2)])
 def test_point_actions_past_n7_are_automorphisms_on_both_paths(n, count, checked):
     points = _seeded_points(n, count, n)
-    images = so_twist._point_action_images(points)
+    images = so_twist._point_action_images(*rows_of(points))
     actions = [classical_point_action(sp) for sp in points]
     assert [a.images for a in actions] == list(map(tuple, images.tolist()))
     cube = folded_cube(n)

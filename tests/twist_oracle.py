@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations, product
+from math import prod
 from typing import Iterable
 
 import numpy as np
@@ -297,7 +298,7 @@ def loop_lemma_SO_mismatches(n: int) -> int:
                     term *= int(m[row, col])
                 rhs += term
             expansion = expansion and int(m[j, n - 1]) == rhs
-        count += (sp.quantum_determinant == 1) != expansion
+        count += (prod(sp.signs) == 1) != expansion
     return count
 
 
@@ -314,7 +315,7 @@ def loop_lemma_sumzero_check(n, model, samples=50, seed=42, tol=1e-9) -> Report:
             for k in range(n):
                 total = int((heads * mat[perms[:, -1], k]).sum())
                 if k == n - 1:
-                    control = max(control, abs(total - sp.quantum_determinant))
+                    control = max(control, abs(total - prod(sp.signs)))
                 else:
                     max_defect = max(max_defect, abs(total))
         details = {"model": "abelian", "n": n, "matrices": len(mats), "control_defect": float(control)}
