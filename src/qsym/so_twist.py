@@ -43,14 +43,15 @@ has entry s_i at (pi(i), i) and zeros elsewhere, so for a column tuple I
 its one non-zero product u_{j_1 i_1} ... u_{j_l i_l} sits at J = pi(I),
 with value prod_a s_{i_a}: the abelian checks read that term for all
 2^n n! matrices at once (``_support_terms``).  (7.2) is a running sum
-over k, in the stack's dtype.  The other twisted checks sum signed
-products over the samples per bucket of row tuples J, for a (C, l) stack
-of column tuples I in one kernel call (``relation_kernel``); (7.5) and the
-vanishing lemma share one determinant sum (``_determinant_sums``).  A
-chain's twist sign splits into a row and a column part, chain_signs(J, I)
-= r(J) c(I) (``_index_signs``): r(J) is computed once, c(I) = +-1 applied
-after the sum or dropped where only |lhs - rhs| is read.  Every sum runs
-in the order of its terms, bit for bit a plain loop.  (7.3) and (7.4) are
+over k, in the stack's dtype.  The other twisted checks are running sums
+too: ``_signed_sums`` loops over the row tuples J in order and adds each
+signed product, for all column tuples I of a (C, l) array and a block of
+samples at once, into its bucket of J; (7.5) and the vanishing lemma
+share one determinant sum (``_determinant_sums``).  A chain's twist sign
+splits into a row and a column part, chain_signs(J, I) = r(J) c(I)
+(``_index_signs``): r(J) is computed once, c(I) = +-1 applied after the
+sum or dropped where only |lhs - rhs| is read.  Every sum runs in the
+order of its terms, a plain loop.  (7.3) and (7.4) are
 one commutation rule, u_ij u_kl = eps u_kl u_ij, read from one int8
 coefficient tensor; sample entries are multiplied only where it is
 non-zero.
@@ -82,7 +83,6 @@ from .boolean_group import _connection_words, _cube_size, tau_generators
 from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
 from .errors import CapacityError, DimensionError, UsageError
 from .graphs import Permutation, _bijections, _integers, _permutation_rows, _without_checks
-from .relation_kernel import _bucket_sums, _product_sums, _slot_table
 
 __all__ = [
     "SignedPermMatrix",
@@ -105,6 +105,10 @@ __all__ = [
 #: enumeration caps: 2^n n! signed permutation matrices
 SIGNED_PERM_BOUND = 6
 SO_BRUTEFORCE_BOUND = 5
+
+#: float64 elements that one block of samples of ``_signed_sums`` holds in
+#: its slabs, its running term and its bucket sums together (4 MiB)
+_SUM_BLOCK = 1 << 19
 
 #: caps on sample counts: at most SAMPLE_BOUND samples, and an (S, n, n)
 #: float64 sample stack of at most SAMPLE_STACK_BYTES (200 MiB at n = 5 and
@@ -147,9 +151,6 @@ class SignedPermMatrix:
     @property
     def n(self) -> int:
         return self.perm.size
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "perm": list(self.perm.images), "signs": list(self.signs)}
 
 
 @dataclass(frozen=True)
@@ -407,12 +408,54 @@ def _relation_defects(stack: np.ndarray, table: np.ndarray) -> tuple[float, floa
     return d71, d72, d73, d74
 
 
+def _signed_sums(stack, rows, cols, signs, buckets):
+    """Per-sample bucket sums of signed entry products, one running sum each.
+
+    ``stack`` holds S matrices, shape (S, n, n); ``rows`` is (P, l), ``cols``
+    is (C, l) and ``buckets`` is (T, P), T bucketings of the row tuples into
+    ids 0..K-1, with -1 for a tuple a bucketing leaves out.  Term (p, c) of
+    sample s is
+
+        signs[p] * stack[s, rows[p, 0], cols[c, 0]] * ... * stack[s, rows[p, l-1], cols[c, l-1]],
+
+    multiplied left to right from the sign (+-1, so exact), and bucket k
+    of bucketing t adds the terms of its tuples to +0.0 in the order of
+    ``rows``: a plain loop.
+
+    Yields ``(sblk, sums)`` per block of samples, ``sums`` the (T, K, C, Sb)
+    sums of samples ``sblk``.  A block gathers its entries once, as (l, n,
+    C, Sb) slabs of entries (j, cols[c, a], s), so each factor is one
+    (C, Sb) slab; its slabs, term and sums hold at most about
+    ``_SUM_BLOCK`` elements, or one sample's.
+    """
+    n, kinds, width = stack.shape[-1], len(buckets), int(buckets.max(initial=-1)) + 1
+    step = max(1, _SUM_BLOCK // ((kinds * width + rows.shape[1] * n + 1) * len(cols)))
+    entries = np.arange(n)[:, None], cols.T[:, None]  # (l, n, C): (j, cols[c, a])
+    rows, signs, buckets = rows.tolist(), signs.tolist(), buckets.T.tolist()
+    for s in range(0, len(stack), step):
+        sblk = slice(s, s + step)
+        slabs = stack[sblk].transpose(1, 2, 0)[entries]
+        sums = np.zeros((kinds, width) + slabs.shape[2:])
+        term = np.empty(slabs.shape[2:])
+        for row, sign, ids in zip(rows, signs, buckets):
+            term.fill(sign)
+            for a, j in enumerate(row):
+                term *= slabs[a, j]
+            for t, k in enumerate(ids):
+                if k >= 0:
+                    sums[t, k] += term
+        yield sblk, sums
+
+
 def _determinant_sums(stack: np.ndarray, cols: np.ndarray, table: np.ndarray) -> np.ndarray:
     """c(I) sum_sigma r(sigma) u_{sigma(1) i_1} ... u_{sigma(n) i_n} under the
     twist ``table``, per column tuple I of the (C, n) ``cols`` and sample of
     the (S, n, n) ``stack``: a (C, S) array, the determinant at I = 1..n."""
     perms = _permutations(stack.shape[-1])
-    return _index_signs(cols, table)[:, None] * _bucket_sums(stack, perms, cols, _index_signs(perms, table))
+    out = np.empty((len(cols), len(stack)))
+    for sblk, sums in _signed_sums(stack, perms, cols, _index_signs(perms, table), np.zeros((1, len(perms)), int)):
+        out[:, sblk] = sums[0, 0]
+    return _index_signs(cols, table)[:, None] * out
 
 
 def twisted_relation_check(
@@ -527,10 +570,11 @@ def lemma_P_check(
     repeat an index.  So the abelian defect is 0 by construction, and the
     check reads it only to catch a stack that is not made of permutations.
 
-    The twisted column tuples go through the kernel in one call; c(I)
-    multiplies both sides alike and is left out.  lhs and rhs are read from
-    one block of terms, through the slot tables of all and of the distinct
-    row tuples, and each block's difference folds into a running maximum.
+    The twisted column tuples go through ``_signed_sums`` in one call; c(I)
+    multiplies both sides alike and is left out.  lhs and rhs come from the
+    same pass, as two bucketings of the row tuples by tau word: all of them
+    for lhs, the distinct ones for rhs.  Each block of samples' difference
+    folds into a running maximum.
     """
     n = check_integer(n, "n", 1)
     l = check_integer(l, "l", 1)
@@ -563,13 +607,11 @@ def lemma_P_check(
     details = {"model": "twisted", "n": n, "l": l, "samples": samples, "seed": seed}
     tau_bits = np.array(tau_generators(n), dtype=np.intp)
     bits = np.bitwise_xor.reduce(tau_bits[j_tuples], axis=1)
-    (lhs_table, lhs_ids), (rhs_table, rhs_ids) = _slot_table(bits), _slot_table(np.where(distinct, bits, -1))
-    # every bucket of a distinct tuple is a bucket of lhs
-    shared = np.searchsorted(lhs_ids, rhs_ids)
     max_defect = 0.0
-    for _, _, (diff, rhs) in _product_sums(values, j_tuples, cols, [lhs_table, rhs_table], _index_signs(j_tuples, twist)):
-        diff[shared] -= rhs
-        max_defect = max(max_defect, float(np.abs(diff, out=diff).max(initial=0.0)))
+    for _, (lhs, rhs) in _signed_sums(values, j_tuples, cols, _index_signs(j_tuples, twist),
+                                      np.stack([bits, np.where(distinct, bits, -1)])):
+        lhs -= rhs
+        max_defect = max(max_defect, float(np.abs(lhs, out=lhs).max(initial=0.0)))
     return Report(relation="lemma_P", max_defect=max_defect, tol=tol, passed=max_defect <= tol, **details)
 
 

@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from itertools import permutations, product
 from math import prod
 
@@ -31,7 +32,7 @@ from qsym import (
     is_automorphism,
     twisted_relation_check,
 )
-from qsym import cli, relation_kernel, so_twist
+from qsym import cli, so_twist
 from twist_oracle import GradedMonomial, TwistedElement, twisted_chain, twisted_product
 
 
@@ -75,13 +76,6 @@ def test_signed_perm_matrix_basics():
     assert point_of(m) == (sp.perm.images, sp.signs)
     assert prod(sp.signs) == -1
     assert np.array_equal(m @ m.T, np.eye(3, dtype=np.int64))
-
-
-def test_signed_perm_json_round_trip():
-    sp = SignedPermMatrix(from_cycles(4, [(0, 2, 1)]), (-1, 1, -1, 1))
-    obj = json.loads(json.dumps(sp.to_json()))
-    assert obj == {"n": 4, "perm": [2, 0, 1, 3], "signs": [-1, 1, -1, 1]}
-    assert SignedPermMatrix(Permutation(tuple(obj["perm"])), tuple(obj["signs"])) == sp
 
 
 def test_signed_perm_validation():
@@ -160,12 +154,11 @@ def test_the_table_is_all_that_the_twist_changes(m):
 
 
 def test_the_relation_evaluator_makes_no_kernel_call(monkeypatch):
-    # (7.2) is a running sum over k; the kernel serves (7.5) and the lemmas
+    # (7.2) is a running sum over k; the signed sums serve (7.5) and the lemmas
     def refuse(*args):
-        raise AssertionError("relation_kernel called")
+        raise AssertionError("_signed_sums called")
 
-    for name in ("_bucket_sums", "_product_sums"):
-        monkeypatch.setattr(so_twist, name, refuse)
+    monkeypatch.setattr(so_twist, "_signed_sums", refuse)
     assert len(abelian_points(5)) == 1920
     samples = so_twist._stack_samples(5, 20, np.random.default_rng(0), negative=False)
     assert max(so_twist._relation_defects(samples, bicharacter(2))) <= 1e-9
@@ -644,20 +637,38 @@ def test_lemma_P_equals_the_per_tuple_loops(n, l, model, samples):
 
 def _relation_reports():
     """One report of every relation check, at sizes where a block of one
-    column tuple and one sample stays quick."""
-    reports = twisted_relation_check(1, n_samples=3, seed=4) + twisted_relation_check(2, n_samples=2, seed=4)
+    sample stays quick."""
+    reports = [*twisted_relation_check(1, n_samples=3, seed=4), *twisted_relation_check(2, n_samples=2, seed=4),
+               *twisted_relation_check(3, n_samples=2, seed=4)]
     reports += [lemma_sumzero_check(n, "twisted", samples=3, seed=4) for n in (3, 5)]
     reports += [lemma_P_check(3, l, model, samples=3, seed=4) for l in (1, 2, 3) for model in ("abelian", "twisted")]
-    reports += [lemma_P_check(5, l, "twisted", samples=2, seed=4) for l in (1, 2, 3)]
+    reports += [lemma_P_check(5, l, "twisted", samples=2, seed=4) for l in (1, 2, 3, 4)]
     reports += [lemma_sumzero_check(n, "abelian") for n in (3, 4)]
     return reports + [lemma_SO_mismatches(3), lemma_SO_mismatches(4)]
 
 
 def test_reports_do_not_depend_on_the_block_size(monkeypatch):
-    # a block of one column tuple and one sample crosses every boundary
+    # a block of one sample crosses every boundary
     expected = _relation_reports()
-    monkeypatch.setattr(relation_kernel, "_BLOCK", 1)
+    monkeypatch.setattr(so_twist, "_SUM_BLOCK", 1)
     assert _relation_reports() == expected
+
+
+def test_lemma_P_holds_one_block_of_samples_at_a_time(monkeypatch):
+    # at (5, 5) a sample takes 6,960 float64 elements of slabs, term and
+    # bucket sums, so 200 samples in one block hold about 11 MiB; a block
+    # of 2^17 elements is 1 MiB.  The last block's sums are still alive
+    # while the next block is made; the rest, mostly the 3,125 row tuples
+    # as lists, stays under 2 MiB
+    block = 1 << 17
+    monkeypatch.setattr(so_twist, "_SUM_BLOCK", block)
+    tracemalloc.start()
+    try:
+        assert lemma_P_check(5, 5, "twisted", samples=200).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 << 20) + 3 * 8 * block
 
 
 def test_kernel_adds_each_bucket_in_tuple_order():
@@ -666,13 +677,24 @@ def test_kernel_adds_each_bucket_in_tuple_order():
     column = np.array([1.0, 1e16, 1.0, -1e16] + [0.1, 3.0, -7.0, 1e-8] * 3)
     stack = np.zeros((1, 16, 16))
     stack[0, :, 0] = column
-    rows = np.arange(16)[:, None]
-    sums = relation_kernel._bucket_sums(stack, rows, np.zeros((1, 1), dtype=np.intp), np.ones(16))
+    rows, cols = np.arange(16)[:, None], np.zeros((1, 1), dtype=np.intp)
+    ((_, sums),) = so_twist._signed_sums(stack, rows, cols, np.ones(16, np.int8), np.zeros((1, 16), int))
     running = 0.0
     for term in column:
         running += term
     assert running != float(np.add.reduce(column))
-    assert sums[0, 0] == running
+    assert sums.shape == (1, 1, 1, 1) and sums[0, 0, 0, 0] == running
+
+    # two bucketings from the same pass, signed, one leaving tuples out
+    signs = np.array([1, -1] * 8, np.int8)
+    buckets = np.array([np.arange(16) % 2, np.where(np.arange(16) < 13, np.arange(16) % 3, -1)])
+    ((_, sums),) = so_twist._signed_sums(stack, rows, cols, signs, buckets)
+    expected = np.zeros((2, 3))
+    for p, term in enumerate(signs * column):
+        for t in range(2):
+            if buckets[t, p] >= 0:
+                expected[t, buckets[t, p]] += term
+    assert sums.shape == (2, 3, 1, 1) and np.array_equal(sums[:, :, 0, 0], expected)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])

@@ -14,7 +14,8 @@
   (``dense_matrix``).  The batched checks must reproduce their reports.
 * The dense abelian evaluation: every entry product of every signed
   permutation matrix of ``so_twist._signed_perm_stack``, summed by the
-  relation kernel as if the matrices were samples.  The abelian checks,
+  running sums of ``so_twist._signed_sums`` as if the matrices were
+  samples.  The abelian checks,
   which read only the one non-zero product per column tuple, must
   reproduce its reports, also on a planted stack.
 * The classical point action by Fourier conjugation: the group-basis
@@ -41,7 +42,6 @@ from qsym.boolean_group import walsh_matrix
 from qsym.config import Report
 from qsym.errors import DimensionError, UsageError
 from qsym import so_twist
-from qsym.relation_kernel import _bucket_sums, _product_sums, _slot_table
 from qsym.so_twist import bicharacter
 
 # ---------------------------------------------------------------------------
@@ -464,10 +464,10 @@ def dense_column_expansions(matrices: np.ndarray) -> np.ndarray:
     tuples = so_twist._permutations(n, n - 1)
     # the row a tuple avoids: each tuple misses exactly one of 0..n-1
     avoided = n * (n - 1) // 2 - tuples.sum(axis=1)
-    table, ids = _slot_table(avoided)
     out = np.zeros((n, len(matrices)))
-    for _, sblk, (sums,) in _product_sums(matrices, tuples, np.arange(n - 1)[None], [table], _unsigned(tuples)):
-        out[ids, sblk] = sums[:, 0]
+    for sblk, sums in so_twist._signed_sums(matrices, tuples, np.arange(n - 1)[None], _unsigned(tuples),
+                                            avoided[None]):
+        out[:, sblk] = sums[0, :, 0]
     return out
 
 
@@ -482,7 +482,8 @@ def dense_lemma_sumzero_check(n: int, tol: float = 1e-9) -> Report:
     perms = so_twist._permutations(n)
     cols = np.tile(np.arange(n), (n, 1))
     cols[:, -1] = np.arange(n)
-    totals = _bucket_sums(stack.matrices, perms, cols, _unsigned(perms))
+    totals = np.concatenate([sums[0, 0] for _, sums in so_twist._signed_sums(
+        stack.matrices, perms, cols, _unsigned(perms), np.zeros((1, len(perms)), int))], axis=1)
     max_defect = float(np.abs(totals[:-1]).max(initial=0.0))
     control = float(np.abs(totals[-1] - stack.determinants).max())
     details = {"model": "abelian", "n": n, "matrices": len(stack.matrices), "control_defect": control}
@@ -498,10 +499,10 @@ def dense_lemma_P_check(n: int, l: int, tol: float = 1e-9) -> Report:
     j_tuples = np.array(list(product(range(n), repeat=l)), dtype=np.intp)
     ordered = np.sort(j_tuples, axis=1)
     repeated = j_tuples[(ordered[:, 1:] == ordered[:, :-1]).any(axis=1)]
-    table = _slot_table(np.bitwise_xor.reduce(tau_bits[repeated], axis=1))[0]
+    words = np.bitwise_xor.reduce(tau_bits[repeated], axis=1)
     max_defect = 0.0
-    for _, _, (diff,) in _product_sums(stack.matrices, repeated, so_twist._permutations(n, l), [table],
-                                       _unsigned(repeated)):
+    for _, (diff,) in so_twist._signed_sums(stack.matrices, repeated, so_twist._permutations(n, l),
+                                            _unsigned(repeated), words[None]):
         max_defect = max(max_defect, float(np.abs(diff).max(initial=0.0)))
     details = {"model": "abelian", "n": n, "l": l, "matrices": len(stack.matrices)}
     return Report(relation="lemma_P", max_defect=max_defect, tol=tol, passed=max_defect <= tol, **details)
