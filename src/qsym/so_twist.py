@@ -44,17 +44,19 @@ its one non-zero product u_{j_1 i_1} ... u_{j_l i_l} sits at J = pi(I),
 with value prod_a s_{i_a}: the abelian checks read that term for all
 2^n n! matrices at once (``_support_terms``).  (7.2) is a running sum
 over k, in the stack's dtype.  The other twisted checks are running sums
-too: ``_signed_sums`` loops over the row tuples J in order and adds each
-signed product, for all column tuples I of a (C, l) array and a block of
-samples at once, into its bucket of J; (7.5) and the vanishing lemma
-share one determinant sum (``_determinant_sums``).  A chain's twist sign
-splits into a row and a column part, chain_signs(J, I) = r(J) c(I)
-(``_index_signs``): r(J) is computed once, c(I) = +-1 applied after the
-sum or dropped where only |lhs - rhs| is read.  Every sum runs in the
-order of its terms, a plain loop.  (7.3) and (7.4) are
-one commutation rule, u_ij u_kl = eps u_kl u_ij, read from one int8
-coefficient tensor; sample entries are multiplied only where it is
-non-zero.
+too: ``_signed_sums`` loops over the row tuples J in order and adds or
+subtracts each product, for all column tuples I of a (C, l) array and a
+block of samples at once, into its bucket of J; consecutive tuples share
+their prefix products, so each distinct prefix is multiplied once.
+(7.5) and the vanishing lemma share one determinant sum
+(``_determinant_sums``).  A chain's twist sign splits into a row and a
+column part, chain_signs(J, I) = r(J) c(I) (``_index_signs``): r(J) picks
+the add or subtract, c(I) = +-1 is applied after the sum or dropped
+where only |lhs - rhs| is read.  Every sum runs in the order of its
+terms, a plain loop.  (7.3) and (7.4) are one commutation rule,
+u_ij u_kl = eps u_kl u_ij, read from one int8 coefficient tensor; sample
+entries are multiplied only where it is non-zero.  ``_relation_defects``
+reads (7.1)-(7.4) from one (n, n, S) copy of the stack, samples last.
 
 Finally, every abelian point acts on the folded n-cube: the generators
 tau_i of Z_2^{n-1} are sent to sign * tau_{perm(i)}, which (precisely
@@ -216,16 +218,22 @@ def _abelian_point_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _stack_points(perms: np.ndarray, signs: np.ndarray) -> list[SignedPermMatrix]:
     """The rows of (P, n) ``perms`` and ``signs`` as SignedPermMatrix
     objects, in order, sharing one Permutation per distinct permutation
-    (found by its base-n code) and one tuple per sign vector.  The
+    and one tuple per distinct sign vector (each found by its code).  The
     permutations are checked once per array; the sign vectors are +-1 by
-    construction.  Neither is checked again per matrix."""
+    construction.  Neither is checked again per matrix: each object is
+    made as ``graphs._without_checks`` makes it, with the calls hoisted
+    out of the loop."""
     n = perms.shape[1]
     _, first, which = np.unique(_bijections(perms) @ n ** np.arange(n), return_index=True, return_inverse=True)
-    shared, sign_tuples = _permutation_rows(perms[first]), {}
-    return [
-        _without_checks(SignedPermMatrix, perm=shared[p], signs=sign_tuples.setdefault(s, s))
-        for p, s in zip(which.tolist(), map(tuple, signs.tolist()))
-    ]
+    _, sign_first, sign_which = np.unique((signs < 0) @ (1 << np.arange(n)), return_index=True, return_inverse=True)
+    shared, sign_tuples = _permutation_rows(perms[first]), list(map(tuple, signs[sign_first].tolist()))
+    new, put, points = object.__new__, object.__setattr__, []
+    for p, s in zip(which.tolist(), sign_which.tolist()):
+        point = new(SignedPermMatrix)
+        put(point, "perm", shared[p])
+        put(point, "signs", sign_tuples[s])
+        points.append(point)
+    return points
 
 
 def abelian_points(n: int) -> list[SignedPermMatrix]:
@@ -380,19 +388,27 @@ def _relation_defects(stack: np.ndarray, table: np.ndarray) -> tuple[float, floa
     index pair coincides, (7.4) where neither does.  Entries are multiplied
     only where coef is non-zero: nowhere for the bicharacter, on (7.3)
     (coef = 2) for the all-ones table.
+
+    Both run on one contiguous (n, n, S) copy of the stack, samples last,
+    so every product and gather reads whole (S,) rows.  T[k, k] = +-1 adds
+    or subtracts its (7.2) product, which is exact: (-a) b = -(a b).
     """
     n = stack.shape[-1]
     d71 = float(np.abs(stack.imag).max()) if np.iscomplexobj(stack) else 0.0
+    last = np.ascontiguousarray(stack.transpose(1, 2, 0))  # last[i, j] = u_ij over the samples
 
     # (7.2), per orientation: T[i, j] times the running sum of T[k, k] u_ki u_kj
-    defects = []
-    for u in (stack, stack.transpose(0, 2, 1)):
-        total = np.zeros_like(stack)
+    defects, total, product = [], np.empty_like(last), np.empty_like(last)
+    for u in (last, last.transpose(1, 0, 2)):
+        total.fill(0)
         for k in range(n):
-            total += table[k, k] * u[:, k, :, None] * u[:, k, None, :]
-        defects.append(float(np.abs(table * total - np.eye(n, dtype=stack.dtype)).max()))
+            np.multiply(u[k, :, None], u[k, None, :], product)
+            (np.add if table[k, k] > 0 else np.subtract)(total, product, total)
+        total *= table[:, :, None]
+        total -= np.eye(n, dtype=stack.dtype)[:, :, None]
+        defects.append(float(np.abs(total).max()))
     d72 = max(defects)
-    del total  # one (S, n, n) array less under the (7.3) products
+    del total, product  # two (n, n, S) arrays less under the (7.3) products
 
     idx = np.arange(n)
     pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1)  # pairs[i, j] = (i, j)
@@ -402,49 +418,74 @@ def _relation_defects(stack: np.ndarray, table: np.ndarray) -> tuple[float, floa
     swapped = chain_signs(flip[:, :, None, None], flip, table)
     coef = chain_signs(pairs[:, :, None, None], pairs, table) - np.where(one, -swapped, swapped)
     i, k, j, l = np.nonzero(coef)
-    terms = np.abs(coef[i, k, j, l] * stack[:, i, j] * stack[:, k, l])
+    terms = np.abs(coef[i, k, j, l, None] * last[i, j] * last[k, l])
     part = one[i, k, j, l]
-    d73, d74 = (float(terms[:, cut].max(initial=0)) for cut in (part, ~part))
+    d73, d74 = (float(terms[cut].max(initial=0)) for cut in (part, ~part))
     return d71, d72, d73, d74
 
 
 def _signed_sums(stack, rows, cols, signs, buckets):
     """Per-sample bucket sums of signed entry products, one running sum each.
 
-    ``stack`` holds S matrices, shape (S, n, n); ``rows`` is (P, l), ``cols``
-    is (C, l) and ``buckets`` is (T, P), T bucketings of the row tuples into
-    ids 0..K-1, with -1 for a tuple a bucketing leaves out.  Term (p, c) of
-    sample s is
+    ``stack`` holds S matrices, shape (S, n, n), read as float64; ``rows``
+    is (P, l), ``cols`` is (C, l), ``signs`` is (P,) +-1 and ``buckets`` is
+    (T, P), T bucketings of the row tuples into ids 0..K-1, with -1 for a
+    tuple a bucketing leaves out.  Term (p, c) of sample s is
 
         signs[p] * stack[s, rows[p, 0], cols[c, 0]] * ... * stack[s, rows[p, l-1], cols[c, l-1]],
 
-    multiplied left to right from the sign (+-1, so exact), and bucket k
-    of bucketing t adds the terms of its tuples to +0.0 in the order of
-    ``rows``: a plain loop.
+    and bucket k of bucketing t adds the terms of its tuples to +0.0 in
+    the order of ``rows``: a plain loop.  The product is formed left to
+    right without the sign, and the sign picks ``+=`` or ``-=``; as
+    round-to-nearest is symmetric under negation, every sum is the float
+    the loop would give that starts each term from the sign.  A row of
+    width 0 adds its sign.
+
+    Each tuple's product shares its prefix with the previous tuple's:
+    prefix buffer a holds the product of the first a + 2 factors, and only
+    the factors past the longest common prefix of the two tuples are
+    multiplied.  In itertools order that is one multiply per distinct
+    prefix (775 for the 625 tuples of lemma P at n = 5, l = 4).
 
     Yields ``(sblk, sums)`` per block of samples, ``sums`` the (T, K, C, Sb)
-    sums of samples ``sblk``.  A block gathers its entries once, as (l, n,
+    sums of samples ``sblk``.  ``sums`` is one buffer, zeroed again for the
+    next block: a caller reads it before it asks for the next block and
+    holds no part of it after.  A block gathers its entries once, as (l, n,
     C, Sb) slabs of entries (j, cols[c, a], s), so each factor is one
-    (C, Sb) slab; its slabs, term and sums hold at most about
-    ``_SUM_BLOCK`` elements, or one sample's.
+    (C, Sb) slab; its slabs, l - 1 prefix buffers and sums hold at most
+    about ``_SUM_BLOCK`` elements, or one sample's.
     """
-    n, kinds, width = stack.shape[-1], len(buckets), int(buckets.max(initial=-1)) + 1
-    step = max(1, _SUM_BLOCK // ((kinds * width + rows.shape[1] * n + 1) * len(cols)))
+    stack = np.asarray(stack, dtype=np.float64)
+    n, l, kinds, width = stack.shape[-1], rows.shape[1], len(buckets), int(buckets.max(initial=-1)) + 1
+    step = max(1, _SUM_BLOCK // ((kinds * width + l * n + max(l - 1, 0)) * len(cols)))
     entries = np.arange(n)[:, None], cols.T[:, None]  # (l, n, C): (j, cols[c, a])
-    rows, signs, buckets = rows.tolist(), signs.tolist(), buckets.T.tolist()
+    # per tuple: the first factor it does not share with the previous tuple,
+    # the add or subtract of its sign, and its cell t * width + k per
+    # bucketing t (-1 where t leaves it out)
+    shared = np.concatenate([[0], (rows[1:] == rows[:-1]).cumprod(axis=1).sum(axis=1)])
+    targets = np.where(buckets >= 0, buckets + width * np.arange(kinds)[:, None], -1)
+    ops = [np.add if sign > 0 else np.subtract for sign in signs.tolist()]
+    plan = list(zip(rows.tolist(), shared.tolist(), ops, targets.T.tolist()))
+    size = min(step, len(stack))
+    sums, prefix = np.empty((kinds, width, len(cols), size)), np.empty((max(l - 1, 0), len(cols), size))
     for s in range(0, len(stack), step):
         sblk = slice(s, s + step)
         slabs = stack[sblk].transpose(1, 2, 0)[entries]
-        sums = np.zeros((kinds, width) + slabs.shape[2:])
-        term = np.empty(slabs.shape[2:])
-        for row, sign, ids in zip(rows, signs, buckets):
-            term.fill(sign)
-            for a, j in enumerate(row):
-                term *= slabs[a, j]
-            for t, k in enumerate(ids):
-                if k >= 0:
-                    sums[t, k] += term
-        yield sblk, sums
+        out = sums[..., : slabs.shape[-1]]
+        out.fill(0.0)
+        # (C, Sb) views: factors[a][j], cells[t * width + k] and chain[a], the
+        # product of the first a + 1 factors (the first factor itself at a = 0;
+        # 1.0 at l = 0)
+        factors, cells = [list(slab) for slab in slabs], [cell for bucketing in out for cell in bucketing]
+        chain = [1.0, *prefix[..., : slabs.shape[-1]]]
+        for row, start, op, into in plan:
+            for a in range(start, l):  # out= as the third argument: no keyword to parse
+                chain[a] = np.multiply(chain[a - 1], factors[a][row[a]], chain[a]) if a else factors[0][row[0]]
+            for c in into:
+                if c >= 0:
+                    op(cells[c], chain[-1], cells[c])
+        yield sblk, out
+        del slabs, factors, chain  # the next block's gather does not overlap this one's
 
 
 def _determinant_sums(stack: np.ndarray, cols: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -164,6 +164,34 @@ def test_the_relation_evaluator_makes_no_kernel_call(monkeypatch):
     assert max(so_twist._relation_defects(samples, bicharacter(2))) <= 1e-9
 
 
+def _planted_stacks(m):
+    """Seeded samples of n = 2m+1 with planted faults, as float64 (one
+    entry moved, which breaks (7.2)-(7.4)), complex128 (a small imaginary
+    part, (7.1)) and int8 (scaled and rounded)."""
+    n = 2 * m + 1
+    rng = np.random.default_rng(10 + m)
+    floats = so_twist._stack_samples(n, 40, rng, negative=False)
+    floats[3, 0, 1] += 0.25
+    floats[7, n - 1, 0] = -0.0
+    complexes = floats + 1e-3j * rng.standard_normal(floats.shape)
+    return floats, complexes, np.rint(4 * floats).astype(np.int8)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_relation_defects_equal_the_strided_evaluator(m):
+    # the samples-last evaluator returns the same four floats as the (S, n,
+    # n) one that multiplies by T[k, k]; the flipped table breaks (7.4)
+    n = 2 * m + 1
+    tables = [bicharacter(m), np.ones((n, n), np.int8)] + ([oracle.flipped_bicharacter(m, 0, 1)] if m > 1 else [])
+    seen = set()
+    for stack in _planted_stacks(m):
+        for table in tables:
+            defects = so_twist._relation_defects(stack, table)
+            assert defects == oracle.strided_relation_defects(stack, table)
+            seen.update(name for name, d in zip(("7.1", "7.2", "7.3", "7.4"), defects) if d > 1e-6)
+    assert seen == ({"7.1", "7.2", "7.3", "7.4"} if m > 1 else {"7.1", "7.2", "7.3"})
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_swapping_two_generators_costs_the_commutation_sign(m):
     # chain_signs((i,k),(j,l)) chain_signs((k,i),(l,j)) = (-1)^([i!=k] + [j!=l]):
@@ -655,11 +683,10 @@ def test_reports_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def test_lemma_P_holds_one_block_of_samples_at_a_time(monkeypatch):
-    # at (5, 5) a sample takes 6,960 float64 elements of slabs, term and
-    # bucket sums, so 200 samples in one block hold about 11 MiB; a block
-    # of 2^17 elements is 1 MiB.  The last block's sums are still alive
-    # while the next block is made; the rest, mostly the 3,125 row tuples
-    # as lists, stays under 2 MiB
+    # at (5, 5) a sample takes 7,320 float64 elements of slabs, prefix
+    # buffers and bucket sums, so 200 samples in one block hold about
+    # 11 MiB; a block of 2^17 elements is 1 MiB.  The rest, mostly the
+    # 3,125 row tuples as lists, stays under 2 MiB
     block = 1 << 17
     monkeypatch.setattr(so_twist, "_SUM_BLOCK", block)
     tracemalloc.start()
@@ -695,6 +722,73 @@ def test_kernel_adds_each_bucket_in_tuple_order():
             if buckets[t, p] >= 0:
                 expected[t, buckets[t, p]] += term
     assert sums.shape == (2, 3, 1, 1) and np.array_equal(sums[:, :, 0, 0], expected)
+
+
+def _blocks(stack, rows, cols, signs, buckets):
+    """The blocks of ``_signed_sums`` joined along the sample axis, each
+    copied before the helper zeroes its buffer for the next block."""
+    return np.concatenate([sums.copy() for _, sums in so_twist._signed_sums(stack, rows, cols, signs, buckets)],
+                          axis=-1)
+
+
+@pytest.mark.parametrize("l", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("order", ["itertools", "shuffled", "repeated"])
+@pytest.mark.parametrize("block", [1 << 19, 5000, 1])
+def test_signed_sums_equal_the_unshared_loop_bit_for_bit(monkeypatch, l, order, block):
+    # prefix sharing and the signed add or subtract change no bit of any
+    # sum, in any row order, for rows of width 0 and 1, across blocks (at
+    # 5000 elements l = 2 and 3 end on a shorter block)
+    monkeypatch.setattr(so_twist, "_SUM_BLOCK", block)
+    rng = np.random.default_rng(l)
+    stack = so_twist._stack_samples(5, 23, rng, negative=False)
+    rows = np.array(list(product(range(5), repeat=l)), dtype=np.intp).reshape(5**l, l)
+    if order == "shuffled":
+        rows = rows[rng.permutation(len(rows))]
+    elif order == "repeated":
+        rows = np.repeat(rows, rng.integers(1, 4, len(rows)), axis=0)
+    cols = so_twist._permutations(5, l) if l else np.zeros((1, 0), np.intp)
+    signs = rng.choice(np.array([1, -1], np.int8), len(rows))
+    buckets = np.stack([rng.integers(-1, 4, len(rows)), rng.integers(0, 2, len(rows))])
+    sums = _blocks(stack, rows, cols, signs, buckets)
+    assert sums.tobytes() == oracle.unshared_signed_sums(stack, rows, cols, signs, buckets).tobytes()
+
+
+def test_signed_sums_keep_the_cancellation_column_of_the_unshared_loop():
+    # the column of test_kernel_adds_each_bucket_in_tuple_order, read by
+    # rows of width 1 and 2 (each of width 2 repeats its first index), with
+    # both signs: the running sums keep every cancellation of the loop
+    column = np.array([1.0, 1e16, 1.0, -1e16] + [0.1, 3.0, -7.0, 1e-8] * 3)
+    stack = np.zeros((2, 16, 16))
+    stack[:, :, 0] = stack[:, :, 1] = column
+    stack[1] *= -1
+    for rows in (np.arange(16)[:, None], np.repeat(np.arange(16), 2).reshape(16, 2)):
+        cols = np.arange(rows.shape[1])[None]
+        for signs in (np.ones(16, np.int8), np.array([1, -1, -1, 1] * 4, np.int8)):
+            buckets = np.array([np.zeros(16, int), np.arange(16) % 3])
+            sums = _blocks(stack, rows, cols, signs, buckets)
+            assert sums.tobytes() == oracle.unshared_signed_sums(stack, rows, cols, signs, buckets).tobytes()
+
+
+def test_signed_sums_reuse_one_block_of_sums(monkeypatch):
+    # at a 2^17-element block, twisted lemma P at (5, 5) takes 17 samples a
+    # block; its bucket sums are 2 x 16 x 120 x 17 float64 (0.5 MiB).  200
+    # samples peak above one block of samples by less than that: the sums
+    # of a block are not alive beside the next block's
+    block = 1 << 17
+    monkeypatch.setattr(so_twist, "_SUM_BLOCK", block)
+    step = block // ((2 * 16 + 5 * 5 + 4) * 120)
+    assert step == 17
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            assert lemma_P_check(5, 5, "twisted", samples=samples).passed
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # fills the caches of permutations and tables
+    assert peak(200) - peak(step) < 2 * 16 * 120 * step * 8
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
@@ -883,6 +977,8 @@ def test_the_point_rows_are_abelian_points_row_for_row(n):
                                                                      map(tuple, signs.tolist())))
     # one Permutation per permutation, shared by its 2^(n-1) sign vectors
     assert len({id(sp.perm) for sp in points}) == len({sp.perm for sp in points}) == len(points) >> (n - 1)
+    # and one tuple per sign vector, shared by its n! permutations
+    assert len({id(sp.signs) for sp in points}) == len({sp.signs for sp in points}) == 1 << (n - 1)
 
 
 def test_lemma_P_repeated_adjacent_subsum_vanishes():

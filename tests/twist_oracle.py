@@ -18,6 +18,11 @@
   samples.  The abelian checks,
   which read only the one non-zero product per column tuple, must
   reproduce its reports, also on a planted stack.
+* The relation evaluators before prefix sharing: ``unshared_signed_sums``
+  forms every term of ``so_twist._signed_sums`` from scratch, starting
+  from its sign, and ``strided_relation_defects`` evaluates
+  ``so_twist._relation_defects`` on the (S, n, n) stack with T[k, k]
+  multiplied in.  The helpers must return their floats bit for bit.
 * The classical point action by Fourier conjugation: the group-basis
   matrix of the algebra map, built word by word, conjugated by the Walsh
   matrix.  The closed-form XOR rule must return the same permutation.
@@ -42,7 +47,7 @@ from qsym.boolean_group import walsh_matrix
 from qsym.config import Report
 from qsym.errors import DimensionError, UsageError
 from qsym import so_twist
-from qsym.so_twist import bicharacter
+from qsym.so_twist import bicharacter, chain_signs
 
 # ---------------------------------------------------------------------------
 # the bicharacter as a pairing of words
@@ -482,7 +487,8 @@ def dense_lemma_sumzero_check(n: int, tol: float = 1e-9) -> Report:
     perms = so_twist._permutations(n)
     cols = np.tile(np.arange(n), (n, 1))
     cols[:, -1] = np.arange(n)
-    totals = np.concatenate([sums[0, 0] for _, sums in so_twist._signed_sums(
+    # each block's sums are copied out before the helper zeroes them again
+    totals = np.concatenate([sums[0, 0].copy() for _, sums in so_twist._signed_sums(
         stack.matrices, perms, cols, _unsigned(perms), np.zeros((1, len(perms)), int))], axis=1)
     max_defect = float(np.abs(totals[:-1]).max(initial=0.0))
     control = float(np.abs(totals[-1] - stack.determinants).max())
@@ -506,6 +512,55 @@ def dense_lemma_P_check(n: int, l: int, tol: float = 1e-9) -> Report:
         max_defect = max(max_defect, float(np.abs(diff).max(initial=0.0)))
     details = {"model": "abelian", "n": n, "l": l, "matrices": len(stack.matrices)}
     return Report(relation="lemma_P", max_defect=max_defect, tol=tol, passed=max_defect <= tol, **details)
+
+
+# ---------------------------------------------------------------------------
+# the relation evaluators before prefix sharing and samples-last layout
+# ---------------------------------------------------------------------------
+
+
+def unshared_signed_sums(stack, rows, cols, signs, buckets) -> np.ndarray:
+    """The (T, K, C, S) sums of ``so_twist._signed_sums`` for all samples at
+    once, each term formed from scratch: it starts from its sign and is
+    multiplied by its l factors left to right, then added to its buckets."""
+    n, kinds, width = stack.shape[-1], len(buckets), int(buckets.max(initial=-1)) + 1
+    slabs = stack.transpose(1, 2, 0)[np.arange(n)[:, None], cols.T[:, None]]  # (l, n, C, S)
+    sums = np.zeros((kinds, width) + slabs.shape[2:])
+    term = np.empty(slabs.shape[2:])
+    for row, sign, ids in zip(rows.tolist(), signs.tolist(), buckets.T.tolist()):
+        term.fill(sign)
+        for a, j in enumerate(row):
+            term *= slabs[a, j]
+        for t, k in enumerate(ids):
+            if k >= 0:
+                sums[t, k] += term
+    return sums
+
+
+def strided_relation_defects(stack: np.ndarray, table: np.ndarray) -> tuple[float, float, float, float]:
+    """``so_twist._relation_defects`` on the (S, n, n) stack as it is: the
+    (7.2) sums multiply by T[k, k] and the (7.3)/(7.4) gathers read the
+    strided middle axes."""
+    n = stack.shape[-1]
+    d71 = float(np.abs(stack.imag).max()) if np.iscomplexobj(stack) else 0.0
+    defects = []
+    for u in (stack, stack.transpose(0, 2, 1)):
+        total = np.zeros_like(stack)
+        for k in range(n):
+            total += table[k, k] * u[:, k, :, None] * u[:, k, None, :]
+        defects.append(float(np.abs(table * total - np.eye(n, dtype=stack.dtype)).max()))
+    idx = np.arange(n)
+    pairs = np.stack(np.meshgrid(idx, idx, indexing="ij"), axis=-1)
+    same = idx[:, None] == idx
+    one = same[:, :, None, None] != same
+    flip = pairs[:, :, ::-1]
+    swapped = chain_signs(flip[:, :, None, None], flip, table)
+    coef = chain_signs(pairs[:, :, None, None], pairs, table) - np.where(one, -swapped, swapped)
+    i, k, j, l = np.nonzero(coef)
+    terms = np.abs(coef[i, k, j, l] * stack[:, i, j] * stack[:, k, l])
+    part = one[i, k, j, l]
+    d73, d74 = (float(terms[:, cut].max(initial=0)) for cut in (part, ~part))
+    return d71, max(defects), d73, d74
 
 
 # ---------------------------------------------------------------------------
