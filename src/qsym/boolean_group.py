@@ -111,18 +111,21 @@ def folded_cube(n: int) -> Graph:
     For n >= 3 the graph is n-regular; for n = 2 the two kinds of shift
     coincide and the graph is a single edge.
 
-    The graph is built from its pairs (y, y ^ s), one (n, 2^{n-1}) int32
-    array of shifted words against a broadcast view of the words, so the
-    pair arrays stay at about 4 bytes per edge end.  ``Graph(...)`` checks
-    them (a zero word would be a loop) and keeps a copy; the dense matrix
-    is written only when something reads it, which ``verify_spectrum``
-    does not.
+    The graph is built from its pairs (y, y ^ s) with y <= y ^ s: each
+    edge once, as the one orientation y < y ^ s, and a zero word's loops
+    (y, y) kept for the check.  One (n, 2^{n-1}) int32 array of shifted
+    words against a broadcast view of the words is masked to that half,
+    so the kept pair arrays hold 4 bytes per edge each.  ``Graph(...)``
+    checks them (a zero word would be a loop) and keeps a copy; the dense
+    matrix is written only when something reads it, which
+    ``verify_spectrum`` does not.
     """
     n = check_integer(n, "n", 2, need="folded cube needs an integer n >= 2")
     size = _cube_size(n)
     ii = np.arange(size, dtype=np.int32)
     shifted = ii ^ _connection_words(n)[:, None]
-    return Graph(size, np.broadcast_to(ii, shifted.shape), shifted)
+    half = ii <= shifted
+    return Graph(size, np.broadcast_to(ii, shifted.shape)[half], shifted[half])
 
 
 def tau_generators(n: int) -> tuple[int, ...]:

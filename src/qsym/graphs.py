@@ -4,9 +4,11 @@ A graph is built from vertex pairs, checked as arrays, and keeps a copy of
 them; there is no other way to make one.  The dense 0/1 adjacency is
 written from the pairs on first read, so code that only needs the pairs
 (the Cayley certificate in ``spectral``, ``==`` and ``repr``) never forms
-an N x N array.  The rest targets the classical symmetry side of the
-toolkit: exhaustive enumeration of the automorphism group and the search
-for a pair of non-trivial automorphisms with disjoint supports.
+an N x N array; ``folded_cube`` passes each edge once, so neither the
+adjacency nor the certificate writes an edge twice.  The rest targets the
+classical symmetry side of the toolkit: exhaustive enumeration of the
+automorphism group and the search for a pair of non-trivial automorphisms
+with disjoint supports.
 
 The enumeration places vertices in a connectivity order (next comes the
 unplaced vertex with the most placed neighbours, ties broken by label).
@@ -15,7 +17,9 @@ possible images per vertex and partial map; placing a vertex is one AND
 per mask.  A block of maps stops branching once every unplaced vertex has
 at most one candidate, and its rows are then checked as whole maps.  Both
 ``automorphisms`` and ``find_disjoint_pair`` read the one (|Aut|, n) image
-array it returns.
+array it returns.  ``Permutation`` is a slotted frozen dataclass, and the
+rows of an array checked as a whole become Permutations by one slot store
+each (``_permutation_rows``), with no check per row.
 
 Whether permutations preserve the adjacency, read as an int8 table, is
 asked by index gathers: of one permutation by two axis takes
@@ -130,8 +134,8 @@ class Graph:
     arrays reaches neither the graph nor its checks.  ``adjacency`` writes
     a[rows, cols] = a[cols, rows] = 1 into a fresh zero matrix, which
     makes it symmetric and 0/1; repeated pairs write the same 1 again.
-    ``from_edges`` (graph files) and ``folded_cube`` make their pairs and
-    call it.
+    ``from_edges`` (graph files) and ``folded_cube`` make their pairs, one
+    per edge, and call it.
     """
 
     def __init__(self, n: int, rows, cols):
@@ -237,10 +241,11 @@ class Graph:
         return f"Graph(n={self.n_vertices}, edges={len(self._edge_keys())})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Permutation:
     """Bijection on {0..n-1}, stored as the tuple of images: integers
-    (Python or numpy), else a ``UsageError``."""
+    (Python or numpy), else a ``UsageError``.  Slotted: an instance holds
+    its one field and no ``__dict__``."""
 
     images: tuple[int, ...]
 
@@ -292,20 +297,18 @@ def _bijections(images: np.ndarray) -> np.ndarray:
     return images
 
 
-def _without_checks(cls, **fields):
-    """An instance of the frozen dataclass cls with these fields, skipping
-    ``__post_init__``: for rows of an array already checked as a whole."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def _permutation_rows(images: np.ndarray) -> list[Permutation]:
     """The rows of a (P, n) image array as Permutations, with no check per
     row: the array must be checked once by ``_bijections`` or consist of
-    bijections by construction."""
-    return [_without_checks(Permutation, images=tuple(row)) for row in images.tolist()]
+    bijections by construction.  Each row is one slot store of its image
+    tuple into a bare instance, past ``__post_init__`` and the frozen
+    ``__setattr__``."""
+    new, put, rows = object.__new__, Permutation.images.__set__, []
+    for row in images.tolist():
+        p = new(Permutation)
+        put(p, tuple(row))
+        rows.append(p)
+    return rows
 
 
 def _adjacency_defects(g: Graph, images: np.ndarray) -> np.ndarray:

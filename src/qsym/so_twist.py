@@ -84,7 +84,7 @@ import numpy as np
 from .boolean_group import _connection_words, _cube_size, tau_generators
 from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
 from .errors import CapacityError, DimensionError, UsageError
-from .graphs import Permutation, _bijections, _integers, _permutation_rows, _without_checks
+from .graphs import Permutation, _bijections, _integers, _permutation_rows
 
 __all__ = [
     "SignedPermMatrix",
@@ -134,10 +134,10 @@ def _permutations(n: int, l: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedPermMatrix:
     """Matrix with one entry +-1 per row and column: column a holds
-    ``signs[a]`` at row ``perm(a)``."""
+    ``signs[a]`` at row ``perm(a)``.  Slotted, like ``Permutation``."""
 
     perm: Permutation
     signs: tuple[int, ...]
@@ -221,17 +221,17 @@ def _stack_points(perms: np.ndarray, signs: np.ndarray) -> list[SignedPermMatrix
     and one tuple per distinct sign vector (each found by its code).  The
     permutations are checked once per array; the sign vectors are +-1 by
     construction.  Neither is checked again per matrix: each object is
-    made as ``graphs._without_checks`` makes it, with the calls hoisted
-    out of the loop."""
+    a bare instance given its two fields by slot stores."""
     n = perms.shape[1]
     _, first, which = np.unique(_bijections(perms) @ n ** np.arange(n), return_index=True, return_inverse=True)
     _, sign_first, sign_which = np.unique((signs < 0) @ (1 << np.arange(n)), return_index=True, return_inverse=True)
     shared, sign_tuples = _permutation_rows(perms[first]), list(map(tuple, signs[sign_first].tolist()))
-    new, put, points = object.__new__, object.__setattr__, []
+    new, points = object.__new__, []
+    put_perm, put_signs = SignedPermMatrix.perm.__set__, SignedPermMatrix.signs.__set__
     for p, s in zip(which.tolist(), sign_which.tolist()):
         point = new(SignedPermMatrix)
-        put(point, "perm", shared[p])
-        put(point, "signs", sign_tuples[s])
+        put_perm(point, shared[p])
+        put_signs(point, sign_tuples[s])
         points.append(point)
     return points
 
@@ -733,4 +733,6 @@ def classical_point_action(point: SignedPermMatrix) -> Permutation:
         row += [r ^ word for r in row]
     if sorted(row) != list(range(size)):
         _bijections(np.array([row]))
-    return _without_checks(Permutation, images=tuple(row))
+    action = object.__new__(Permutation)
+    Permutation.images.__set__(action, tuple(row))
+    return action

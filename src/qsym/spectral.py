@@ -33,9 +33,12 @@ distance classes.  So the largest level difference of N E_k at (p(x),
 p(y)) and at (x, y) is read from one small per-n class table
 (``_class_table``) at p(x) ^ p(y) and x ^ y; these integer defects are N
 times the entries of P E_k - E_k P, gathered in bounded blocks, and no
-(levels, N, N) array is ever built for the check.  F comes from the Walsh
-characters and the level rule, never from the adjacency, so the check
-stays independent of ``graphs.is_automorphism``.
+(levels, N, N) array is ever built for the check.  Up to n = 9 the class
+offsets of every pair (x, y) are one cached, read-only int16 pair table
+(``_pair_table``, 128 KiB at n = 9), so one permutation is one gather at
+(p(x) ^ p(y)) + T; past n = 9 no N x N table is kept.  F comes from the
+Walsh characters and the level rule, never from the adjacency, so the
+check stays independent of ``graphs.is_automorphism``.
 """
 
 from __future__ import annotations
@@ -273,48 +276,63 @@ def _class_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return offsets, gaps
 
 
-def _gap_maxima(images: np.ndarray, shifted: np.ndarray, offsets: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """Per image row p of ``images``, one (N,) row or a (B, N) block, the
-    largest gaps[offsets[d] + (p(x ^ d) ^ p(x))] over the rows d of the
-    (D, N) table shifted[d, x] = x ^ d and every x, ``offsets`` being those
-    rows' slice."""
-    gathered = images.take(shifted, axis=-1)
-    gathered ^= images[..., None, :]
-    gathered += offsets[:, None]
-    return gaps.take(gathered).max(axis=(-2, -1))
+@lru_cache(maxsize=None)
+def _pair_table(n: int) -> np.ndarray:
+    """T[x, y] = offsets[x ^ y] of ``_class_table``, as one read-only (N,
+    N) int16 table, n checked by the caller: so gaps[(p(x) ^ p(y)) + T[x,
+    y]] is the largest level difference of N E_k at (p(x), p(y)) and at
+    (x, y).  Built only where N^2 <= ``_GATHER_BLOCK`` // 8 (n <= 9): 512
+    B at n = 5, 128 KiB at n = 9.  Its entries are at most (n - 1) N / 2
+    < 2^15."""
+    offsets = _class_table(n)[0]
+    words = np.arange(len(offsets))
+    table = offsets.take(words[:, None] ^ words).astype(np.int16)
+    table.setflags(write=False)
+    return table
 
 
 def _eigenspace_defects(n: int, images: np.ndarray) -> np.ndarray:
     """Per row p of a (P, 2^{n-1}) image array, max_k |P E_k - E_k P| over
     the eigenprojections E_k of FQ_n; one (2^{n-1},) row gives a 0-d array.
 
-    N E_k[x, y] = F[k, x ^ y], so with y = x ^ d the integer defect is the
-    largest gaps[offsets[d] + (p(x) ^ p(x ^ d))] over every d and x
+    N E_k[x, y] = F[k, x ^ y], so the integer defect is the largest
+    gaps[offsets[x ^ y] + (p(x) ^ p(y))] over every pair (x, y)
     (``_class_table``): the largest entry of the gathered N E_k, divided by
     N, so equal to the float products' defects.  Each gather holds at most
     an eighth of ``_GATHER_BLOCK`` entries, 1 MiB of intp indices (intp,
-    because ``take`` would copy any other index dtype whole): one row, or
-    blocks of rows, whole up to n = 9; past it one row at a time in blocks
-    of d-rows, so one permutation at n = 13 peaks near 2.3 MiB.  A single
-    row skips the block loop: 1-D gathers cost less per call than (1, N, N)
-    ones.
+    because ``take`` would copy any other index dtype whole).  Up to n =
+    9, where N^2 fits that bound, the offsets are read from the cached
+    per-n pair table T[x, y] = offsets[x ^ y] (``_pair_table``), and a row
+    p, or a block of rows, is one gather of gaps at (p(x) ^ p(y)) + T.
+    Past n = 9 no N x N table is kept: one row at a time in blocks of
+    d-rows, y = x ^ d, so one permutation at n = 13 peaks near 2.3 MiB.
     """
     n, size = _cube_points(n, images.shape[-1])
     offsets, gaps = _class_table(n)
-    words = np.arange(size)
     entries = max(1, _GATHER_BLOCK // 8)
-    if size * size > entries:
-        rows = max(1, entries // size)
-        maxima = [max(_gap_maxima(row, words[d : d + rows, None] ^ words, offsets[d : d + rows], gaps)
-                      for d in range(0, size, rows))
-                  for row in images.reshape(-1, size)]
-        return np.array(maxima).reshape(images.shape[:-1]) / size
-    shifted = words[:, None] ^ words
-    if images.ndim == 1:
-        return _gap_maxima(images, shifted, offsets, gaps) / size
-    step = entries // (size * size)
-    return np.concatenate([_gap_maxima(images[s : s + step], shifted, offsets, gaps)
-                           for s in range(0, len(images), step)]) / size
+    if size * size <= entries:
+        pairs = _pair_table(n)
+        if images.ndim == 1:
+            return gaps.take((images[:, None] ^ images) + pairs).max() / size
+        step, maxima = entries // (size * size), []
+        for s in range(0, len(images), step):
+            index = images[s : s + step, :, None] ^ images[s : s + step, None, :]
+            index += pairs
+            maxima.append(gaps.take(index).max(axis=(1, 2)))
+        return np.concatenate(maxima) / size
+    rows = max(1, entries // size)
+    words = np.arange(size)
+
+    def row_maximum(row: np.ndarray) -> int:
+        peak = 0
+        for d in range(0, size, rows):
+            index = row.take(words[d : d + rows, None] ^ words)  # p(x ^ d) at [d, x]
+            index ^= row
+            index += offsets[d : d + rows, None]
+            peak = max(peak, int(gaps.take(index).max()))
+        return peak
+
+    return np.array([row_maximum(row) for row in images.reshape(-1, size)]).reshape(images.shape[:-1]) / size
 
 
 def preserves_eigenspaces(n: int, p: Permutation, tol: float = DEFAULT_TOLERANCES.projector) -> bool:
@@ -322,12 +340,13 @@ def preserves_eigenspaces(n: int, p: Permutation, tol: float = DEFAULT_TOLERANCE
     within tol.
 
     The check is E_k[p(x), p(y)] = E_k[x, y] for every level k, read from
-    the cached class table at p(x) ^ p(y) and x ^ y
-    (``_eigenspace_defects``) once p's size is checked; no permutation
-    matrix and no N x N projection is built, so the call at n = 13 peaks
-    near 2.3 MiB.  The eigenprojections generate the same commutant as
-    the adjacency matrix, so for permutations this is equivalent to being
-    a graph automorphism; non-automorphisms simply return False.
+    the cached class table at p(x) ^ p(y) and x ^ y, up to n = 9 through
+    the cached pair table (``_eigenspace_defects``), once p's size is
+    checked; no permutation matrix and no N x N projection is built, so
+    the call at n = 13 peaks near 2.3 MiB.  The eigenprojections generate
+    the same commutant as the adjacency matrix, so for permutations this
+    is equivalent to being a graph automorphism; non-automorphisms simply
+    return False.
     """
     tol = check_tolerance(tol)
     return bool(_eigenspace_defects(n, np.array(p.images)) <= tol)

@@ -14,6 +14,11 @@
   S = N(0) from row 0 of the adjacency, the nonzero count N |S| and the
   N |S| entries a[x, x ^ s].  The pair certificate must return the same
   S, or None exactly when this does.
+* ``eigenspace_defects`` is the eigenspace check of
+  ``spectral._eigenspace_defects`` as dense float products: max_k |P E_k
+  - E_k P| per permutation, with P its permutation matrix and E_k from
+  ``projection_stack``.  Both factors' products only copy entries, so
+  the defects are exact.
 """
 
 from __future__ import annotations
@@ -93,6 +98,19 @@ def projection_stack(n: int) -> np.ndarray:
         cols = h[:, list(lvl.basis)].astype(float)
         np.divide(cols @ cols.T, size, out=proj)
     return stack
+
+
+def eigenspace_defects(n: int, images: np.ndarray) -> np.ndarray:
+    """Per row p of a (P, 2^{n-1}) image array, max_k |P E_k - E_k P| over
+    ``projection_stack(n)``, P the permutation matrix (P e_x = e_{p(x)})."""
+    stack = projection_stack(n)
+    size = stack.shape[-1]
+    defects = []
+    for row in np.asarray(images).reshape(-1, size):
+        m = np.zeros((size, size))
+        m[row, np.arange(size)] = 1.0
+        defects.append(max(float(np.abs(m @ proj - proj @ m).max()) for proj in stack))
+    return np.array(defects)
 
 
 #: rows of the residual accumulator; a (128, N) block stays in cache while

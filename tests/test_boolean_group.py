@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from qsym import (
     CapacityError,
     DimensionError,
+    Graph,
     GraphFormatError,
     UsageError,
     folded_cube,
@@ -59,6 +60,19 @@ def test_folded_cube_bounds():
     assert folded_cube(13).n_vertices == 4096
     with pytest.raises(CapacityError):
         folded_cube(14)  # 8192 vertices > 4096
+
+
+@pytest.mark.parametrize("n", range(3, 14))
+def test_folded_cube_passes_each_edge_once(n):
+    """n 2^(n-2) pairs, one per edge, each as (y, y ^ s) with y < y ^ s,
+    and the graph of all 2 n 2^(n-2) shifted pairs (y, y ^ s)."""
+    g = folded_cube(n)
+    assert len(g.rows) == len(g.cols) == n * 2 ** (n - 2)
+    assert (g.rows < g.cols).all()
+    assert len(np.unique(g.rows.astype(np.int64) << 12 | g.cols)) == len(g.rows)
+    words = np.arange(1 << (n - 1))
+    shifted = words ^ boolean_group._connection_words(n)[:, None]
+    assert g == Graph(1 << (n - 1), np.broadcast_to(words, shifted.shape), shifted)
 
 
 def test_folded_cube_checks_its_shift_pairs(monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graph_oracle as oracle
+import spectral_oracle
 from qsym import (
     Graph,
     Permutation,
@@ -172,6 +173,93 @@ def test_eigenspace_defects_read_every_level(monkeypatch, n):
         tripled = spectral._eigenspace_defects(n, images)
         assert tripled.tolist() == scaled.max(axis=0).tolist()
         assert (tripled != defects).any()
+
+
+# ---------------------------------------------------------------------------
+# the per-n pair table of the eigenspace check
+# ---------------------------------------------------------------------------
+
+
+def _seeded_permutations(n: int, count: int) -> np.ndarray:
+    """Seeded random permutations of FQ_n's vertices, and as many single
+    transpositions where there are enough vertices."""
+    rng = np.random.default_rng(n)
+    size = 1 << (n - 1)
+    rows = [rng.permutation(size) for _ in range(count)]
+    for x, y in rng.choice(size, size=(count, 2), replace=False).tolist() if size > 2 * count else []:
+        swap = np.arange(size)
+        swap[[x, y]] = y, x
+        rows.append(swap)
+    return np.array(rows)
+
+
+def test_the_fq5_point_actions_read_the_dense_oracles_defects_on_both_paths():
+    images = so_twist._point_action_images(*so_twist._abelian_point_rows(5))
+    want = spectral_oracle.eigenspace_defects(5, images).tolist()
+    assert len(want) == 1920 and not any(want)
+    assert spectral._eigenspace_defects(5, images).tolist() == want
+    assert [spectral._eigenspace_defects(5, row) for row in images] == want
+
+
+@pytest.mark.parametrize("n, count", [(3, 6), (5, 8), (7, 8), (9, 3)])
+def test_seeded_permutations_read_the_dense_oracles_defects_on_both_paths(n, count):
+    """Past n = 3 none of them is an automorphism; FQ_3 is K4, whose
+    group is all of S_4, so there every defect is 0."""
+    images = _seeded_permutations(n, count)
+    want = spectral_oracle.eigenspace_defects(n, images).tolist()
+    automorphic = graphs._adjacency_defects(folded_cube(n), images) == 0
+    assert automorphic.all() if n == 3 else not automorphic.any()
+    assert not any(want) if n == 3 else all(want)
+    assert spectral._eigenspace_defects(n, images).tolist() == want
+    assert [spectral._eigenspace_defects(n, row) for row in images] == want
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_pair_table_is_read_only_int16_offsets_of_each_xor(n):
+    size = 1 << (n - 1)
+    table = spectral._pair_table(n)
+    words = np.arange(size)
+    assert table.dtype == np.int16 and table.shape == (size, size) and not table.flags.writeable
+    assert np.array_equal(table, spectral._class_table(n)[0][words[:, None] ^ words])
+    assert spectral._pair_table(n) is table
+    assert table.nbytes == {3: 32, 5: 512, 7: 8 << 10, 9: 128 << 10}[n]
+
+
+def test_no_pair_table_is_built_at_n11(monkeypatch):
+    """Past n = 9, N^2 is over the gather bound, so the check reads its
+    d-row blocks and never asks for an (N, N) table."""
+    def refuse(n):
+        raise AssertionError(f"pair table built at n = {n}")
+
+    monkeypatch.setattr(spectral, "_pair_table", refuse)
+    words = np.arange(1024)
+    assert spectral._eigenspace_defects(11, words ^ 0b101_0110_011) == 0
+    assert spectral._eigenspace_defects(11, np.random.default_rng(11).permutation(1024)) > 0
+    with pytest.raises(AssertionError, match="n = 9"):
+        spectral._eigenspace_defects(9, np.arange(256))
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_a_pair_table_entry_off_by_n_fails_the_oracle(monkeypatch, n):
+    """One entry T[x, y] raised by N reads the next distance class's gaps
+    at (x, y), which are non-zero for every automorphism, so the point
+    actions (n = 5) and a shift (n = 9) no longer read the oracle's 0."""
+    size = 1 << (n - 1)
+    real = spectral._pair_table(n)
+    x, y = 1, 2
+    assert real[x, y] + size < len(spectral._class_table(n)[1])
+    planted = real.copy()
+    planted[x, y] += size
+    planted.setflags(write=False)
+    if n == 5:
+        images = so_twist._point_action_images(*so_twist._abelian_point_rows(5))
+    else:
+        images = np.arange(size)[None] ^ np.array([[0], [0b1011_0110]])
+    want = spectral_oracle.eigenspace_defects(n, images).tolist()
+    assert spectral._eigenspace_defects(n, images).tolist() == want
+    monkeypatch.setattr(spectral, "_pair_table", lambda m: planted)
+    assert spectral._eigenspace_defects(n, images).tolist() != want
+    assert all(spectral._eigenspace_defects(n, row) > 0 for row in images)
 
 
 def test_one_non_bijective_row_fails_the_whole_stack():

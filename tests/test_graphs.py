@@ -1,5 +1,8 @@
+import copy
 import json
+import pickle
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from itertools import permutations
 from math import factorial, prod
 
@@ -16,7 +19,9 @@ from qsym import (
     Graph,
     GraphFormatError,
     Permutation,
+    SignedPermMatrix,
     UsageError,
+    abelian_points,
     are_disjoint,
     automorphisms,
     find_disjoint_pair,
@@ -261,10 +266,36 @@ def test_numpy_integer_images_are_kept_as_ints():
     assert p.images == (1, 0, 2) and all(type(i) is int for i in p.images)
 
 
-def test_rows_of_a_checked_stack_equal_validated_permutations():
+def test_rows_of_a_checked_stack_equal_validated_permutations(clebsch):
     rows = graphs._permutation_rows(graphs._bijections(np.array([[1, 0, 2], [2, 0, 1]], dtype=np.int8)))
     assert rows == [Permutation((1, 0, 2)), Permutation((2, 0, 1))]
     assert all(type(i) is int for p in rows for i in p.images)
+    images = graphs._automorphism_images(clebsch)
+    rows = graphs._permutation_rows(images)
+    assert len(rows) == 1920
+    assert all(row == Permutation(tuple(image)) for row, image in zip(rows, images.tolist()))
+    assert all(type(row.images) is tuple and not hasattr(row, "__dict__") for row in rows)
+
+
+@pytest.mark.parametrize("row", [Permutation((2, 0, 1)), SignedPermMatrix(Permutation((2, 0, 1)), (1, -1, -1))])
+def test_rows_are_slotted_and_frozen(row):
+    """No instance dictionary, and no field or new attribute can be set.
+    A new name is refused with an exception type that depends on the
+    Python version (the frozen ``__setattr__`` of a slotted dataclass)."""
+    assert not hasattr(row, "__dict__")
+    name = "images" if isinstance(row, Permutation) else "signs"
+    with pytest.raises(FrozenInstanceError):
+        setattr(row, name, (0, 1, 2))
+    with pytest.raises((FrozenInstanceError, AttributeError, TypeError)):
+        row.extra = 1
+
+
+@pytest.mark.parametrize("row", [Permutation((2, 0, 1)), SignedPermMatrix(Permutation((2, 0, 1)), (1, -1, -1)),
+                                 abelian_points(5)[77], graphs._permutation_rows(np.array([[1, 0, 3, 2]]))[0]])
+def test_rows_round_trip_through_pickle_and_deepcopy(row):
+    for twin in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
+        assert twin == row and hash(twin) == hash(row) and twin is not row
+        assert type(twin) is type(row) and not hasattr(twin, "__dict__")
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64, bool])

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,9 @@ from qsym import (
     rep_free_product,
 )
 from graph_oracle import PENTAGONAL_SIGMA, PENTAGONAL_TAU, from_cycles
-from qsym import fixtures
-from qsym.star_algebra import _distinct_entries, haar_unitary, spectral_projections
-from witness_helpers import classical_witness, is_projection, unchecked_witness
+from qsym import fixtures, folded_cube, star_algebra
+from qsym.star_algebra import _byte_distinct, _distinct_entries, haar_unitary, spectral_projections
+from witness_helpers import certify_witness_oracle, classical_witness, is_projection, unchecked_witness
 
 #: regression: max ||[p_k, q_l]|| for the n=m=2, seed-42 model
 SEED42_COMMUTATOR = 0.49988694811776474
@@ -299,11 +301,11 @@ def test_distinct_entries_equal_the_per_entry_loop_with_negative_zeros(k4):
     entries[3, 1, 0, 0] = complex(0.0, -1e-12)
     planted = MagicUnitary(entries)
     want = _distinct_entries_per_entry(planted)
-    got = _distinct_entries(planted)
+    got = _distinct_entries(_byte_distinct(planted))
     assert _same_entries(got, want)
     # each -0.0 entry merges with its +0.0 twin: the planted entries add
     # no distinct entry, and the kept entries equal u's in value
-    plain = _distinct_entries(u)
+    plain = _distinct_entries(_byte_distinct(u))
     assert len(got) == len(plain)
     assert all(np.array_equal(a, b) for a, b in zip(got, plain))
     assert certify_witness(k4, planted).noncomm_certificate == certify_witness(k4, u).noncomm_certificate
@@ -311,9 +313,113 @@ def test_distinct_entries_equal_the_per_entry_loop_with_negative_zeros(k4):
 
 def test_distinct_entries_of_a_classical_witness(k4):
     u = classical_witness(k4, from_cycles(4, [(0, 1, 2, 3)]), dim=2)
-    assert _same_entries(_distinct_entries(u), _distinct_entries_per_entry(u))
-    assert len(_distinct_entries(u)) == 2  # the identity and the zero block
+    assert _same_entries(_distinct_entries(_byte_distinct(u)), _distinct_entries_per_entry(u))
+    assert len(_byte_distinct(u)) == 2  # the identity and the zero block
     assert certify_witness(k4, u).noncomm_certificate == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the certifier against the all-entries oracle
+# ---------------------------------------------------------------------------
+
+
+def _witness(g: Graph, seed: int) -> MagicUnitary:
+    sigma, tau = find_disjoint_pair(g)
+    p, q = rep_free_product(sigma.order(), tau.order(), seed=seed)
+    return build_witness(g, sigma, tau, p, q, seed=seed)
+
+
+def _relabeled(g: Graph, seed: int) -> Graph:
+    perm = np.random.default_rng(seed).permutation(g.n_vertices)
+    return Graph(g.n_vertices, perm[g.rows], perm[g.cols])
+
+
+def _perturbed(g: Graph) -> MagicUnitary:
+    """A Clebsch witness with 1e-3 k added to the last diagonal cell of
+    entry k = 1..256 (row-major): all 256 entries distinct, and each
+    entry's first row left as it was."""
+    u = _witness(g, 42)
+    entries = u.entries.copy()
+    entries[:, :, -1, -1] += 1e-3 * np.arange(1, u.r * u.r + 1).reshape(u.r, u.r)
+    return MagicUnitary(entries, seed=u.seed)
+
+
+def _certifier_cases():
+    """(name, graph, witness): the fixtures with a pair and FQ_5 at three
+    seeds, four seeded Clebsch relabelings, two classical witnesses (with
+    one pair of distinct entries and with none) and a perturbed one."""
+    graphs = {name: fixtures.load_graph(name) for name in ("k4", "clebsch", "clebsch_pentagonal")}
+    graphs["fq5"] = folded_cube(5)
+    cases = [(f"{name}-{seed}", g, _witness(g, seed)) for name, g in graphs.items() for seed in (1, 7, 42)]
+    for seed in range(4):
+        g = _relabeled(graphs["clebsch"], seed)
+        cases.append((f"clebsch-relabeled-{seed}", g, _witness(g, seed)))
+    cases.append(("classical-k4", graphs["k4"], classical_witness(graphs["k4"], from_cycles(4, [(0, 1, 2, 3)]))))
+    single = Graph.from_edges(1, [])
+    cases.append(("classical-one-vertex", single, classical_witness(single, Permutation((0,)), dim=3)))
+    cases.append(("perturbed-clebsch", graphs["clebsch"], _perturbed(graphs["clebsch"])))
+    return cases
+
+
+CERTIFIER_CASES = _certifier_cases()
+
+
+@lru_cache(maxsize=None)
+def _oracle_fields(name: str) -> list:
+    """The oracle's report of a case as its (key, value) list, computed
+    once: the perturbed case's 32,640 pairs take about a second."""
+    _, g, u = next(case for case in CERTIFIER_CASES if case[0] == name)
+    return list(vars(certify_witness_oracle(g, u)).items())
+
+
+def _mismatches(cases) -> list[str]:
+    return [name for name, g, u in cases if list(vars(certify_witness(g, u)).items()) != _oracle_fields(name)]
+
+
+@pytest.mark.parametrize("case", CERTIFIER_CASES, ids=[name for name, *_ in CERTIFIER_CASES])
+def test_certifier_equals_the_all_entries_oracle(case):
+    name, g, u = case
+    assert list(vars(certify_witness(g, u)).items()) == _oracle_fields(name)
+
+
+def test_certifier_cases_cover_their_shapes():
+    cases = {name: (g, u) for name, g, u in CERTIFIER_CASES}
+    for name in ("classical-k4", "classical-one-vertex"):
+        assert certify_witness(*cases[name]).noncomm_certificate == 0.0
+    assert len(_distinct_entries(_byte_distinct(cases["classical-k4"][1]))) == 2  # one pair
+    assert len(_byte_distinct(cases["classical-one-vertex"][1])) == 1  # no pair
+    assert len(_byte_distinct(cases["clebsch-42"][1])) < 16
+    perturbed = cases["perturbed-clebsch"][1]
+    assert len(_distinct_entries(_byte_distinct(perturbed))) == 256
+    assert all(certify_witness(*cases[f"{name}-{seed}"]).passed
+               for name in ("k4", "clebsch", "clebsch_pentagonal", "fq5") for seed in (1, 7, 42))
+
+
+def test_a_dedupe_on_the_first_row_fails_the_oracle(monkeypatch):
+    """The byte dedupe keys on the whole entry: keyed on its first d
+    numbers, the perturbed witness's entries, which differ only in their
+    last row, merge, and its defects fall short of the oracle's."""
+    def first_row_only(u: MagicUnitary) -> np.ndarray:
+        flat = u.entries.reshape(u.r * u.r, u.dim * u.dim)
+        keys = np.ascontiguousarray(flat[:, : u.dim])
+        first = np.unique(keys.view(np.dtype((np.void, keys.itemsize * u.dim))).ravel(), return_index=True)[1]
+        return flat[np.sort(first)].reshape(-1, u.dim, u.dim)
+
+    assert _mismatches(CERTIFIER_CASES) == []
+    monkeypatch.setattr(star_algebra, "_byte_distinct", first_row_only)
+    assert "perturbed-clebsch" in _mismatches(CERTIFIER_CASES)
+
+
+@pytest.mark.parametrize("name, block", [("clebsch-42", 1), ("perturbed-clebsch", 16 * 1000),
+                                         ("perturbed-clebsch", 1 << 18)])
+def test_commutator_blocks_give_the_same_certificate(monkeypatch, name, block):
+    """One commutator per ``op_norm`` (each 4 x 4 entry has 16 elements),
+    a thousand, or the default block: the perturbed witness's 32,640
+    pairs take 33 blocks and 2 blocks, and the certificate is the
+    oracle's per-pair maximum each time."""
+    _, g, u = next(case for case in CERTIFIER_CASES if case[0] == name)
+    monkeypatch.setattr(star_algebra, "_PAIR_BLOCK", block)
+    assert certify_witness(g, u).noncomm_certificate == dict(_oracle_fields(name))["noncomm_certificate"]
 
 
 def test_non_disjoint_pair_fails_projection_test(k4):
