@@ -185,28 +185,32 @@ def build_witness(
     return MagicUnitary(entries, seed=seed)
 
 
+def _first_distinct(rows: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row of a
+    C-contiguous 2-D array, compared by bytes, in ascending order:
+    ``np.unique`` on the rows as void scalars."""
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return np.sort(np.unique(keys, return_index=True)[1])
+
+
 def _byte_distinct(u: MagicUnitary) -> np.ndarray:
     """The entries of u with distinct bytes, as a (K, d, d) stack, each the
-    first occurrence in row-major order: ``np.unique`` on the r^2 entries
-    as void rows.  Entries with equal bytes are equal matrices, so any
-    defect read entry by entry is read exactly from these."""
-    r, d = u.r, u.dim
-    flat = np.ascontiguousarray(u.entries).reshape(r * r, d * d)
-    first = np.unique(flat.view(np.dtype((np.void, flat.itemsize * d * d))).ravel(), return_index=True)[1]
-    return flat[np.sort(first)].reshape(-1, d, d)
+    first occurrence in row-major order.  Entries with equal bytes are
+    equal matrices, so any defect read entry by entry is read exactly
+    from these."""
+    d = u.dim
+    flat = np.ascontiguousarray(u.entries).reshape(-1, d * d)
+    return flat[_first_distinct(flat)].reshape(-1, d, d)
 
 
 def _distinct_entries(entries: np.ndarray) -> np.ndarray:
     """Of a (K, d, d) stack of entries, those distinct after rounding to 9
-    decimals, each first occurrence in stack order: ``np.unique`` on the
-    rounded entries as void rows, with -0.0 made +0.0 (adding 0.0) so equal
-    entries share bytes.  Given ``_byte_distinct(u)``, these are u's
-    distinct entries in row-major order, and only its K entries are
-    rounded."""
-    k, d = entries.shape[0], entries.shape[-1]
-    rounded = (np.round(entries, 9) + 0.0).reshape(k, d * d)
-    keys = rounded.view(np.dtype((np.void, rounded.itemsize * d * d))).ravel()
-    return entries[np.sort(np.unique(keys, return_index=True)[1])]
+    decimals, each first occurrence in stack order, with -0.0 made +0.0
+    (adding 0.0) so equal entries share bytes.  Given ``_byte_distinct(u)``,
+    these are u's distinct entries in row-major order, and only its K
+    entries are rounded."""
+    rounded = (np.round(entries, 9) + 0.0).reshape(len(entries), -1)
+    return entries[_first_distinct(rounded)]
 
 
 def _noncomm_certificate(entries: np.ndarray) -> float:
