@@ -15,11 +15,18 @@ unplaced vertex with the most placed neighbours, ties broken by label).
 Its frontier is one numpy array of candidate masks, an n-bit word of
 possible images per vertex and partial map; placing a vertex is one AND
 per mask.  A block of maps stops branching once every unplaced vertex has
-at most one candidate, and its rows are then checked as whole maps.  Both
-``automorphisms`` and ``find_disjoint_pair`` read the one (|Aut|, n) image
-array it returns.  ``Permutation`` is a slotted frozen dataclass, and the
-rows of an array checked as a whole become Permutations by one slot store
-each (``_permutation_rows``), with no check per row.
+at most one candidate, and its rows are then checked as whole maps.  More
+than ``AUTOMORPHISM_ORDER_BOUND`` maps found stops the search with a
+``CapacityError``, before the rows are joined.
+
+The group is searched once per graph: its sorted (|Aut|, n) uint8 image
+table is written on first read, like the adjacency, and held read-only on
+the graph (``Graph._automorphism_table``).  ``automorphisms``,
+``find_disjoint_pair`` and the CLI's ``so-points`` comparison all read it.
+A search that raises caches nothing.  ``Permutation`` is a slotted frozen
+dataclass, and the rows of an array checked as a whole become Permutations
+by one slot store each (``_permutation_rows``), with no check per row, so
+every call of ``automorphisms`` returns a new list.
 
 Whether permutations preserve the adjacency, read as an int8 table, is
 asked by index gathers: of one permutation by two axis takes
@@ -51,6 +58,7 @@ __all__ = [
     "automorphisms",
     "are_disjoint",
     "find_disjoint_pair",
+    "AUTOMORPHISM_ORDER_BOUND",
     "AUTOMORPHISM_VERTEX_BOUND",
     "GRAPH_VERTEX_BOUND",
 ]
@@ -61,6 +69,10 @@ GRAPH_VERTEX_BOUND = 4096
 
 #: cap for exhaustive automorphism enumeration
 AUTOMORPHISM_VERTEX_BOUND = 32
+
+#: cap on the group order the enumeration lists: at least |Aut(FQ_7)| =
+#: 322,560 and 9! = 362,880, while 10! rows would take about 1 GB to find
+AUTOMORPHISM_ORDER_BOUND = 1 << 19
 
 #: partial maps the automorphism search expands together; at the 32-vertex
 #: bound a block grows into at most 2^11 * 32 maps of 32 uint64 masks (16 MB)
@@ -135,7 +147,8 @@ class Graph:
     a[rows, cols] = a[cols, rows] = 1 into a fresh zero matrix, which
     makes it symmetric and 0/1; repeated pairs write the same 1 again.
     ``from_edges`` (graph files) and ``folded_cube`` make their pairs, one
-    per edge, and call it.
+    per edge, and call it.  The automorphism group is held the same way,
+    searched on first read (``_automorphism_table``).
     """
 
     def __init__(self, n: int, rows, cols):
@@ -166,6 +179,16 @@ class Graph:
         a[self.cols, self.rows] = 1
         a.setflags(write=False)
         return a
+
+    @cached_property
+    def _automorphism_table(self) -> np.ndarray:
+        """The automorphism group as a sorted (|Aut|, n) uint8 image table
+        (n <= 32 < 256), written by one ``_automorphism_images`` search on
+        first read and read-only.  A search that raises a ``CapacityError``
+        caches nothing, so every read raises it again."""
+        table = _bijections(_automorphism_images(self)).astype(np.uint8)
+        table.setflags(write=False)
+        return table
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -400,8 +423,10 @@ def _automorphism_images(g: Graph) -> np.ndarray:
     A block stops branching once no unplaced vertex has more than one
     candidate: ``_forced_maps`` then reads the images and keeps the rows
     that are automorphisms.  Frontiers are expanded depth-first in blocks
-    of at most ``_SEARCH_BLOCK`` maps.  The rows are sorted by packed keys
-    (``_sort_keys``).
+    of at most ``_SEARCH_BLOCK`` maps.  More than ``AUTOMORPHISM_ORDER_BOUND``
+    rows found is a ``CapacityError``, raised before they are joined.  The
+    rows are sorted by packed keys (``_sort_keys``).  ``Graph``'s table is
+    this search's one library caller.
     """
     n = g.n_vertices
     if n > AUTOMORPHISM_VERTEX_BOUND:
@@ -415,13 +440,16 @@ def _automorphism_images(g: Graph) -> np.ndarray:
     # place[v, w, u]: the mask of u after v -> w, applied by one AND
     place = np.where(a[:, None, :] == 1, words[:, None], ~words[:, None]) & ~bits[:, None]
     place[np.arange(n), :, np.arange(n)] = bits
-    full = []
+    full, found = [], 0
     stack = [(0, same_degree[None])]
     while stack:
         depth, masks = stack.pop()
         tail = masks[:, order[depth:]]
         if not np.any(tail & (tail - np.uint64(1))):
             full.append(_forced_maps(g, masks, words, order[depth:]))
+            found += len(full[-1])
+            if found > AUTOMORPHISM_ORDER_BOUND:
+                raise CapacityError(f"graph has more than {AUTOMORPHISM_ORDER_BOUND} automorphisms")
             continue
         v = order[depth]
         parent, image = _set_bits(masks[:, v])
@@ -479,9 +507,12 @@ def automorphisms(g: Graph) -> list[Permutation]:
     the unplaced one with the most placed neighbours) and narrows a whole
     frontier of candidate masks at once with numpy, until every image is
     forced; see ``_automorphism_images``.  More than
-    ``AUTOMORPHISM_VERTEX_BOUND`` vertices is a ``CapacityError``.
+    ``AUTOMORPHISM_VERTEX_BOUND`` vertices, or more than
+    ``AUTOMORPHISM_ORDER_BOUND`` automorphisms, is a ``CapacityError``.
+    The search runs once per graph; each call builds a new list from the
+    graph's table.
     """
-    return _permutation_rows(_bijections(_automorphism_images(g)))
+    return _permutation_rows(g._automorphism_table)
 
 
 def are_disjoint(p: Permutation, q: Permutation) -> bool:
@@ -495,11 +526,12 @@ def find_disjoint_pair(g: Graph) -> Optional[tuple[Permutation, Permutation]]:
     """First pair of non-trivial disjoint automorphisms, or None.
 
     "First" means lexicographically smallest (i, j), i < j, over the sorted
-    list of non-trivial automorphisms, so the result is deterministic.  Each
-    support is packed into one int64 bit mask, and row i is tested against
-    all later rows at once.
+    list of non-trivial automorphisms, so the result is deterministic.  The
+    rows are the graph's table, searched once per graph.  Each support is
+    packed into one int64 bit mask, and row i is tested against all later
+    rows at once.
     """
-    images = _automorphism_images(g)
+    images = g._automorphism_table
     n = g.n_vertices
     moved = images != np.arange(n)
     masks = moved.astype(np.int64) @ (np.int64(1) << np.arange(n, dtype=np.int64))

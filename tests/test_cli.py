@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qsym.cli
-from qsym import so_twist
+from qsym import Graph, so_twist
 from qsym.cli import main
 from qsym.fixtures import fixture_path
 
@@ -282,6 +282,26 @@ def test_exit_2_on_graph_file_over_the_vertex_bound(capsys, tmp_path, n):
     code, out, err = run(capsys, "autos", "--graph", str(big))
     assert code == 2
     assert f"graph has {n} > 4096 vertices" in err and out == ""
+
+
+#: 11-vertex graphs whose 11! automorphisms are past the order bound 2^19
+ELEVEN_VERTICES = {"edgeless": [], "k11": [[i, j] for i in range(11) for j in range(i + 1, 11)]}
+
+
+@pytest.mark.parametrize("command", ["autos", "disjoint", "witness"])
+@pytest.mark.parametrize("name", sorted(ELEVEN_VERTICES))
+def test_exit_2_on_a_group_past_the_order_bound(capsys, monkeypatch, tmp_path, command, name):
+    """The 32-vertex cap does not bound |Aut|: 11! rows would take about
+    11 GB.  The search stops past 2^19 rows, with one error line, no
+    report, and no table cached on the graph."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"n": 11, "edges": ELEVEN_VERTICES[name]}))
+    loaded, load = [], Graph.load
+    monkeypatch.setattr(Graph, "load", classmethod(lambda cls, p: loaded.append(load(p)) or loaded[-1]))
+    code, out, err = run(capsys, command, "--graph", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: graph has more than 524288 automorphisms\n"
+    assert len(loaded) == 1 and "_automorphism_table" not in vars(loaded[0])
 
 
 def test_exit_2_on_a_graph_file_nested_too_deeply(capsys, tmp_path):

@@ -41,6 +41,8 @@ STDOUT = {
     "disjoint_clebsch": ("disjoint", "--graph", "clebsch"),
     "disjoint_c5": ("disjoint", "--graph", "c5"),
     "disjoint_clebsch_pentagonal": ("disjoint", "--graph", "clebsch_pentagonal"),
+    "disjoint_k4": ("disjoint", "--graph", "k4"),
+    "disjoint_n5": ("disjoint", "--n", "5"),
     "so_points_n3": ("so-points", "--n", "3"),
     "so_points_n5": ("so-points", "--n", "5"),
 }
@@ -61,13 +63,14 @@ KEYS = {
 }
 
 
-def test_autos_report_on_clebsch_pentagonal_is_the_oracle_group(capsys):
+@pytest.mark.parametrize("name", ["clebsch", "clebsch_pentagonal"])
+def test_autos_report_is_the_oracle_group(capsys, name):
     """The 1920-row report is too large for a golden file, so it is built
     from the oracle search, in the CLI's layout."""
-    group = oracle_automorphisms(load_graph("clebsch_pentagonal"))
+    group = oracle_automorphisms(load_graph(name))
     report = {"n_vertices": 16, "count": len(group), "automorphisms": [p.to_json() for p in group],
               "command": "autos"}
-    assert main(["autos", "--graph", "clebsch_pentagonal"]) == 0
+    assert main(["autos", "--graph", name]) == 0
     assert len(group) == 1920
     assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 

@@ -717,7 +717,8 @@ def test_disconnected_graph_with_isolated_vertices_matches_the_oracle():
 
 def test_small_blocks_give_the_same_group(monkeypatch, clebsch, clebsch_autos):
     monkeypatch.setattr(graphs, "_SEARCH_BLOCK", 3)
-    assert automorphisms(clebsch) == clebsch_autos
+    # a new graph object: the session fixture's group may be held already
+    assert automorphisms(Graph(16, clebsch.rows, clebsch.cols)) == clebsch_autos
     g = Graph.from_edges(11, DISCONNECTED_EDGES)
     assert automorphisms(g) == oracle.automorphisms(g)
 
@@ -748,3 +749,112 @@ def test_search_bound_is_32_vertices():
         automorphisms(g)
     with pytest.raises(CapacityError, match="33 > 32"):
         find_disjoint_pair(g)
+
+
+# ---------------------------------------------------------------------------
+# the group held on the graph: one search per Graph object
+# ---------------------------------------------------------------------------
+
+
+def _counting_search(monkeypatch) -> list:
+    """Patch the search to record the graph of each call; return the record."""
+    calls, search = [], graphs._automorphism_images
+    monkeypatch.setattr(graphs, "_automorphism_images", lambda g: calls.append(g) or search(g))
+    return calls
+
+
+def _fresh(name: str) -> Graph:
+    if name.startswith("clebsch_seed_"):
+        return _relabeled_clebsch(int(name.removeprefix("clebsch_seed_")))
+    return Graph.load(fixture_path(name))
+
+
+#: the fixtures and four seeded Clebsch relabelings
+TABLE_SUBJECTS = sorted(fixture_names()) + [f"clebsch_seed_{seed}" for seed in range(4)]
+
+
+@pytest.mark.parametrize("group_first", [True, False], ids=["automorphisms_first", "pair_first"])
+def test_each_graph_object_is_searched_once(monkeypatch, group_first):
+    calls = _counting_search(monkeypatch)
+    g, h = folded_cube(5), folded_cube(5)
+    order = [automorphisms, find_disjoint_pair] if group_first else [find_disjoint_pair, automorphisms]
+    for call in order + order:
+        call(g)
+    assert calls == [g] and calls[0] is g
+    find_disjoint_pair(h)
+    automorphisms(h)
+    assert len(calls) == 2 and calls[1] is h
+
+
+@pytest.mark.parametrize("group_first", [True, False], ids=["automorphisms_first", "pair_first"])
+@pytest.mark.parametrize("name", TABLE_SUBJECTS)
+def test_group_and_pair_equal_the_oracle_in_either_call_order(name, group_first):
+    g = _fresh(name)
+    want = (oracle.automorphisms(g), oracle.find_disjoint_pair(g))
+    if group_first:
+        got = automorphisms(g), find_disjoint_pair(g)
+    else:
+        got = tuple(reversed((find_disjoint_pair(g), automorphisms(g))))
+    assert got == want
+
+
+@settings(max_examples=150)
+@given(small_graphs(), st.booleans())
+def test_group_and_pair_equal_the_oracle_in_either_call_order_on_random_graphs(g, group_first):
+    if group_first:
+        got = automorphisms(g), find_disjoint_pair(g)
+    else:
+        got = tuple(reversed((find_disjoint_pair(g), automorphisms(g))))
+    assert got == (oracle.automorphisms(g), oracle.find_disjoint_pair(g))
+
+
+def test_the_table_is_read_only_uint8_in_image_order(clebsch):
+    g = Graph(16, clebsch.rows, clebsch.cols)
+    assert "_automorphism_table" not in vars(g)
+    table = g._automorphism_table
+    assert table.dtype == np.uint8 and table.shape == (1920, 16)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+    assert g._automorphism_table is table
+    assert np.array_equal(table, graphs._automorphism_images(g))
+
+
+def test_a_returned_list_is_the_callers_own(k4):
+    g = Graph(4, k4.rows, k4.cols)
+    first = automorphisms(g)
+    want = list(first)
+    first.clear()
+    second = automorphisms(g)
+    assert second == want and second is not first
+    sigma, tau = find_disjoint_pair(g)
+    assert find_disjoint_pair(g) == (sigma, tau)
+
+
+def test_the_order_bound_is_2_to_the_19():
+    assert graphs.AUTOMORPHISM_ORDER_BOUND == 2**19 >= max(322_560, factorial(9))
+
+
+@pytest.mark.parametrize("bound, fails", [(1919, True), (1920, False)])
+def test_the_order_bound_admits_a_group_of_its_order(monkeypatch, bound, fails):
+    monkeypatch.setattr(graphs, "AUTOMORPHISM_ORDER_BOUND", bound)
+    g = folded_cube(5)
+    if fails:
+        with pytest.raises(CapacityError, match="more than 1919 automorphisms"):
+            automorphisms(g)
+    else:
+        assert len(automorphisms(g)) == 1920
+
+
+@pytest.mark.parametrize("g, message", [
+    (Graph.from_edges(33, []), "33 > 32 vertices"),
+    (Graph.from_edges(11, []), "more than 524288 automorphisms"),
+    (Graph.from_edges(11, [[i, j] for i in range(11) for j in range(i + 1, 11)]), "more than 524288 automorphisms"),
+], ids=["vertex_bound", "edgeless_11", "k11"])
+def test_a_capacity_error_is_raised_on_every_call_and_caches_nothing(monkeypatch, g, message):
+    calls = _counting_search(monkeypatch)
+    for call in (automorphisms, find_disjoint_pair, automorphisms, find_disjoint_pair):
+        with pytest.raises(CapacityError, match=message):
+            call(g)
+        assert "_automorphism_table" not in vars(g)
+    assert calls == [g] * 4
