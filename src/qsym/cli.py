@@ -27,7 +27,7 @@ import numpy as np
 from . import fixtures
 from .config import DEFAULT_TOLERANCES, Report, check_tolerance
 from .errors import QsymError, UsageError
-from .graphs import Graph, _adjacency_defects, automorphisms, find_disjoint_pair
+from .graphs import Graph, _adjacency_defects, _distinct_rows, automorphisms, find_disjoint_pair
 from .so_twist import (
     _abelian_point_rows,
     _point_action_images,
@@ -149,8 +149,9 @@ def _run_so_points(args) -> tuple[dict, bool]:
     # every action checked in one gather each: adjacency and eigenprojections
     actions = _point_action_images(perms, signs)
     cube = folded_cube(n)
-    # both sorted by image tuple without repeats: equal iff the same set
-    distinct, group = np.unique(actions, axis=0), cube._automorphism_table
+    # both uint8 and sorted by image tuple without repeats: equal iff the same set
+    images = actions.astype(np.uint8)
+    distinct, group = images[_distinct_rows(images)[0]], cube._automorphism_table
     bijective = np.array_equal(distinct, group)
     all_autos = bool((_adjacency_defects(cube, actions) == 0).all())
     preserved = bool((_eigenspace_defects(n, actions) <= tol).all())

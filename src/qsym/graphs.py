@@ -14,10 +14,16 @@ The enumeration places vertices in a connectivity order (next comes the
 unplaced vertex with the most placed neighbours, ties broken by label).
 Its frontier is one numpy array of candidate masks, an n-bit word of
 possible images per vertex and partial map; placing a vertex is one AND
-per mask.  A block of maps stops branching once every unplaced vertex has
-at most one candidate, and its rows are then checked as whole maps.  More
+per mask.  A block of maps is grown only when popped off the stack.  It
+stops branching once every unplaced vertex has at most one candidate,
+and its rows are then checked as whole maps and kept as uint8.  More
 than ``AUTOMORPHISM_ORDER_BOUND`` maps found stops the search with a
 ``CapacityError``, before the rows are joined.
+
+Rows are found equal one way in the package, by their bytes
+(``_distinct_rows``): the automorphism rows here, the eigensolver blocks
+and distance classes in ``spectral``, the witness entries in
+``star_algebra`` and the abelian points in ``so_twist``.
 
 The group is searched once per graph: its sorted (|Aut|, n) uint8 image
 table is written on first read, like the adjacency, and held read-only on
@@ -186,7 +192,7 @@ class Graph:
         (n <= 32 < 256), written by one ``_automorphism_images`` search on
         first read and read-only.  A search that raises a ``CapacityError``
         caches nothing, so every read raises it again."""
-        table = _bijections(_automorphism_images(self)).astype(np.uint8)
+        table = _automorphism_images(self)
         table.setflags(write=False)
         return table
 
@@ -410,8 +416,8 @@ def _set_bits(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _automorphism_images(g: Graph) -> np.ndarray:
-    """The automorphism group as an (|Aut|, n) intp array of image rows,
-    sorted by image tuple.
+    """The automorphism group as an (|Aut|, n) uint8 array of image rows
+    (n <= 32 < 256), sorted by image tuple.
 
     A frontier is a (k, n) uint64 array of candidate masks: bit w of
     ``masks[i, v]`` is set when v may still go to w in map i.  A placed
@@ -422,11 +428,14 @@ def _automorphism_images(g: Graph) -> np.ndarray:
     column v (``_set_bits``).  Masks start as the vertices of equal degree.
     A block stops branching once no unplaced vertex has more than one
     candidate: ``_forced_maps`` then reads the images and keeps the rows
-    that are automorphisms.  Frontiers are expanded depth-first in blocks
-    of at most ``_SEARCH_BLOCK`` maps.  More than ``AUTOMORPHISM_ORDER_BOUND``
-    rows found is a ``CapacityError``, raised before they are joined.  The
-    rows are sorted by packed keys (``_sort_keys``).  ``Graph``'s table is
-    this search's one library caller.
+    that are automorphisms, checked (``_bijections``) and kept as uint8.
+    Frontiers are expanded depth-first in blocks of at most
+    ``_SEARCH_BLOCK`` maps, each pushed as its parents' masks and slices of
+    ``parent`` and ``image`` and grown when popped, so a depth holds one
+    parent block.  More than ``AUTOMORPHISM_ORDER_BOUND`` rows found is a
+    ``CapacityError``, raised before they are joined.  The rows are sorted
+    by their bytes (``_distinct_rows``).  ``Graph``'s table is this
+    search's one library caller.
     """
     n = g.n_vertices
     if n > AUTOMORPHISM_VERTEX_BOUND:
@@ -441,24 +450,24 @@ def _automorphism_images(g: Graph) -> np.ndarray:
     place = np.where(a[:, None, :] == 1, words[:, None], ~words[:, None]) & ~bits[:, None]
     place[np.arange(n), :, np.arange(n)] = bits
     full, found = [], 0
-    stack = [(0, same_degree[None])]
+    stack = [(0, same_degree[None], np.zeros(1, dtype=np.intp), None)]
     while stack:
-        depth, masks = stack.pop()
+        depth, parents, parent, image = stack.pop()
+        masks = parents[parent]
+        if depth:
+            masks &= place[order[depth - 1], image]
         tail = masks[:, order[depth:]]
         if not np.any(tail & (tail - np.uint64(1))):
-            full.append(_forced_maps(g, masks, words, order[depth:]))
+            full.append(_bijections(_forced_maps(g, masks, words, order[depth:])).astype(np.uint8))
             found += len(full[-1])
             if found > AUTOMORPHISM_ORDER_BOUND:
                 raise CapacityError(f"graph has more than {AUTOMORPHISM_ORDER_BOUND} automorphisms")
             continue
-        v = order[depth]
-        parent, image = _set_bits(masks[:, v])
-        grown = masks[parent]
-        grown &= place[v, image]
-        stack.extend((depth + 1, grown[s : s + _SEARCH_BLOCK])
-                     for s in reversed(range(0, len(grown), _SEARCH_BLOCK)))
+        parent, image = _set_bits(masks[:, order[depth]])
+        stack.extend((depth + 1, masks, parent[s : s + _SEARCH_BLOCK], image[s : s + _SEARCH_BLOCK])
+                     for s in reversed(range(0, len(parent), _SEARCH_BLOCK)))
     images = np.concatenate(full)
-    return images[np.lexsort(_sort_keys(images)[::-1])]
+    return images[_distinct_rows(images)[0]]
 
 
 def _forced_maps(g: Graph, masks: np.ndarray, words: np.ndarray, tail: list[int]) -> np.ndarray:
@@ -485,19 +494,18 @@ def _forced_maps(g: Graph, masks: np.ndarray, words: np.ndarray, tail: list[int]
     return images[distinct & edges]
 
 
-def _sort_keys(images: np.ndarray) -> list[np.ndarray]:
-    """Row keys of a (P, n) image array in lexsort order (the first key the
-    most significant): images are digits as wide as the image range needs,
-    but at least 5 bits (6 bits from 33 to 64 vertices), packed 63 // width
-    to an int64, so the keys order the rows as their image tuples; 3 keys
-    at 32 vertices, 7 at 64."""
-    bits = max(5, (images.shape[1] - 1).bit_length())
-    width = 63 // bits
-    keys = []
-    for start in range(0, images.shape[1], width):
-        digits = images[:, start : start + width]
-        keys.append((digits << (bits * np.arange(digits.shape[1] - 1, -1, -1))).sum(axis=1))
-    return keys
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) for the distinct rows of a 2-D array, rows being
+    equal when their bytes are: ``rows[first]`` are the distinct rows in
+    byte order, each its first occurrence, and ``rows[first][inverse]`` is
+    ``rows``.  Each C-contiguous row is one void key for ``np.unique``;
+    for uint8 rows byte order is tuple order.  Asking for the indices
+    keeps ``np.unique`` off its bare path, whose first call in a process
+    imports ``numpy.ma`` (about 15 ms, ``python -X importtime``)."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
 
 
 def automorphisms(g: Graph) -> list[Permutation]:

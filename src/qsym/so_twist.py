@@ -84,7 +84,7 @@ import numpy as np
 from .boolean_group import _connection_words, _cube_size, tau_generators
 from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
 from .errors import CapacityError, DimensionError, UsageError
-from .graphs import Permutation, _bijections, _integers, _permutation_rows
+from .graphs import Permutation, _bijections, _distinct_rows, _integers, _permutation_rows
 
 __all__ = [
     "SignedPermMatrix",
@@ -218,13 +218,13 @@ def _abelian_point_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _stack_points(perms: np.ndarray, signs: np.ndarray) -> list[SignedPermMatrix]:
     """The rows of (P, n) ``perms`` and ``signs`` as SignedPermMatrix
     objects, in order, sharing one Permutation per distinct permutation
-    and one tuple per distinct sign vector (each found by its code).  The
-    permutations are checked once per array; the sign vectors are +-1 by
-    construction.  Neither is checked again per matrix: each object is
-    a bare instance given its two fields by slot stores."""
-    n = perms.shape[1]
-    _, first, which = np.unique(_bijections(perms) @ n ** np.arange(n), return_index=True, return_inverse=True)
-    _, sign_first, sign_which = np.unique((signs < 0) @ (1 << np.arange(n)), return_index=True, return_inverse=True)
+    and one tuple per distinct sign vector (each found by its bytes,
+    ``_distinct_rows``).  The permutations are checked once per array; the
+    sign vectors are +-1 by construction.  Neither is checked again per
+    matrix: each object is a bare instance given its two fields by slot
+    stores."""
+    first, which = _distinct_rows(_bijections(perms))
+    sign_first, sign_which = _distinct_rows(signs)
     shared, sign_tuples = _permutation_rows(perms[first]), list(map(tuple, signs[sign_first].tolist()))
     new, points = object.__new__, []
     put_perm, put_signs = SignedPermMatrix.perm.__set__, SignedPermMatrix.signs.__set__

@@ -19,10 +19,11 @@ lambda(w) psi(T_w) are then exact integer sums over S, and the
 eigensolver gets 16-row blocks built from S (``_cayley_blocks``), with no
 N x N intermediate.  Blocks repeat, so each distinct block is solved once
 (n - 4 of them for FQ_n, n >= 5) and its eigenvalues are taken once per
-block it stands for; the blocks are found equal from their integer
-entries alone, never from the closed form.  A graph that fails the
-certificate, which only a broken ``folded_cube`` could give, is an
-internal error (``RuntimeError``), so no adjacency is ever written here.
+block it stands for; the blocks are found equal from the bytes of their
+integer entries alone (``graphs._distinct_rows``), never from the closed
+form.  A graph that fails the certificate, which only a broken
+``folded_cube`` could give, is an internal error (``RuntimeError``), so no
+adjacency is ever written here.
 
 Since each projection onto an eigenspace is a polynomial in the adjacency
 matrix, a vertex permutation is an automorphism exactly when its matrix
@@ -50,7 +51,7 @@ import numpy as np
 from .boolean_group import _cube_size, _word_bits, folded_cube, walsh_rows
 from .config import DEFAULT_TOLERANCES, Report, check_integer, check_tolerance
 from .errors import DimensionError
-from .graphs import _GATHER_BLOCK, Graph, Permutation
+from .graphs import _GATHER_BLOCK, Graph, Permutation, _distinct_rows
 
 __all__ = [
     "verify_spectrum",
@@ -97,8 +98,9 @@ def _connection_set(g: Graph) -> np.ndarray | None:
     if size & (size - 1):
         return None
     rows, cols = g.rows, g.cols
-    # a mask, not np.unique, whose first call in a process costs about
-    # 14 ms (numpy 2.4), more than the whole certificate at n = 13
+    # a mask: numpy's unique with no index asked for imports numpy.ma on
+    # its first call in a process (about 15 ms), more than the whole
+    # certificate at n = 13
     neighbour = np.zeros(size, dtype=bool)
     neighbour[cols[rows == 0]] = neighbour[rows[cols == 0]] = True
     connection = np.flatnonzero(neighbour)
@@ -140,15 +142,9 @@ def _cayley_blocks(connection: np.ndarray, size: int) -> tuple[np.ndarray, np.nd
     # touch about 0.27 MiB more of BLAS's buffers
     low = (connection & (rows - 1))[:, None] == np.arange(rows)
     coefficients = signs.T @ low.astype(np.int16)
-    # lexsort and an adjacent compare find the distinct rows, without
-    # np.unique's first-call cost (see _connection_set)
-    order = np.lexsort(coefficients.T[::-1])
-    ranked = coefficients[order]
-    first = np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)]
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
+    first, inverse = _distinct_rows(coefficients)
     r = np.arange(rows)
-    return np.take(ranked[first], r[:, None] ^ r, axis=1).astype(float), inverse
+    return np.take(coefficients[first], r[:, None] ^ r, axis=1).astype(float), inverse
 
 
 def _eigenvalues(n: int) -> np.ndarray:
@@ -259,16 +255,12 @@ def _class_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     cls[d] N, as intp, and gaps is the flat (C, N) int16 table gaps[c N +
     e] = max_k |F[k, c] - F[k, e]|.  So gaps[offsets[x ^ y] + (p(x) ^
     p(y))] is the largest level difference of N E_k at (p(x), p(y)) and at
-    (x, y).  Both are read-only, 0.09 MiB together at n = 13.  A lexsort
-    and an adjacent compare find the distinct columns, without np.unique's
-    first-call cost (see ``_connection_set``)."""
+    (x, y).  Both are read-only, 0.09 MiB together at n = 13.  The
+    distinct columns, numbered in byte order, are ``_distinct_rows`` of
+    F's transpose."""
     table = _level_table(n)
-    order = np.lexsort(table[::-1])
-    ranked = table[:, order]
-    first = np.r_[True, np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)]
-    cls = np.empty(len(order), dtype=np.intp)
-    cls[order] = np.cumsum(first) - 1
-    columns = ranked[:, first].astype(np.int32)
+    first, cls = _distinct_rows(table.T)
+    columns = table[:, first].astype(np.int32)
     gaps = np.abs(columns[:, :, None] - table[:, None, :]).max(axis=0).astype(np.int16).ravel()
     offsets = cls * table.shape[1]
     for arr in (offsets, gaps):

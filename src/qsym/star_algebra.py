@@ -21,8 +21,9 @@ q_l as a product of entries of u'.
 Algebra elements are plain complex numpy matrices; defects are measured in
 the operator (spectral) norm.  A witness's r^2 entries repeat (5 distinct
 ones among the 256 of a Clebsch witness), so the certifier dedupes them
-once by their exact bytes and reads every per-entry defect, and the
-pairwise noncommutativity certificate, on those entries alone.
+once by their exact bytes (``graphs._distinct_rows``, first occurrences
+in row-major order) and reads every per-entry defect, and the pairwise
+noncommutativity certificate, on those entries alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Report, check_tolerance
 from .errors import DimensionError, UsageError
-from .graphs import Graph, Permutation, are_disjoint, is_automorphism
+from .graphs import Graph, Permutation, _distinct_rows, are_disjoint, is_automorphism
 
 __all__ = [
     "MagicUnitary",
@@ -185,22 +186,14 @@ def build_witness(
     return MagicUnitary(entries, seed=seed)
 
 
-def _first_distinct(rows: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrence of each distinct row of a
-    C-contiguous 2-D array, compared by bytes, in ascending order:
-    ``np.unique`` on the rows as void scalars."""
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    return np.sort(np.unique(keys, return_index=True)[1])
-
-
 def _byte_distinct(u: MagicUnitary) -> np.ndarray:
     """The entries of u with distinct bytes, as a (K, d, d) stack, each the
     first occurrence in row-major order.  Entries with equal bytes are
     equal matrices, so any defect read entry by entry is read exactly
     from these."""
     d = u.dim
-    flat = np.ascontiguousarray(u.entries).reshape(-1, d * d)
-    return flat[_first_distinct(flat)].reshape(-1, d, d)
+    flat = u.entries.reshape(-1, d * d)
+    return flat[np.sort(_distinct_rows(flat)[0])].reshape(-1, d, d)
 
 
 def _distinct_entries(entries: np.ndarray) -> np.ndarray:
@@ -210,7 +203,7 @@ def _distinct_entries(entries: np.ndarray) -> np.ndarray:
     these are u's distinct entries in row-major order, and only its K
     entries are rounded."""
     rounded = (np.round(entries, 9) + 0.0).reshape(len(entries), -1)
-    return entries[_first_distinct(rounded)]
+    return entries[np.sort(_distinct_rows(rounded)[0])]
 
 
 def _noncomm_certificate(entries: np.ndarray) -> float:

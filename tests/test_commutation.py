@@ -243,10 +243,13 @@ def test_no_pair_table_is_built_at_n11(monkeypatch):
 def test_a_pair_table_entry_off_by_n_fails_the_oracle(monkeypatch, n):
     """One entry T[x, y] raised by N reads the next distance class's gaps
     at (x, y), which are non-zero for every automorphism, so the point
-    actions (n = 5) and a shift (n = 9) no longer read the oracle's 0."""
+    actions (n = 5) and a shift (n = 9) no longer read the oracle's 0.
+    (x, y) is the first pair off the diagonal, in row-major order, whose
+    class is not the last one, so that a next class exists."""
     size = 1 << (n - 1)
     real = spectral._pair_table(n)
-    x, y = 1, 2
+    below_last = real + size < len(spectral._class_table(n)[1])
+    x, y = np.argwhere(below_last & ~np.eye(size, dtype=bool))[0]
     assert real[x, y] + size < len(spectral._class_table(n)[1])
     planted = real.copy()
     planted[x, y] += size

@@ -641,24 +641,89 @@ LARGER_GRAPHS = {
 }
 
 
-def test_sort_keys_order_64_point_rows_as_tuples():
-    """Images of 32..63 need 6-bit digits: with 5 bits the digit 32 would
-    carry into its neighbour and misorder the rows."""
+def _distinct_rows_oracle(rows):
+    """(first, inverse) of ``graphs._distinct_rows`` from a dict of each
+    row's ``tobytes()``: the first index of every distinct byte string, in
+    byte order, and each row's position in that order."""
+    firsts = {}
+    for i, row in enumerate(rows):
+        firsts.setdefault(row.tobytes(), i)
+    keys = sorted(firsts)
+    position = {key: k for k, key in enumerate(keys)}
+    return [firsts[key] for key in keys], [position[row.tobytes()] for row in rows]
+
+
+#: per dtype, entries whose bytes sort differently from their values:
+#: negative integers, -0.0 against +0.0, and both signs of a complex zero
+_ROW_VALUES = {
+    np.uint8: [0, 1, 2, 255],
+    np.int8: [0, 1, -1, -128],
+    np.int16: [0, 1, -1, 256, -256],
+    np.intp: [0, 1, -1, 2**40],
+    np.float64: [0.0, -0.0, 1.0, -1.0, 0.5],
+    np.complex128: [0j, complex(-0.0, 0.0), complex(0.0, -0.0), 1j, -1 + 0j],
+}
+
+
+@st.composite
+def repeated_rows(draw):
+    """A (P, w) array of one of the dtypes above whose rows are drawn from
+    a pool of at most five, so most of them repeat."""
+    dtype = draw(st.sampled_from(sorted(_ROW_VALUES, key=lambda t: np.dtype(t).name)))
+    width = draw(st.integers(1, 4))
+    entry = st.sampled_from(_ROW_VALUES[dtype])
+    pool = draw(st.lists(st.lists(entry, min_size=width, max_size=width), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+    return np.array(pool, dtype=dtype)[picks]
+
+
+@settings(max_examples=300)
+@given(repeated_rows())
+def test_distinct_rows_equal_the_bytes_oracle(rows):
+    first, inverse = graphs._distinct_rows(rows)
+    want_first, want_inverse = _distinct_rows_oracle(rows)
+    assert first.tolist() == want_first and inverse.tolist() == want_inverse
+    assert rows[first][inverse].tobytes() == rows.tobytes()
+    if rows.dtype == np.uint8:
+        assert list(map(tuple, rows[first].tolist())) == sorted(set(map(tuple, rows.tolist())))
+    # a column-major copy is read as its C-contiguous one
+    columns = np.asfortranarray(rows)
+    assert [x.tolist() for x in graphs._distinct_rows(columns)] == [want_first, want_inverse]
+
+
+def test_distinct_rows_keep_signed_zeros_apart():
+    """-0.0 and +0.0 differ in their sign byte, as ``_byte_distinct`` needs;
+    +0.0's bytes are all zero, so it comes first."""
+    first, inverse = graphs._distinct_rows(np.array([[-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]]))
+    assert first.tolist() == [1, 0] and inverse.tolist() == [1, 0, 1]
+
+
+def test_distinct_rows_order_64_point_rows_as_tuples():
+    """uint8 rows of images 0..63 with long shared prefixes, and repeats,
+    come out in tuple order, each its first occurrence."""
     rng = np.random.default_rng(64)
     images = np.array([rng.permutation(64) for _ in range(300)])
     images[1::3, :40] = images[0, :40]  # long shared prefixes
-    want = np.lexsort(images.T[::-1])
-    assert np.array_equal(np.lexsort(graphs._sort_keys(images)[::-1]), want)
-    assert len(graphs._sort_keys(images)) == 7
+    images[2::5] = images[7]  # repeated rows
+    rows = images.astype(np.uint8)
+    first, inverse = graphs._distinct_rows(rows)
+    order = np.lexsort(images.T[::-1])
+    ranked = images[order]
+    fresh = np.r_[True, np.any(ranked[1:] != ranked[:-1], axis=1)]
+    assert np.array_equal(images[first], ranked[fresh])
+    assert first.tolist() == [min(np.flatnonzero((images == row).all(axis=1))) for row in ranked[fresh]]
+    assert np.array_equal(rows[first][inverse], rows)
 
 
-def test_sort_keys_order_the_images_of_c32():
+def test_distinct_rows_order_the_images_of_c32():
     g = Graph.from_edges(32, _cycle(32))
     images = graphs._automorphism_images(g)
+    assert images.dtype == np.uint8 and images.shape == (64, 32)
     assert [tuple(r) for r in images.tolist()] == sorted(tuple(r) for r in images.tolist())
-    shuffled = images[np.random.default_rng(32).permutation(len(images))]
-    assert np.array_equal(shuffled[np.lexsort(graphs._sort_keys(shuffled)[::-1])], images)
-    assert len(graphs._sort_keys(images)) == 3
+    shuffle = np.random.default_rng(32).permutation(len(images))
+    first, inverse = graphs._distinct_rows(images[shuffle])
+    assert np.array_equal(images[shuffle][first], images)
+    assert np.array_equal(first, np.argsort(shuffle)) and np.array_equal(inverse, shuffle)
 
 
 @pytest.mark.parametrize("name", sorted(LARGER_GRAPHS))
@@ -858,3 +923,22 @@ def test_a_capacity_error_is_raised_on_every_call_and_caches_nothing(monkeypatch
             call(g)
         assert "_automorphism_table" not in vars(g)
     assert calls == [g] * 4
+
+
+def test_an_edgeless_32_vertex_search_stays_under_64_mib():
+    """Every depth of the edgeless 32-vertex search branches, and more
+    than 2^19 rows are found before the order bound stops it.  Blocks are
+    grown only when popped and rows are kept as uint8, so the traced peak
+    stays under 64 MiB (each grown block held on the stack took it to
+    354 MiB)."""
+    g = Graph.from_edges(32, [])
+    g.adjacency
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="more than 524288 automorphisms"):
+            graphs._automorphism_images(g)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 64
+    assert "_automorphism_table" not in vars(g)

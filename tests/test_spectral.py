@@ -619,21 +619,28 @@ def _int64_blocks(adjacency):
 
 
 def _fq_counts(n):
-    """How often each of FQ_n's distinct blocks occurs: the blocks depend on
-    e only through its length k, C(n - 5, k) of them each, for n >= 5."""
-    return [comb(n - 5, k) for k in range(n - 4)] if n >= 5 else [1]
+    """How often each of FQ_n's distinct blocks occurs, in the byte order
+    of their int16 coefficient rows: the blocks depend on e only through
+    its length k, C(n - 5, k) of them each, for n >= 5.  The row of length
+    k starts with n - 5 - 2k, a different value for each k, and a
+    little-endian int16 row with a non-negative first entry comes before
+    one with a negative first entry (low byte 0..8 against 248..255)."""
+    if n < 5:
+        return [1]
+    lengths = sorted(range(n - 4), key=lambda k: (n - 5 - 2 * k < 0, n - 5 - 2 * k))
+    return [comb(n - 5, k) for k in lengths]
 
 
 @pytest.mark.parametrize(
     "make, largest, counts",
     [
         *(pytest.param(lambda n=n: folded_cube(n), max(1, n - 5), _fq_counts(n), id=f"FQ_{n}") for n in range(3, 14)),
-        pytest.param(lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)), 64, [63, 1], id="K_1024"),
+        pytest.param(lambda: dense_graph(1 - np.eye(1024, dtype=np.uint8)), 64, [1, 63], id="K_1024"),
         # entries double at each of the eight levels: 256, the most within the bound
-        pytest.param(lambda: dense_graph(1 - np.eye(4096, dtype=np.uint8)), 256, [255, 1], id="K_4096"),
+        pytest.param(lambda: dense_graph(1 - np.eye(4096, dtype=np.uint8)), 256, [1, 255], id="K_4096"),
         # high parts 1, 3 and 12, which bit reversal moves: unlike FQ_n and
         # K_N, this graph tells the split's block order from j's own order
-        pytest.param(lambda: _cayley_graph(8, [1, 16, 48, 200]), 2, [2, 2, 4, 4, 2, 2], id="Cay_256-1_16_48_200"),
+        pytest.param(lambda: _cayley_graph(8, [1, 16, 48, 200]), 2, [4, 4, 2, 2, 2, 2], id="Cay_256-1_16_48_200"),
         pytest.param(lambda: dense_graph(np.zeros((64, 64), dtype=np.uint8)), 0, [4], id="edgeless_64"),
     ],
 )
